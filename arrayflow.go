@@ -373,7 +373,7 @@ type (
 	// CLI's output. Mount Handler() on an http.Server.
 	Service = service.Server
 	// ServiceOptions configures a Service (workers, queue depth, deadline,
-	// body cap, cache, engine). The zero value is usable.
+	// body cap, cache, fuel). The zero value is usable.
 	ServiceOptions = service.Options
 	// ServiceStats is the /v1/stats snapshot document.
 	ServiceStats = service.Stats
@@ -395,8 +395,8 @@ type (
 
 // NewService returns an analysis daemon with opts resolved to documented
 // defaults (nil = all defaults): GOMAXPROCS workers, a 256-deep queue, a
-// 10-second per-request deadline, a 1 MiB body cap, the packed engine, and
-// the process-global sharded memo cache.
+// 10-second per-request deadline, a 1 MiB body cap, and the process-global
+// sharded memo cache.
 func NewService(opts *ServiceOptions) *Service { return service.New(opts) }
 
 // NewServiceHandler is NewService(opts).Handler() — the one-liner for

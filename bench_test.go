@@ -14,6 +14,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/baseline"
 	"repro/internal/dataflow"
+	"repro/internal/dataflow/reference"
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/ir"
@@ -60,19 +61,22 @@ func BenchmarkTable1FixedPoint(b *testing.B) {
 	if res.ChangedPasses > 2 {
 		b.Fatalf("changed passes = %d, want ≤ 2", res.ChangedPasses)
 	}
-	if got := res.In[1].String(); got != "(2,1,_,T)" {
-		b.Fatalf("fixed point IN[1] = %s, want (2,1,_,T)", got)
+	if got := strings.Split(res.TupleTable(-1), "\n")[1]; got != "IN [1]  (2,1,_,T)" {
+		b.Fatalf("fixed point row = %q, want IN [1]  (2,1,_,T)", got)
 	}
 	spec := problems.MustReachingDefs()
-	for _, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-		b.Run(string(eng), func(b *testing.B) {
-			opts := &dataflow.Options{Engine: eng}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dataflow.Solve(g, spec, opts)
-			}
-		})
-	}
+	// The reference sub-benchmark is the ablation baseline: the executable
+	// specification the differential tests hold the solver to.
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dataflow.Solve(g, spec, nil)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reference.Solve(g, spec, nil)
+		}
+	})
 }
 
 // BenchmarkTable1FusedSolve solves all four standard problems on the
@@ -81,15 +85,16 @@ func BenchmarkTable1FixedPoint(b *testing.B) {
 func BenchmarkTable1FusedSolve(b *testing.B) {
 	g := mustGraph(b, experiments.Fig1Source)
 	specs := problems.StandardSpecs()
-	for _, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-		b.Run(string(eng), func(b *testing.B) {
-			opts := &dataflow.Options{Engine: eng}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dataflow.SolveAll(g, specs, opts)
-			}
-		})
-	}
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dataflow.SolveAll(g, specs, nil)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reference.SolveAll(g, specs, nil)
+		}
+	})
 }
 
 // --- E3: Figure 1/3, flow graph construction + reuse conclusions -------------
@@ -312,16 +317,7 @@ func BenchmarkScalingLinear(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec := problems.MustReachingDefs()
-		for _, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-			b.Run(fmt.Sprintf("bounded-classes/stmts=%d/%s", n, eng), func(b *testing.B) {
-				opts := &dataflow.Options{Engine: eng}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dataflow.Solve(g, spec, opts)
-				}
-			})
-		}
+		benchSolvers(b, fmt.Sprintf("bounded-classes/stmts=%d", n), g, problems.MustReachingDefs())
 	}
 	// Classes growing with N (every statement its own array): total work is
 	// O(N·m) = O(N²), matching the paper's O(N²) space statement for the
@@ -333,17 +329,23 @@ func BenchmarkScalingLinear(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec := problems.MustReachingDefs()
-		for _, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-			b.Run(fmt.Sprintf("growing-classes/stmts=%d/%s", n, eng), func(b *testing.B) {
-				opts := &dataflow.Options{Engine: eng}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dataflow.Solve(g, spec, opts)
-				}
-			})
-		}
+		benchSolvers(b, fmt.Sprintf("growing-classes/stmts=%d", n), g, problems.MustReachingDefs())
 	}
+}
+
+// benchSolvers runs the solver as <prefix>/packed and the reference oracle
+// as <prefix>/reference, the ablation baseline.
+func benchSolvers(b *testing.B, prefix string, g *ir.Graph, spec *dataflow.Spec) {
+	b.Run(prefix+"/packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dataflow.Solve(g, spec, nil)
+		}
+	})
+	b.Run(prefix+"/reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reference.Solve(g, spec, nil)
+		}
+	})
 }
 
 // --- E12: controlled unrolling predictions ----------------------------------------

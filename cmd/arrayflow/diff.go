@@ -36,10 +36,9 @@ func runDiff(args []string) {
 	workers := fs.Int("workers", 0, "worker goroutines per analysis pass (0 = GOMAXPROCS, 1 = serial)")
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory: lets the old version's solves come from an earlier process")
 	metrics := fs.Bool("metrics", false, "print both passes' analysis metrics to stderr")
-	engineFlag := fs.String("engine", "packed", "solver engine: packed or reference (ablation baseline)")
 	fuel := fs.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow diff [-lang loop|go] [-include-tests] [-workers n] [-cache-dir dir] [-metrics] [-engine packed|reference] [-fuel n] old new")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow diff [-lang loop|go] [-include-tests] [-workers n] [-cache-dir dir] [-metrics] [-fuel n] old new")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -51,7 +50,6 @@ func runDiff(args []string) {
 		fmt.Fprintf(os.Stderr, "arrayflow diff: unknown -lang %q (want loop or go)\n", *lang)
 		os.Exit(2)
 	}
-	engine := parseEngine(*engineFlag)
 
 	var oldProgs, newProgs []*ast.Program
 	var newNames []string
@@ -65,7 +63,7 @@ func runDiff(args []string) {
 	}
 
 	d, err := driver.DiffPrograms(oldProgs, newProgs, &driver.Options{
-		Parallelism: *workers, CacheDir: *cacheDir, Engine: engine, Fuel: *fuel})
+		Parallelism: *workers, CacheDir: *cacheDir, Fuel: *fuel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrayflow diff:", err)
 		os.Exit(2)

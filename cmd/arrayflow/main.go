@@ -36,7 +36,7 @@
 // loops exist, 2 when either version fails the front end:
 //
 //	arrayflow diff [-lang loop|go] [-include-tests] [-workers n] [-metrics]
-//	               [-cache-dir dir] [-engine packed|reference] [-fuel n] old new
+//	               [-cache-dir dir] [-fuel n] old new
 //
 // The serve mode runs the analyses as a long-lived HTTP/JSON daemon —
 // /v1/analyze, /v1/vet, /v1/batch, and /v1/stats over the shared sharded
@@ -48,8 +48,7 @@
 //
 //	arrayflow serve [-addr host:port] [-workers n] [-max-queue n]
 //	                [-deadline d] [-cache-cap n] [-max-body n] [-nocache]
-//	                [-cache-dir dir] [-drain-timeout d]
-//	                [-engine packed|reference]
+//	                [-cache-dir dir] [-drain-timeout d] [-fuel n]
 //
 // Every analyzing mode accepts -cache-dir: a persistent, content-addressed
 // solve cache shared across processes, letting a cold process warm-start
@@ -129,18 +128,6 @@ func startProfiles(cpu, mem string) {
 	}
 }
 
-// parseEngine validates a -engine flag value.
-func parseEngine(s string) dataflow.Engine {
-	switch s {
-	case "packed":
-		return dataflow.EnginePacked
-	case "reference":
-		return dataflow.EngineReference
-	}
-	fatal(fmt.Errorf("unknown -engine %q (want packed or reference)", s))
-	panic("unreachable")
-}
-
 func main() {
 	if len(os.Args) >= 2 && os.Args[1] == "vet" {
 		runVet(os.Args[2:])
@@ -168,13 +155,11 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for -program (0 = GOMAXPROCS, 1 = serial)")
 	nocache := flag.Bool("nocache", false, "disable the memoizing solve cache for -program")
 	cacheDir := flag.String("cache-dir", "", "persistent solve cache directory for -program (empty = memory-only)")
-	engineFlag := flag.String("engine", "packed", "solver engine: packed or reference (ablation baseline)")
 	fuel := flag.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default; exhausted solves degrade to claim-nothing facts)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 
-	engine := parseEngine(*engineFlag)
 	startProfiles(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
@@ -183,7 +168,7 @@ func main() {
 	if *whole {
 		pa, err := driver.Analyze(prog, &driver.Options{
 			NestVectors: true, Parallelism: *workers, DisableCache: *nocache,
-			CacheDir: *cacheDir, Engine: engine, Fuel: *fuel})
+			CacheDir: *cacheDir, Fuel: *fuel})
 		if err != nil {
 			fatal(err)
 		}
@@ -221,7 +206,7 @@ func main() {
 		fatal(fmt.Errorf("unknown analysis %q", *analysis))
 	}
 
-	res := dataflow.Solve(g, spec, &dataflow.Options{CollectTrace: *trace, Engine: engine, Fuel: *fuel})
+	res := dataflow.Solve(g, spec, &dataflow.Options{CollectTrace: *trace, Fuel: *fuel})
 	if res.FuelExhausted {
 		fmt.Printf("-- fuel budget %d exhausted: facts degraded to claim nothing --\n", res.FuelBudget)
 	}
@@ -275,17 +260,15 @@ func runBatch(args []string) {
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory shared across runs (empty = memory-only)")
 	vectors := fs.Bool("vectors", false, "run the §6 distance-vector extension on tight nests")
 	metrics := fs.Bool("metrics", false, "print batch totals and cache stats to stderr")
-	engineFlag := fs.String("engine", "packed", "solver engine: packed or reference (ablation baseline)")
 	fuel := fs.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow batch [-workers n] [-nocache] [-cachecap n] [-cache-dir dir] [-vectors] [-metrics] [-engine packed|reference] [-fuel n] path...")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow batch [-workers n] [-nocache] [-cachecap n] [-cache-dir dir] [-vectors] [-metrics] [-fuel n] path...")
 		fmt.Fprintln(os.Stderr, "each path is a .loop file or a directory of .loop files")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
-	engine := parseEngine(*engineFlag)
 	files, err := expandBatchPaths(fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrayflow batch:", err)
@@ -334,7 +317,7 @@ func runBatch(args []string) {
 	results := driver.AnalyzeBatch(progs, &driver.Options{
 		NestVectors: *vectors, Parallelism: *workers,
 		DisableCache: *nocache, CacheCap: *cachecap, CacheDir: *cacheDir,
-		Engine: engine, Fuel: *fuel})
+		Fuel: *fuel})
 
 	exit := 0
 	var totalLoops, totalSolves, totalHits, totalMisses int
@@ -422,7 +405,6 @@ func runVet(args []string) {
 	nocache := fs.Bool("nocache", false, "disable the memoizing solve cache")
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory shared across runs (empty = memory-only)")
 	metrics := fs.Bool("metrics", false, "print analysis metrics to stderr")
-	engineFlag := fs.String("engine", "packed", "solver engine: packed or reference (ablation baseline)")
 	fuel := fs.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default; exhausted loops report unknown verdicts)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
@@ -436,7 +418,7 @@ func runVet(args []string) {
 		return nil
 	})
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow vet [-lang loop|go] [-format text|json|sarif] [-assume cond] [-fix] [-werror] [-baseline file] [-updatebaseline] [-include-tests] [-workers n] [-nocache] [-cache-dir dir] [-metrics] [-engine packed|reference] [-fuel n] [-cpuprofile file] [-memprofile file] [file|pattern]")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow vet [-lang loop|go] [-format text|json|sarif] [-assume cond] [-fix] [-werror] [-baseline file] [-updatebaseline] [-include-tests] [-workers n] [-nocache] [-cache-dir dir] [-metrics] [-fuel n] [-cpuprofile file] [-memprofile file] [file|pattern]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -448,8 +430,7 @@ func runVet(args []string) {
 		fmt.Fprintf(os.Stderr, "arrayflow vet: unknown -lang %q (want loop or go)\n", *lang)
 		os.Exit(2)
 	}
-	engine := parseEngine(*engineFlag)
-	opts := &lint.Options{Parallelism: *workers, DisableCache: *nocache, CacheDir: *cacheDir, Engine: engine, Werror: *werror, Fuel: *fuel, Assume: assume}
+	opts := &lint.Options{Parallelism: *workers, DisableCache: *nocache, CacheDir: *cacheDir, Werror: *werror, Fuel: *fuel, Assume: assume}
 	if *baselinePath != "" && !*updateBaseline {
 		b, err := lint.ReadBaselineFile(*baselinePath)
 		if err != nil {

@@ -33,10 +33,9 @@ func runServe(args []string) {
 	nocache := fs.Bool("nocache", false, "disable the memoizing solve cache")
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory: a restarted daemon warm-starts from it at memo-hit speed (empty = memory-only)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-	engineFlag := fs.String("engine", "packed", "solver engine: packed or reference (ablation baseline)")
 	fuel := fs.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default; exhausted solves degrade to claim-nothing facts instead of blowing the deadline)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow serve [-addr host:port] [-workers n] [-max-queue n] [-deadline d] [-cache-cap n] [-max-body n] [-nocache] [-cache-dir dir] [-drain-timeout d] [-engine packed|reference] [-fuel n]")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow serve [-addr host:port] [-workers n] [-max-queue n] [-deadline d] [-cache-cap n] [-max-body n] [-nocache] [-cache-dir dir] [-drain-timeout d] [-fuel n]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -44,7 +43,6 @@ func runServe(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	engine := parseEngine(*engineFlag)
 
 	srv := service.New(&service.Options{
 		Workers:      *workers,
@@ -54,7 +52,6 @@ func runServe(args []string) {
 		CacheCap:     *cacheCap,
 		DisableCache: *nocache,
 		CacheDir:     *cacheDir,
-		Engine:       engine,
 		Fuel:         *fuel,
 	})
 	hs := &http.Server{Handler: srv.Handler()}

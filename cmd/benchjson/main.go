@@ -15,8 +15,8 @@
 // regexp PATTERN must be present in the new measurements at no more than
 // FACTOR × its baseline ns/op. Unlike -diff, a gated benchmark that is
 // missing from the new run fails the gate — a gate names benchmarks that
-// must exist. scripts/bench.sh uses it to hold the packed-engine
-// ScalingLinear points to within 1.25× of BENCH_PR4.json.
+// must exist. scripts/bench.sh uses it to hold the solver's
+// ScalingLinear/…/packed points to within 1.25× of BENCH_PR4.json.
 //
 // With -ratio NUM:DEN:FACTOR (repeatable) it enforces a relationship inside
 // the new snapshot itself: benchmark NUM (exact name) must run at no more

@@ -1,8 +1,8 @@
-// Engine equivalence over the example corpus: the packed solver must be
-// observationally indistinguishable from the reference implementation on
-// every checked-in program, for every one of the paper's four problems, at
-// every reporting surface (tuple tables, solver metrics, whole-program
-// reports, vet findings).
+// Engine equivalence over the example corpus: the word-packed solver must
+// be observationally indistinguishable from the executable specification
+// (internal/dataflow/reference) on every checked-in program, for every one
+// of the paper's four problems — tuple tables, every traced pass, and the
+// solver metrics.
 package arrayflow_test
 
 import (
@@ -15,6 +15,7 @@ import (
 	arrayflow "repro"
 	"repro/internal/ast"
 	"repro/internal/dataflow"
+	"repro/internal/dataflow/reference"
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/goimport"
@@ -42,8 +43,9 @@ func exampleLoops(t *testing.T) map[string]string {
 }
 
 // TestEngineEquivalenceExamples solves all four problems on every loop of
-// every example program with both engines and compares the rendered tuple
-// tables and the work counters byte for byte.
+// every example program with the solver and the oracle and compares the
+// rendered tuple tables, every traced pass, and the work counters byte for
+// byte.
 func TestEngineEquivalenceExamples(t *testing.T) {
 	for name, src := range exampleLoops(t) {
 		prog := arrayflow.MustParse(src)
@@ -60,74 +62,12 @@ func TestEngineEquivalenceExamples(t *testing.T) {
 				t.Fatalf("%s loop %d: %v", name, li, err)
 			}
 			specs := problems.StandardSpecs()
-			packed := dataflow.SolveAll(g, specs, &dataflow.Options{CollectTrace: true, Engine: dataflow.EnginePacked})
-			ref := dataflow.SolveAll(g, specs, &dataflow.Options{CollectTrace: true, Engine: dataflow.EngineReference})
+			opts := &dataflow.Options{CollectTrace: true}
+			packed := dataflow.SolveAll(g, specs, opts)
 			for i, spec := range specs {
-				p, r := packed[i], ref[i]
-				if got, want := p.TupleTable(-1), r.TupleTable(-1); got != want {
-					t.Errorf("%s loop %d %s: fixed point differs\npacked:\n%s\nreference:\n%s",
-						name, li, spec.Name, got, want)
+				if err := reference.Compare(packed[i], reference.Solve(g, spec, opts)); err != nil {
+					t.Errorf("%s loop %d %s: %v", name, li, spec.Name, err)
 				}
-				if got, want := p.TupleTable(0), r.TupleTable(0); got != want {
-					t.Errorf("%s loop %d %s: init snapshot differs", name, li, spec.Name)
-				}
-				for pass := 1; pass <= len(r.Trace); pass++ {
-					if p.TupleTable(pass) != r.TupleTable(pass) {
-						t.Errorf("%s loop %d %s: pass %d differs", name, li, spec.Name, pass)
-					}
-				}
-				pm, rm := p.Metrics(), r.Metrics()
-				pm.Elapsed, rm.Elapsed = 0, 0
-				if pm != rm {
-					t.Errorf("%s loop %d %s: metrics %+v, want %+v", name, li, spec.Name, pm, rm)
-				}
-			}
-		}
-	}
-}
-
-// TestEngineEquivalenceReports pins byte-identical driver Report output
-// between the engines on every example program (cache disabled so both
-// engines genuinely solve).
-func TestEngineEquivalenceReports(t *testing.T) {
-	for name, src := range exampleLoops(t) {
-		prog := arrayflow.MustParse(src)
-		var reports [2]string
-		for i, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-			pa, err := driver.Analyze(prog, &driver.Options{
-				Specs:        problems.StandardSpecs(),
-				NestVectors:  true,
-				DisableCache: true,
-				Engine:       eng,
-			})
-			if err != nil {
-				t.Fatalf("%s (%s): %v", name, eng, err)
-			}
-			reports[i] = pa.Report()
-		}
-		if reports[0] != reports[1] {
-			t.Errorf("%s: driver reports differ\npacked:\n%s\nreference:\n%s", name, reports[0], reports[1])
-		}
-	}
-}
-
-// TestEngineEquivalenceVet pins identical lint findings between engines on
-// every example program.
-func TestEngineEquivalenceVet(t *testing.T) {
-	for name, src := range exampleLoops(t) {
-		var got [2][]string
-		for i, eng := range []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference} {
-			res := lint.Vet(name, src, &lint.Options{DisableCache: true, Engine: eng})
-			for _, f := range res.Findings {
-				got[i] = append(got[i], f.Analyzer+" "+f.Pos.String()+" "+f.Message)
-			}
-		}
-		if len(got[0]) != len(got[1]) {
-			t.Fatalf("%s: finding counts differ: packed %d, reference %d", name, len(got[0]), len(got[1]))
-		}
-		for i := range got[0] {
-			if got[0][i] != got[1][i] {
-				t.Errorf("%s: finding %d differs:\npacked:    %s\nreference: %s", name, i, got[0][i], got[1][i])
 			}
 		}
 	}

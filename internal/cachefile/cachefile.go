@@ -7,7 +7,7 @@
 //
 //	offset  size  field
 //	0       4     magic "AFC1"
-//	4       8     schema hash (engine + spec-set + format generation)
+//	4       8     schema hash (spec-set + payload version + format generation)
 //	12      8     fingerprint hi
 //	20      8     fingerprint lo
 //	28      8     payload length
@@ -59,8 +59,9 @@ func fnv1a64(seed uint64, data []byte) uint64 {
 
 const fnvOffset64 = 14695981039346656037
 
-// SchemaHash folds the given components (format generation, engine, spec
-// names, …) into the 8-byte schema identifier stored in every file header.
+// SchemaHash folds the given components (format generation, payload
+// version, spec names, …) into the 8-byte schema identifier stored in every
+// file header.
 // Files written under a different schema are ignored wholesale.
 func SchemaHash(parts ...string) uint64 {
 	h := uint64(fnvOffset64)

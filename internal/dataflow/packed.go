@@ -1,22 +1,22 @@
-// The packed solver engine: the same three-pass framework as the reference
-// implementation in solve.go, rebuilt around flat storage and word-level
-// parallelism so the constant factor is bounded by lattice arithmetic rather
-// than allocator traffic.
+// The solver: the paper's three-pass framework over word-packed lattice
+// rows, so the constant factor is bounded by lattice arithmetic rather than
+// allocator traffic.
 //
 //   - IN/OUT state lives in word-packed rows (lattice.Packing): one uint64
-//     holds 8 or 16 class cells, so meets, flow applications, and the
-//     changed-check run whole words at a time with SWAR min/max kernels.
-//   - Flow functions compile into one flowOp arena addressed by
-//     starts[nodeID·m + classIndex]; membership tests go through a dense
-//     ref-ID → class-index array, never a map[*ir.Ref]. Over the chain
-//     lattice every such op sequence collapses to x ↦ min(max(x, lo), hi),
-//     so the iteration applies a whole node's flow across all classes as
-//     two packed rows (LO/HI) per node — one ApplyBounds sweep per word.
+//     holds 8, 4 or 1 class cells (8-, 16- or 64-bit lanes), so meets, flow
+//     applications, and the changed-check run whole words at a time with
+//     SWAR min/max kernels. The rows are the Result's own storage; readers
+//     decode on demand.
+//   - The paper has two flow functions, generate max(x, 0) and preserve
+//     min(x, p), and classes never interact, so every (node, class) flow
+//     function collapses to one clamp x ↦ min(max(x, lo), hi). The compiler
+//     folds each (node, class) straight to its (lo, hi, gen) triple in a
+//     sparse per-solve list, which then fills two packed bound rows (LO/HI)
+//     per node — one ApplyBounds sweep per word applies a node's whole flow
+//     across all classes. Membership tests go through a dense ref-ID →
+//     class-index array, never a map[*ir.Ref].
 //   - pr(class, node) is a per-class bitset built by straight-line word ORs
 //     over the graph's packed precedes rows, one pass over the references.
-//   - When even 16-bit lanes cannot hold the finite distances a solve may
-//     produce, the engine falls back to the scalar op-walk over the same
-//     arena (identical results, pinned by the differential suites).
 //
 // Every solve carries a fuel budget (Options.Fuel): iteration passes debit
 // one unit per flow application, and exhaustion terminates the solve by
@@ -38,10 +38,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/sema"
 )
-
-// debugForceScalar disables the word-packed fast path so tests can drive
-// the scalar fallback over the full differential corpus.
-var debugForceScalar = false
 
 // solveCtx carries everything derivable from the graph alone, shared by all
 // specs solved through one SolveAll call.
@@ -96,7 +92,7 @@ func (ctx *solveCtx) tableFor(spec *Spec, sc *Scratch) *classTable {
 	if !ctx.shared {
 		return buildClassTable(ctx.g, spec.Gen)
 	}
-	mask := sc.byteRow(len(ctx.g.Refs))
+	mask := grow(&sc.mask, len(ctx.g.Refs))
 	for i, r := range ctx.g.Refs {
 		if spec.Gen(r) {
 			mask[i] = '1'
@@ -116,21 +112,31 @@ func (ctx *solveCtx) tableFor(spec *Spec, sc *Scratch) *classTable {
 	return ct
 }
 
-// prZeroFor returns, per class, the bitset of node IDs with pr = 0: nodes
+// prZeroFor returns the table's pr bitsets for the direction, memoized in a
+// shared context.
+func (ctx *solveCtx) prZeroFor(ct *classTable, backward bool) [][]uint64 {
+	k := prKey{ct, backward}
+	if pz, ok := ctx.prZero[k]; ok {
+		return pz
+	}
+	pz := prZeroRows(ctx.g, ct, backward)
+	if ctx.shared {
+		if ctx.prZero == nil {
+			ctx.prZero = map[prKey][][]uint64{}
+		}
+		ctx.prZero[k] = pz
+	}
+	return pz
+}
+
+// prZeroRows returns, per class, the bitset of node IDs with pr = 0: nodes
 // that some member precedes (forward) or that precede some member
 // (backward). The construction is one linear pass over the graph's
 // references: each generating reference ORs its node's packed precedes row
 // into its class's bitset, straight-line word ORs with no per-node Precedes
 // calls. Consecutive members in the same node OR the same row, so the pass
 // skips the duplicate.
-func (ctx *solveCtx) prZeroFor(ct *classTable, backward bool) [][]uint64 {
-	k := prKey{ct, backward}
-	if ctx.shared {
-		if pz, ok := ctx.prZero[k]; ok {
-			return pz
-		}
-	}
-	g := ctx.g
+func prZeroRows(g *ir.Graph, ct *classTable, backward bool) [][]uint64 {
 	words := g.BitWords()
 	backing := make([]uint64, len(ct.classes)*words)
 	pz := make([][]uint64, len(ct.classes))
@@ -162,12 +168,6 @@ func (ctx *solveCtx) prZeroFor(ct *classTable, backward bool) [][]uint64 {
 			row[w] |= src[w]
 		}
 	}
-	if ctx.shared {
-		if ctx.prZero == nil {
-			ctx.prZero = map[prKey][][]uint64{}
-		}
-		ctx.prZero[k] = pz
-	}
 	return pz
 }
 
@@ -179,69 +179,41 @@ func bitSet(row []uint64, i int) {
 	row[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// packedProgram is the compiled form of every flow function of one problem
-// instance: one op arena plus monotone start offsets per (node, class) slot
-// idx = nodeID·m + classIndex, and a generate bitset per slot feeding the
-// initialization pass's overestimate.
-type packedProgram struct {
-	arena  []flowOp
-	starts []int32
-	gen    []uint64
-}
-
-func (p *packedProgram) ops(idx int) []flowOp {
-	return p.arena[p.starts[idx]:p.starts[idx+1]]
-}
-
-// boundsOf collapses a compiled op sequence to its clamp form
-// f(x) = min(max(x, lo), hi). Over a chain lattice the composition of
-// generates (max with 0) and preserve caps (min with p) always has this
-// shape: a generate raises both bounds to at least 0 (distributivity of max
-// over min on a chain), a cap lowers hi and renormalizes lo ≤ hi.
-func boundsOf(ops []flowOp) (lo, hi lattice.Dist) {
-	lo, hi = lattice.None(), lattice.All()
-	for _, op := range ops {
-		if op.gen {
-			lo = lattice.Max(lo, lattice.D(0))
-			hi = lattice.Max(hi, lattice.D(0))
-		} else {
-			hi = lattice.Min(hi, op.pres)
-			lo = lattice.Min(lo, hi)
-		}
-	}
-	return lo, hi
+// clamp is one compiled (node, class) flow function in its collapsed form
+// f(x) = min(max(x, lo), hi), with lo ≤ hi; gen marks a function that
+// generates (it feeds the initialization pass's overestimate). Slots
+// absent from the compiled list are the identity clamp lo = ⊥, hi = ⊤.
+type clamp struct {
+	node, class int32
+	gen         bool
+	lo, hi      lattice.Dist
 }
 
 // solver is the per-spec iteration state; its pass methods are allocation-
 // free once prepared.
 type solver struct {
-	res     *Result
-	g       *ir.Graph
-	order   []*ir.Node
-	entry   *ir.Node
-	prog    *packedProgram
-	scratch lattice.Tuple
-	sc      *Scratch
-	m       int
-	may     bool
-	back    bool
+	res   *Result
+	g     *ir.Graph
+	order []*ir.Node
+	entry *ir.Node
+	sc    *Scratch
+	m     int
+	may   bool
+	back  bool
 
 	fuel      int64
 	exhausted bool
 
-	// Word-packed fast path: active when every finite distance the solve
-	// can produce fits an 8- or 16-bit lane.
-	wide  bool
-	pk    lattice.Packing
-	words int
-	inW   []uint64 // packed IN rows, (n+1)·words
-	outW  []uint64 // packed OUT rows
-	loW   []uint64 // per-node batch lower bounds
-	hiW   []uint64 // per-node batch upper bounds
-	genW  []uint64 // per-node generate lanes (All in generating cells)
-	scrW  []uint64 // one-row scratch
-	ubE   uint64   // encoded exit clamp threshold
-	clamp bool
+	pk        lattice.Packing
+	words     int
+	inW       []uint64 // packed IN rows (the Result's row set 0)
+	outW      []uint64 // packed OUT rows (the Result's row set 1)
+	loW       []uint64 // per-node batch lower bounds
+	hiW       []uint64 // per-node batch upper bounds
+	genW      []uint64 // per-node generate lanes (All in generating cells)
+	scrW      []uint64 // one-row scratch
+	ubE       uint64   // encoded exit clamp threshold
+	exitClamp bool
 }
 
 // preds returns the meet inputs of nd for the solve direction.
@@ -252,144 +224,123 @@ func (st *solver) preds(nd *ir.Node) []*ir.Node {
 	return nd.Preds
 }
 
-// rowW returns packed row id of a flat backing.
+// rowW returns node id's packed row of a flat row set.
 func (st *solver) rowW(flat []uint64, id int) []uint64 {
-	return flat[id*st.words : (id+1)*st.words]
+	return flat[(id-1)*st.words : id*st.words]
 }
 
 // resolveFuel returns the solve's fuel budget: the explicit option when set,
 // otherwise a derived default of MaxPasses·nodes·classes plus slack — an
 // upper bound on the iteration's total flow applications, so the default
 // can never bind and fuel changes nothing unless a caller asks for it.
-func resolveFuel(opts *Options, maxPasses, n, m int) int64 {
+func resolveFuel(opts *Options, n, m int) int64 {
 	if opts.Fuel > 0 {
 		return opts.Fuel
 	}
 	if m < 1 {
 		m = 1
 	}
-	return int64(maxPasses)*int64(n)*int64(m) + 64
+	return int64(opts.passLimit())*int64(n)*int64(m) + 64
+}
+
+// laneFor picks the narrowest lane width that holds every finite distance
+// the solve can produce: meets and clamps mint no new finite values, so
+// they are bounded by the largest finite clamp bound plus one exit
+// increment per pass (with slack). The comparison subtracts from the lane
+// capacity instead of adding to the bound, so it cannot overflow; a 64-bit
+// lane holds every int64 distance.
+func laneFor(clamps []clamp, maxPasses int) uint {
+	var maxFin int64
+	for i := range clamps {
+		for _, d := range [2]lattice.Dist{clamps[i].lo, clamps[i].hi} {
+			if v, ok := d.Finite(); ok && v > maxFin {
+				maxFin = v
+			}
+		}
+	}
+	for _, lane := range [...]uint{lattice.Lane8, lattice.Lane16} {
+		if maxFin <= lattice.MaxFiniteForLane(lane)-int64(maxPasses)-2 {
+			return lane
+		}
+	}
+	return lattice.Lane64
 }
 
 // prepare builds the per-spec iteration state: class table, compiled
-// program, packed batch rows (when the lane bound allows), and the fuel
-// budget. After prepare, initStage and iteratePass allocate nothing.
+// clamps, the Result's packed rows at the chosen lane width, the LO/HI/GEN
+// bound rows, and the fuel budget. After prepare, initStage and iteratePass
+// allocate nothing.
 func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) *solver {
 	res := &Result{Graph: ctx.g, Spec: spec}
-	res.SetOracle(opts.Facts)
 	ct := ctx.tableFor(spec, sc)
 	res.adoptClasses(ct)
 	m := len(ct.classes)
 	n := ctx.n
 	res.prZero = ctx.prZeroFor(ct, spec.Backward)
+	clamps := ctx.compile(spec, ct, res.prZero, opts.Facts, sc)
 
-	res.In, res.inBack = pooledSlab(n, m)
-	res.Out, res.outBack = pooledSlab(n, m)
-
-	prog := ctx.compile(spec, ct, res.prZero, opts.Facts)
-	res.prog = prog // ApplyFlow serves views into the arena on demand
-
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 64
-	}
 	st := &solver{
-		res:     res,
-		g:       ctx.g,
-		order:   ctx.order(spec.Backward),
-		entry:   ctx.g.Entry,
-		prog:    prog,
-		scratch: sc.tupleRow(m),
-		sc:      sc,
-		m:       m,
-		may:     spec.May,
-		back:    spec.Backward,
-		fuel:    resolveFuel(opts, maxPasses, n, m),
+		res:   res,
+		g:     ctx.g,
+		order: ctx.order(spec.Backward),
+		entry: ctx.g.Entry,
+		sc:    sc,
+		m:     m,
+		may:   spec.May,
+		back:  spec.Backward,
+		fuel:  resolveFuel(opts, n, m),
 	}
 	res.FuelBudget = st.fuel
 	if spec.Backward {
 		st.entry = ctx.g.Exit
 	}
-	st.prepareWide(opts, maxPasses)
-	return st
-}
 
-// prepareWide selects the lane width and builds the packed batch rows. The
-// finite distances a solve can produce are bounded by the largest finite
-// preserve constant in the program plus one increment per iteration pass
-// (meets and clamps introduce no new finite values), so a lane that holds
-// maxCap + maxPasses with slack holds every intermediate value.
-func (st *solver) prepareWide(opts *Options, maxPasses int) {
-	if st.m == 0 || debugForceScalar {
-		return
-	}
-	var maxCap int64
-	for _, op := range st.prog.arena {
-		if !op.gen {
-			if v, ok := op.pres.Finite(); ok && v > maxCap {
-				maxCap = v
-			}
-		}
-	}
-	bound := maxCap + int64(maxPasses) + 2
-	var lane uint
-	switch {
-	case bound <= lattice.MaxFiniteForLane(lattice.Lane8):
-		lane = lattice.Lane8
-	case bound <= lattice.MaxFiniteForLane(lattice.Lane16):
-		lane = lattice.Lane16
-	default:
-		return // scalar fallback: distances exceed 16-bit lanes
-	}
-	st.wide = true
-	st.pk = lattice.NewPacking(st.m, lane)
+	st.pk = lattice.NewPacking(m, laneFor(clamps, opts.passLimit()))
 	st.words = st.pk.Words
-	n := len(st.g.Nodes)
-	rows := (n + 1) * st.words
-	st.inW = st.sc.u64Row(0, rows)
-	st.outW = st.sc.u64Row(1, rows)
-	st.loW = st.sc.u64Row(2, rows)
-	st.hiW = st.sc.u64Row(3, rows)
-	st.genW = st.sc.u64Row(4, rows)
-	st.scrW = st.sc.u64Row(5, st.words)
-	// Default bounds are the identity clamp lo = ⊥, hi = ⊤; only slots with
-	// compiled ops deviate, and the arena holds at most one op per
-	// reference, so the sparse pass below touches O(refs) cells, not O(n·m).
-	// hi's tail lanes may hold ⊤ safely: ApplyBounds computes
+	res.pk = st.pk
+	size := n * st.words
+	res.hasInit = !spec.May && !opts.SkipInitPass
+	sets := 2
+	if res.hasInit {
+		sets = 4
+	}
+	res.rows = getRows(sets * size)
+	st.inW, st.outW = res.set(0), res.set(1)
+
+	st.loW = grow(&sc.words[0], size)
+	st.hiW = grow(&sc.words[1], size)
+	st.genW = grow(&sc.words[2], size)
+	st.scrW = grow(&sc.words[3], st.words)
+	// Default bounds are the identity clamp lo = ⊥, hi = ⊤; only compiled
+	// slots deviate, so the sparse pass below touches O(refs) cells, not
+	// O(n·m). hi's tail lanes may hold ⊤ safely: ApplyBounds computes
 	// min(max(0, 0), hi) = 0 on tails regardless.
 	clear(st.loW)
 	for i := range st.hiW {
 		st.hiW[i] = ^uint64(0)
 	}
 	clear(st.genW)
-
 	pk := &st.pk
-	starts := st.prog.starts
-	for _, nd := range st.g.Nodes {
-		base := nd.ID * st.m
-		for ci := 0; ci < st.m; ci++ {
-			idx := base + ci
-			if starts[idx] == starts[idx+1] {
-				continue
-			}
-			l, h := boundsOf(st.prog.ops(idx))
-			pk.SetCell(st.rowW(st.loW, nd.ID), ci, pk.Encode(l))
-			pk.SetCell(st.rowW(st.hiW, nd.ID), ci, pk.Encode(h))
-			if bitGet(st.prog.gen, idx) {
-				pk.SetCell(st.rowW(st.genW, nd.ID), ci, pk.All)
-			}
+	for i := range clamps {
+		c := &clamps[i]
+		id, ci := int(c.node), int(c.class)
+		pk.SetCell(st.rowW(st.loW, id), ci, pk.Encode(c.lo))
+		pk.SetCell(st.rowW(st.hiW, id), ci, pk.Encode(c.hi))
+		if c.gen {
+			pk.SetCell(st.rowW(st.genW, id), ci, pk.All)
 		}
 	}
 	if st.g.HasUB && st.g.UBConst > 0 && uint64(st.g.UBConst) < pk.All {
-		// Encoded e = d+1, so the scalar clamp condition d ≥ ub−1 becomes
-		// e ≥ ub. Thresholds at or beyond the lane's All can never fire
-		// (finite lanes stay below them), matching the scalar engine.
-		st.clamp = true
+		// Encoded e = d+1, so the clamp condition d ≥ ub−1 becomes e ≥ ub.
+		// Thresholds at or beyond the lane's All can never fire (finite
+		// lanes stay below them).
+		st.exitClamp = true
 		st.ubE = uint64(st.g.UBConst)
 	}
+	return st
 }
 
-// solve runs one problem instance through the packed engine.
+// solve runs one problem instance.
 func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 	start := time.Now()
 	st := ctx.prepare(spec, opts, sc)
@@ -397,12 +348,7 @@ func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 	defer func() { res.Elapsed = time.Since(start) }()
 
 	st.initStage(opts)
-
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 64
-	}
-	for pass := 1; pass <= maxPasses; pass++ {
+	for pass := 1; pass <= opts.passLimit(); pass++ {
 		changed := st.iteratePass()
 		if st.exhausted {
 			break
@@ -412,121 +358,53 @@ func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 			res.ChangedPasses++
 		}
 		if opts.CollectTrace {
-			var e TraceEntry
-			if st.wide {
-				e.In, e.Out = st.decodeSnapshot()
-			} else {
-				e.In = lattice.CloneSlab(res.In)
-				e.Out = lattice.CloneSlab(res.Out)
-			}
-			res.Trace = append(res.Trace, e)
+			res.Trace = append(res.Trace, TraceEntry{In: res.decodeSet(0), Out: res.decodeSet(1)})
 		}
 		if !changed {
 			break
 		}
 	}
-	st.finish()
+	if st.exhausted {
+		st.degrade()
+	}
 	return res
 }
 
-// initStage runs the paper's initialization (§3.2 for must, §3.3 for may)
-// on whichever representation the solver iterates over.
+// initStage runs the paper's initialization (§3.2 for must, §3.3 for may).
 func (st *solver) initStage(opts *Options) {
-	res := st.res
+	pk := &st.pk
 	n := len(st.g.Nodes)
 	switch {
 	case st.may:
-		startVal := lattice.All()
+		e := pk.Encode(lattice.All())
 		if opts.MayTopStart {
-			startVal = lattice.None()
+			e = pk.Encode(lattice.None())
 		}
-		if st.wide {
-			e := st.pk.Encode(startVal)
-			for id := 1; id <= n; id++ {
-				st.pk.Fill(st.rowW(st.inW, id), e)
-				st.pk.Fill(st.rowW(st.outW, id), e)
-			}
-		} else {
-			for id := 1; id <= n; id++ {
-				res.In[id].Fill(startVal)
-				res.Out[id].Fill(startVal)
-			}
+		for id := 1; id <= n; id++ {
+			pk.Fill(st.rowW(st.inW, id), e)
+			pk.Fill(st.rowW(st.outW, id), e)
 		}
 	case opts.SkipInitPass:
-		if st.wide {
-			for id := 1; id <= n; id++ {
-				st.pk.Fill(st.rowW(st.inW, id), st.pk.All)
-				st.pk.Fill(st.rowW(st.outW, id), st.pk.All)
-			}
-		} else {
-			for id := 1; id <= n; id++ {
-				res.In[id].Fill(lattice.All())
-				res.Out[id].Fill(lattice.All())
-			}
+		for id := 1; id <= n; id++ {
+			pk.Fill(st.rowW(st.inW, id), pk.All)
+			pk.Fill(st.rowW(st.outW, id), pk.All)
 		}
 	default:
-		if st.wide {
-			st.initWide()
-			// Defer the snapshot: copy the packed words (cheap — tens of
-			// bytes per node) and let Result.InitIn/InitOut decode them on
-			// first access. The pooled buffer is returned by Release.
-			rows := (n + 1) * st.words
-			buf := u64Pool.get(2 * rows)
-			copy(buf[:rows], st.inW)
-			copy(buf[rows:], st.outW)
-			res.initW = buf
-			res.initPk = st.pk
-		} else {
-			st.initPass()
-			res.initIn = lattice.CloneSlab(res.In)
-			res.initOut = lattice.CloneSlab(res.Out)
-		}
+		st.initPass()
+		copy(st.res.set(2), st.inW)
+		copy(st.res.set(3), st.outW)
 	}
 }
 
-// initPass runs the initialization pass for must-problems on scalar tuples:
-// meet over already-visited predecessors (back-edge inputs excluded), then
-// the generate overestimate from the compiled program's gen bits.
+// initPass runs the initialization pass for must-problems: meet over
+// already-visited predecessors (back-edge inputs excluded), then the
+// generate overestimate — one OR with the node's gen row (All is the
+// all-ones lane).
 func (st *solver) initPass() {
 	res := st.res
-	visited := st.sc.boolRow(len(st.g.Nodes) + 1)
-	for _, nd := range st.order {
-		res.NodeVisits++
-		in := res.In[nd.ID]
-		if nd == st.entry {
-			in.Fill(lattice.None())
-		} else {
-			in.Fill(lattice.All())
-			any := false
-			for _, p := range st.preds(nd) {
-				if !visited[p.ID] {
-					continue // back-edge predecessor: excluded from init
-				}
-				in.MeetInto(res.Out[p.ID], false)
-				any = true
-			}
-			if !any {
-				in.Fill(lattice.None())
-			}
-		}
-		out := res.Out[nd.ID]
-		copy(out, in)
-		base := nd.ID * st.m
-		for ci := 0; ci < st.m; ci++ {
-			if bitGet(st.prog.gen, base+ci) {
-				out[ci] = lattice.All()
-			}
-		}
-		visited[nd.ID] = true
-	}
-}
-
-// initWide is initPass over packed rows: the generate overestimate is one
-// OR with the node's gen row (All is the all-ones lane).
-func (st *solver) initWide() {
-	res := st.res
 	pk := &st.pk
-	visited := st.sc.boolRow(len(st.g.Nodes) + 1)
+	visited := grow(&st.sc.visited, len(st.g.Nodes)+1)
+	clear(visited)
 	for _, nd := range st.order {
 		res.NodeVisits++
 		in := st.rowW(st.inW, nd.ID)
@@ -556,21 +434,13 @@ func (st *solver) initWide() {
 }
 
 // iteratePass runs one fixed-point pass over every node, reporting whether
-// any OUT row changed. It allocates nothing. Every node visit debits m
-// units of fuel first; when the budget cannot cover the visit the pass
-// stops and marks the solve exhausted (finish degrades the tuples).
+// any OUT row changed. It allocates nothing. Meets are SWAR min/max sweeps
+// over predecessor OUT rows, and a node's whole flow function across all
+// classes is two packed rows applied per word (min(max(in, lo), hi)); the
+// exit node applies the increment-and-clamp kernel instead. Every node
+// visit debits m units of fuel first; when the budget cannot cover the
+// visit the pass stops and marks the solve exhausted.
 func (st *solver) iteratePass() bool {
-	if st.wide {
-		return st.iterateWide()
-	}
-	return st.iterateScalar()
-}
-
-// iterateWide is the word-packed pass: meets are SWAR min/max sweeps over
-// predecessor OUT rows, and a node's whole flow function across all classes
-// is two packed rows applied per word (min(max(in, lo), hi)); the exit node
-// applies the increment-and-clamp kernel instead.
-func (st *solver) iterateWide() bool {
 	res := st.res
 	pk := &st.pk
 	mFuel := int64(st.m)
@@ -605,7 +475,7 @@ func (st *solver) iterateWide() bool {
 		scr := st.scrW
 		if nd.Kind == ir.KindExit {
 			copy(scr, in)
-			pk.IncClamp(scr, st.ubE, st.clamp)
+			pk.IncClamp(scr, st.ubE, st.exitClamp)
 		} else {
 			pk.ApplyBounds(scr, in, st.rowW(st.loW, nd.ID), st.rowW(st.hiW, nd.ID))
 		}
@@ -625,150 +495,46 @@ func (st *solver) iterateWide() bool {
 	return changed
 }
 
-// iterateScalar is the fallback pass over scalar tuples: the meet writes
-// into the slab-backed IN row and the flow functions op-walk into the
-// shared scratch tuple, which is copied over OUT only on change.
-func (st *solver) iterateScalar() bool {
-	res := st.res
-	g := st.g
-	m := st.m
-	mFuel := int64(m)
-	changed := false
-	for _, nd := range st.order {
-		if st.fuel < mFuel {
-			st.exhausted = true
-			break
-		}
-		res.NodeVisits++
-		in := res.In[nd.ID]
-		ps := st.preds(nd)
-		if len(ps) > 0 {
-			if st.may {
-				in.Fill(lattice.None())
-			} else {
-				in.Fill(lattice.All())
-			}
-			for _, p := range ps {
-				in.MeetInto(res.Out[p.ID], st.may)
-			}
-		}
-		res.FlowApps += m
-		st.fuel -= mFuel
-		scratch := st.scratch
-		if nd.Kind == ir.KindExit {
-			for ci, x := range in {
-				v := x.Inc()
-				if g.HasUB {
-					v = v.Clamp(g.UBConst)
-				}
-				scratch[ci] = v
-			}
-		} else {
-			base := nd.ID * m
-			starts := st.prog.starts
-			arena := st.prog.arena
-			for ci, x := range in {
-				for _, op := range arena[starts[base+ci]:starts[base+ci+1]] {
-					if op.gen {
-						x = lattice.Max(x, lattice.D(0))
-					} else {
-						x = lattice.Min(x, op.pres)
-					}
-				}
-				scratch[ci] = x
-			}
-		}
-		out := res.Out[nd.ID]
-		if !scratch.Eq(out) {
-			changed = true
-			copy(out, scratch)
-		}
+// degrade overwrites a fuel-exhausted solve's fixed point with the
+// claim-nothing value of the problem's polarity: ⊥ for must-problems (no
+// instance is asserted in range, so Covers is false everywhere) and ⊤ for
+// may-problems (every instance may be live) — conservative in both
+// directions. It marks the exhaustion on the result and the process
+// counter.
+func (st *solver) degrade() {
+	e := uint64(0)
+	if st.may {
+		e = st.pk.All
 	}
-	return changed
-}
-
-// decodeSnapshot unpacks the current packed IN/OUT state into fresh slabs
-// (trace and init snapshots).
-func (st *solver) decodeSnapshot() (in, out []lattice.Tuple) {
-	n := len(st.g.Nodes)
-	in = lattice.Slab(n, st.m)
-	out = lattice.Slab(n, st.m)
-	for id := 1; id <= n; id++ {
-		st.pk.DecodeRow(in[id], st.rowW(st.inW, id))
-		st.pk.DecodeRow(out[id], st.rowW(st.outW, id))
+	for id := 1; id <= len(st.g.Nodes); id++ {
+		st.pk.Fill(st.rowW(st.inW, id), e)
+		st.pk.Fill(st.rowW(st.outW, id), e)
 	}
-	return in, out
-}
-
-// finish materializes the fixed point into the Result's scalar slabs. A
-// fuel-exhausted solve instead degrades every tuple to the claim-nothing
-// value of the problem's polarity: ⊥ for must-problems (no instance is
-// asserted in range, so Covers is false everywhere) and ⊤ for may-problems
-// (every instance may be live) — conservative in both directions.
-func (st *solver) finish() {
-	res := st.res
-	n := len(st.g.Nodes)
-	if st.exhausted {
-		res.degradeExhausted()
-		return
-	}
-	if st.wide {
-		for id := 1; id <= n; id++ {
-			st.pk.DecodeRow(res.In[id], st.rowW(st.inW, id))
-			st.pk.DecodeRow(res.Out[id], st.rowW(st.outW, id))
-		}
-	}
-}
-
-// degradeExhausted overwrites the result's tuples with the claim-nothing
-// value and marks the exhaustion on the result and the process counter.
-func (res *Result) degradeExhausted() {
-	v := lattice.None()
-	if res.Spec.May {
-		v = lattice.All()
-	}
-	for id := 1; id < len(res.In); id++ {
-		res.In[id].Fill(v)
-		res.Out[id].Fill(v)
-	}
-	res.FuelExhausted = true
+	st.res.FuelExhausted = true
 	fuelExhaustedTotal.Add(1)
 }
 
-// compile builds the packed program: every (node, class) flow function
-// appended to one arena in slot order, so starts is monotone and a slot's
-// ops are arena[starts[idx]:starts[idx+1]]. Class membership is decided by
-// the table's dense refClass array; no maps are consulted.
-func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, facts RangeOracle) *packedProgram {
+// compile folds every (node, class) flow function to its clamp and returns
+// the non-identity ones as a sparse list (in the scratch's storage, valid
+// until the next compile on it). Class membership is decided by the
+// table's dense refClass array; no maps are consulted.
+func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, facts RangeOracle, sc *Scratch) []clamp {
 	g := ctx.g
 	m := len(ct.classes)
-	total := (ctx.n + 1) * m
-	prog := &packedProgram{
-		// Pooled storage: the arena capacity covers the common case of at
-		// most one op per reference so it rarely regrows; starts below m
-		// (the unused node ID 0's slots) and the gen bitset must be zeroed
-		// because the pools return dirty buffers.
-		arena:  opPool.get(len(g.Refs) + 4)[:0],
-		starts: int32Pool.get(total + 1),
-		gen:    u64Pool.get((total + 63) / 64),
-	}
-	clear(prog.starts[:m])
-	clear(prog.gen)
-	// A node can only emit ops for classes one of its references touches: the
-	// reference's own class (generate) or any class over the same array
-	// (kill). Walking just those candidates keeps compilation O(refs·classes-
-	// per-array) instead of O(nodes·classes); every other slot is empty and
-	// its start offset equals its neighbor's. Candidates are deduped with a
-	// node-ID stamp (node 0 is unused, so a zeroed stamp row is "unseen") and
-	// insertion-sorted so slots are emitted in index order.
-	stamp := int32Pool.get(m)
+	// A node's flow can only differ from the identity for classes one of
+	// its references touches: the reference's own class (generate) or any
+	// class over the same array (kill). Walking just those candidates keeps
+	// compilation O(refs·classes-per-array) instead of O(nodes·classes).
+	// Candidates are deduped with a node-ID stamp (node 0 is unused, so a
+	// zeroed stamp row is "unseen").
+	stamp := grow(&sc.ints[0], m)
 	clear(stamp)
-	e := opEmitter{
-		arena: prog.arena,
-		m:     m,
-		g:     g,
-		spec:  spec,
-		ct:    ct,
+	cmp := compiler{
+		out:  sc.clamps[:0],
+		m:    m,
+		g:    g,
+		spec: spec,
+		ct:   ct,
 		kctxBase: KillContext{
 			May:      spec.May,
 			Backward: spec.Backward,
@@ -779,63 +545,39 @@ func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, fact
 	}
 	// The preserve memo keys on (class, form, pr) only; that stays valid
 	// with an oracle because the oracle is constant for the whole solve.
-	e.kctxBase.SymUB, e.kctxBase.HasSymUB = symUBOf(g)
-	e.buildForms()
-	var cand []int32
-	idx := m // slots 0..m-1 belong to the unused node ID 0 and stay empty
+	cmp.kctxBase.SymUB, cmp.kctxBase.HasSymUB = symUBOf(g)
+	cmp.buildForms(sc)
 	for _, nd := range g.Nodes {
 		id := int32(nd.ID)
-		cand = cand[:0]
 		for _, r := range nd.Refs {
 			if ci := ct.refClass[r.ID]; ci >= 0 && stamp[ci] != id {
 				stamp[ci] = id
-				cand = append(cand, ci)
+				cmp.compileSlot(nd, ct.classes[ci], prZero[ci])
 			}
 			if spec.Kill(r) {
 				for _, ci := range ct.byArray[r.Array] {
 					if stamp[ci] != id {
 						stamp[ci] = id
-						cand = append(cand, ci)
+						cmp.compileSlot(nd, ct.classes[ci], prZero[ci])
 					}
 				}
 			}
 		}
-		for i := 1; i < len(cand); i++ {
-			for j := i; j > 0 && cand[j] < cand[j-1]; j-- {
-				cand[j], cand[j-1] = cand[j-1], cand[j]
-			}
-		}
-		next := 0
-		for ci := 0; ci < m; ci++ {
-			prog.starts[idx] = int32(len(e.arena))
-			if next < len(cand) && cand[next] == int32(ci) {
-				if e.compileSlot(nd, ct.classes[ci], prZero[ci]) {
-					bitSet(prog.gen, idx)
-				}
-				next++
-			}
-			idx++
-		}
 	}
-	prog.arena = e.arena
-	e.release()
-	int32Pool.put(stamp)
-	for ; idx <= total; idx++ {
-		prog.starts[idx] = int32(len(prog.arena))
-	}
-	return prog
+	sc.clamps = cmp.out
+	return cmp.out
 }
 
-// opEmitter carries the op-emission state of one compile: the shared arena,
-// the per-slot walk state, and the preserve memo. One emitter serves the
-// whole compile (no closures, no per-slot construction), so compiling a
-// slot allocates nothing beyond arena growth.
-type opEmitter struct {
-	arena    []flowOp
-	opsStart int
+// compiler carries the fold state of one compile: the output list, the
+// per-slot walk state, and the preserve memo. One compiler serves the whole
+// compile (no closures, no per-slot construction), so compiling a slot
+// allocates nothing beyond list growth.
+type compiler struct {
+	out      []clamp
 	nodePr   int64
 	want     int32
 	genSeen  bool
+	lo, hi   lattice.Dist
 	m        int
 	g        *ir.Graph
 	spec     *Spec
@@ -847,7 +589,7 @@ type opEmitter struct {
 	// a class depends only on the two affine forms and the pr bit, so every
 	// affine killer gets a form ID (its class index when classified, a table
 	// slot past m otherwise) and PreserveConst runs once per
-	// (class, form, pr) triple instead of once per emitted op.
+	// (class, form, pr) triple instead of once per folded cap.
 	fid      []int32     // ref ID → form ID, -1 when not an affine killer
 	extra    []extraForm // forms of affine killers outside every class
 	memo     []lattice.Dist
@@ -860,10 +602,10 @@ type extraForm struct {
 }
 
 // buildForms assigns form IDs to every reference that can kill with an
-// affine subscript and sizes the preserve memo.
-func (e *opEmitter) buildForms() {
+// affine subscript and sizes the preserve memo in the scratch's storage.
+func (e *compiler) buildForms(sc *Scratch) {
 	g := e.g
-	e.fid = int32Pool.get(len(g.Refs) + 1)
+	e.fid = grow(&sc.ints[1], len(g.Refs)+1)
 	for _, r := range g.Refs {
 		e.fid[r.ID] = -1
 		if !r.Affine || r.FromInner || !e.spec.Kill(r) {
@@ -888,21 +630,13 @@ func (e *opEmitter) buildForms() {
 		e.fid[r.ID] = id
 	}
 	cells := (e.m + len(e.extra)) * 2 * e.m
-	e.memo = presPool.get(cells)
-	e.memoDone = memoBitsPool.get((cells + 63) / 64)
+	e.memo = grow(&sc.dists, cells)
+	e.memoDone = grow(&sc.words[4], (cells+63)/64)
 	clear(e.memoDone)
 }
 
-// release returns the emitter's pooled buffers.
-func (e *opEmitter) release() {
-	int32Pool.put(e.fid)
-	presPool.put(e.memo)
-	memoBitsPool.put(e.memoDone)
-	e.fid, e.memo, e.memoDone = nil, nil, nil
-}
-
 // formOf returns the affine form behind a form ID.
-func (e *opEmitter) formOf(f int) sema.AffineForm {
+func (e *compiler) formOf(f int) sema.AffineForm {
 	if f < e.m {
 		return e.ct.classes[f].Form
 	}
@@ -911,7 +645,7 @@ func (e *opEmitter) formOf(f int) sema.AffineForm {
 
 // preserve returns the memoized PreserveConst result for the current class
 // against form ID f at the given pr.
-func (e *opEmitter) preserve(f int, pr int64) lattice.Dist {
+func (e *compiler) preserve(f int, pr int64) lattice.Dist {
 	idx := (f*2+int(pr))*e.m + int(e.want)
 	if !bitGet(e.memoDone, idx) {
 		kctx := e.kctxBase
@@ -922,17 +656,17 @@ func (e *opEmitter) preserve(f int, pr int64) lattice.Dist {
 	return e.memo[idx]
 }
 
-// compileSlot emits node nd's flow function for class c onto the arena and
-// reports whether it generates. The emitted sequence is definitionally
-// identical to the reference compiler's compileNodeClass: reference effects
-// in execution order, reversed for backward problems, with summary nodes
+// compileSlot folds node nd's flow function for class c and appends it
+// unless it is the identity. The fold walks the reference effects in
+// execution order, reversed for backward problems, with summary nodes
 // reordered by polarity (must: generates before kills; may: kills before
-// generates) and consecutive preserve caps merged.
-func (e *opEmitter) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) bool {
-	e.opsStart = len(e.arena)
+// generates). Sequencing matters within a node: in "A[i] := … A[i-1] …"
+// the use observes memory before the definition overwrites it.
+func (e *compiler) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) {
 	e.want = int32(c.Index)
 	e.c = c
 	e.genSeen = false
+	e.lo, e.hi = lattice.None(), lattice.All()
 	e.nodePr = 1
 	if bitGet(prZeroC, nd.ID) {
 		e.nodePr = 0
@@ -940,28 +674,32 @@ func (e *opEmitter) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) bool {
 
 	if nd.Kind != ir.KindSummary {
 		e.walk(nd, 2, e.spec.Backward)
-		return e.genSeen
+	} else {
+		// Summary nodes collapse an inner loop of unknown internal order: the
+		// safe approximation applies generates before kills for must-problems
+		// (underestimate) and kills before generates for may-problems
+		// (overestimate); backward solves reverse the whole sequence.
+		first, second := 0, 1 // must, forward: gens then kills
+		if e.spec.May {
+			first, second = 1, 0
+		}
+		if e.spec.Backward {
+			first, second = second, first
+		}
+		e.walk(nd, first, e.spec.Backward)
+		e.walk(nd, second, e.spec.Backward)
 	}
-	// Summary nodes collapse an inner loop of unknown internal order: the
-	// safe approximation applies generates before kills for must-problems
-	// (underestimate) and kills before generates for may-problems
-	// (overestimate); backward solves reverse the whole sequence.
-	first, second := 0, 1 // must, forward: gens then kills
-	if e.spec.May {
-		first, second = 1, 0
+	// A slot that never generated keeps lo = ⊥, so it is the identity
+	// exactly when no cap lowered hi.
+	if e.genSeen || !e.hi.IsAll() {
+		e.out = append(e.out, clamp{node: int32(nd.ID), class: e.want, gen: e.genSeen, lo: e.lo, hi: e.hi})
 	}
-	if e.spec.Backward {
-		first, second = second, first
-	}
-	e.walk(nd, first, e.spec.Backward)
-	e.walk(nd, second, e.spec.Backward)
-	return e.genSeen
 }
 
-// walk emits node nd's references in execution order (reversed for backward
-// problems). phase: 0 = members of the class only, 1 = non-members only,
-// 2 = all.
-func (e *opEmitter) walk(nd *ir.Node, phase int, reverse bool) {
+// walk folds node nd's references in execution order (reversed for
+// backward problems). phase: 0 = members of the class only, 1 = non-members
+// only, 2 = all.
+func (e *compiler) walk(nd *ir.Node, phase int, reverse bool) {
 	refs := nd.Refs
 	for k := 0; k < len(refs); k++ {
 		r := refs[k]
@@ -972,13 +710,19 @@ func (e *opEmitter) walk(nd *ir.Node, phase int, reverse bool) {
 		if phase == 0 && !isMember || phase == 1 && isMember {
 			continue
 		}
-		e.emit(r, isMember)
+		e.fold(r, isMember)
 	}
 }
 
-func (e *opEmitter) emit(r *ir.Ref, isMember bool) {
+// fold composes one reference's effect onto the slot's clamp. Over the
+// chain lattice a generate (max with 0) raises both bounds to at least 0
+// (max distributes over min on a chain), and a preserve cap (min with p)
+// lowers hi and renormalizes lo ≤ hi; an identity cap (p = ⊤) changes
+// neither.
+func (e *compiler) fold(r *ir.Ref, isMember bool) {
 	if isMember {
-		e.arena = append(e.arena, flowOp{gen: true})
+		e.lo = lattice.Max(e.lo, lattice.D(0))
+		e.hi = lattice.Max(e.hi, lattice.D(0))
 		e.genSeen = true
 		return
 	}
@@ -1003,12 +747,6 @@ func (e *opEmitter) emit(r *ir.Ref, isMember bool) {
 			p = PreserveConst(e.c.Form, r.Form, r.Affine && !r.FromInner, kctx)
 		}
 	}
-	if p.IsAll() {
-		return // identity cap
-	}
-	if n := len(e.arena); n > e.opsStart && !e.arena[n-1].gen {
-		e.arena[n-1].pres = lattice.Min(e.arena[n-1].pres, p)
-		return
-	}
-	e.arena = append(e.arena, flowOp{pres: p})
+	e.hi = lattice.Min(e.hi, p)
+	e.lo = lattice.Min(e.lo, e.hi)
 }

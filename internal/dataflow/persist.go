@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -11,23 +12,24 @@ import (
 
 // Result state (de)serialization for the persistent solve cache. Only what
 // cannot be recomputed deterministically from the loop AST is written: the
-// fixed-point IN/OUT slabs, the initialization-pass snapshot, and the solve
-// counters. The graph, class table, pr bitsets, flow functions, and reuse
-// facts are all pure functions of the canonical loop rendering — which the
-// content address already pins — so the restoring side rebuilds them and
-// validates the shapes against the decoded payload.
+// packed fixed-point IN/OUT rows, the initialization-pass snapshot, and the
+// solve counters. The graph, class table, pr bitsets, compiled clamps, and
+// reuse facts are all pure functions of the canonical loop rendering — which
+// the content address already pins — so the restoring side rebuilds them
+// and validates the shapes against the decoded payload.
 //
 // The state is split in two so a loader can be lazy: ResultMeta carries the
 // counters and shape (cheap, decoded eagerly — whole-program metrics need
 // them even when nobody looks at the facts), and EncodeRows carries the
-// lattice slabs (bulky, decodable later, alongside the graph rebuild, the
+// packed rows (bulky, restored later, alongside the graph rebuild, the
 // first time a consumer actually reads the results).
 
 // PersistVersion is the payload layout generation; it feeds the schema hash
 // (see driver's disk cache), so bumping it abandons old files wholesale
 // rather than risking a misparse. v2 moved the counters ahead of the rows
-// and framed the rows as a skippable blob per spec.
-const PersistVersion = "result-v2"
+// and framed the rows as a skippable blob per spec; v3 stores the rows
+// packed: the lane width and one raw little-endian word blob.
+const PersistVersion = "result-v3"
 
 // ResultMeta is the eagerly-decoded slice of a persisted Result: the solve
 // counters and the slab shape. It is everything Metrics() reports plus what
@@ -54,7 +56,7 @@ func (res *Result) PersistMeta() ResultMeta {
 	return ResultMeta{
 		Nodes:         len(res.Graph.Nodes),
 		Classes:       len(res.Classes),
-		HasInit:       res.InitIn() != nil,
+		HasInit:       res.hasInit,
 		Passes:        res.Passes,
 		ChangedPasses: res.ChangedPasses,
 		NodeVisits:    res.NodeVisits,
@@ -112,89 +114,63 @@ func DecodeResultMeta(r *cachefile.Reader) ResultMeta {
 	return m
 }
 
-// encodeDist maps the chain lattice onto unsigned varints:
-// 0 = ⊥ (None), 1 = ⊤ (All), d+2 = finite distance d (d ≥ 0).
-func encodeDist(x lattice.Dist) uint64 {
-	if d, ok := x.Finite(); ok {
-		return uint64(d) + 2
-	}
-	if x.IsAll() {
-		return 1
-	}
-	return 0
-}
-
-func decodeDist(u uint64) lattice.Dist {
-	switch u {
-	case 0:
-		return lattice.None()
-	case 1:
-		return lattice.All()
-	default:
-		return lattice.D(int64(u - 2))
-	}
-}
-
-func encodeRows(w *cachefile.Writer, rows []lattice.Tuple, n, m int) {
-	for id := 1; id <= n; id++ {
-		row := rows[id]
-		for j := 0; j < m; j++ {
-			w.Uint(encodeDist(row[j]))
-		}
-	}
-}
-
-func decodeRows(r *cachefile.Reader, n, m int) []lattice.Tuple {
-	rows := lattice.Slab(n, m)
-	for id := 1; id <= n; id++ {
-		row := rows[id]
-		for j := 0; j < m; j++ {
-			row[j] = decodeDist(r.Uint())
-		}
-	}
-	return rows
-}
-
-// EncodeRows appends the result's lattice state — the fixed-point IN/OUT
-// slabs and, when present, the initialization-pass snapshot — to w. The
-// shape and the snapshot's presence travel in the ResultMeta block, which
-// must be encoded alongside.
+// EncodeRows appends the result's packed lattice state — the fixed-point
+// IN/OUT rows and, when present, the initialization-pass snapshot — to w as
+// the lane width followed by one blob of little-endian words. Varints would
+// not pay: a full 8-bit-lane word takes 10 varint bytes. The shape and the
+// snapshot's presence travel in the ResultMeta block, which must be
+// encoded alongside.
 func (res *Result) EncodeRows(w *cachefile.Writer) {
-	n := len(res.Graph.Nodes)
-	m := len(res.Classes)
-	encodeRows(w, res.In, n, m)
-	encodeRows(w, res.Out, n, m)
-	// Materialize a deferred packed init snapshot before writing; restored
-	// results hold it decoded.
-	initIn, initOut := res.InitIn(), res.InitOut()
-	if initIn != nil {
-		encodeRows(w, initIn, n, m)
-		encodeRows(w, initOut, n, m)
+	w.Uint(uint64(res.pk.Lane))
+	b := make([]byte, 0, 8*len(res.rows))
+	for _, x := range res.rows {
+		b = binary.LittleEndian.AppendUint64(b, x)
 	}
+	w.Blob(b)
 }
 
 // RestoreResult rebuilds a solved Result for spec on g from a meta block
 // and the row bytes written by EncodeRows. The graph must have been built
-// from the same canonical loop under the same dims — the class table is
-// re-derived from it, and the decoded shapes are validated against it, so a
-// payload that does not match (stale semantics behind an aliased content
-// address) fails rather than producing wrong facts. Flow functions are not
-// restored; ApplyFlow compiles them lazily on first use.
+// from the same canonical loop under the same dims — the class table and pr
+// bitsets are re-derived from it, and the lane width and row sizes are
+// validated against it, so a payload that does not match (stale semantics
+// behind an aliased content address) fails rather than producing wrong
+// facts.
 func RestoreResult(g *ir.Graph, spec *Spec, meta ResultMeta, rows []byte) (*Result, error) {
 	res := &Result{Graph: g, Spec: spec}
-	res.adoptClasses(buildClassTable(g, spec.Gen))
+	ct := buildClassTable(g, spec.Gen)
+	res.adoptClasses(ct)
 	n := len(g.Nodes)
 	m := len(res.Classes)
 	if meta.Nodes != n || meta.Classes != m {
 		return nil, fmt.Errorf("dataflow: restored shape %dx%d does not match rebuilt graph %dx%d", meta.Nodes, meta.Classes, n, m)
 	}
 	r := cachefile.NewReader(rows)
-	res.In = decodeRows(r, n, m)
-	res.Out = decodeRows(r, n, m)
-	if meta.HasInit {
-		res.initIn = decodeRows(r, n, m)
-		res.initOut = decodeRows(r, n, m)
+	lane := r.Uint()
+	blob := r.Blob()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
+	if !r.Done() {
+		return nil, fmt.Errorf("dataflow: trailing bytes after restored rows")
+	}
+	if lane != lattice.Lane8 && lane != lattice.Lane16 && lane != lattice.Lane64 {
+		return nil, fmt.Errorf("dataflow: restored lane width %d is not 8, 16 or 64", lane)
+	}
+	res.pk = lattice.NewPacking(m, uint(lane))
+	sets := 2
+	if meta.HasInit {
+		sets = 4
+	}
+	if want := sets * n * res.pk.Words * 8; len(blob) != want {
+		return nil, fmt.Errorf("dataflow: restored rows hold %d bytes, want %d", len(blob), want)
+	}
+	res.rows = make([]uint64, len(blob)/8)
+	for i := range res.rows {
+		res.rows[i] = binary.LittleEndian.Uint64(blob[8*i:])
+	}
+	res.hasInit = meta.HasInit
+	res.prZero = prZeroRows(g, ct, spec.Backward)
 	res.Passes = meta.Passes
 	res.ChangedPasses = meta.ChangedPasses
 	res.NodeVisits = meta.NodeVisits
@@ -202,11 +178,5 @@ func RestoreResult(g *ir.Graph, spec *Spec, meta ResultMeta, rows []byte) (*Resu
 	res.Elapsed = meta.Elapsed
 	res.FuelBudget = meta.FuelBudget
 	res.FuelExhausted = meta.FuelExhausted
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("dataflow: %d trailing bytes after restored rows", len(rows))
-	}
 	return res, nil
 }

@@ -1,18 +1,18 @@
-// Pooling of solver transients. Two mechanisms cooperate:
+// Pooling of solver storage. Two mechanisms cooperate:
 //
 //   - Scratch is an explicitly-owned free list of the per-solve buffers that
-//     never escape a solve (the iteration scratch tuple, the init pass's
-//     visited row, the shared-context signature mask). A driver keeps one
-//     Scratch per worker goroutine and routes it through Options.Scratch, so
-//     a worker's steady state re-solves loops with zero transient
-//     allocations. When Options.Scratch is nil the solver borrows one from a
-//     process-wide sync.Pool, which degrades gracefully to per-P free lists.
+//     never escape a solve (the LO/HI/GEN bound rows, the compiled clamp
+//     list, the preserve memo, the init pass's visited row, the
+//     shared-context signature mask). A driver keeps one Scratch per worker
+//     goroutine and routes it through Options.Scratch, so a worker's steady
+//     state re-solves loops with zero transient allocations. When
+//     Options.Scratch is nil the solver borrows one from a process-wide
+//     sync.Pool, which degrades gracefully to per-P free lists.
 //
-//   - Result.Release returns a discarded Result's bulk storage — the IN/OUT
-//     slab backings and the compiled flow-op arena — to process-wide pools.
-//     Only the sole owner of a Result may call it; the driver uses it for
-//     the §3.6 with-respect-to solves whose Results are dropped after reuse
-//     extraction when the memo cache is disabled.
+//   - Result.Release returns a discarded Result's packed rows to a
+//     process-wide pool. Only the sole owner of a Result may call it; the
+//     driver uses it for the §3.6 with-respect-to solves whose Results are
+//     dropped after reuse extraction when the memo cache is disabled.
 package dataflow
 
 import (
@@ -25,55 +25,28 @@ import (
 // concurrent use; callers keep one per worker. The zero value is ready.
 type Scratch struct {
 	visited []bool
-	tuple   lattice.Tuple
 	mask    []byte
-	// words are the packed engine's per-solve word rows (IN, OUT, LO, HI,
-	// GEN, scratch), reused across solves on the same worker.
-	words [6][]uint64
+	// words are the per-solve word rows (LO, HI, GEN, one-row scratch,
+	// preserve memo bits); ints the compiler's candidate stamps and form
+	// IDs; dists the preserve memo; clamps the compiled clamp list.
+	words  [5][]uint64
+	ints   [2][]int32
+	dists  []lattice.Dist
+	clamps []clamp
 }
 
 // NewScratch returns an empty scratch bundle (buffers grow on demand).
 func NewScratch() *Scratch { return &Scratch{} }
 
-// boolRow returns a cleared []bool of length n, reusing the last one when
-// it is big enough.
-func (s *Scratch) boolRow(n int) []bool {
-	if cap(s.visited) < n {
-		s.visited = make([]bool, n)
-	} else {
-		s.visited = s.visited[:n]
-		clear(s.visited)
+// grow returns *buf resized to length n, reallocating only when the
+// capacity is short. Contents are unspecified: callers clear or fully
+// overwrite them.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return s.visited
-}
-
-// tupleRow returns a length-m tuple with unspecified contents (every slot
-// is written before it is read by the solver's passes).
-func (s *Scratch) tupleRow(m int) lattice.Tuple {
-	if cap(s.tuple) < m {
-		s.tuple = make(lattice.Tuple, m)
-	}
-	s.tuple = s.tuple[:m]
-	return s.tuple
-}
-
-// u64Row returns the length-n word buffer for the given slot with
-// unspecified contents (callers clear or fully overwrite it).
-func (s *Scratch) u64Row(slot, n int) []uint64 {
-	if cap(s.words[slot]) < n {
-		s.words[slot] = make([]uint64, n)
-	}
-	s.words[slot] = s.words[slot][:n]
-	return s.words[slot]
-}
-
-// byteRow returns a length-n byte buffer with unspecified contents.
-func (s *Scratch) byteRow(n int) []byte {
-	if cap(s.mask) < n {
-		s.mask = make([]byte, n)
-	}
-	s.mask = s.mask[:n]
-	return s.mask
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // scratchPool backs solves whose Options carry no Scratch.
@@ -90,85 +63,31 @@ func scratchFor(opts *Options) (sc *Scratch, done func()) {
 	return sc, func() { scratchPool.Put(sc) }
 }
 
-// slicePool recycles variable-length slices of one element type. Get
-// returns a slice with at least the requested capacity and unspecified
-// contents; undersized pooled slices are dropped for the allocator.
-type slicePool[T any] struct{ p sync.Pool }
+// packedPool recycles Result row backings (*[]uint64).
+var packedPool sync.Pool
 
-func (sp *slicePool[T]) get(n int) []T {
-	if v := sp.p.Get(); v != nil {
-		if s := *(v.(*[]T)); cap(s) >= n {
-			return s[:n]
+// getRows returns a zeroed row backing of length n; undersized pooled
+// backings are dropped for the allocator.
+func getRows(n int) []uint64 {
+	if v := packedPool.Get(); v != nil {
+		if s := *(v.(*[]uint64)); cap(s) >= n {
+			s = s[:n]
+			clear(s)
+			return s
 		}
 	}
-	return make([]T, n)
+	return make([]uint64, n)
 }
 
-func (sp *slicePool[T]) put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	sp.p.Put(&s)
-}
-
-var (
-	distPool     slicePool[lattice.Dist]  // slab backings
-	rowPool      slicePool[lattice.Tuple] // slab row headers
-	opPool       slicePool[flowOp]        // packed program arenas
-	int32Pool    slicePool[int32]         // packed program start offsets
-	u64Pool      slicePool[uint64]        // packed program gen bitsets
-	presPool     slicePool[lattice.Dist]  // compile-time preserve memo tables
-	memoBitsPool slicePool[uint64]        // preserve memo done bitsets
-)
-
-// pooledSlab builds a lattice.Slab-shaped n×m matrix over pooled storage,
-// returning the rows and the backing for a later Release. Contents are
-// unspecified (the pools return dirty buffers): every solver path fully
-// overwrites both slabs — init fills every row, and the packed fast path
-// decodes or degrade-fills every cell — before a consumer can read them.
-func pooledSlab(n, m int) ([]lattice.Tuple, lattice.Tuple) {
-	backing := lattice.Tuple(distPool.get(n * m))
-	rows := rowPool.get(n + 1)
-	rows[0] = nil
-	for i := 1; i <= n; i++ {
-		rows[i] = backing[(i-1)*m : i*m : i*m]
-	}
-	return rows, backing
-}
-
-// releaseSlab returns a pooled slab's storage.
-func releaseSlab(rows []lattice.Tuple, backing lattice.Tuple) {
-	distPool.put(backing)
-	rowPool.put(rows)
-}
-
-// Release returns the Result's bulk storage — IN/OUT slabs and the compiled
-// flow-op program — to the solver's pools and nils the released fields.
-// Call it only when this Result is about to be discarded and nothing else
-// holds a reference to it (never on a memoized/shared Result). Reuse
-// records, Classes, Metrics, and the Graph stay valid; In/Out/ApplyFlow do
-// not. Results produced by the reference engine release nothing (their
-// storage is not pooled) but are still safe to pass here.
+// Release returns the Result's packed rows to the solver's pool. Call it
+// only when this Result is about to be discarded and nothing else holds a
+// reference to it (never on a memoized/shared Result). Reuse records,
+// Classes, Metrics, Trace, and the Graph stay valid; InAt, OutAt,
+// TupleTable, InitIn and InitOut do not.
 func (res *Result) Release() {
-	if res.inBack != nil {
-		releaseSlab(res.In, res.inBack)
-		res.In, res.inBack = nil, nil
+	if cap(res.rows) > 0 {
+		rows := res.rows[:0]
+		packedPool.Put(&rows)
 	}
-	if res.outBack != nil {
-		releaseSlab(res.Out, res.outBack)
-		res.Out, res.outBack = nil, nil
-	}
-	if res.prog != nil {
-		opPool.put(res.prog.arena)
-		int32Pool.put(res.prog.starts)
-		u64Pool.put(res.prog.gen)
-		res.prog = nil
-	}
-	if res.initW != nil {
-		u64Pool.put(res.initW)
-		res.initW = nil
-	}
-	res.initIn, res.initOut = nil, nil
-	res.flowFns = nil
+	res.rows = nil
 }

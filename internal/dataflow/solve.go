@@ -63,28 +63,20 @@ type Result struct {
 	// ct is the class table behind Classes/ClassOf; ClassFor answers from
 	// its lazily built key index in O(1) instead of a scan per query.
 	ct *classTable
-	// prZero, when set (packed engine), holds one bitset per class over node
-	// IDs with pr(class, node) = 0; prOf answers from it without touching
-	// the members.
+	// prZero holds one bitset per class over node IDs with pr(class, node)
+	// = 0; Pr answers from it without touching the members.
 	prZero [][]uint64
 
-	// In and Out are the fixed point tuples per node ID (1-based). For
-	// backward problems, following the paper's convention, In[n] describes
-	// node n's *exit* (information entering n in the reversed graph) and
-	// Out[n] its entry.
-	In  []lattice.Tuple
-	Out []lattice.Tuple
-
-	// initIn / initOut snapshot the initialization pass (must-problems);
-	// read them through InitIn/InitOut. The packed engine defers decoding:
-	// initW holds the packed init-pass words (IN rows, then OUT rows) and
-	// initPk their layout until the first accessor call, so solves whose
-	// snapshot nobody reads never materialize it.
-	initIn   []lattice.Tuple
-	initOut  []lattice.Tuple
-	initW    []uint64
-	initPk   lattice.Packing
-	initOnce sync.Once
+	// pk is the lane layout of rows, which holds the lattice state packed:
+	// the fixed point's IN rows, then its OUT rows, then — when hasInit —
+	// the initialization pass's IN and OUT snapshots. Each set is one row of
+	// pk.Words words per node, node ID k at row k−1. For backward problems,
+	// following the paper's convention, IN describes a node's *exit*
+	// (information entering it in the reversed graph) and OUT its entry.
+	// InAt/OutAt/TupleTable/InitIn/InitOut decode on read.
+	pk      lattice.Packing
+	rows    []uint64
+	hasInit bool
 	// Trace holds per-pass snapshots of (In, Out) when solving with
 	// CollectTrace (pass 1 first).
 	Trace []TraceEntry
@@ -111,33 +103,6 @@ type Result struct {
 	// polarity (must → ⊥, may → ⊤). Degraded results are sound but carry
 	// no information; consumers surface them as "unknown".
 	FuelExhausted bool
-
-	// flowFns are the compiled per-node, per-class flow functions of the
-	// reference engine, kept so consumers (the framework self-check
-	// analyzer) can re-apply them to arbitrary lattice values after the
-	// solve. Indexed [nodeID][classIndex]. Packed results keep prog instead
-	// and serve ApplyFlow as views into its op arena. Results restored from
-	// the persistent cache carry neither and compile flowFns lazily under
-	// flowOnce on the first ApplyFlow call.
-	flowFns  [][]flowFn
-	prog     *packedProgram
-	flowOnce sync.Once
-
-	// facts is the range-fact oracle the solve compiled its preserve
-	// constants under (nil = none); symUB/hasSymUB cache the loop bound as
-	// a polynomial when the bound is symbolic. Results restored from the
-	// persistent cache must have the original oracle re-attached via
-	// SetOracle BEFORE the first ApplyFlow call, or the lazily recompiled
-	// flow functions would disagree with the cached tuples.
-	facts    RangeOracle
-	symUB    poly.Poly
-	hasSymUB bool
-
-	// inBack / outBack are the pooled backings of the In/Out slabs (packed
-	// engine only); Release returns them to the pools. Nil after Release or
-	// for reference-engine results.
-	inBack  lattice.Tuple
-	outBack lattice.Tuple
 }
 
 // Metrics is the cheap per-solve instrumentation bundle: the empirical
@@ -177,17 +142,6 @@ func symUBOf(g *ir.Graph) (poly.Poly, bool) {
 		return poly.Poly{}, false
 	}
 	return p, true
-}
-
-// SetOracle re-attaches the range-fact oracle a cached solve originally ran
-// under. Results restored from the persistent cache carry no compiled flow
-// functions and rebuild them lazily on the first ApplyFlow call; that
-// recompilation must see the same oracle (and derived symbolic bound) the
-// cached tuples were computed with, so drivers call SetOracle immediately
-// after restore, before handing the Result to any consumer.
-func (res *Result) SetOracle(f RangeOracle) {
-	res.facts = f
-	res.symUB, res.hasSymUB = symUBOf(res.Graph)
 }
 
 // Metrics bundles the result's instrumentation counters.
@@ -239,29 +193,10 @@ type TraceEntry struct {
 	Out []lattice.Tuple
 }
 
-// Engine selects the solver implementation.
-type Engine string
-
-const (
-	// EnginePacked is the default engine: IN/OUT tuples in two flat slabs,
-	// compiled flow functions in one index-addressed op arena, per-class
-	// predecessor bitsets, and a reused scratch tuple that makes the
-	// steady-state iteration passes allocation-free.
-	EnginePacked Engine = "packed"
-	// EngineReference is the straightforward per-node implementation kept
-	// as the executable specification: differential tests assert the packed
-	// engine produces byte-identical results, and benchmarks use it as the
-	// ablation baseline.
-	EngineReference Engine = "reference"
-)
-
 // Options tunes the solver.
 type Options struct {
 	// CollectTrace records per-pass snapshots (used to reproduce Table 1).
 	CollectTrace bool
-	// Engine selects the solver implementation; the zero value runs the
-	// packed engine. Both engines produce byte-identical Results.
-	Engine Engine
 	// MaxPasses bounds iteration (0 = default 64). The theory guarantees
 	// convergence in 2 changing passes; the bound protects against
 	// violations of the structured-loop preconditions.
@@ -273,8 +208,7 @@ type Options struct {
 	// may → ⊤), setting Result.FuelExhausted. Zero derives a budget from
 	// MaxPasses·nodes·classes that can never bind, so by default fuel
 	// changes nothing; an explicit budget gives a hard worst-case latency
-	// bound for hostile or pathological inputs. Both engines debit and
-	// degrade identically.
+	// bound for hostile or pathological inputs.
 	Fuel int64
 	// SkipInitPass suppresses the initialization pass for must-problems
 	// (ablation: shows the init pass is required for 2-pass convergence).
@@ -295,19 +229,22 @@ type Options struct {
 	// letting symbolic kill-distance comparisons resolve (rangefacts). Nil
 	// means no symbolic comparison resolves. The oracle participates in the
 	// solve's semantics, so drivers must fold its Signature into any memo
-	// key and hand the SAME oracle to both engines — the differential
-	// contract (byte-identical Results) holds per oracle, not across them.
+	// key.
 	Facts RangeOracle
 }
 
-// Solve computes the greatest fixed point of spec over g. The packed engine
-// runs unless opts selects EngineReference.
+// passLimit resolves MaxPasses' default.
+func (o *Options) passLimit() int {
+	if o.MaxPasses > 0 {
+		return o.MaxPasses
+	}
+	return 64
+}
+
+// Solve computes the greatest fixed point of spec over g.
 func Solve(g *ir.Graph, spec *Spec, opts *Options) *Result {
 	if opts == nil {
 		opts = &Options{}
-	}
-	if opts.Engine == EngineReference {
-		return solveReference(g, spec, opts)
 	}
 	sc, done := scratchFor(opts)
 	defer done()
@@ -324,12 +261,6 @@ func SolveAll(g *ir.Graph, specs []*Spec, opts *Options) []*Result {
 		opts = &Options{}
 	}
 	out := make([]*Result, len(specs))
-	if opts.Engine == EngineReference {
-		for i, spec := range specs {
-			out[i] = solveReference(g, spec, opts)
-		}
-		return out
-	}
 	ctx := newSolveCtx(g)
 	ctx.shared = true
 	sc, done := scratchFor(opts)
@@ -338,181 +269,6 @@ func SolveAll(g *ir.Graph, specs []*Spec, opts *Options) []*Result {
 		out[i] = ctx.solve(spec, opts, sc)
 	}
 	return out
-}
-
-// solveReference is the executable specification of the framework: one
-// freshly allocated tuple per node and per applyFlow call, per-node flow
-// functions compiled through member sets, pr computed by walking class
-// members. Kept verbatim for differential testing against the packed engine.
-func solveReference(g *ir.Graph, spec *Spec, opts *Options) *Result {
-	start := time.Now()
-	res := &Result{Graph: g, Spec: spec}
-	defer func() { res.Elapsed = time.Since(start) }()
-	res.SetOracle(opts.Facts)
-	res.adoptClasses(buildClassTable(g, spec.Gen))
-	m := len(res.Classes)
-	n := len(g.Nodes)
-
-	res.In = makeTuples(n, m)
-	res.Out = makeTuples(n, m)
-
-	// Per-node, per-class flow functions, precomputed once.
-	fns := res.buildFlowFunctions()
-	res.flowFns = fns
-
-	order := g.RPO()
-	if spec.Backward {
-		order = reverseOrder(g)
-	}
-	entry := g.Entry
-	if spec.Backward {
-		entry = g.Exit
-	}
-
-	preds := func(nd *ir.Node) []*ir.Node {
-		if spec.Backward {
-			return nd.Succs
-		}
-		return nd.Preds
-	}
-
-	// --- Initialization (paper §3.2 for must, §3.3 for may) -------------
-	if spec.May {
-		// May-problems start every value at "all instances" (the reverse
-		// lattice's ⊥); no initialization pass is needed. The MayTopStart
-		// ablation starts at "no instance" instead.
-		start := lattice.All()
-		if opts.MayTopStart {
-			start = lattice.None()
-		}
-		for id := 1; id <= n; id++ {
-			res.In[id].Fill(start)
-			res.Out[id].Fill(start)
-		}
-	} else if opts.SkipInitPass {
-		// Ablation: naive ⊤ start.
-		for id := 1; id <= n; id++ {
-			res.In[id].Fill(lattice.All())
-			res.Out[id].Fill(lattice.All())
-		}
-	} else {
-		visited := make([]bool, n+1)
-		for _, nd := range order {
-			res.NodeVisits++
-			in := res.In[nd.ID]
-			if nd == entry {
-				in.Fill(lattice.None())
-			} else {
-				in.Fill(lattice.All())
-				any := false
-				for _, p := range preds(nd) {
-					if !visited[p.ID] {
-						continue // back-edge predecessor: excluded from init
-					}
-					in.MeetInto(res.Out[p.ID], false)
-					any = true
-				}
-				if !any {
-					in.Fill(lattice.None())
-				}
-			}
-			out := res.Out[nd.ID]
-			copy(out, in)
-			for _, c := range res.Classes {
-				if fns[nd.ID][c.Index].generates() {
-					out[c.Index] = lattice.All()
-				}
-			}
-			visited[nd.ID] = true
-		}
-		res.initIn = snapshot(res.In)
-		res.initOut = snapshot(res.Out)
-	}
-
-	// --- Fixed point iteration ------------------------------------------
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 64
-	}
-	// Fuel accounting mirrors the packed engine exactly: the budget is
-	// checked before a visit and debited per flow application, so both
-	// engines exhaust at the same node of the same pass.
-	fuel := resolveFuel(opts, maxPasses, n, m)
-	res.FuelBudget = fuel
-	exhausted := false
-	for pass := 1; pass <= maxPasses; pass++ {
-		changed := false
-		for _, nd := range order {
-			if fuel < int64(m) {
-				exhausted = true
-				break
-			}
-			res.NodeVisits++
-			in := res.In[nd.ID]
-			ps := preds(nd)
-			if len(ps) > 0 {
-				if spec.May {
-					in.Fill(lattice.None())
-				} else {
-					in.Fill(lattice.All())
-				}
-				for _, p := range ps {
-					in.MeetInto(res.Out[p.ID], spec.May)
-				}
-			}
-			fuel -= int64(m)
-			newOut := applyFlow(nd, g, fns[nd.ID], in, res)
-			if !newOut.Eq(res.Out[nd.ID]) {
-				changed = true
-				copy(res.Out[nd.ID], newOut)
-			}
-		}
-		if exhausted {
-			break
-		}
-		res.Passes = pass
-		if changed {
-			res.ChangedPasses++
-		}
-		if opts.CollectTrace {
-			res.Trace = append(res.Trace, TraceEntry{In: snapshot(res.In), Out: snapshot(res.Out)})
-		}
-		if !changed {
-			break
-		}
-	}
-	if exhausted {
-		res.degradeExhausted()
-	}
-	return res
-}
-
-// flowOp is one step of a node's flow function for one class: either a
-// generate (max(x, 0)) or a preserve cap (min(x, p)).
-type flowOp struct {
-	gen  bool
-	pres lattice.Dist
-}
-
-// flowFn is the compiled flow function of one node for one class: the
-// composition of per-reference effects in execution order (reversed for
-// backward problems). Sequencing matters within a node: in
-// "A[i] := … A[i-1] …" the use observes memory before the definition
-// overwrites it, which a single gen-or-preserve function cannot express —
-// collapsing the two was a soundness bug our differential fuzzer caught.
-type flowFn struct {
-	ops []flowOp
-}
-
-// generates reports whether any step of the function generates (used by
-// the initialization pass's overestimate).
-func (f flowFn) generates() bool {
-	for _, op := range f.ops {
-		if op.gen {
-			return true
-		}
-	}
-	return false
 }
 
 // classKey identifies a tracked class by array name and the canonical
@@ -637,249 +393,46 @@ func (res *Result) ClassOf(r *ir.Ref) *Class {
 	return nil
 }
 
+// set returns packed row set k of rows (0 = IN, 1 = OUT, 2 = init IN,
+// 3 = init OUT).
+func (res *Result) set(k int) []uint64 {
+	size := len(res.Graph.Nodes) * res.pk.Words
+	return res.rows[k*size : (k+1)*size]
+}
+
+// cell decodes the value of class ci at node id from row set k.
+func (res *Result) cell(k, id, ci int) lattice.Dist {
+	w := res.pk.Words
+	return res.pk.Decode(res.pk.Cell(res.set(k)[(id-1)*w:id*w], ci))
+}
+
+// decodeSet unpacks row set k into a fresh 1-based slab.
+func (res *Result) decodeSet(k int) []lattice.Tuple {
+	n, w := len(res.Graph.Nodes), res.pk.Words
+	flat := res.set(k)
+	rows := lattice.Slab(n, res.pk.M)
+	for id := 1; id <= n; id++ {
+		res.pk.DecodeRow(rows[id], flat[(id-1)*w:id*w])
+	}
+	return rows
+}
+
 // InitIn returns the IN snapshot of the initialization pass, or nil when
-// the solve ran none (may-problems, SkipInitPass). Packed solves decode the
-// snapshot lazily on the first call; safe for concurrent readers.
+// the solve ran none (may-problems, SkipInitPass). Each call decodes a
+// fresh copy; safe for concurrent readers.
 func (res *Result) InitIn() []lattice.Tuple {
-	res.decodeInit()
-	return res.initIn
+	if !res.hasInit {
+		return nil
+	}
+	return res.decodeSet(2)
 }
 
 // InitOut returns the OUT snapshot of the initialization pass; see InitIn.
 func (res *Result) InitOut() []lattice.Tuple {
-	res.decodeInit()
-	return res.initOut
-}
-
-// decodeInit materializes the deferred packed init snapshot, once.
-func (res *Result) decodeInit() {
-	res.initOnce.Do(func() {
-		if res.initIn != nil || res.initW == nil {
-			return
-		}
-		n := len(res.Graph.Nodes)
-		m := len(res.Classes)
-		pk := &res.initPk
-		words := pk.Words
-		in := lattice.Slab(n, m)
-		out := lattice.Slab(n, m)
-		for id := 1; id <= n; id++ {
-			pk.DecodeRow(in[id], res.initW[id*words:(id+1)*words])
-			pk.DecodeRow(out[id], res.initW[(n+1+id)*words:(n+2+id)*words])
-		}
-		res.initIn, res.initOut = in, out
-	})
-}
-
-// prOf computes pr(class, n): 0 when any member of the class occurs in a
-// node that precedes n in the body (for backward problems: that n precedes,
-// since the reverse graph swaps the ordering). Packed results answer from
-// the precomputed per-class bitset.
-func (res *Result) prOf(c *Class, nd *ir.Node) int64 {
-	if res.prZero != nil {
-		if bitGet(res.prZero[c.Index], nd.ID) {
-			return 0
-		}
-		return 1
+	if !res.hasInit {
+		return nil
 	}
-	for _, mem := range c.Members {
-		if res.Spec.Backward {
-			if res.Graph.Precedes(nd, mem.Node) {
-				return 0
-			}
-		} else {
-			if res.Graph.Precedes(mem.Node, nd) {
-				return 0
-			}
-		}
-	}
-	return 1
-}
-
-func (res *Result) buildFlowFunctions() [][]flowFn {
-	g := res.Graph
-	fns := make([][]flowFn, len(g.Nodes)+1)
-	for _, nd := range g.Nodes {
-		row := make([]flowFn, len(res.Classes))
-		for _, c := range res.Classes {
-			row[c.Index] = res.compileNodeClass(nd, c)
-		}
-		fns[nd.ID] = row
-	}
-	return fns
-}
-
-// compileNodeClass builds the op sequence of node nd for class c.
-func (res *Result) compileNodeClass(nd *ir.Node, c *Class) flowFn {
-	g := res.Graph
-	memberSet := map[*ir.Ref]bool{}
-	for _, mem := range c.Members {
-		if mem.Node == nd {
-			memberSet[mem] = true
-		}
-	}
-
-	// Reference effects in execution order.
-	refs := nd.Refs
-	if nd.Kind == ir.KindSummary {
-		// A summary node stands for a whole inner loop whose internal
-		// order is unknown at this level; order the effects by polarity so
-		// the collapsed function stays a safe approximation: must-problems
-		// apply generates before kills (underestimate), may-problems kills
-		// before generates (overestimate).
-		var gens, kills []*ir.Ref
-		for _, r := range refs {
-			if memberSet[r] {
-				gens = append(gens, r)
-			} else {
-				kills = append(kills, r)
-			}
-		}
-		if res.Spec.May {
-			refs = append(append([]*ir.Ref{}, kills...), gens...)
-		} else {
-			refs = append(append([]*ir.Ref{}, gens...), kills...)
-		}
-	}
-
-	nodePr := res.prOf(c, nd)
-	var ops []flowOp
-	genSeen := false
-	addCap := func(p lattice.Dist) {
-		// Merge consecutive caps.
-		if n := len(ops); n > 0 && !ops[n-1].gen {
-			ops[n-1].pres = lattice.Min(ops[n-1].pres, p)
-			return
-		}
-		ops = append(ops, flowOp{pres: p})
-	}
-
-	seq := refs
-	if res.Spec.Backward {
-		seq = make([]*ir.Ref, len(refs))
-		for i, r := range refs {
-			seq[len(refs)-1-i] = r
-		}
-	}
-	for _, r := range seq {
-		if memberSet[r] {
-			ops = append(ops, flowOp{gen: true})
-			genSeen = true
-			continue
-		}
-		if !res.Spec.Kill(r) || r.Array != c.Array {
-			continue
-		}
-		pr := nodePr
-		if genSeen {
-			// A member of the class already executed within this node
-			// before the kill: the distance-0 instance is in range.
-			pr = 0
-		}
-		ctx := KillContext{
-			Pr:       pr,
-			May:      res.Spec.May,
-			Backward: res.Spec.Backward,
-			UB:       g.UBConst,
-			HasUB:    g.HasUB,
-			SymUB:    res.symUB,
-			HasSymUB: res.hasSymUB,
-			Facts:    res.facts,
-		}
-		var p lattice.Dist
-		if r.FromInner && r.HasRegion {
-			p = PreserveAgainstRegion(c.Form, r.RegionLo, r.RegionHi, ctx)
-		} else {
-			p = PreserveConst(c.Form, r.Form, r.Affine && !r.FromInner, ctx)
-		}
-		if p.IsAll() {
-			continue // identity cap
-		}
-		addCap(p)
-	}
-	return flowFn{ops: ops}
-}
-
-// applyFlow computes f_n(in) into a scratch tuple.
-func applyFlow(nd *ir.Node, g *ir.Graph, fns []flowFn, in lattice.Tuple, res *Result) lattice.Tuple {
-	out := make(lattice.Tuple, len(in))
-	res.FlowApps += len(in)
-	for i, x := range in {
-		out[i] = applyOne(nd, g, fns[i], x)
-	}
-	return out
-}
-
-// applyOne applies node nd's flow function for one class to a single lattice
-// value. The exit node's function is the loop-closing increment (clamped at
-// the constant bound when known); every other node applies its compiled
-// generate/preserve op sequence.
-func applyOne(nd *ir.Node, g *ir.Graph, fn flowFn, x lattice.Dist) lattice.Dist {
-	if nd.Kind == ir.KindExit {
-		v := x.Inc()
-		if g.HasUB {
-			v = v.Clamp(g.UBConst)
-		}
-		return v
-	}
-	v := x
-	for _, op := range fn.ops {
-		if op.gen {
-			v = lattice.Max(v, lattice.D(0))
-		} else {
-			v = lattice.Min(v, op.pres)
-		}
-	}
-	return v
-}
-
-// ApplyFlow re-applies the solved problem's flow function of node nd for the
-// class with the given index to an arbitrary lattice value. It is read-only
-// and safe for concurrent use on a finished Result; the framework
-// self-check analyzer uses it to test monotonicity and idempotence of the
-// compiled functions over sampled lattice values.
-func (res *Result) ApplyFlow(nd *ir.Node, classIndex int, x lattice.Dist) lattice.Dist {
-	if res.flowFns == nil && res.prog == nil {
-		// Restored from the persistent cache: neither engine's compiled form
-		// survives serialization (both are pure functions of the graph), so
-		// compile the reference form once on first use.
-		res.flowOnce.Do(func() { res.flowFns = res.buildFlowFunctions() })
-	}
-	if res.flowFns != nil {
-		return applyOne(nd, res.Graph, res.flowFns[nd.ID][classIndex], x)
-	}
-	fn := flowFn{ops: res.prog.ops(nd.ID*len(res.Classes) + classIndex)}
-	return applyOne(nd, res.Graph, fn, x)
-}
-
-func makeTuples(n, m int) []lattice.Tuple {
-	out := make([]lattice.Tuple, n+1)
-	for i := 1; i <= n; i++ {
-		out[i] = make(lattice.Tuple, m)
-	}
-	return out
-}
-
-func snapshot(ts []lattice.Tuple) []lattice.Tuple {
-	out := make([]lattice.Tuple, len(ts))
-	for i, t := range ts {
-		if t != nil {
-			out[i] = t.Clone()
-		}
-	}
-	return out
-}
-
-func reverseOrder(g *ir.Graph) []*ir.Node {
-	// Reverse postorder of the reversed body DAG starting at the exit node:
-	// the reverse of the forward RPO works because the body is a DAG and
-	// edge reversal exactly inverts its topological orders.
-	fwd := g.RPO()
-	out := make([]*ir.Node, len(fwd))
-	for i, n := range fwd {
-		out[len(fwd)-1-i] = n
-	}
-	return out
+	return res.decodeSet(3)
 }
 
 // --- Reporting --------------------------------------------------------------
@@ -891,7 +444,7 @@ func (res *Result) TupleTable(pass int) string {
 	var in, out []lattice.Tuple
 	switch {
 	case pass < 0:
-		in, out = res.In, res.Out
+		in, out = res.decodeSet(0), res.decodeSet(1)
 	case pass == 0:
 		in, out = res.InitIn(), res.InitOut()
 	default:
@@ -924,10 +477,10 @@ func (res *Result) TupleTable(pass int) string {
 }
 
 // InAt returns the fixed point IN value of class c at node nd.
-func (res *Result) InAt(nd *ir.Node, c *Class) lattice.Dist { return res.In[nd.ID][c.Index] }
+func (res *Result) InAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(0, nd.ID, c.Index) }
 
 // OutAt returns the fixed point OUT value of class c at node nd.
-func (res *Result) OutAt(nd *ir.Node, c *Class) lattice.Dist { return res.Out[nd.ID][c.Index] }
+func (res *Result) OutAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(1, nd.ID, c.Index) }
 
 // ClassFor finds the class tracking the given array and affine form, if
 // any. The lookup is a single map access against a key index built once on
@@ -940,5 +493,13 @@ func (res *Result) ClassFor(array string, form sema.AffineForm) *Class {
 	return res.ct.lookup(array, form)
 }
 
-// Pr exposes pr(class, n) for result consumers (reuse queries need it).
-func (res *Result) Pr(c *Class, nd *ir.Node) int64 { return res.prOf(c, nd) }
+// Pr returns pr(class, n) — 0 when a member of the class occurs in a node
+// that precedes n in the body (for backward problems: that n precedes,
+// since the reverse graph swaps the ordering), 1 otherwise. Reuse queries
+// need it; it answers from the per-class bitset.
+func (res *Result) Pr(c *Class, nd *ir.Node) int64 {
+	if bitGet(res.prZero[c.Index], nd.ID) {
+		return 0
+	}
+	return 1
+}

@@ -151,8 +151,11 @@ func TestTable1Iteration(t *testing.T) {
 
 	// The fixed point values equal the pass-2 snapshot.
 	for id := 1; id <= 5; id++ {
-		checkTuple(t, "fixpoint IN", res.In[id], wantIn2[id])
-		checkTuple(t, "fixpoint OUT", res.Out[id], wantOut2[id])
+		nd := g.Nodes[id-1]
+		for _, c := range res.Classes {
+			checkTuple(t, "fixpoint IN", lattice.Tuple{res.InAt(nd, c)}, wantIn2[id][c.Index:c.Index+1])
+			checkTuple(t, "fixpoint OUT", lattice.Tuple{res.OutAt(nd, c)}, wantOut2[id][c.Index:c.Index+1])
+		}
 	}
 }
 
@@ -324,10 +327,10 @@ func TestSkipInitPassAblation(t *testing.T) {
 	}
 	// The unconditional classes still agree.
 	for _, c := range []*Class{base.Classes[0], base.Classes[1], base.Classes[3]} {
-		for id := 1; id <= len(g.Nodes); id++ {
-			if !base.In[id][c.Index].Eq(noInit.In[id][c.Index]) {
+		for _, nd := range g.Nodes {
+			if !base.InAt(nd, c).Eq(noInit.InAt(nd, c)) {
 				t.Errorf("class %s IN[%d] differs: %s vs %s",
-					c, id, base.In[id][c.Index], noInit.In[id][c.Index])
+					c, nd.ID, base.InAt(nd, c), noInit.InAt(nd, c))
 			}
 		}
 	}

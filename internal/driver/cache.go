@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,12 +108,13 @@ type cacheEntry struct {
 }
 
 // memoKey is the content address of one solve: a 128-bit structural
-// fingerprint of the canonical loop rendering, the spec-name signature, and
-// the engine, all folded into one hash. It replaces the full canonical
-// rendering the cache used to key on — the fingerprint is computed by
-// streaming the same bytes the renderer would produce into an FNV-1a 128
-// state, so two solves share a key exactly when their old string keys were
-// equal (modulo 2^-128 collisions; see debugCanonicalKeys).
+// fingerprint of the canonical loop rendering, the spec-name signature, the
+// fuel budget, the range-fact signature, and the dim signatures, all folded
+// into one hash. The fingerprint is computed by streaming the same bytes the
+// canonical renderer would produce into an FNV-1a 128 state, so two solves
+// share a key exactly when their full string keys would be equal (modulo
+// 2^-128 collisions; TestFingerprintPartitionMatchesCanonical checks the
+// partition over the example and synthetic corpora).
 type memoKey struct {
 	fp ast.FP128
 }
@@ -129,10 +129,6 @@ type solveCache struct {
 	order  []memoKey
 	hits   int
 	misses int
-	// oracle maps each live key back to its full canonical rendering when
-	// debugCanonicalKeys is on; a key colliding across different renderings
-	// is a fingerprint collision and panics.
-	oracle map[memoKey]string
 }
 
 // defaultCacheCap bounds the process-global cache when Options.CacheCap is
@@ -141,33 +137,6 @@ type solveCache struct {
 // a correctness issue) — recently-used keys survive, unlike the old
 // whole-map drop.
 const defaultCacheCap = 4096
-
-// debugCanonicalKeys, when enabled, keeps the old full-rendering key
-// alongside each fingerprint and verifies on every lookup that equal
-// fingerprints imply equal renderings. It exists as a collision oracle for
-// tests; it restores the allocation cost the fingerprint removed.
-var (
-	debugCanonicalKeysMu sync.Mutex
-	debugCanonicalKeys   bool
-)
-
-// SetDebugCanonicalKeys toggles the collision oracle: when on, the memo
-// cache re-renders every loop to its canonical string and panics if two
-// different renderings ever hash to the same fingerprint. Intended for
-// tests and differential debugging; returns the previous setting.
-func SetDebugCanonicalKeys(on bool) bool {
-	debugCanonicalKeysMu.Lock()
-	defer debugCanonicalKeysMu.Unlock()
-	prev := debugCanonicalKeys
-	debugCanonicalKeys = on
-	return prev
-}
-
-func canonicalKeysDebug() bool {
-	debugCanonicalKeysMu.Lock()
-	defer debugCanonicalKeysMu.Unlock()
-	return debugCanonicalKeys
-}
 
 // cacheShards is the number of independently-locked segments of the
 // process-global memo table. Keys route by fingerprint, so the shard choice
@@ -235,8 +204,8 @@ func (c *shardedCache) setCap(n int) {
 }
 
 // claim delegates to the key's shard; only that shard's lock is taken.
-func (c *shardedCache) claim(key memoKey, render func() string) (*cacheEntry, bool) {
-	return c.shardFor(key).claim(key, render)
+func (c *shardedCache) claim(key memoKey) (*cacheEntry, bool) {
+	return c.shardFor(key).claim(key)
 }
 
 // stats sums entries and lifetime hit/miss tallies across shards. The
@@ -260,7 +229,6 @@ func (c *shardedCache) reset() {
 		s.mu.Lock()
 		s.entries = map[memoKey]*cacheEntry{}
 		s.order = nil
-		s.oracle = nil
 		s.hits, s.misses = 0, 0
 		s.mu.Unlock()
 	}
@@ -282,32 +250,26 @@ func (c *solveCache) setCap(n int) {
 	c.cap = n
 }
 
-// cacheKey computes the content-addressed key for a loop + spec set +
-// engine by streaming the canonical bytes into a 128-bit hash. The hashed
-// loop text covers the induction variable, the bounds, and the whole
-// (possibly nested) body; specs contribute their names, which are
-// canonical for the problem instances built by package problems; the
-// engine is included so packed and reference results never alias (both
-// engines produce identical values, but differential tests compare fresh
-// solves); the declared dimension sizes of every multi-dimensional array
-// the loop references are included because they determine linearized
-// strides — two textually identical loops under different dim statements
-// must not share a solve. The range-fact signature is folded in when
-// non-empty because facts change preserve constants — a loop solved under
-// a guard must never answer for the same text outside it; the empty
-// signature adds no bytes, so fact-free solves keep their pre-rangefacts
-// fingerprints (and their existing disk-cache entries). Callers that
-// hand-build a Spec reusing a canned name with different semantics must
-// disable the cache.
-func cacheKey(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, engine dataflow.Engine, fuel int64, factsSig string) memoKey {
+// cacheKey computes the content-addressed key for a loop + spec set by
+// streaming the canonical bytes into a 128-bit hash. The hashed loop text
+// covers the induction variable, the bounds, and the whole (possibly
+// nested) body; specs contribute their names, which are canonical for the
+// problem instances built by package problems; the declared dimension
+// sizes of every multi-dimensional array the loop references are included
+// because they determine linearized strides — two textually identical
+// loops under different dim statements must not share a solve. The
+// range-fact signature is folded in when non-empty because facts change
+// preserve constants — a loop solved under a guard must never answer for
+// the same text outside it; the empty signature adds no bytes. Callers
+// that hand-build a Spec reusing a canned name with different semantics
+// must disable the cache.
+func cacheKey(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, factsSig string) memoKey {
 	h := ast.NewHasher()
 	h.Stmt(loop)
 	for _, s := range specs {
 		h.WriteByte('\x00')
 		h.WriteString(s.Name)
 	}
-	h.WriteByte('\x00')
-	h.WriteString(string(engine))
 	// The fuel budget changes what a solve may claim (an exhausted solve
 	// degrades to the claim-nothing value), so budgets never share entries.
 	h.WriteByte('\x00')
@@ -326,40 +288,12 @@ func cacheKey(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.P
 }
 
 // fuelSignature renders the fuel budget's cache-key component. Zero (the
-// derived never-binding default) and explicit budgets hash differently, and
-// the rendering is shared by cacheKey and canonicalKeyString so the
-// collision oracle stays exact.
+// derived never-binding default) and explicit budgets hash differently.
 func fuelSignature(fuel int64) string {
 	if fuel <= 0 {
 		return "fuel=default"
 	}
 	return "fuel=" + strconv.FormatInt(fuel, 10)
-}
-
-// canonicalKeyString renders the pre-fingerprint string key — the exact
-// byte stream cacheKey hashes — for the collision oracle and for
-// differential tests.
-func canonicalKeyString(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, engine dataflow.Engine, fuel int64, factsSig string) string {
-	var b strings.Builder
-	b.Grow(256)
-	b.WriteString(ast.StmtString(loop, 0))
-	for _, s := range specs {
-		b.WriteByte('\x00')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\x00')
-	b.WriteString(string(engine))
-	b.WriteByte('\x00')
-	b.WriteString(fuelSignature(fuel))
-	if factsSig != "" {
-		b.WriteByte('\x00')
-		b.WriteString("!facts=" + factsSig)
-	}
-	for _, sig := range dimSignatures(loop, dims) {
-		b.WriteByte('\x00')
-		b.WriteString(sig)
-	}
-	return b.String()
 }
 
 // dimSignatures renders "name=size1,size2" for each declared array the loop
@@ -399,29 +333,10 @@ func dimSignatures(loop *ast.DoLoop, dims map[string][]poly.Poly) []string {
 // claim returns the entry for key, creating it when absent. The second
 // result reports whether the entry already existed (a cache hit). Counting
 // happens under the same lock as the lookup, so the tallies stay exact
-// under concurrency. render supplies the canonical string key lazily; it
-// is only invoked when the collision oracle is enabled.
-func (c *solveCache) claim(key memoKey, render func() string) (*cacheEntry, bool) {
-	oracle := canonicalKeysDebug()
-	var canonical string
-	if oracle {
-		canonical = render()
-	}
+// under concurrency.
+func (c *solveCache) claim(key memoKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if oracle {
-		if c.oracle == nil {
-			c.oracle = map[memoKey]string{}
-		}
-		if prev, ok := c.oracle[key]; ok {
-			if prev != canonical {
-				panic(fmt.Sprintf("driver: memo fingerprint collision: %x/%x keys %q and %q",
-					key.fp.Hi, key.fp.Lo, prev, canonical))
-			}
-		} else {
-			c.oracle[key] = canonical
-		}
-	}
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		return e, true
@@ -446,9 +361,6 @@ func (c *solveCache) evictOldestLocked() {
 	}
 	for _, k := range c.order[:drop] {
 		delete(c.entries, k)
-		if c.oracle != nil {
-			delete(c.oracle, k)
-		}
 	}
 	kept := make([]memoKey, len(c.order)-drop)
 	copy(kept, c.order[drop:])
@@ -457,13 +369,12 @@ func (c *solveCache) evictOldestLocked() {
 
 // solveEnv bundles the per-Analyze solve configuration threaded from
 // analyze() down to every solveLoop call: the spec set, dim declarations,
-// engine, fuel, cache switches, and (when Options.CacheDir is set) the
+// fuel, cache switches, and (when Options.CacheDir is set) the
 // persistent cache handles.
 type solveEnv struct {
 	specs    []*dataflow.Spec
 	dims     map[string][]poly.Poly
 	useCache bool
-	engine   dataflow.Engine
 	fuel     int64
 	// prog/info/assume feed per-loop range-fact derivation (rangefacts);
 	// prog nil skips derivation entirely.
@@ -483,7 +394,7 @@ func (env *solveEnv) withSpecs(specs []*dataflow.Spec) *solveEnv {
 	derived.specs = specs
 	derived.disk = nil
 	if env.cacheRoot != "" && env.useCache {
-		derived.disk = openDiskCacheFor(env.cacheRoot, specs, env.engine)
+		derived.disk = openDiskCacheFor(env.cacheRoot, specs)
 	}
 	return &derived
 }
@@ -513,17 +424,15 @@ type solveOutcome struct {
 func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dataflow.Scratch) (*solved, solveOutcome, error) {
 	oracle := factsOracle(facts)
 	if !env.useCache {
-		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.engine, env.fuel, oracle, sc)
+		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle, sc)
 		return sv, solveOutcome{}, err
 	}
 	sig := ""
 	if oracle != nil {
 		sig = oracle.Signature()
 	}
-	key := cacheKey(loop, env.specs, env.dims, env.engine, env.fuel, sig)
-	e, hit := globalCache.claim(key, func() string {
-		return canonicalKeyString(loop, env.specs, env.dims, env.engine, env.fuel, sig)
-	})
+	key := cacheKey(loop, env.specs, env.dims, env.fuel, sig)
+	e, hit := globalCache.claim(key)
 	claimed := false
 	e.once.Do(func() {
 		claimed = true
@@ -533,7 +442,7 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 				return
 			}
 		}
-		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.engine, env.fuel, oracle, sc)
+		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle, sc)
 	})
 	out := solveOutcome{hit: hit}
 	if claimed {
@@ -556,8 +465,8 @@ func factsOracle(f *rangefacts.Facts) dataflow.RangeOracle {
 	return f
 }
 
-func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, engine dataflow.Engine, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solved, error) {
-	parts, err := solvePartsFresh(loop, specs, dims, engine, fuel, oracle, sc)
+func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solved, error) {
+	parts, err := solvePartsFresh(loop, specs, dims, fuel, oracle, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +476,7 @@ func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]
 // solvePartsFresh runs one loop's full solve: graph construction, every
 // spec's fixed point, reuse extraction. Shared by the fresh-solve path and
 // the lazy loader's damaged-payload fallback.
-func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, engine dataflow.Engine, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solvedParts, error) {
+func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solvedParts, error) {
 	g, err := ir.Build(loop, &ir.Options{Dims: dims})
 	if err != nil {
 		return nil, err
@@ -576,7 +485,7 @@ func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][
 	// One fused SolveAll per loop: every spec shares the graph's class
 	// discovery, node orderings, and precedes bitsets through one solve
 	// context instead of re-deriving them per problem instance.
-	for i, res := range dataflow.SolveAll(g, specs, &dataflow.Options{Engine: engine, Scratch: sc, Fuel: fuel, Facts: oracle}) {
+	for i, res := range dataflow.SolveAll(g, specs, &dataflow.Options{Scratch: sc, Fuel: fuel, Facts: oracle}) {
 		spec := specs[i]
 		parts.results[spec.Name] = res
 		if spec.Name == "must-reaching-defs" {

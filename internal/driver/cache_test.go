@@ -3,6 +3,7 @@ package driver
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/poly"
 	"repro/internal/problems"
+	"repro/internal/rangefacts"
 	"repro/internal/sema"
 	"repro/internal/synth"
 )
@@ -26,9 +28,8 @@ func fpKey(i int) memoKey {
 // tallies are fully deterministic.
 func TestEvictionDropsOldestHalf(t *testing.T) {
 	c := newSolveCache(4)
-	noRender := func() string { return "" }
 	for i := 0; i < 4; i++ {
-		if _, hit := c.claim(fpKey(i), noRender); hit {
+		if _, hit := c.claim(fpKey(i)); hit {
 			t.Fatalf("key %d: unexpected hit on first claim", i)
 		}
 	}
@@ -36,19 +37,19 @@ func TestEvictionDropsOldestHalf(t *testing.T) {
 		t.Fatalf("table size %d/%d, want 4/4", len(c.entries), len(c.order))
 	}
 	// Fifth insert: keys 0 and 1 evicted, 2 and 3 survive.
-	if _, hit := c.claim(fpKey(4), noRender); hit {
+	if _, hit := c.claim(fpKey(4)); hit {
 		t.Fatal("key 4: unexpected hit")
 	}
 	if len(c.entries) != 3 {
 		t.Fatalf("after eviction: %d entries, want 3", len(c.entries))
 	}
 	for _, i := range []int{2, 3, 4} {
-		if _, hit := c.claim(fpKey(i), noRender); !hit {
+		if _, hit := c.claim(fpKey(i)); !hit {
 			t.Errorf("key %d should have survived eviction", i)
 		}
 	}
 	for _, i := range []int{0, 1} {
-		if _, hit := c.claim(fpKey(i), noRender); hit {
+		if _, hit := c.claim(fpKey(i)); hit {
 			t.Errorf("key %d should have been evicted", i)
 		}
 	}
@@ -149,41 +150,71 @@ func corpusPrograms(t *testing.T) []*ast.Program {
 	return progs
 }
 
+// canonicalKeyString renders the full string key — the exact byte stream
+// cacheKey hashes — so the fingerprint partition can be checked against it.
+func canonicalKeyString(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, factsSig string) string {
+	var b strings.Builder
+	b.WriteString(ast.StmtString(loop, 0))
+	for _, s := range specs {
+		b.WriteByte('\x00')
+		b.WriteString(s.Name)
+	}
+	b.WriteByte('\x00')
+	b.WriteString(fuelSignature(fuel))
+	if factsSig != "" {
+		b.WriteByte('\x00')
+		b.WriteString("!facts=" + factsSig)
+	}
+	for _, sig := range dimSignatures(loop, dims) {
+		b.WriteByte('\x00')
+		b.WriteString(sig)
+	}
+	return b.String()
+}
+
 // TestFingerprintPartitionMatchesCanonical is the differential check the
 // fingerprint key rests on: over every example program and a synth fuzz
-// sweep, two (loop, specs, engine) triples get the same fingerprint key
-// exactly when they get the same canonical string key. A fingerprint
-// collision (same hash, different rendering) or a split (same rendering,
-// different hash — impossible by construction, but checked anyway) fails.
+// sweep, two (loop, specs, dims, fuel, facts) keys get the same fingerprint
+// exactly when they get the same canonical string key. Besides fixed
+// variants, every loop is keyed with the dims and the range-fact signature
+// the driver itself derives for it — the inputs real memo lookups see. A
+// fingerprint collision (same hash, different rendering) or a split (same
+// rendering, different hash — impossible by construction, but checked
+// anyway) fails.
 func TestFingerprintPartitionMatchesCanonical(t *testing.T) {
 	specsets := [][]*dataflow.Spec{
 		{problems.MustReachingDefs()},
 		{problems.MustReachingDefs(), problems.BusyStores()},
 	}
-	engines := []dataflow.Engine{dataflow.EngineReference, dataflow.EnginePacked}
 	// Declared-dims variants: none, and a map covering the corpus's usual
 	// array names (dims only reach the key for loops that reference one of
 	// these with two or more subscripts, so for most loops both variants
 	// must produce the same key).
-	dimsets := []map[string][]poly.Poly{
-		nil,
-		{"X": {poly.Const(8), poly.Const(8)}, "Y": {poly.Const(4), poly.Const(16)}},
-	}
+	fixedDims := map[string][]poly.Poly{"X": {poly.Const(8), poly.Const(8)}, "Y": {poly.Const(4), poly.Const(16)}}
 	fuels := []int64{0, 1, 1 << 20}
 	factsSigs := []string{"", "n - 1 >= 0 (loop bound)", "k - 1 >= 1 (guard);n - k >= 0 (guard)"}
 	byFP := map[memoKey]string{}
 	byStr := map[string]memoKey{}
-	n := 0
+	n, derivedFacts := 0, 0
 	for _, prog := range corpusPrograms(t) {
+		info, err := sema.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := declaredDims(info)
 		for _, loop := range loopsOf(prog) {
+			derivedSig := ""
+			if o := factsOracle(rangefacts.Derive(prog, info, loop, nil, 0)); o != nil {
+				derivedSig = o.Signature()
+				derivedFacts++
+			}
 			for _, specs := range specsets {
-				for _, eng := range engines {
-					for _, dims := range dimsets {
+				for _, dimset := range []map[string][]poly.Poly{nil, fixedDims, dims} {
+					for _, factsSig := range []string{factsSigs[n%len(factsSigs)], derivedSig} {
 						fuel := fuels[n%len(fuels)]
-						factsSig := factsSigs[n%len(factsSigs)]
 						n++
-						fp := cacheKey(loop, specs, dims, eng, fuel, factsSig)
-						str := canonicalKeyString(loop, specs, dims, eng, fuel, factsSig)
+						fp := cacheKey(loop, specs, dimset, fuel, factsSig)
+						str := canonicalKeyString(loop, specs, dimset, fuel, factsSig)
 						if prev, ok := byFP[fp]; ok && prev != str {
 							t.Fatalf("fingerprint collision: %x/%x for %q and %q",
 								fp.fp.Hi, fp.fp.Lo, prev, str)
@@ -201,58 +232,10 @@ func TestFingerprintPartitionMatchesCanonical(t *testing.T) {
 	if n < 100 {
 		t.Fatalf("differential corpus too small: %d keys", n)
 	}
+	if derivedFacts == 0 {
+		t.Fatal("no corpus loop derived range facts: the driver-derived signatures went unchecked")
+	}
 	if len(byFP) != len(byStr) {
 		t.Fatalf("partition mismatch: %d fingerprint classes vs %d string classes", len(byFP), len(byStr))
 	}
-}
-
-// TestCollisionOracleEndToEnd runs the driver with the debug collision
-// oracle enabled over the corpus: every memo lookup re-renders the loop and
-// panics if equal fingerprints ever disagree on the rendering. Also checks
-// tallies and reports are unchanged by the oracle.
-func TestCollisionOracleEndToEnd(t *testing.T) {
-	progs := corpusPrograms(t)
-	type outcome struct {
-		hits, misses int
-		report       string
-	}
-	run := func() []outcome {
-		ResetCache()
-		var out []outcome
-		for _, p := range progs {
-			pa, err := Analyze(p, &Options{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, outcome{pa.Metrics.CacheHits, pa.Metrics.CacheMisses, pa.Report()})
-		}
-		return out
-	}
-	plain := run()
-	prev := SetDebugCanonicalKeys(true)
-	defer SetDebugCanonicalKeys(prev)
-	oracle := run()
-	for i := range plain {
-		if plain[i] != oracle[i] {
-			t.Fatalf("prog %d: oracle changed behavior: %+v vs %+v",
-				i, plain[i], oracle[i])
-		}
-	}
-	ResetCache()
-}
-
-// TestOraclePanicsOnForcedCollision verifies the oracle actually fires: two
-// different renderings planted under one key must panic the next claim.
-func TestOraclePanicsOnForcedCollision(t *testing.T) {
-	prev := SetDebugCanonicalKeys(true)
-	defer SetDebugCanonicalKeys(prev)
-	c := newSolveCache(16)
-	k := fpKey(1)
-	c.claim(k, func() string { return "rendering A" })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on fingerprint collision")
-		}
-	}()
-	c.claim(k, func() string { return "rendering B" })
 }

@@ -104,7 +104,7 @@ func DiffPrograms(oldProgs, newProgs []*ast.Program, opts *Options) (*DiffResult
 			if o := factsOracle(rangefacts.Derive(pa.Prog, pa.Info, e.loop, opts.Assume, opts.Fuel)); o != nil {
 				sig = o.Signature()
 			}
-			keys[i] = cacheKey(e.loop, specs, dims, opts.Engine, opts.Fuel, sig)
+			keys[i] = cacheKey(e.loop, specs, dims, opts.Fuel, sig)
 		}
 		return keys
 	}

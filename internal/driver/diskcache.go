@@ -1,7 +1,9 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,18 +21,18 @@ import (
 // The persistent solve cache: a directory of content-addressed entries that
 // lets a cold process warm-start at memo-hit speed. Entries are keyed by the
 // same 128-bit fingerprint as the in-memory memo table (which already folds
-// the canonical loop text, spec names, engine, fuel, and dim declarations),
-// and grouped under a schema subdirectory derived from the file-format
-// generation, the result payload version, the engine, and the spec-name
+// the canonical loop text, spec names, fuel, range facts, and dim
+// declarations), and grouped under a schema subdirectory derived from the
+// file-format generation, the result payload version, and the spec-name
 // set — so any change to what a payload means abandons old files wholesale
 // instead of risking a misparse.
 //
-// Only the solver's fixed points, init snapshots, and counters are stored
-// (see dataflow.EncodeRows/ResultMeta); the flow graph, class tables, pr
-// bitsets, and reuse facts are deterministic functions of the loop AST. A
-// load eagerly decodes just the checksummed container and the per-spec
+// Only the solver's packed fixed points, init snapshots, and counters are
+// stored (see dataflow.EncodeRows/ResultMeta); the flow graph, class tables,
+// pr bitsets, and reuse facts are deterministic functions of the loop AST.
+// A load eagerly decodes just the checksummed container and the per-spec
 // counters — enough for whole-program metrics — and defers the graph
-// rebuild and row decode until a consumer first reads the loop's facts, at
+// rebuild and row restore until a consumer first reads the loop's facts, at
 // which point the materialized value is byte-identical to a fresh solve.
 //
 // Failure policy: the disk cache never makes an Analyze call fail. Unusable
@@ -42,8 +44,8 @@ import (
 // payload version does not cover. Bump on any incompatible change.
 const diskFormatGeneration = "afdisk-v1"
 
-// diskCache is one (root, schema) binding: entries for one engine + spec
-// set + format generation, in one subdirectory of the user's cache root.
+// diskCache is one (root, schema) binding: entries for one spec set +
+// format generation, in one subdirectory of the user's cache root.
 type diskCache struct {
 	dir    string
 	schema uint64
@@ -51,23 +53,23 @@ type diskCache struct {
 
 // diskCaches memoizes openDiskCacheFor: one MkdirAll per (root, schema) per
 // process, and a failed root stays disabled (nil) instead of retrying on
-// every solve.
+// every solve. A directory removed later is re-created by store.
 var diskCaches sync.Map // map[string]*diskCache (nil entry = unusable)
 
-// schemaParts renders the schema-hash components for a spec set + engine.
-func schemaParts(specs []*dataflow.Spec, engine dataflow.Engine) []string {
-	parts := []string{diskFormatGeneration, dataflow.PersistVersion, string(engine)}
+// schemaParts renders the schema-hash components for a spec set.
+func schemaParts(specs []*dataflow.Spec) []string {
+	parts := []string{diskFormatGeneration, dataflow.PersistVersion}
 	for _, s := range specs {
 		parts = append(parts, s.Name)
 	}
 	return parts
 }
 
-// openDiskCacheFor returns the disk cache for root + spec set + engine,
-// creating its schema subdirectory on first use. Returns nil (disk caching
-// disabled) when the directory cannot be created.
-func openDiskCacheFor(root string, specs []*dataflow.Spec, engine dataflow.Engine) *diskCache {
-	schema := cachefile.SchemaHash(schemaParts(specs, engine)...)
+// openDiskCacheFor returns the disk cache for root + spec set, creating its
+// schema subdirectory on first use. Returns nil (disk caching disabled)
+// when the directory cannot be created.
+func openDiskCacheFor(root string, specs []*dataflow.Spec) *diskCache {
+	schema := cachefile.SchemaHash(schemaParts(specs)...)
 	key := fmt.Sprintf("%s\x00%016x", root, schema)
 	if v, ok := diskCaches.Load(key); ok {
 		dc, _ := v.(*diskCache)
@@ -190,18 +192,18 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 	if !r.Done() {
 		return nil, 0, false
 	}
-	dims, engine, fuel := env.dims, env.engine, env.fuel
+	dims, fuel := env.dims, env.fuel
 	metas := sv.meta
 	sv.fill = func() *solvedParts {
 		t0 := time.Now()
-		parts, err := restoreParts(loop, specs, dims, oracle, metas, blobs)
+		parts, err := restoreParts(loop, specs, dims, metas, blobs)
 		if err != nil {
 			// The payload passed its checksum but does not match the
 			// rebuilt graph: stale semantics behind an aliased content
 			// address. Count it and solve fresh — the disk cache never
 			// fails an analysis.
 			diskStats.errors.Add(1)
-			parts, err = solvePartsFresh(loop, specs, dims, engine, fuel, oracle, dataflow.NewScratch())
+			parts, err = solvePartsFresh(loop, specs, dims, fuel, oracle, dataflow.NewScratch())
 			if err != nil {
 				// Unreachable without a fingerprint collision: the loop's
 				// canonical content built a graph in the process that
@@ -221,8 +223,10 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 
 // restoreParts rebuilds the graph-entangled artifacts of a disk entry: the
 // flow graph and class tables from the loop AST, the fixed points from the
-// persisted rows, the reuse facts from the restored must-solution.
-func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, oracle dataflow.RangeOracle, metas []specMeta, blobs [][]byte) (*solvedParts, error) {
+// persisted rows, the reuse facts from the restored must-solution. The
+// cache key folds the fact signature, so the rows were computed under
+// exactly the oracle the loop derives now; nothing else needs it.
+func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, metas []specMeta, blobs [][]byte) (*solvedParts, error) {
 	g, err := ir.Build(loop, &ir.Options{Dims: dims})
 	if err != nil {
 		return nil, err
@@ -233,10 +237,6 @@ func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]po
 		if err != nil {
 			return nil, err
 		}
-		// The cache key folds the fact signature, so the restored rows were
-		// computed under exactly this oracle; re-attach it before anything
-		// can trigger ApplyFlow's lazy flow-function recompilation.
-		res.SetOracle(oracle)
 		parts.results[spec.Name] = res
 		if spec.Name == "must-reaching-defs" {
 			parts.reuses = problems.FindReuses(res)
@@ -250,6 +250,10 @@ func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]po
 
 // store writes the solved value for key, atomically. Returns the bytes
 // written (0 on failure; failures only surface in DiskCacheStats().Errors).
+// When the schema directory has vanished since it was opened (an operator
+// cleared the cache root under a running process), store re-creates it and
+// retries once, so a removed root heals instead of failing every later
+// store.
 func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int64 {
 	start := time.Now()
 	parts := sv.materialize()
@@ -268,7 +272,11 @@ func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int6
 		w.Blob(rw.Bytes())
 	}
 	img := cachefile.Encode(dc.schema, key.fp.Hi, key.fp.Lo, w.Bytes())
-	if err := cachefile.WriteAtomic(dc.entryPath(key), img); err != nil {
+	err := cachefile.WriteAtomic(dc.entryPath(key), img)
+	if errors.Is(err, fs.ErrNotExist) && os.MkdirAll(dc.dir, 0o755) == nil {
+		err = cachefile.WriteAtomic(dc.entryPath(key), img)
+	}
+	if err != nil {
 		diskStats.errors.Add(1)
 		return 0
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/dataflow/reference"
 	"repro/internal/parser"
+	"repro/internal/problems"
 	"repro/internal/synth"
 )
 
@@ -223,6 +225,36 @@ func TestDiskCacheDeterministicWarmStarts(t *testing.T) {
 	}
 }
 
+// TestDiskCacheRootRemovedWhileRunning checks the persistent cache heals
+// when its root is deleted under a running process (an operator clearing
+// the cache): the next analysis re-creates the schema directory and stores
+// every fresh solve, without a single disk error.
+func TestDiskCacheRootRemovedWhileRunning(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "cache")
+	ResetCache()
+	if _, err := Analyze(diskTestProgram(9008), &Options{CacheDir: root, Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(root); err != nil {
+		t.Fatal(err)
+	}
+	ResetDiskCacheStats()
+	pa, err := Analyze(diskTestProgram(9009), &Options{CacheDir: root, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := DiskCacheStats()
+	if ds.Errors != 0 {
+		t.Errorf("disk errors = %d after the root was removed, want 0", ds.Errors)
+	}
+	if ds.Stores == 0 || ds.Stores != int64(pa.Metrics.CacheMisses) {
+		t.Errorf("stores = %d, want one per miss (%d)", ds.Stores, pa.Metrics.CacheMisses)
+	}
+	if files := entryFiles(t, root); len(files) != pa.Metrics.CacheMisses {
+		t.Errorf("entry files = %d, want %d", len(files), pa.Metrics.CacheMisses)
+	}
+}
+
 // TestDiskCacheUnusableRoot checks a root that cannot be a directory
 // disables the persistent cache without failing the analysis.
 func TestDiskCacheUnusableRoot(t *testing.T) {
@@ -257,8 +289,8 @@ func TestDiskCacheDisabledWithCache(t *testing.T) {
 	}
 }
 
-// TestDiskCacheEngineAndFuelSeparation checks runs under a different engine
-// or fuel budget never read each other's entries.
+// TestDiskCacheEngineAndFuelSeparation checks runs under a different fuel
+// budget never read each other's entries.
 func TestDiskCacheEngineAndFuelSeparation(t *testing.T) {
 	dir := t.TempDir()
 	prog := diskTestProgram(9007)
@@ -274,19 +306,12 @@ func TestDiskCacheEngineAndFuelSeparation(t *testing.T) {
 	if pa.Metrics.DiskHits != 0 {
 		t.Errorf("fuel-budgeted run got %d disk hits from default-fuel entries", pa.Metrics.DiskHits)
 	}
-	ResetCache()
-	pa, err = Analyze(prog, &Options{CacheDir: dir, Parallelism: 1, Engine: "reference"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa.Metrics.DiskHits != 0 {
-		t.Errorf("reference-engine run got %d disk hits from packed entries", pa.Metrics.DiskHits)
-	}
 }
 
-// TestDiskCacheReferenceEngineRoundTrip checks the reference engine's
-// results also persist and restore byte-identically (the restore path
-// rebuilds flow functions lazily; both engines share it).
+// TestDiskCacheReferenceEngineRoundTrip checks a persisted solve restores
+// byte-identically: after a warm start from disk, every problem's rendered
+// fixed point and init snapshot equal the cold solve's and the reference
+// oracle's, and the whole-program report is unchanged.
 func TestDiskCacheReferenceEngineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	prog := parser.MustParse(`
@@ -296,7 +321,7 @@ do i = 1, 100
   C[i] := C[i-1] + 1
 enddo
 `)
-	opts := &Options{CacheDir: dir, Engine: "reference", Parallelism: 1}
+	opts := &Options{CacheDir: dir, Specs: problems.StandardSpecs(), Parallelism: 1}
 	ResetCache()
 	cold, err := Analyze(prog, opts)
 	if err != nil {
@@ -308,22 +333,26 @@ enddo
 		t.Fatal(err)
 	}
 	if warm.Metrics.DiskHits == 0 {
-		t.Fatal("no disk hits on reference-engine warm start")
+		t.Fatal("no disk hits on warm start")
 	}
 	if warm.Report() != cold.Report() {
-		t.Error("reference-engine warm report differs from cold")
+		t.Error("warm report differs from cold")
 	}
-	// The restored result must still answer fixed-point queries: compare
-	// the rendered tuple tables, which read In/Out and the init snapshot.
-	coldRes := cold.Loops[0].Result("must-reaching-defs")
-	warmRes := warm.Loops[0].Result("must-reaching-defs")
-	if got, want := warmRes.TupleTable(-1), coldRes.TupleTable(-1); got != want {
-		t.Errorf("restored fixed point differs:\n%s\nwant:\n%s", got, want)
+	for _, spec := range opts.Specs {
+		coldRes := cold.Loops[0].Result(spec.Name)
+		warmRes := warm.Loops[0].Result(spec.Name)
+		ref := reference.Solve(warmRes.Graph, spec, nil)
+		for _, pass := range []int{-1, 0} {
+			got, want := warmRes.TupleTable(pass), coldRes.TupleTable(pass)
+			if got != want {
+				t.Errorf("%s: restored table %d differs:\n%s\nwant:\n%s", spec.Name, pass, got, want)
+			}
+			if oracle := ref.TupleTable(pass); got != oracle {
+				t.Errorf("%s: restored table %d differs from the oracle:\n%s\nwant:\n%s", spec.Name, pass, got, oracle)
+			}
+		}
 	}
-	if got, want := warmRes.TupleTable(0), coldRes.TupleTable(0); got != want {
-		t.Errorf("restored init snapshot differs:\n%s\nwant:\n%s", got, want)
-	}
-	if !strings.Contains(warmRes.TupleTable(-1), "A[i + 1]") {
+	if !strings.Contains(warm.Loops[0].Result("must-reaching-defs").TupleTable(-1), "A[i + 1]") {
 		t.Error("restored table lost class headers")
 	}
 }

@@ -132,10 +132,6 @@ type Options struct {
 	// the entries is evicted. The bound is process-global state: the most
 	// recent Analyze call to set it wins.
 	CacheCap int
-	// Engine selects the solver implementation (zero value = packed). The
-	// engine participates in the memo-cache key, so mixed-engine processes
-	// never share entries across engines.
-	Engine dataflow.Engine
 	// Fuel bounds each per-loop solve's flow-function applications
 	// (dataflow.Options.Fuel). Zero derives the solver's never-binding
 	// default. A bound solve that runs out degrades its tuples to the
@@ -152,7 +148,7 @@ type Options struct {
 	Assume []rangefacts.Fact
 	// CacheDir, when non-empty, persists solved loops to disk under this
 	// directory (content-addressed by the same fingerprint as the in-memory
-	// memo, grouped by a format/engine/spec-set schema hash), and answers
+	// memo, grouped by a format/spec-set schema hash), and answers
 	// memory misses from disk before solving. Unusable directories and
 	// damaged entries degrade to cold solves; the disk cache never fails an
 	// Analyze call. Ignored when DisableCache is set (the fingerprints the
@@ -204,11 +200,10 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 	dims := declaredDims(info)
 
 	env := &solveEnv{specs: specs, dims: dims, useCache: !opts.DisableCache,
-		engine: opts.Engine, fuel: opts.Fuel,
-		prog: prog, info: info, assume: opts.Assume}
+		fuel: opts.Fuel, prog: prog, info: info, assume: opts.Assume}
 	if opts.CacheDir != "" && env.useCache {
 		env.cacheRoot = opts.CacheDir
-		env.disk = openDiskCacheFor(opts.CacheDir, specs, opts.Engine)
+		env.disk = openDiskCacheFor(opts.CacheDir, specs)
 	}
 
 	entries := collectEntries(prog)
@@ -462,7 +457,7 @@ func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, Lo
 			if !env.useCache {
 				// Only the reuse records survive this solve; with the
 				// memo cache off nothing else references the results, so
-				// their slabs and op arenas go back to the solver pools.
+				// their packed rows go back to the solver pool.
 				for _, r := range svw.materialize().results {
 					r.Release()
 				}

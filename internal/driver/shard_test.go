@@ -35,11 +35,10 @@ func TestShardRoutingIsStable(t *testing.T) {
 // total entry count never exceeds the requested cap, in both the split and
 // the single-shard (small cap) modes.
 func TestShardedCapBound(t *testing.T) {
-	noRender := func() string { return "" }
 	for _, cap := range []int{8, 16, 64, 200} {
 		c := newShardedCache(cap)
 		for i := 0; i < 4*cap; i++ {
-			c.claim(shardKey(i*7+1), noRender)
+			c.claim(shardKey(i*7 + 1))
 			if entries, _, _ := c.stats(); entries > cap {
 				t.Fatalf("cap %d: table grew to %d entries at insert %d", cap, entries, i)
 			}
@@ -50,10 +49,9 @@ func TestShardedCapBound(t *testing.T) {
 // TestShardedUnlimited removes the bound and checks nothing is evicted.
 func TestShardedUnlimited(t *testing.T) {
 	c := newShardedCache(-1)
-	noRender := func() string { return "" }
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		c.claim(shardKey(i), noRender)
+		c.claim(shardKey(i))
 	}
 	if entries, _, misses := c.stats(); entries != n || misses != n {
 		t.Fatalf("unbounded cache: %d entries / %d misses, want %d/%d", entries, misses, n, n)
@@ -67,14 +65,13 @@ func TestShardedUnlimited(t *testing.T) {
 func TestShardedDeterministicMissCount(t *testing.T) {
 	const keys, claimers = 64, 8
 	c := newShardedCache(-1)
-	noRender := func() string { return "" }
 	var wg sync.WaitGroup
 	for g := 0; g < claimers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				c.claim(shardKey(i), noRender)
+				c.claim(shardKey(i))
 			}
 		}()
 	}

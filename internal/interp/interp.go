@@ -9,6 +9,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -173,6 +174,16 @@ type RuntimeError struct {
 
 func (e *RuntimeError) Error() string { return fmt.Sprintf("%s: runtime: %s", e.Pos, e.Msg) }
 
+// msgStepLimit is the message of the RuntimeError a run reports when it
+// exceeds Options.MaxSteps.
+const msgStepLimit = "step limit exceeded"
+
+// IsStepLimit reports whether err stopped a run on Options.MaxSteps.
+func IsStepLimit(err error) bool {
+	var re *RuntimeError
+	return errors.As(err, &re) && re.Msg == msgStepLimit
+}
+
 // Options bounds execution and exposes the instrumentation hooks the
 // certifying analyzers use (witness replay and parallel permutation checks
 // in internal/lint).
@@ -232,7 +243,7 @@ func Run(prog *ast.Program, init *State, opts *Options) (*State, *Stats, error) 
 func (m *machine) step(pos token.Pos) error {
 	m.steps++
 	if m.steps > m.max {
-		return &RuntimeError{Pos: pos, Msg: "step limit exceeded"}
+		return &RuntimeError{Pos: pos, Msg: msgStepLimit}
 	}
 	return nil
 }
@@ -323,7 +334,7 @@ func (m *machine) execStmt(s ast.Stmt) error {
 			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
 				iters = append(iters, i)
 				if int64(len(iters)) > m.max {
-					return &RuntimeError{Pos: st.Pos(), Msg: "step limit exceeded"}
+					return &RuntimeError{Pos: st.Pos(), Msg: msgStepLimit}
 				}
 			}
 			if order := m.opts.LoopOrder(st, iters); order != nil {

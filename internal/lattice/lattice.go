@@ -239,10 +239,9 @@ func (dst Tuple) WriteTo(b *strings.Builder) {
 // --- Slabs ------------------------------------------------------------------
 //
 // A slab is a dense rows×m matrix of lattice values held in ONE flat backing
-// array, with per-row Tuple views aliasing it. Solvers keep their per-node
-// IN/OUT state in slabs so a whole solve costs two backing allocations
-// instead of one tuple allocation per node, and so the iteration passes walk
-// memory sequentially in node order.
+// array, with per-row Tuple views aliasing it. Decoded views of a solver's
+// packed rows (trace passes, init snapshots, rendered tables) are slabs, so
+// a whole decode costs two allocations instead of one tuple per node.
 
 // Slab allocates an n-row, m-column matrix in one flat backing array and
 // returns 1-based row views: rows[0] is nil (node IDs are 1-based) and
@@ -257,30 +256,4 @@ func Slab(n, m int) []Tuple {
 		rows[i] = backing[(i-1)*m : i*m : i*m]
 	}
 	return rows
-}
-
-// CloneSlab snapshots a 1-based row set (as returned by Slab, or any
-// []Tuple whose rows share one width) into a freshly allocated slab. Nil
-// rows stay nil.
-func CloneSlab(rows []Tuple) []Tuple {
-	out := make([]Tuple, len(rows))
-	var m, n int
-	for _, r := range rows {
-		if r != nil {
-			m = len(r)
-			n++
-		}
-	}
-	backing := make(Tuple, n*m)
-	next := 0
-	for i, r := range rows {
-		if r == nil {
-			continue
-		}
-		dst := backing[next*m : (next+1)*m : (next+1)*m]
-		copy(dst, r)
-		out[i] = dst
-		next++
-	}
-	return out
 }

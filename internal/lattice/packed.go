@@ -1,5 +1,7 @@
 package lattice
 
+import "math"
+
 // Word-packed rows: m chain-lattice cells stored in ⌈m/lanes⌉ uint64 words,
 // one fixed-width lane per cell, so meets, flow applications, and equality
 // checks run whole words at a time (SWAR). The packing exploits that the
@@ -9,9 +11,9 @@ package lattice
 //	None → 0,   finite d → d+1,   All → laneMax (all lane bits set)
 //
 // which is injective as long as every finite distance d satisfies
-// d ≤ laneMax−2. Solvers pick the lane width (8 or 16 bits) from a bound on
-// the finite values a solve can produce and fall back to scalar tuples when
-// even 16-bit lanes cannot hold them.
+// d ≤ laneMax−2. Solvers pick the lane width (8, 16 or 64 bits) from a bound
+// on the finite values a solve can produce; a 64-bit lane (one cell per
+// word) holds every int64 distance exactly, so no solve ever saturates.
 //
 // Lanes past m in the last word are kept zero by every kernel ("tail
 // invariant"), so two rows are equal iff their words are equal.
@@ -20,12 +22,16 @@ package lattice
 const (
 	Lane8  = 8
 	Lane16 = 16
+	Lane64 = 64
 )
 
 // MaxFiniteForLane returns the largest finite distance representable in a
 // lane of the given width: laneMax−2 (laneMax encodes All, and the encoding
-// adds 1 to finite values).
+// adds 1 to finite values). A 64-bit lane holds every int64 distance.
 func MaxFiniteForLane(lane uint) int64 {
+	if lane == Lane64 {
+		return math.MaxInt64
+	}
 	return int64(1)<<lane - 3
 }
 
@@ -34,7 +40,7 @@ func MaxFiniteForLane(lane uint) int64 {
 type Packing struct {
 	M     int    // cells per row
 	Words int    // uint64 words per row
-	Lane  uint   // bits per lane: Lane8 or Lane16
+	Lane  uint   // bits per lane: Lane8, Lane16 or Lane64
 	All   uint64 // lane value encoding ⊤ (all lane bits set)
 
 	hmask uint64 // per-lane MSB
@@ -44,12 +50,12 @@ type Packing struct {
 
 // NewPacking builds the layout for m cells at the given lane width.
 func NewPacking(m int, lane uint) Packing {
-	if lane != Lane8 && lane != Lane16 {
+	if lane != Lane8 && lane != Lane16 && lane != Lane64 {
 		panic("lattice: unsupported lane width")
 	}
 	perWord := 64 / int(lane)
 	words := (m + perWord - 1) / perWord
-	laneMax := uint64(1)<<lane - 1
+	laneMax := ^uint64(0) >> (64 - lane)
 	var h, l uint64
 	for i := 0; i < perWord; i++ {
 		h |= 1 << (uint(i)*lane + lane - 1)

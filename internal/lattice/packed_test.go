@@ -14,7 +14,7 @@ func laneSamples(lane uint) []Dist {
 }
 
 func TestPackingEncodeOrderIsomorphism(t *testing.T) {
-	for _, lane := range []uint{Lane8, Lane16} {
+	for _, lane := range []uint{Lane8, Lane16, Lane64} {
 		p := NewPacking(1, lane)
 		samples := laneSamples(lane)
 		for _, x := range samples {
@@ -35,13 +35,14 @@ func TestPackingEncodeOrderIsomorphism(t *testing.T) {
 // scalar Dist operations over all sample pairs placed in every lane
 // position, so lane-boundary bleed (carries, borrows) cannot hide.
 func TestPackingKernelsMatchScalar(t *testing.T) {
-	for _, lane := range []uint{Lane8, Lane16} {
+	for _, lane := range []uint{Lane8, Lane16, Lane64} {
 		perWord := 64 / int(lane)
-		// A row wider than one word, with a tail: m = perWord + 3.
+		// A row wider than one word, with a tail when lanes share a word:
+		// m = perWord + 3.
 		m := perWord + 3
 		p := NewPacking(m, lane)
-		if p.Words != 2 {
-			t.Fatalf("lane %d: words = %d, want 2", lane, p.Words)
+		if want := (m + perWord - 1) / perWord; p.Words != want {
+			t.Fatalf("lane %d: words = %d, want %d", lane, p.Words, want)
 		}
 		samples := laneSamples(lane)
 		xs := make(Tuple, m)
@@ -98,9 +99,12 @@ func TestPackingKernelsMatchScalar(t *testing.T) {
 				}
 
 				// Tail invariant: lanes past m stay zero everywhere.
-				tailStart := uint((m - perWord) * int(lane))
+				rem := m % perWord
+				if rem == 0 {
+					continue // every lane of the last word is in use
+				}
 				for name, row := range map[string][]uint64{"min": minr, "max": maxr, "bounds": dst} {
-					if hi := row[1] >> tailStart; hi != 0 {
+					if hi := row[p.Words-1] >> uint(rem*int(lane)); hi != 0 {
 						t.Fatalf("lane %d: %s tail lanes nonzero: %#x", lane, name, hi)
 					}
 				}
@@ -110,7 +114,7 @@ func TestPackingKernelsMatchScalar(t *testing.T) {
 }
 
 func TestPackingIncClampMatchesScalar(t *testing.T) {
-	for _, lane := range []uint{Lane8, Lane16} {
+	for _, lane := range []uint{Lane8, Lane16, Lane64} {
 		perWord := 64 / int(lane)
 		m := perWord + 2
 		p := NewPacking(m, lane)
@@ -139,8 +143,10 @@ func TestPackingIncClampMatchesScalar(t *testing.T) {
 							lane, i, vals[i], ub, got, want)
 					}
 				}
-				if tail := row[p.Words-1] >> uint((m-perWord)*int(lane)); tail != 0 {
-					t.Fatalf("lane %d: incclamp tail nonzero: %#x", lane, tail)
+				if rem := m % perWord; rem != 0 {
+					if tail := row[p.Words-1] >> uint(rem*int(lane)); tail != 0 {
+						t.Fatalf("lane %d: incclamp tail nonzero: %#x", lane, tail)
+					}
 				}
 			}
 		}
@@ -148,7 +154,7 @@ func TestPackingIncClampMatchesScalar(t *testing.T) {
 }
 
 func TestPackingFillAndBroadcast(t *testing.T) {
-	for _, lane := range []uint{Lane8, Lane16} {
+	for _, lane := range []uint{Lane8, Lane16, Lane64} {
 		perWord := 64 / int(lane)
 		for _, m := range []int{1, perWord - 1, perWord, perWord + 1, 3*perWord - 2} {
 			p := NewPacking(m, lane)

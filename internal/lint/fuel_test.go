@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/lint"
@@ -19,7 +18,7 @@ import (
 // with the budget named in the blocker, (b) claim nothing from the degraded
 // solutions — no reuse, deadstore, or uninit findings — and (c) report no
 // selfcheck errors, because a truncated solve is exempt from the two-pass
-// bound and both engines degrade identically.
+// bound.
 func TestFuelDegradeToUnknown(t *testing.T) {
 	res := vetExample(t, "../../examples/fig1.loop", &lint.Options{Parallelism: 1, Fuel: 1})
 	if res.FrontEndFailed {
@@ -53,13 +52,12 @@ func TestFuelDegradeToUnknown(t *testing.T) {
 
 // TestFuelDegradeDeterministic is the 50-run determinism sweep of satellite
 // acceptance: with a tiny budget, the rendered vet output over a multi-loop
-// program must be byte-identical across solver engines, parallelism
-// settings, and cache on/off — exhaustion is part of the deterministic
-// semantics, not a race against the scheduler.
+// program must be byte-identical across parallelism settings and cache
+// on/off — exhaustion is part of the deterministic semantics, not a race
+// against the scheduler.
 func TestFuelDegradeDeterministic(t *testing.T) {
 	src := ast.ProgramString(synth.MultiLoopProgram(synth.MultiParams{
 		Seed: 11, Loops: 8, StmtsPer: 6, NestEvery: 3, DistinctBodies: 4, UB: 32}))
-	engines := []dataflow.Engine{dataflow.EnginePacked, dataflow.EngineReference}
 	parallelisms := []int{1, 0, 4}
 	caches := []bool{false, true}
 
@@ -69,7 +67,6 @@ func TestFuelDegradeDeterministic(t *testing.T) {
 	for run := 0; run < 50; run++ {
 		opts := &lint.Options{
 			Fuel:         3,
-			Engine:       engines[run%len(engines)],
 			Parallelism:  parallelisms[(run/2)%len(parallelisms)],
 			DisableCache: caches[(run/6)%len(caches)],
 		}
@@ -90,8 +87,8 @@ func TestFuelDegradeDeterministic(t *testing.T) {
 			continue
 		}
 		if got != want {
-			t.Fatalf("run %d (%s engine, parallelism %d, nocache=%v) diverged:\n--- first run ---\n%s\n--- this run ---\n%s",
-				run, opts.Engine, opts.Parallelism, opts.DisableCache, want, got)
+			t.Fatalf("run %d (parallelism %d, nocache=%v) diverged:\n--- first run ---\n%s\n--- this run ---\n%s",
+				run, opts.Parallelism, opts.DisableCache, want, got)
 		}
 	}
 }

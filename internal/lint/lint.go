@@ -62,13 +62,6 @@ type Context struct {
 	// Src is the original source text when known ("" otherwise); analyzers
 	// use it to build suggested fixes that splice real lines.
 	Src string
-	// Engine is the solver engine the analysis ran under; the self-check
-	// analyzer re-solves with the opposite engine and compares.
-	Engine dataflow.Engine
-	// Fuel is the per-solve budget the analysis ran under (0 = derived
-	// default); the self-check analyzer forwards it to its re-solves so the
-	// cross-engine comparison sees the same degradation.
-	Fuel int64
 }
 
 // Facts returns the loop's range-fact environment (never-nil-safe: every
@@ -149,9 +142,6 @@ type Options struct {
 	CacheDir string
 	// Analyzers restricts the run to the given IDs (nil = all).
 	Analyzers []string
-	// Engine selects the solver implementation (zero value = packed),
-	// forwarded to the driver.
-	Engine dataflow.Engine
 	// Src is the source text being analyzed; Vet fills it so analyzers can
 	// suggest concrete text edits. Callers of Run/RunOn may leave it empty
 	// (fixes are then omitted).
@@ -183,7 +173,6 @@ func Run(file string, prog *ast.Program, opts *Options) ([]diag.Finding, *driver
 		Parallelism:  opts.Parallelism,
 		DisableCache: opts.DisableCache,
 		CacheDir:     opts.CacheDir,
-		Engine:       opts.Engine,
 		Fuel:         opts.Fuel,
 		Assume:       opts.Assume,
 	})
@@ -210,8 +199,6 @@ func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Findin
 			Loop:          la,
 			DefinedBefore: before[la.Loop],
 			Src:           opts.Src,
-			Engine:        opts.Engine,
-			Fuel:          opts.Fuel,
 		}
 		if pa.Metrics != nil && i < len(pa.Metrics.PerLoop) {
 			ctx.Metrics = pa.Metrics.PerLoop[i]

@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/lint"
@@ -122,12 +122,11 @@ func TestRaceSyntheticSweep(t *testing.T) {
 // TestRangefactsVerdictDeterminism renders the race findings of the two
 // examples whose verdicts depend on derived range facts — the certified
 // nest and the guard-resolved symbolic offset — 50 times across
-// parallelism, cache, solver-engine, and fuel settings, and requires
-// byte-for-byte identical output: a facts-assisted proof must not depend
-// on scheduling, memoization, the engine, or a (sufficient) budget.
+// parallelism, cache, and fuel settings, and requires byte-for-byte
+// identical output: a facts-assisted proof must not depend on scheduling,
+// memoization, or a (sufficient) budget.
 func TestRangefactsVerdictDeterminism(t *testing.T) {
 	fuels := []int64{0, 1 << 16, 1 << 20}
-	engines := []dataflow.Engine{"", dataflow.EnginePacked, dataflow.EngineReference}
 	for _, base := range []string{"nest", "guarded_parallel"} {
 		t.Run(base, func(t *testing.T) {
 			path := filepath.Join("..", "..", "examples", base+".loop")
@@ -152,7 +151,6 @@ func TestRangefactsVerdictDeterminism(t *testing.T) {
 				opts := &lint.Options{
 					Parallelism:  1 + run%8,
 					DisableCache: run%2 == 0,
-					Engine:       engines[run%3],
 					Fuel:         fuels[run%len(fuels)],
 				}
 				if got := render(opts); !bytes.Equal(got, want) {
@@ -268,9 +266,9 @@ func TestPermutationCheckCatchesRacyLoop(t *testing.T) {
 }
 
 // TestRaceWitnessDeterminism renders the race findings of the witness
-// examples 50 times across parallelism, cache, and solver-engine settings
-// and requires byte-for-byte identical output: witnesses must not depend
-// on scheduling, memoization, or the engine.
+// examples 50 times across parallelism and cache settings and requires
+// byte-for-byte identical output: witnesses must not depend on scheduling
+// or memoization.
 func TestRaceWitnessDeterminism(t *testing.T) {
 	for _, base := range []string{"race_multidim", "race_negstride", "fig1"} {
 		t.Run(base, func(t *testing.T) {
@@ -289,17 +287,47 @@ func TestRaceWitnessDeterminism(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("no race findings rendered")
 			}
-			engines := []dataflow.Engine{"", dataflow.EnginePacked, dataflow.EngineReference}
 			for run := 0; run < 50; run++ {
 				opts := &lint.Options{
 					Parallelism:  1 + run%8,
 					DisableCache: run%2 == 0,
-					Engine:       engines[run%3],
 				}
 				if got := render(opts); !bytes.Equal(got, want) {
 					t.Fatalf("run %d (%+v) diverged\n-- got --\n%s-- want --\n%s", run, opts, got, want)
 				}
 			}
 		})
+	}
+}
+
+// TestWitnessReplayBeyondStepBudget pins the replay's step-budget bound: a
+// racy witness at iteration 5·10⁹+1 can never replay within the
+// interpreter's step budget, so vet must refuse it up front instead of
+// probing ever larger loop bounds, and still report the same verdicts and
+// severities — a racy warning whose replay failed plus the error-severity
+// bridge failure naming the budget.
+func TestWitnessReplayBeyondStepBudget(t *testing.T) {
+	for _, src := range []string{
+		"do i = 1, n\n  A[i+5000000000] := A[i] + 1\nenddo\n",
+		"do i = 1, n\n  A[i] := A[i+5000000000] + 1\nenddo\n",
+	} {
+		start := time.Now()
+		res := lint.Vet("<far>", src, &lint.Options{Parallelism: 1, Analyzers: []string{"race"}})
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("vet took %v; the replay must give up without probing", elapsed)
+		}
+		var racy, bridge int
+		for _, f := range res.Findings {
+			switch {
+			case f.Severity == diag.Warning && f.Detail["verdict"] == "racy" && f.Detail["replay"] == "failed":
+				racy++
+			case f.Severity == diag.Error && strings.Contains(f.Message, "step replay budget"):
+				bridge++
+			}
+		}
+		if racy != 1 || bridge != 1 {
+			t.Errorf("%q: %d failed-replay racy warnings and %d budget bridge failures, want 1 and 1: %v",
+				src, racy, bridge, res.Findings)
+		}
 	}
 }

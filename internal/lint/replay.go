@@ -157,8 +157,14 @@ func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
 // realizeTrip binds every free scalar of the program to a deterministic
 // value such that the given loop executes at least need iterations,
 // growing the free scalars of the loop bound geometrically until the trip
-// count (observed by actually running the program) suffices.
+// count (observed by actually running the program) suffices. Every
+// iteration costs at least one interpreter step, so a need beyond the step
+// budget is refused up front, and growth stops at the first probe that ran
+// out of steps: a larger bound only needs more of them.
 func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]int64, error) {
+	if need > dynamicMaxSteps {
+		return nil, fmt.Errorf("cannot drive the loop to iteration %d within the %d-step replay budget", need, dynamicMaxSteps)
+	}
 	free := freeScalars(prog)
 	env := make(map[string]int64, len(free))
 	for k, name := range free {
@@ -170,7 +176,7 @@ func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]in
 		if trip >= need {
 			return env, nil
 		}
-		if attempt >= 20 || len(hiIDs) == 0 {
+		if attempt >= 20 || len(hiIDs) == 0 || interp.IsStepLimit(err) {
 			if err != nil {
 				return nil, fmt.Errorf("cannot drive the loop to iteration %d: %v", need, err)
 			}

@@ -12,7 +12,7 @@
 //     dimensions (dim(A,k) ≥ 1), and caller-supplied assumptions (the Go
 //     front end seeds len() operands as n ≥ 0);
 //   - per-symbol intervals: a fixpoint of the relational facts computed by
-//     the same contract the dataflow engines honor — deterministic
+//     the same contract the dataflow solver honors — deterministic
 //     iteration order, monotone narrowing, and a fuel budget whose
 //     exhaustion degrades to the claim-nothing answer (every query
 //     returns "unknown", never a wrong bound).

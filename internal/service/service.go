@@ -25,7 +25,7 @@
 // Retry-After estimate. Oversized bodies are refused with 413 before any
 // parsing. Adversarial inputs therefore degrade to bounded-latency
 // refusals, never unbounded solves. Responses are byte-identical to the
-// corresponding CLI output at every worker/cache/engine setting; identical
+// corresponding CLI output at every worker/cache setting; identical
 // loops across concurrent requests coalesce in the driver's sharded,
 // singleflight memo cache, so a hot loop body is solved once no matter how
 // many clients send it.
@@ -57,8 +57,8 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: GOMAXPROCS
-// workers, a 256-deep queue, a 10-second deadline, a 1 MiB body cap, the
-// packed engine, and the process-global memo cache enabled.
+// workers, a 256-deep queue, a 10-second deadline, a 1 MiB body cap, and
+// the process-global memo cache enabled.
 type Options struct {
 	// Workers caps the number of requests analyzed concurrently
 	// (0 = GOMAXPROCS). Each admitted request runs the driver serially;
@@ -88,8 +88,6 @@ type Options struct {
 	// re-solving them cold; /v1/stats reports the disk traffic. "" keeps
 	// the cache memory-only. Ignored under DisableCache.
 	CacheDir string
-	// Engine selects the solver implementation (zero value = packed).
-	Engine dataflow.Engine
 	// Fuel bounds every per-loop solve (0 = derived default, see
 	// dataflow.Options.Fuel). It complements Deadline: the deadline refuses
 	// work that cannot start in time, while fuel caps how much solver work
@@ -274,15 +272,14 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (string, bool)
 }
 
 // driverOptions builds the per-request driver options: serial within the
-// request (concurrency comes from the request fan-out), shared cache and
-// engine per server configuration. The cache cap was applied once by New.
+// request (concurrency comes from the request fan-out), shared cache per
+// server configuration. The cache cap was applied once by New.
 func (s *Server) driverOptions(vectors bool) *driver.Options {
 	return &driver.Options{
 		NestVectors:  vectors,
 		Parallelism:  1,
 		DisableCache: s.opts.DisableCache,
 		CacheDir:     s.opts.CacheDir,
-		Engine:       s.opts.Engine,
 		Fuel:         s.opts.Fuel,
 	}
 }
@@ -396,7 +393,6 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		Parallelism:  1,
 		DisableCache: s.opts.DisableCache,
 		CacheDir:     s.opts.CacheDir,
-		Engine:       s.opts.Engine,
 		Fuel:         s.opts.Fuel,
 		Werror:       queryBool(r, "werror", false),
 		Assume:       assume,
@@ -466,11 +462,10 @@ type Stats struct {
 
 	// Workers, MaxQueue, DeadlineMS, and MaxBodyBytes echo the resolved
 	// configuration, so operators can read limits off a live process.
-	Workers      int    `json:"workers"`
-	MaxQueue     int    `json:"max_queue"`
-	DeadlineMS   int64  `json:"deadline_ms"`
-	MaxBodyBytes int64  `json:"max_body_bytes"`
-	Engine       string `json:"engine"`
+	Workers      int   `json:"workers"`
+	MaxQueue     int   `json:"max_queue"`
+	DeadlineMS   int64 `json:"deadline_ms"`
+	MaxBodyBytes int64 `json:"max_body_bytes"`
 	// Fuel echoes the configured per-solve budget (0 = derived default).
 	Fuel int64 `json:"fuel"`
 
@@ -567,7 +562,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxQueue:      s.opts.MaxQueue,
 		DeadlineMS:    s.opts.Deadline.Milliseconds(),
 		MaxBodyBytes:  s.opts.MaxBody,
-		Engine:        engineName(s.opts.Engine),
 		Fuel:          s.opts.Fuel,
 
 		Completed:           s.counters.completed.Load(),
@@ -610,14 +604,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(st)
-}
-
-// engineName renders the engine for stats (zero value = packed).
-func engineName(e dataflow.Engine) string {
-	if e == "" {
-		return string(dataflow.EnginePacked)
-	}
-	return string(e)
 }
 
 // frontEnd runs parse → check → normalize, rendering every positioned

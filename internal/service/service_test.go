@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/goimport"
@@ -168,7 +167,7 @@ func TestVetAssume(t *testing.T) {
 }
 
 // TestHTTPDeterminism replays the full corpus 50× against servers configured
-// with every worker/cache/engine combination and demands byte-identical
+// with every worker/cache combination and demands byte-identical
 // responses throughout — the CLI determinism guarantee extended across the
 // HTTP boundary.
 func TestHTTPDeterminism(t *testing.T) {
@@ -182,13 +181,11 @@ func TestHTTPDeterminism(t *testing.T) {
 		{"w4-cache", Options{Workers: 4}},
 		{"w4-nocache", Options{Workers: 4, DisableCache: true}},
 		{"w4-cap8", Options{Workers: 4, CacheCap: 8}},
-		{"w2-reference", Options{Workers: 2, Engine: dataflow.EngineReference}},
 	}
 	const runs = 50
 
 	// Reference bodies come from the first configuration; every other
-	// configuration — reference engine included — and every later run must
-	// reproduce them byte for byte.
+	// configuration and every later run must reproduce them byte for byte.
 	want := map[string]string{}
 	for _, cfg := range configs {
 		_, ts := newTestServer(t, &cfg.opts)
@@ -591,6 +588,20 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.Workers <= 0 || st.DeadlineMS <= 0 {
 		t.Fatalf("config echo missing: %+v", st)
+	}
+	// The configuration echo names only settings that exist: there is one
+	// solver, so no engine key.
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["engine"]; ok {
+		t.Errorf("/v1/stats still reports an engine key: %v", raw["engine"])
 	}
 }
 

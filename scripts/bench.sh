@@ -9,8 +9,9 @@
 # point (cmd/benchjson -diff): per-benchmark deltas beyond 10% ns/op are
 # reported as an ADVISORY note — absolute ns/op against a checked-in
 # snapshot moves with the machine, so drift alone must not fail the run.
-# The hard failure is the gate (cmd/benchjson -gate): every packed-engine
-# ScalingLinear point must stay within 1.25x of its BENCH_PR4.json ns/op.
+# The hard failure is the gate (cmd/benchjson -gate): every
+# ScalingLinear/…/packed point must stay within 1.25x of its
+# BENCH_PR4.json ns/op.
 # The gated points were recorded 2-4x *under* that baseline, so the gate
 # has real headroom on any reasonable machine and firing means the
 # word-packed solver's headline wins actually eroded. A second hard
@@ -32,7 +33,7 @@
 # Usage: scripts/bench.sh [output.json]
 #
 # Environment:
-#   BENCH_PATTERN      benchmark regexp (default: the solver engine suite)
+#   BENCH_PATTERN      benchmark regexp (default: the solver suite)
 #   BENCH_TIME         go test -benchtime value (default 1s; CI may lower it)
 #   BENCH_BASELINE     baseline snapshot to diff against, advisory only
 #                      (default BENCH_PR4.json; set empty to skip the diff)
