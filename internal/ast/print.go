@@ -12,15 +12,18 @@ import (
 // fingerprint of a statement is computed over exactly the bytes StmtString
 // would produce — without materializing the string.
 type sink interface {
-	Write(p []byte) (int, error)
 	WriteString(s string) (int, error)
 	WriteByte(c byte) error
 }
 
-// writeInt writes the decimal rendering of v without allocating.
+// writeInt writes the decimal rendering of v without allocating. The
+// digits go out byte by byte: handing the stack buffer itself to the sink
+// interface would move it to the heap on every call.
 func writeInt(b sink, v int64) {
 	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], v, 10))
+	for _, c := range strconv.AppendInt(buf[:0], v, 10) {
+		b.WriteByte(c)
+	}
 }
 
 // writeIndent writes two spaces per depth level.
@@ -35,6 +38,13 @@ func ExprString(e Expr) string {
 	var b strings.Builder
 	writeExpr(&b, e, 0)
 	return b.String()
+}
+
+// WriteExpr writes the rendering ExprString returns to b, so callers that
+// assemble larger lines render in place instead of through a temporary
+// string.
+func WriteExpr(b *strings.Builder, e Expr) {
+	writeExpr(b, e, 0)
 }
 
 // Operator precedence levels for printing (higher binds tighter).

@@ -151,7 +151,7 @@ func MustReachingDefs(g *ir.Graph, opts *Options) *Result {
 				// keep the intersection as computed (empty from exit).
 			}
 			in[nd.ID] = acc
-			newOut := transfer(nd, g, res.Classes, acc, limit)
+			newOut := transfer(nd, g, fw, acc, limit)
 			if !newOut.equal(out[nd.ID]) {
 				out[nd.ID] = newOut
 				changed = true
@@ -167,8 +167,10 @@ func MustReachingDefs(g *ir.Graph, opts *Options) *Result {
 	return res
 }
 
-// transfer applies node effects to a fact set.
-func transfer(nd *ir.Node, g *ir.Graph, classes []*dataflow.Class, in FactSet, limit int64) FactSet {
+// transfer applies node effects to a fact set. fw supplies the tracked
+// classes: a killer pairs only with the classes over its own array, and a
+// generating definition with its own class.
+func transfer(nd *ir.Node, g *ir.Graph, fw *dataflow.Result, in FactSet, limit int64) FactSet {
 	out := in.clone()
 
 	if nd.Kind == ir.KindExit {
@@ -195,11 +197,8 @@ func transfer(nd *ir.Node, g *ir.Graph, classes []*dataflow.Class, in FactSet, l
 		if r.Kind != ir.Def {
 			continue
 		}
-		for ci, c := range classes {
-			if c.Array != r.Array {
-				continue
-			}
-			ds := out[ci]
+		for _, c := range fw.ClassesOf(r.Array) {
+			ds := out[c.Index]
 			for d := range ds {
 				if killsAt(c, r, d, g) {
 					delete(ds, d)
@@ -210,18 +209,13 @@ func transfer(nd *ir.Node, g *ir.Graph, classes []*dataflow.Class, in FactSet, l
 
 	// Gen: definitions occurring here add the distance-0 instance.
 	for _, r := range nd.Refs {
-		if r.Kind != ir.Def || !r.Affine || r.FromInner {
-			continue
-		}
-		for ci, c := range classes {
-			if sameForm(c, r) {
-				cd := out[ci]
-				if cd == nil {
-					cd = map[int64]bool{}
-					out[ci] = cd
-				}
-				cd[0] = true
+		if c := fw.ClassOf(r); c != nil {
+			cd := out[c.Index]
+			if cd == nil {
+				cd = map[int64]bool{}
+				out[c.Index] = cd
 			}
+			cd[0] = true
 		}
 	}
 	return out

@@ -31,3 +31,11 @@ func CompiledClamps(g *ir.Graph, spec *Spec, opts *Options) ([]Clamp, uint) {
 
 // LaneWidth reports the lane width res's rows are packed at.
 func LaneWidth(res *Result) uint { return res.pk.Lane }
+
+// PreserveMemoCells compiles spec on g exactly as Solve does and returns
+// the number of cells the compile's preserve memo laid out.
+func PreserveMemoCells(g *ir.Graph, spec *Spec) int {
+	sc := NewScratch()
+	newSolveCtx(g).prepare(spec, &Options{}, sc)
+	return len(sc.dists)
+}

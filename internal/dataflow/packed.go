@@ -517,7 +517,8 @@ func (st *solver) degrade() {
 // compile folds every (node, class) flow function to its clamp and returns
 // the non-identity ones as a sparse list (in the scratch's storage, valid
 // until the next compile on it). Class membership is decided by the
-// table's dense refClass array; no maps are consulted.
+// table's dense refClass array, a killer's candidate classes by its
+// per-array index.
 func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, facts RangeOracle, sc *Scratch) []clamp {
 	g := ctx.g
 	m := len(ct.classes)
@@ -531,7 +532,6 @@ func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, fact
 	clear(stamp)
 	cmp := compiler{
 		out:  sc.clamps[:0],
-		m:    m,
 		g:    g,
 		spec: spec,
 		ct:   ct,
@@ -554,11 +554,14 @@ func (ctx *solveCtx) compile(spec *Spec, ct *classTable, prZero [][]uint64, fact
 				stamp[ci] = id
 				cmp.compileSlot(nd, ct.classes[ci], prZero[ci])
 			}
-			if spec.Kill(r) {
-				for _, ci := range ct.byArray[r.Array] {
-					if stamp[ci] != id {
-						stamp[ci] = id
-						cmp.compileSlot(nd, ct.classes[ci], prZero[ci])
+			if !spec.Kill(r) {
+				continue
+			}
+			if a, ok := ct.arrayOf[r.Array]; ok {
+				for _, c := range ct.arrays[a] {
+					if stamp[c.Index] != id {
+						stamp[c.Index] = id
+						cmp.compileSlot(nd, c, prZero[c.Index])
 					}
 				}
 			}
@@ -578,7 +581,6 @@ type compiler struct {
 	want     int32
 	genSeen  bool
 	lo, hi   lattice.Dist
-	m        int
 	g        *ir.Graph
 	spec     *Spec
 	ct       *classTable
@@ -586,71 +588,98 @@ type compiler struct {
 	kctxBase KillContext // May/Backward/UB fixed per solve; Pr set per emit
 
 	// Preserve memoization: a killing reference's preserve distance against
-	// a class depends only on the two affine forms and the pr bit, so every
-	// affine killer gets a form ID (its class index when classified, a table
-	// slot past m otherwise) and PreserveConst runs once per
-	// (class, form, pr) triple instead of once per folded cap.
-	fid      []int32     // ref ID → form ID, -1 when not an affine killer
-	extra    []extraForm // forms of affine killers outside every class
-	memo     []lattice.Dist
-	memoDone []uint64
+	// a class depends only on the two affine forms and the pr bit, and it
+	// exists only when both are over the same array. So every affine killer
+	// over an array with classes gets a form ID within its array (its
+	// class's position when classified, kₐ plus a per-array slot otherwise),
+	// and PreserveConst runs once per (class, form, pr) triple instead of
+	// once per folded cap. Each array owns a memo block of (kₐ + extraₐ)·2·kₐ
+	// cells at base[a], addressed (form·2 + pr)·kₐ + the class's position;
+	// slot caches base[a] plus the current class's position, stride its kₐ.
+	// The memo totals Σₐ (kₐ + extraₐ)·2·kₐ cells, linear in the references
+	// when each array has few classes.
+	fid          []int32 // ref ID → form ID within its array, -1 when unused
+	base         []int
+	slot, stride int
+	memo         []lattice.Dist
+	memoDone     []uint64
 }
 
+// extraForm is the affine form of killers outside every class, chained per
+// array: id is the form ID within the array, next the array's previous
+// extra form (-1 ends the chain).
 type extraForm struct {
-	array string
-	form  sema.AffineForm
+	form     sema.AffineForm
+	id, next int32
 }
 
 // buildForms assigns form IDs to every reference that can kill with an
-// affine subscript and sizes the preserve memo in the scratch's storage.
+// affine subscript and lays out the per-array preserve memo in the
+// scratch's storage. Killers over arrays without classes cap nothing and
+// get no form ID; extra forms are deduplicated within their array's chain
+// only.
 func (e *compiler) buildForms(sc *Scratch) {
-	g := e.g
+	g, ct := e.g, e.ct
+	na := len(ct.arrays)
+	nExtra := grow(&sc.ints[2], na)
+	clear(nExtra)
+	head := grow(&sc.ints[3], na)
+	for a := range head {
+		head[a] = -1
+	}
+	extra := sc.extra[:0]
 	e.fid = grow(&sc.ints[1], len(g.Refs)+1)
 	for _, r := range g.Refs {
 		e.fid[r.ID] = -1
 		if !r.Affine || r.FromInner || !e.spec.Kill(r) {
 			continue
 		}
-		if ci := e.ct.refClass[r.ID]; ci >= 0 {
-			e.fid[r.ID] = ci
+		if ci := ct.refClass[r.ID]; ci >= 0 {
+			e.fid[r.ID] = ct.classPos[ci]
+			continue
+		}
+		a, ok := ct.arrayOf[r.Array]
+		if !ok {
 			continue
 		}
 		id := int32(-1)
-		for k := range e.extra {
-			x := &e.extra[k]
-			if x.array == r.Array && x.form.A.Equal(r.Form.A) && x.form.B.Equal(r.Form.B) {
-				id = int32(e.m + k)
+		for x := head[a]; x >= 0; x = extra[x].next {
+			if extra[x].form.A.Equal(r.Form.A) && extra[x].form.B.Equal(r.Form.B) {
+				id = extra[x].id
 				break
 			}
 		}
 		if id < 0 {
-			id = int32(e.m + len(e.extra))
-			e.extra = append(e.extra, extraForm{r.Array, r.Form})
+			id = int32(len(ct.arrays[a])) + nExtra[a]
+			nExtra[a]++
+			extra = append(extra, extraForm{form: r.Form, id: id, next: head[a]})
+			head[a] = int32(len(extra) - 1)
 		}
 		e.fid[r.ID] = id
 	}
-	cells := (e.m + len(e.extra)) * 2 * e.m
+	sc.extra = extra
+	e.base = grow(&sc.base, na)
+	cells := 0
+	for a, cs := range ct.arrays {
+		e.base[a] = cells
+		k := len(cs)
+		cells += (k + int(nExtra[a])) * 2 * k
+	}
 	e.memo = grow(&sc.dists, cells)
 	e.memoDone = grow(&sc.words[4], (cells+63)/64)
 	clear(e.memoDone)
 }
 
-// formOf returns the affine form behind a form ID.
-func (e *compiler) formOf(f int) sema.AffineForm {
-	if f < e.m {
-		return e.ct.classes[f].Form
-	}
-	return e.extra[f-e.m].form
-}
-
 // preserve returns the memoized PreserveConst result for the current class
-// against form ID f at the given pr.
-func (e *compiler) preserve(f int, pr int64) lattice.Dist {
-	idx := (f*2+int(pr))*e.m + int(e.want)
+// against the affine killer r, whose form ID within the class's array is
+// f, at the given pr. Killers sharing a form ID have Equal forms, so
+// whichever reaches a cell first computes it for all.
+func (e *compiler) preserve(r *ir.Ref, f int, pr int64) lattice.Dist {
+	idx := e.slot + (f*2+int(pr))*e.stride
 	if !bitGet(e.memoDone, idx) {
 		kctx := e.kctxBase
 		kctx.Pr = pr
-		e.memo[idx] = PreserveConst(e.c.Form, e.formOf(f), true, kctx)
+		e.memo[idx] = PreserveConst(e.c.Form, r.Form, true, kctx)
 		bitSet(e.memoDone, idx)
 	}
 	return e.memo[idx]
@@ -665,13 +694,15 @@ func (e *compiler) preserve(f int, pr int64) lattice.Dist {
 func (e *compiler) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) {
 	e.want = int32(c.Index)
 	e.c = c
+	a := e.ct.classArr[c.Index]
+	e.stride = len(e.ct.arrays[a])
+	e.slot = e.base[a] + int(e.ct.classPos[c.Index])
 	e.genSeen = false
 	e.lo, e.hi = lattice.None(), lattice.All()
 	e.nodePr = 1
 	if bitGet(prZeroC, nd.ID) {
 		e.nodePr = 0
 	}
-
 	if nd.Kind != ir.KindSummary {
 		e.walk(nd, 2, e.spec.Backward)
 	} else {
@@ -737,7 +768,7 @@ func (e *compiler) fold(r *ir.Ref, isMember bool) {
 	}
 	var p lattice.Dist
 	if f := e.fid[r.ID]; f >= 0 {
-		p = e.preserve(int(f), pr)
+		p = e.preserve(r, int(f), pr)
 	} else {
 		kctx := e.kctxBase
 		kctx.Pr = pr

@@ -27,10 +27,16 @@ type Scratch struct {
 	visited []bool
 	mask    []byte
 	// words are the per-solve word rows (LO, HI, GEN, one-row scratch,
-	// preserve memo bits); ints the compiler's candidate stamps and form
-	// IDs; dists the preserve memo; clamps the compiled clamp list.
+	// preserve memo bits); ints the compiler's candidate stamps, form IDs,
+	// and per-array extra-form counts and chain heads; extra the extra
+	// killer forms; base the per-array memo block offsets; dists the
+	// preserve memo; clamps the compiled clamp list. Keeping the per-array
+	// layout here, not per compile, is what keeps a warm worker's compiles
+	// allocation-free.
 	words  [5][]uint64
-	ints   [2][]int32
+	ints   [4][]int32
+	extra  []extraForm
+	base   []int
 	dists  []lattice.Dist
 	clamps []clamp
 }

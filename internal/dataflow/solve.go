@@ -3,7 +3,6 @@ package dataflow
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,10 +48,23 @@ type Class struct {
 // String renders the class by its first member's textual reference,
 // e.g. "C[i + 2]" or "X[i + 1, j]".
 func (c *Class) String() string {
+	var b strings.Builder
+	c.WriteTo(&b)
+	return b.String()
+}
+
+// WriteTo writes the rendering String returns to b without formatting
+// through fmt; a class without members (only hand-built ones) renders its
+// array and affine form.
+func (c *Class) WriteTo(b *strings.Builder) {
 	if len(c.Members) > 0 {
-		return ast.ExprString(c.Members[0].Expr)
+		ast.WriteExpr(b, c.Members[0].Expr)
+		return
 	}
-	return fmt.Sprintf("%s[%s]", c.Array, c.Form)
+	b.WriteString(c.Array)
+	b.WriteByte('[')
+	b.WriteString(c.Form.String())
+	b.WriteByte(']')
 }
 
 // Result is the fixed point solution of one problem instance on one graph.
@@ -60,8 +72,7 @@ type Result struct {
 	Graph   *ir.Graph
 	Spec    *Spec
 	Classes []*Class
-	// ct is the class table behind Classes/ClassOf; ClassFor answers from
-	// its lazily built key index in O(1) instead of a scan per query.
+	// ct is the class table behind Classes, ClassOf and ClassesOf.
 	ct *classTable
 	// prZero holds one bitset per class over node IDs with pr(class, node)
 	// = 0; Pr answers from it without touching the members.
@@ -271,58 +282,38 @@ func SolveAll(g *ir.Graph, specs []*Spec, opts *Options) []*Result {
 	return out
 }
 
-// classKey identifies a tracked class by array name and the canonical
-// renderings of its affine coefficients (poly.String is deterministic, so
-// equal polynomials render equally).
-type classKey struct {
-	array string
-	a, b  string
-}
-
 // classTable is the class discovery for one generate predicate on one
 // graph: the classes in first-occurrence order, a dense ref-ID →
 // class-index array that replaces per-ref map lookups (-1 = not a member),
-// and the lazily built key index behind ClassFor.
+// and the per-array index.
 type classTable struct {
 	classes  []*Class
 	refClass []int32
-	// byArray maps an array name to the indices of its classes: discovery
-	// compares subscripts only within one array's classes, and the packed
-	// compiler uses it to visit only the classes a node can affect.
-	byArray map[string][]int32
-
-	// byKey indexes classes by (array, affine form renderings) for
-	// ClassFor. It is built once, on first lookup, because rendering the
-	// polynomial keys costs more than the rest of class discovery combined
-	// and most solves (benchmarks, whole-program passes without lint) never
-	// call ClassFor at all.
-	byKeyOnce sync.Once
-	byKey     map[classKey]*Class
-}
-
-// lookup finds the class for (array, form), building the key index on
-// first use. Safe for concurrent callers on a finished table.
-func (ct *classTable) lookup(array string, form sema.AffineForm) *Class {
-	ct.byKeyOnce.Do(func() {
-		ct.byKey = make(map[classKey]*Class, len(ct.classes))
-		for _, c := range ct.classes {
-			ct.byKey[classKey{c.Array, c.Form.A.String(), c.Form.B.String()}] = c
-		}
-	})
-	return ct.byKey[classKey{array, form.A.String(), form.B.String()}]
+	// arrays holds each array's classes in class order, arrays in the order
+	// of their first class; arrayOf maps an array name to its position in
+	// arrays, and classArr/classPos give each class's array position and
+	// its position within that array's list. A preserve distance exists
+	// only between a class and a killer over the same array, so everything
+	// that pairs the two goes through this index: discovery compares
+	// subscripts within one array's classes, the compiler visits only the
+	// classes over a killer's array, the preserve memo is laid out one
+	// block per array, and ClassesOf answers the reuse extractors.
+	arrays             [][]*Class
+	arrayOf            map[string]int32
+	classArr, classPos []int32
 }
 
 // buildClassTable groups the generating references of g under gen into
 // equivalence classes (same array, same affine subscript form). Grouping
 // compares polynomials with Equal, but only within the reference's own
-// array's classes (the byArray index): cross-array comparisons can never
+// array's classes (the per-array index): cross-array comparisons can never
 // match, and on wide problems (every statement its own array) they made
 // discovery quadratic in the class count.
 func buildClassTable(g *ir.Graph, gen func(*ir.Ref) bool) *classTable {
 	ct := &classTable{
 		classes:  make([]*Class, 0, 8),
 		refClass: make([]int32, len(g.Refs)+1),
-		byArray:  make(map[string][]int32),
+		arrayOf:  make(map[string]int32),
 	}
 	for i := range ct.refClass {
 		ct.refClass[i] = -1
@@ -334,9 +325,14 @@ func buildClassTable(g *ir.Graph, gen func(*ir.Ref) bool) *classTable {
 		if !gen(r) || !r.Affine || r.FromInner {
 			continue
 		}
+		a, ok := ct.arrayOf[r.Array]
+		if !ok {
+			a = int32(len(ct.arrays))
+			ct.arrayOf[r.Array] = a
+			ct.arrays = append(ct.arrays, nil)
+		}
 		var c *Class
-		for _, ci := range ct.byArray[r.Array] {
-			cand := ct.classes[ci]
+		for _, cand := range ct.arrays[a] {
 			if cand.Form.A.Equal(r.Form.A) && cand.Form.B.Equal(r.Form.B) {
 				c = cand
 				break
@@ -345,7 +341,7 @@ func buildClassTable(g *ir.Graph, gen func(*ir.Ref) bool) *classTable {
 		if c == nil {
 			c = &Class{Index: len(ct.classes), Array: r.Array, Form: r.Form}
 			ct.classes = append(ct.classes, c)
-			ct.byArray[r.Array] = append(ct.byArray[r.Array], int32(c.Index))
+			ct.arrays[a] = append(ct.arrays[a], c)
 		}
 		ct.refClass[r.ID] = int32(c.Index)
 		total++
@@ -373,6 +369,15 @@ func buildClassTable(g *ir.Graph, gen func(*ir.Ref) bool) *classTable {
 	}
 	for i, c := range ct.classes {
 		c.Members = backing[counts[i]:counts[i+1]:counts[i+1]]
+	}
+	// Pass 3: each class's array and position within it, in one backing.
+	m := len(ct.classes)
+	place := make([]int32, 2*m)
+	ct.classArr, ct.classPos = place[:m:m], place[m:]
+	for a, cs := range ct.arrays {
+		for pos, c := range cs {
+			ct.classArr[c.Index], ct.classPos[c.Index] = int32(a), int32(pos)
+		}
 	}
 	return ct
 }
@@ -482,15 +487,16 @@ func (res *Result) InAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(0,
 // OutAt returns the fixed point OUT value of class c at node nd.
 func (res *Result) OutAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(1, nd.ID, c.Index) }
 
-// ClassFor finds the class tracking the given array and affine form, if
-// any. The lookup is a single map access against a key index built once on
-// first use — analyzers calling it once per finding no longer pay a scan
-// over every class.
-func (res *Result) ClassFor(array string, form sema.AffineForm) *Class {
-	if res.ct == nil {
-		return nil
+// ClassesOf returns the classes over the named array in class order (nil
+// when it has none), from the class table's per-array index: reuse and
+// dependence queries pair a reference only with classes over its own
+// array, so they never scan the others. The slice is shared; callers must
+// treat it as read-only.
+func (res *Result) ClassesOf(array string) []*Class {
+	if a, ok := res.ct.arrayOf[array]; ok {
+		return res.ct.arrays[a]
 	}
-	return res.ct.lookup(array, form)
+	return nil
 }
 
 // Pr returns pr(class, n) — 0 when a member of the class occurs in a node

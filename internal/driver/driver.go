@@ -523,7 +523,9 @@ func (pa *ProgramAnalysis) Report() string {
 	for _, la := range pa.Loops {
 		fmt.Fprintf(&b, "loop %s (depth %d, %d nodes):\n", la.Loop.Var, la.Depth, len(la.Graph().Nodes))
 		for _, r := range la.Reuses() {
-			fmt.Fprintf(&b, "  reuse: %s\n", r)
+			b.WriteString("  reuse: ")
+			r.WriteTo(&b)
+			b.WriteByte('\n')
 		}
 		wrt := la.WRT()
 		ivs := make([]string, 0, len(wrt))
@@ -533,7 +535,11 @@ func (pa *ProgramAnalysis) Report() string {
 		sort.Strings(ivs)
 		for _, iv := range ivs {
 			for _, r := range wrt[iv] {
-				fmt.Fprintf(&b, "  reuse wrt %s: %s\n", iv, r)
+				b.WriteString("  reuse wrt ")
+				b.WriteString(iv)
+				b.WriteString(": ")
+				r.WriteTo(&b)
+				b.WriteByte('\n')
 			}
 		}
 	}

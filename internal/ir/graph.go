@@ -16,7 +16,6 @@ package ir
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -226,8 +225,9 @@ type Graph struct {
 	// backing array.
 	doms     []uint64
 	domWords int
-	// rpo caches the reverse postorder (computed lazily; solvers request it
-	// once per problem instance).
+	// rpo caches the reverse postorder (built with the reachability
+	// matrices, whose DPs walk it; solvers request it once per problem
+	// instance).
 	rpo []*Node
 }
 
@@ -574,41 +574,52 @@ func (b *builder) addRef(n *Node, kind RefKind, expr *ast.ArrayRef, fromInner bo
 // predicate. The exit→entry back edge is excluded, so the relation is a DAG
 // reachability: bit j of row i ⇔ node i strictly precedes node j on some
 // path. Both the forward matrix and its transpose are built, packed 64 node
-// IDs per word.
+// IDs per word, by two word-parallel dynamic programs over the body DAG:
+//
+//   - reach(v) = ∪ over successors s of {s} ∪ reach(s), in reverse
+//     topological order, with the exit contributing nothing (its only
+//     successor is the back edge's target);
+//   - reachT(v) = ∪ over predecessors p ≠ exit of {p} ∪ reachT(p), in
+//     topological order.
+//
+// Every node is reachable from the entry in a structured body, so the
+// reverse postorder is a topological order of the body DAG: each row is
+// finished before any row that reads it. An edge costs one OR per row
+// word, O(e·n/64) word operations in all.
 func (g *Graph) computeReach() {
 	n := len(g.Nodes)
-	g.bitWords = (n + 1 + 63) / 64
-	g.reach = make([]uint64, (n+1)*g.bitWords)
-	// DFS from each node over body edges.
-	stack := make([]*Node, 0, n)
-	for _, src := range g.Nodes {
-		row := g.reach[src.ID*g.bitWords : (src.ID+1)*g.bitWords]
-		stack = append(stack[:0], src)
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cur == g.Exit {
-				continue // skip back edge
-			}
-			for _, s := range cur.Succs {
-				if row[s.ID>>6]&(1<<(uint(s.ID)&63)) == 0 {
-					row[s.ID>>6] |= 1 << (uint(s.ID) & 63)
-					stack = append(stack, s)
-				}
-			}
+	w := (n + 1 + 63) / 64
+	g.bitWords = w
+	g.reach = make([]uint64, (n+1)*w)
+	g.reachT = make([]uint64, (n+1)*w)
+	order := g.RPO()
+	for k := len(order) - 1; k >= 0; k-- {
+		v := order[k]
+		if v == g.Exit {
+			continue
+		}
+		row := g.reach[v.ID*w : (v.ID+1)*w]
+		for _, s := range v.Succs {
+			orRow(row, g.reach[s.ID*w:(s.ID+1)*w])
+			row[s.ID>>6] |= 1 << (uint(s.ID) & 63)
 		}
 	}
-	// Transpose.
-	g.reachT = make([]uint64, (n+1)*g.bitWords)
-	for i := 1; i <= n; i++ {
-		row := g.reach[i*g.bitWords : (i+1)*g.bitWords]
-		for w, word := range row {
-			for word != 0 {
-				j := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				g.reachT[j*g.bitWords+(i>>6)] |= 1 << (uint(i) & 63)
+	for _, v := range order {
+		row := g.reachT[v.ID*w : (v.ID+1)*w]
+		for _, p := range v.Preds {
+			if p == g.Exit {
+				continue // the back edge
 			}
+			orRow(row, g.reachT[p.ID*w:(p.ID+1)*w])
+			row[p.ID>>6] |= 1 << (uint(p.ID) & 63)
 		}
+	}
+}
+
+// orRow ORs src into dst word by word.
+func orRow(dst, src []uint64) {
+	for i := range dst {
+		dst[i] |= src[i]
 	}
 }
 
@@ -653,15 +664,14 @@ func (g *Graph) Dominates(a, b *Node) bool {
 }
 
 // Precompute forces every lazily-built relation (currently the dominator
-// sets; body reachability is already built eagerly). A graph that has been
-// precomputed is never mutated by queries again, so it can be shared
-// read-only across goroutines — the memoizing driver publishes graphs to
-// its cache only after calling this.
+// sets; body reachability and the reverse postorder are built with the
+// graph). A graph that has been precomputed is never mutated by queries
+// again, so it can be shared read-only across goroutines — the memoizing
+// driver publishes graphs to its cache only after calling this.
 func (g *Graph) Precompute() {
 	if g.doms == nil {
 		g.computeDominators()
 	}
-	g.RPO()
 }
 
 // computeDominators runs the standard iterative dominator computation over

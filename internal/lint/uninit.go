@@ -107,10 +107,7 @@ func uninitGapFinding(u *ir.Ref, r problems.Reuse) diag.Finding {
 func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 	var best *dataflow.Class
 	bestDist := int64(-1)
-	for _, cl := range res.Classes {
-		if cl.Array != u.Array {
-			continue
-		}
+	for _, cl := range res.ClassesOf(u.Array) {
 		d, ok := problems.ClassDistance(cl, u)
 		if !ok {
 			continue

@@ -5,6 +5,8 @@ package problems
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -89,8 +91,24 @@ type Reuse struct {
 
 // String renders e.g. "use C[i] reuses C[i+2] @ distance 2".
 func (r Reuse) String() string {
-	return fmt.Sprintf("%s %s@n%d reuses %s @ distance %d",
-		r.At.Kind, ast.ExprString(r.At.Expr), r.At.Node.ID, r.From, r.Distance)
+	var b strings.Builder
+	r.WriteTo(&b)
+	return b.String()
+}
+
+// WriteTo writes the rendering String returns to b. It formats nothing
+// through fmt, so a report renders each reuse line in place.
+func (r Reuse) WriteTo(b *strings.Builder) {
+	var num [20]byte
+	b.WriteString(r.At.Kind.String())
+	b.WriteByte(' ')
+	ast.WriteExpr(b, r.At.Expr)
+	b.WriteString("@n")
+	b.Write(strconv.AppendInt(num[:0], int64(r.At.Node.ID), 10))
+	b.WriteString(" reuses ")
+	r.From.WriteTo(b)
+	b.WriteString(" @ distance ")
+	b.Write(strconv.AppendInt(num[:0], r.Distance, 10))
 }
 
 // FindReuses inspects a must-problem solution (must-reaching definitions or
@@ -111,18 +129,14 @@ func FindReuses(res *dataflow.Result) []Reuse {
 		if u.Kind != ir.Use || !u.Affine || u.FromInner {
 			continue
 		}
-		out = append(out, reusesAt(res, u)...)
+		out = appendReusesAt(out, res, u)
 	}
 	return out
 }
 
-// reusesAt returns the reuse records for a single use.
-func reusesAt(res *dataflow.Result, u *ir.Ref) []Reuse {
-	var out []Reuse
-	for _, c := range res.Classes {
-		if c.Array != u.Array {
-			continue
-		}
+// appendReusesAt appends the reuse records for a single use to out.
+func appendReusesAt(out []Reuse, res *dataflow.Result, u *ir.Ref) []Reuse {
+	for _, c := range res.ClassesOf(u.Array) {
 		// Skip self-class at distance 0: a reference trivially "reuses"
 		// itself; meaningful reuse needs a distinct site or positive
 		// distance, which the distance check below enforces via pr.
@@ -223,10 +237,7 @@ func FindRedundantStores(res *dataflow.Result) []RedundantStore {
 		if s.Kind != ir.Def || !s.Affine || s.FromInner {
 			continue
 		}
-		for _, c := range res.Classes {
-			if c.Array != s.Array {
-				continue
-			}
+		for _, c := range res.ClassesOf(s.Array) {
 			d, ok := backwardDistance(c, s)
 			if !ok {
 				continue
@@ -294,10 +305,7 @@ func FindDependences(res *dataflow.Result, maxDist int64) []Dependence {
 		if !r2.Affine || r2.FromInner {
 			continue
 		}
-		for _, c := range res.Classes {
-			if c.Array != r2.Array {
-				continue
-			}
+		for _, c := range res.ClassesOf(r2.Array) {
 			d0, ok := minOverlapDistance(c, r2)
 			if !ok || d0 > maxDist {
 				continue

@@ -534,28 +534,33 @@ func defaultFuel(nFacts int) int64 {
 	return f
 }
 
+// keyedFact pairs a fact with its rendering, the canonical sort key.
+type keyedFact struct {
+	fact Fact
+	key  string
+}
+
 // solve canonicalizes the fact set and runs the interval narrowing
 // fixpoint under the fuel budget.
 func solve(facts []Fact, fuel int64) *Facts {
 	// Canonical order + dedupe: deterministic queries, Describe, and
-	// Signature at every parallelism setting.
-	sort.SliceStable(facts, func(i, j int) bool {
-		si, sj := facts[i].String(), facts[j].String()
-		return si < sj
-	})
-	dst := facts[:0:0]
-	var prev string
-	for _, fa := range facts {
-		if s := fa.String(); s != prev {
-			dst = append(dst, fa)
-			prev = s
-		}
+	// Signature at every parallelism setting. Each fact's rendering is the
+	// sort key, the dedupe key and its signature part, so it is computed
+	// once per fact rather than per comparison.
+	keyed := make([]keyedFact, len(facts))
+	for i, fa := range facts {
+		keyed[i] = keyedFact{fa, fa.String()}
 	}
-	facts = dst
-
+	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	facts = facts[:0:0]
 	var sigs []string
-	for _, fa := range facts {
-		sigs = append(sigs, fa.String())
+	prev := ""
+	for _, k := range keyed {
+		if k.key != prev {
+			facts = append(facts, k.fact)
+			sigs = append(sigs, k.key)
+			prev = k.key
+		}
 	}
 	f := &Facts{facts: facts, iv: map[string]Interval{}, sig: strings.Join(sigs, ";")}
 
