@@ -1,21 +1,23 @@
 package diag
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/token"
 )
 
-// lineIndex maps 1-based line numbers to byte offsets of line starts.
-type lineIndex struct {
+// LineIndex maps 1-based line numbers to byte offsets of line starts. One
+// index serves every line query on its source, so callers that ask many
+// (the analyzers of one vet run) index the source once.
+type LineIndex struct {
 	src    string
 	starts []int // starts[k] = offset of line k+1
 }
 
-func newLineIndex(src string) *lineIndex {
-	li := &lineIndex{src: src, starts: []int{0}}
+// NewLineIndex indexes the line starts of src.
+func NewLineIndex(src string) *LineIndex {
+	li := &LineIndex{src: src, starts: []int{0}}
 	for i := 0; i < len(src); i++ {
 		if src[i] == '\n' {
 			li.starts = append(li.starts, i+1)
@@ -28,7 +30,7 @@ func newLineIndex(src string) *lineIndex {
 // source. ok is false when the line does not exist (columns clamp to the
 // line end: analyzers position on characters, trailing-edge columns are
 // legitimate).
-func (li *lineIndex) offset(p token.Pos) (int, bool) {
+func (li *LineIndex) offset(p token.Pos) (int, bool) {
 	if p.Line < 1 || p.Line > len(li.starts) {
 		return 0, false
 	}
@@ -49,7 +51,7 @@ func (li *lineIndex) offset(p token.Pos) (int, bool) {
 
 // span resolves an edit's byte range. An invalid End means a pure
 // insertion at Pos.
-func (li *lineIndex) span(e TextEdit) (lo, hi int, ok bool) {
+func (li *LineIndex) span(e TextEdit) (lo, hi int, ok bool) {
 	lo, ok = li.offset(e.Pos)
 	if !ok {
 		return 0, 0, false
@@ -99,7 +101,7 @@ type FixResult struct {
 // skipped — a later pass over the re-analyzed source picks it up, which is
 // what makes `vet -fix` converge to a fixpoint.
 func ApplyFixes(src string, fs []Finding) FixResult {
-	li := newLineIndex(src)
+	li := NewLineIndex(src)
 	var accepted []resolvedEdit
 	res := FixResult{Src: src}
 	for _, f := range fs {
@@ -163,26 +165,24 @@ func ApplyFixes(src string, fs []Finding) FixResult {
 	return res
 }
 
-// LineAt returns the 1-based line's text without its newline, and whether
+// Line returns the 1-based line's text without its newline, and whether
 // the line exists. Analyzers use it to check that a statement owns its
 // whole source line before suggesting a line deletion.
-func LineAt(src string, line int) (string, bool) {
-	li := newLineIndex(src)
+func (li *LineIndex) Line(line int) (string, bool) {
 	if line < 1 || line > len(li.starts) {
 		return "", false
 	}
 	start := li.starts[line-1]
-	end := len(src)
+	end := len(li.src)
 	if line < len(li.starts) {
 		end = li.starts[line] - 1 // strip the newline
 	}
-	return src[start:end], true
+	return li.src[start:end], true
 }
 
 // DeleteLineEdit builds the edit removing an entire source line (newline
 // included when present). ok is false when the line does not exist.
-func DeleteLineEdit(src string, line int) (TextEdit, bool) {
-	li := newLineIndex(src)
+func (li *LineIndex) DeleteLineEdit(line int) (TextEdit, bool) {
 	if line < 1 || line > len(li.starts) {
 		return TextEdit{}, false
 	}
@@ -193,7 +193,7 @@ func DeleteLineEdit(src string, line int) (TextEdit, bool) {
 		}, true
 	}
 	// Last line: delete to end of text.
-	text, _ := LineAt(src, line)
+	text, _ := li.Line(line)
 	return TextEdit{
 		Pos: token.Pos{Line: line, Col: 1},
 		End: token.Pos{Line: line, Col: len(text) + 1},
@@ -202,15 +202,17 @@ func DeleteLineEdit(src string, line int) (TextEdit, bool) {
 
 // InsertLinesEdit builds the edit inserting the given lines (each without
 // trailing newline) immediately above the 1-based line, indented like it.
-func InsertLinesEdit(src string, line int, lines []string) (TextEdit, bool) {
-	text, ok := LineAt(src, line)
+func (li *LineIndex) InsertLinesEdit(line int, lines []string) (TextEdit, bool) {
+	text, ok := li.Line(line)
 	if !ok {
 		return TextEdit{}, false
 	}
 	indent := text[:len(text)-len(strings.TrimLeft(text, " \t"))]
 	var b strings.Builder
 	for _, ln := range lines {
-		fmt.Fprintf(&b, "%s%s\n", indent, ln)
+		b.WriteString(indent)
+		b.WriteString(ln)
+		b.WriteByte('\n')
 	}
 	return TextEdit{Pos: token.Pos{Line: line, Col: 1}, NewText: b.String()}, true
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLineIndexOffsets(t *testing.T) {
-	li := newLineIndex("ab\ncde\n\nf")
+	li := NewLineIndex("ab\ncde\n\nf")
 	cases := []struct {
 		pos  token.Pos
 		want int
@@ -36,19 +36,19 @@ func TestLineIndexOffsets(t *testing.T) {
 func TestLineAt(t *testing.T) {
 	src := "first\nsecond\nlast"
 	for line, want := range map[int]string{1: "first", 2: "second", 3: "last"} {
-		if got, ok := LineAt(src, line); !ok || got != want {
-			t.Errorf("LineAt(%d) = (%q, %v), want (%q, true)", line, got, ok, want)
+		if got, ok := NewLineIndex(src).Line(line); !ok || got != want {
+			t.Errorf("Line(%d) = (%q, %v), want (%q, true)", line, got, ok, want)
 		}
 	}
-	if _, ok := LineAt(src, 4); ok {
-		t.Error("LineAt(4) reported a nonexistent line")
+	if _, ok := NewLineIndex(src).Line(4); ok {
+		t.Error("Line(4) reported a nonexistent line")
 	}
 }
 
 func TestDeleteLineEdit(t *testing.T) {
 	src := "keep\ndrop\nkeep2"
 	// Middle line: deletes through the newline.
-	e, ok := DeleteLineEdit(src, 2)
+	e, ok := NewLineIndex(src).DeleteLineEdit(2)
 	if !ok {
 		t.Fatal("middle line not found")
 	}
@@ -57,7 +57,7 @@ func TestDeleteLineEdit(t *testing.T) {
 		t.Errorf("middle deletion: %q (applied %d)", res.Src, res.Applied)
 	}
 	// Last line without trailing newline: deletes to end of text.
-	e, ok = DeleteLineEdit(src, 3)
+	e, ok = NewLineIndex(src).DeleteLineEdit(3)
 	if !ok {
 		t.Fatal("last line not found")
 	}
@@ -65,14 +65,14 @@ func TestDeleteLineEdit(t *testing.T) {
 	if res.Src != "keep\ndrop\n" {
 		t.Errorf("last-line deletion: %q", res.Src)
 	}
-	if _, ok := DeleteLineEdit(src, 9); ok {
+	if _, ok := NewLineIndex(src).DeleteLineEdit(9); ok {
 		t.Error("DeleteLineEdit accepted a nonexistent line")
 	}
 }
 
 func TestInsertLinesEdit(t *testing.T) {
 	src := "do i = 1, 5\n    A[i] := 0\nenddo\n"
-	e, ok := InsertLinesEdit(src, 2, []string{"B[i] := 0"})
+	e, ok := NewLineIndex(src).InsertLinesEdit(2, []string{"B[i] := 0"})
 	if !ok {
 		t.Fatal("line 2 not found")
 	}
@@ -88,7 +88,7 @@ func TestInsertLinesEdit(t *testing.T) {
 // counted in Skipped.
 func TestApplyFixesConflictAtomicity(t *testing.T) {
 	src := "aaaa\nbbbb\ncccc\n"
-	del2, _ := DeleteLineEdit(src, 2)
+	del2, _ := NewLineIndex(src).DeleteLineEdit(2)
 	fs := []Finding{
 		{SuggestedFixes: []SuggestedFix{{Edits: []TextEdit{del2}}}},
 		// Two edits: one harmless insertion at line 1, one overlapping the
@@ -134,7 +134,7 @@ func TestApplyFixesSameOffsetInsertions(t *testing.T) {
 // never applied: a silenced diagnostic must not edit code.
 func TestApplyFixesSkipsSuppressed(t *testing.T) {
 	src := "x\ny\n"
-	del, _ := DeleteLineEdit(src, 1)
+	del, _ := NewLineIndex(src).DeleteLineEdit(1)
 	fs := []Finding{{
 		Suppressed:     true,
 		SuggestedFixes: []SuggestedFix{{Edits: []TextEdit{del}}},

@@ -8,12 +8,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
+	"repro/internal/cachefile"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/poly"
 	"repro/internal/problems"
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
+	"repro/internal/token"
 )
 
 // solved is one fully-analyzed loop. The per-spec solver counters are
@@ -105,6 +107,9 @@ type cacheEntry struct {
 	// the Once's happens-before edge covers later claimants too).
 	diskHit   bool
 	loadBytes int64
+	// pos digests the source positions of the loop whose solve filled the
+	// entry (written inside once, like diskHit).
+	pos uint64
 }
 
 // memoKey is the content address of one solve: a 128-bit structural
@@ -434,8 +439,10 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 	key := cacheKey(loop, env.specs, env.dims, env.fuel, sig)
 	e, hit := globalCache.claim(key)
 	claimed := false
+	pos := posDigest(loop)
 	e.once.Do(func() {
 		claimed = true
+		e.pos = pos
 		if env.disk != nil {
 			if sv, n, ok := env.disk.load(key, loop, oracle, env); ok {
 				e.sv, e.diskHit, e.loadBytes = sv, true, n
@@ -451,7 +458,110 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 			out.storeBytes = env.disk.store(key, env.specs, e.sv)
 		}
 	}
+	if e.err == nil && e.pos != pos {
+		// The entry's graph holds another loop's Exprs, and analyzers
+		// read source positions off them: answer with the entry's rows
+		// restored onto this loop's own graph.
+		return e.sv.relocated(loop, env), out, nil
+	}
 	return e.sv, out, e.err
+}
+
+// relocated returns sv lazily restored onto loop's own graph: a twin of
+// the loop sv was solved for (same memo key) at other source positions.
+// The entry's rows are re-encoded and restored through the disk cache's
+// restoreParts path.
+func (sv *solved) relocated(loop *ast.DoLoop, env *solveEnv) *solved {
+	specs, dims := env.specs, env.dims
+	return &solved{meta: sv.meta, fill: func() *solvedParts {
+		src := sv.materialize()
+		metas := make([]specMeta, len(specs))
+		blobs := make([][]byte, len(specs))
+		for i, spec := range specs {
+			res := src.results[spec.Name]
+			if res == nil {
+				return src
+			}
+			var w cachefile.Writer
+			res.EncodeRows(&w)
+			metas[i] = specMeta{name: spec.Name, meta: res.PersistMeta()}
+			blobs[i] = w.Bytes()
+		}
+		parts, err := restoreParts(loop, specs, dims, metas, blobs)
+		if err != nil {
+			// Unreachable: the twin's identical content rebuilds the
+			// shapes the rows were encoded from. Keep the entry's facts.
+			return src
+		}
+		return parts
+	}}
+}
+
+// posDigest folds the source position of every node of loop into one
+// value. Memo hits compare it to tell a loop's own entry from a twin's.
+func posDigest(loop *ast.DoLoop) uint64 {
+	h := posHash(14695981039346656037)
+	h.stmt(loop)
+	return uint64(h)
+}
+
+// posHash is an FNV-style fold over positions, walked without closures:
+// every memo lookup pays for it.
+type posHash uint64
+
+func (h *posHash) pos(p token.Pos) {
+	*h = (*h ^ posHash(p.Line)<<32 ^ posHash(uint32(p.Col))) * 1099511628211
+}
+
+func (h *posHash) stmt(s ast.Stmt) {
+	switch st := s.(type) {
+	case *ast.DoLoop:
+		h.pos(st.DoPos)
+		h.expr(st.Lo)
+		h.expr(st.Hi)
+		h.expr(st.Step)
+		for _, b := range st.Body {
+			h.stmt(b)
+		}
+	case *ast.If:
+		h.pos(st.IfPos)
+		h.expr(st.Cond)
+		for _, b := range st.Then {
+			h.stmt(b)
+		}
+		for _, b := range st.Else {
+			h.stmt(b)
+		}
+	case *ast.Assign:
+		h.expr(st.LHS)
+		h.expr(st.RHS)
+	case *ast.Dim:
+		h.pos(st.DimPos)
+		h.pos(st.NamePos)
+		for _, e := range st.Sizes {
+			h.expr(e)
+		}
+	}
+}
+
+func (h *posHash) expr(e ast.Expr) {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		h.pos(ex.NamePos)
+	case *ast.IntLit:
+		h.pos(ex.LitPos)
+	case *ast.ArrayRef:
+		h.pos(ex.NamePos)
+		for _, sub := range ex.Subs {
+			h.expr(sub)
+		}
+	case *ast.Binary:
+		h.expr(ex.L)
+		h.expr(ex.R)
+	case *ast.Unary:
+		h.pos(ex.OpPos)
+		h.expr(ex.X)
+	}
 }
 
 // factsOracle adapts a fact environment to the solver's oracle interface.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
 	"repro/internal/synth"
+	"repro/internal/token"
 )
 
 // fpKey builds a distinct memo key for testing eviction mechanics.
@@ -237,5 +238,52 @@ func TestFingerprintPartitionMatchesCanonical(t *testing.T) {
 	}
 	if len(byFP) != len(byStr) {
 		t.Fatalf("partition mismatch: %d fingerprint classes vs %d string classes", len(byFP), len(byStr))
+	}
+}
+
+// TestMemoHitsKeepTheirOwnPositions pins the memo's position contract:
+// a hit from the loop that filled the entry, at the same source positions,
+// shares the entry's value, while a twin at other positions gets the
+// entry's facts on its own graph, whose references sit at its own
+// positions.
+func TestMemoHitsKeepTheirOwnPositions(t *testing.T) {
+	loop := "do i = 1, 10\n  A[i] := A[i-1] + 1\n  B[i] := A[i]\nenddo\n"
+	analyze := func() *ProgramAnalysis {
+		norm, err := sema.Normalize(parser.MustParse(loop + loop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := Analyze(norm, &Options{Specs: problems.StandardSpecs(), Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pa
+	}
+	ResetCache()
+	first, again := analyze(), analyze()
+	if first.Metrics.CacheMisses != 1 || again.Metrics.CacheHits != 2 {
+		t.Fatalf("misses %d then hits %d, want 1 and 2", first.Metrics.CacheMisses, again.Metrics.CacheHits)
+	}
+	if first.Loops[0].Graph() != again.Loops[0].Graph() {
+		t.Error("a hit at the filling loop's positions did not share the entry's graph")
+	}
+	for _, pa := range []*ProgramAnalysis{first, again} {
+		for _, la := range pa.Loops {
+			own := map[token.Pos]bool{}
+			ast.Inspect(la.Loop.Body, func(n ast.Node) bool {
+				if ref, ok := n.(*ast.ArrayRef); ok {
+					own[ref.Pos()] = true
+				}
+				return true
+			})
+			for _, r := range la.Graph().Refs {
+				if !own[r.Expr.Pos()] {
+					t.Fatalf("loop at %s: reference %s at %s belongs to another loop", la.Loop.Pos(), ast.ExprString(r.Expr), r.Expr.Pos())
+				}
+			}
+			if got, want := la.Reuses(), first.Loops[0].Reuses(); len(got) != len(want) {
+				t.Errorf("loop at %s: %d reuses, want %d", la.Loop.Pos(), len(got), len(want))
+			}
+		}
 	}
 }

@@ -83,14 +83,13 @@ func Differential(u *Unit, seed int64) DiffResult {
 			}
 		}
 		lens[name] = concrete[0]
-		mini := map[string]int64{}
 		gom := map[string]int64{}
 		fillCells(concrete, nil, func(idx []int64) {
 			v := rng.Int63n(21) - 10
-			mini[cellKey(idx, 1)] = v
-			gom[cellKey(idx, 0)] = v
+			key := cellKey(idx, 0)
+			init.SetArrayN(name, keyIdx(key, +1), v)
+			gom[key] = v
 		})
-		init.Arrays[name] = mini
 		ge.arrays[name] = gom
 	}
 	for _, name := range sortedKeys(u.Scalars) {
@@ -122,24 +121,20 @@ func Differential(u *Unit, seed int64) DiffResult {
 	// Compare arrays under the inverse shift: mini cell (i1,...,in) holds
 	// Go cell (i1-1,...,in-1).
 	for _, name := range sortedKeys(u.Arrays) {
-		miniArr := final.Arrays[name]
 		goArr := ge.arrays[name]
-		shifted := map[string]int64{}
-		for k, v := range goArr {
-			shifted[shiftKey(k, +1)] = v
-		}
-		keys := map[string]bool{}
-		for k := range miniArr {
-			keys[k] = true
-		}
-		for k := range shifted {
-			keys[k] = true
-		}
-		for k := range keys {
-			if miniArr[k] != shifted[k] {
-				return DiffResult{Status: DiffMismatch,
-					Detail: fmt.Sprintf("array %s[%s]: interp %d, go %d", name, k, miniArr[k], shifted[k])}
+		detail := ""
+		compare := func(idx []int64, mini, gov int64) {
+			if detail == "" && mini != gov {
+				detail = fmt.Sprintf("array %s[%s]: interp %d, go %d", name, cellKey(idx, 0), mini, gov)
 			}
+		}
+		final.EachCell(name, func(idx []int64, v int64) { compare(idx, v, goArr[cellKey(idx, -1)]) })
+		for k, v := range goArr {
+			idx := keyIdx(k, +1)
+			compare(idx, final.GetArrayN(name, idx), v)
+		}
+		if detail != "" {
+			return DiffResult{Status: DiffMismatch, Detail: detail}
 		}
 	}
 	return DiffResult{Status: DiffMatch}
@@ -224,17 +219,16 @@ func cellKey(idx []int64, base int64) string {
 	return strings.Join(parts, ",")
 }
 
-// shiftKey shifts every component of an element key by delta.
-func shiftKey(key string, delta int64) string {
+// keyIdx parses an element key back into its index tuple, shifted by
+// delta.
+func keyIdx(key string, delta int64) []int64 {
 	parts := strings.Split(key, ",")
+	idx := make([]int64, len(parts))
 	for i, p := range parts {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return key
-		}
-		parts[i] = strconv.FormatInt(v+delta, 10)
+		v, _ := strconv.ParseInt(p, 10, 64)
+		idx[i] = v + delta
 	}
-	return strings.Join(parts, ",")
+	return idx
 }
 
 // goEval is a direct evaluator for the lowered Go subset. State is keyed

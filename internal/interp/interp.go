@@ -12,83 +12,291 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/token"
 )
 
-// Elem identifies one array element by name and subscript values.
-type Elem struct {
-	Array string
-	// Key encodes the subscript tuple; one-dimensional elements use the
-	// subscript value directly.
-	Key string
-}
-
-func elemKey(subs []int64) string {
-	parts := make([]string, len(subs))
-	for i, s := range subs {
-		parts[i] = fmt.Sprintf("%d", s)
-	}
-	return strings.Join(parts, ",")
-}
-
-// State is the mutable program state.
+// State is the mutable program state. Array elements live in per-array
+// tables keyed by their integer subscript tuples; a cell that was never
+// written reads through the state's Seed, or as 0 without one.
 type State struct {
 	Scalars map[string]int64
-	Arrays  map[string]map[string]int64
+	arrays  map[string]*cells
+	seed    *Seed
 }
 
 // NewState returns an empty state.
 func NewState() *State {
-	return &State{Scalars: map[string]int64{}, Arrays: map[string]map[string]int64{}}
+	return &State{Scalars: map[string]int64{}, arrays: map[string]*cells{}}
 }
 
-// Clone deep-copies the state.
+// NewSeededState returns an empty state whose never-written array cells
+// read through seed. The seed must not change once a state uses it; clones
+// share it.
+func NewSeededState(seed *Seed) *State {
+	st := NewState()
+	st.seed = seed
+	return st
+}
+
+// Clone deep-copies the state. The seed is shared, not copied.
 func (s *State) Clone() *State {
-	out := NewState()
+	out := &State{
+		Scalars: make(map[string]int64, len(s.Scalars)),
+		arrays:  make(map[string]*cells, len(s.arrays)),
+		seed:    s.seed,
+	}
 	for k, v := range s.Scalars {
 		out.Scalars[k] = v
 	}
-	for a, m := range s.Arrays {
-		cm := make(map[string]int64, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		out.Arrays[a] = cm
+	for a, c := range s.arrays {
+		out.arrays[a] = c.clone()
 	}
 	return out
 }
 
 // SetArray sets one element of a one-dimensional array.
 func (s *State) SetArray(name string, idx int64, v int64) {
-	m := s.Arrays[name]
-	if m == nil {
-		m = map[string]int64{}
-		s.Arrays[name] = m
-	}
-	m[elemKey([]int64{idx})] = v
+	s.SetArrayN(name, []int64{idx}, v)
 }
 
 // GetArray reads one element of a one-dimensional array (default 0).
 func (s *State) GetArray(name string, idx int64) int64 {
-	return s.Arrays[name][elemKey([]int64{idx})]
+	return s.GetArrayN(name, []int64{idx})
 }
 
 // SetArrayN sets a multi-dimensional element.
 func (s *State) SetArrayN(name string, idx []int64, v int64) {
-	m := s.Arrays[name]
-	if m == nil {
-		m = map[string]int64{}
-		s.Arrays[name] = m
-	}
-	m[elemKey(idx)] = v
+	s.table(name, len(idx), true).set(idx, v)
 }
 
-// GetArrayN reads a multi-dimensional element.
+// GetArrayN reads a multi-dimensional element: its last written value, or
+// the seed's value when it was never written.
 func (s *State) GetArrayN(name string, idx []int64) int64 {
-	return s.Arrays[name][elemKey(idx)]
+	if v, ok := s.table(name, len(idx), false).get(idx); ok {
+		return v
+	}
+	return s.seed.Value(name, idx)
+}
+
+// EachCell calls fn for every written element of the named array, in no
+// particular order. fn must not retain or mutate idx.
+func (s *State) EachCell(name string, fn func(idx []int64, v int64)) {
+	for t := s.arrays[name]; t != nil; t = t.next {
+		t.each(fn)
+	}
+}
+
+// table returns the name's cell table for subscript tuples of the given
+// rank, creating it when asked. Checked programs use one rank per array;
+// the chain keeps other ranks apart, as distinct keys.
+func (s *State) table(name string, rank int, create bool) *cells {
+	head := s.arrays[name]
+	last := head
+	for t := head; t != nil; t = t.next {
+		if t.rank == rank {
+			return t
+		}
+		last = t
+	}
+	if !create {
+		return nil
+	}
+	t := &cells{rank: rank}
+	if last == nil {
+		s.arrays[name] = t
+	} else {
+		last.next = t
+	}
+	return t
+}
+
+// cells is one array's written elements of one rank: an open-addressing
+// table whose slot k holds the subscript tuple keys[k*rank:(k+1)*rank] and
+// the value vals[k].
+type cells struct {
+	rank int
+	n    int
+	keys []int64
+	vals []int64
+	used []bool
+	next *cells
+}
+
+func hashSubs(idx []int64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range idx {
+		h ^= uint64(v)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// slot returns the slot holding idx, or the empty slot where it belongs.
+func (t *cells) slot(idx []int64) (int, bool) {
+	mask := len(t.used) - 1
+	for k := int(hashSubs(idx)) & mask; ; k = (k + 1) & mask {
+		if !t.used[k] {
+			return k, false
+		}
+		key := t.keys[k*t.rank : (k+1)*t.rank]
+		same := true
+		for d, v := range idx {
+			if key[d] != v {
+				same = false
+				break
+			}
+		}
+		if same {
+			return k, true
+		}
+	}
+}
+
+func (t *cells) get(idx []int64) (int64, bool) {
+	if t == nil || t.n == 0 {
+		return 0, false
+	}
+	k, ok := t.slot(idx)
+	if !ok {
+		return 0, false
+	}
+	return t.vals[k], true
+}
+
+// set stores v at idx, first doubling the table (16 slots at first) past
+// a load of 3/4.
+func (t *cells) set(idx []int64, v int64) {
+	if 4*(t.n+1) > 3*len(t.used) {
+		old := *t
+		size := max(2*len(old.used), 16)
+		t.keys = make([]int64, size*t.rank)
+		t.vals = make([]int64, size)
+		t.used = make([]bool, size)
+		t.n = 0
+		old.each(t.put)
+	}
+	t.put(idx, v)
+}
+
+// put stores v at idx in a table with room for it.
+func (t *cells) put(idx []int64, v int64) {
+	k, ok := t.slot(idx)
+	if !ok {
+		t.used[k] = true
+		copy(t.keys[k*t.rank:], idx)
+		t.n++
+	}
+	t.vals[k] = v
+}
+
+func (t *cells) each(fn func(idx []int64, v int64)) {
+	for k, u := range t.used {
+		if u {
+			fn(t.keys[k*t.rank:(k+1)*t.rank], t.vals[k])
+		}
+	}
+}
+
+func (t *cells) clone() *cells {
+	if t == nil {
+		return nil
+	}
+	return &cells{
+		rank: t.rank,
+		n:    t.n,
+		keys: append([]int64(nil), t.keys...),
+		vals: append([]int64(nil), t.vals...),
+		used: append([]bool(nil), t.used...),
+		next: t.next.clone(),
+	}
+}
+
+// Seed gives the never-written cells of chosen arrays distinct
+// deterministic nonzero values over a bounded index box, computed on first
+// read; cells outside every box read 0. A cell's value is a pure function
+// of the array name and the subscript tuple.
+type Seed struct {
+	boxes map[string]seedBox
+}
+
+type seedBox struct{ lo, hi []int64 }
+
+// NewSeed returns a seed with no boxes (every cell reads 0).
+func NewSeed() *Seed { return &Seed{boxes: map[string]seedBox{}} }
+
+// Box seeds the cells of array whose subscript tuple lies within [lo, hi]
+// in every dimension. lo and hi are copied.
+func (sd *Seed) Box(array string, lo, hi []int64) {
+	sd.boxes[array] = seedBox{lo: append([]int64(nil), lo...), hi: append([]int64(nil), hi...)}
+}
+
+// Value returns the initial value of one cell: inside the array's box,
+// FNV-32a over the name, a zero byte and the decimal key "i,j", reduced to
+// 1..997; 0 elsewhere (and on a nil seed).
+func (sd *Seed) Value(array string, idx []int64) int64 {
+	if sd == nil {
+		return 0
+	}
+	box, ok := sd.boxes[array]
+	if !ok || len(box.lo) != len(idx) {
+		return 0
+	}
+	for d, v := range idx {
+		if v < box.lo[d] || v > box.hi[d] {
+			return 0
+		}
+	}
+	const prime32 = 16777619
+	h := uint32(2166136261)
+	for i := 0; i < len(array); i++ {
+		h = (h ^ uint32(array[i])) * prime32
+	}
+	h *= prime32 // the zero separator byte
+	var buf [96]byte
+	for _, c := range appendKey(buf[:0], idx) {
+		h = (h ^ uint32(c)) * prime32
+	}
+	return int64(h%997) + 1
+}
+
+// each calls fn for every cell inside the array's box, in row-major order.
+func (box seedBox) each(fn func(idx []int64)) {
+	idx := append([]int64(nil), box.lo...)
+	for d := range idx {
+		if box.hi[d] < box.lo[d] {
+			return
+		}
+	}
+	for {
+		fn(idx)
+		d := len(idx) - 1
+		for ; d >= 0; d-- {
+			if idx[d] < box.hi[d] {
+				idx[d]++
+				break
+			}
+			idx[d] = box.lo[d]
+		}
+		if d < 0 {
+			return
+		}
+	}
+}
+
+// appendKey renders a subscript tuple as its decimal key "i,j".
+func appendKey(b []byte, idx []int64) []byte {
+	for d, v := range idx {
+		if d > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
 }
 
 // ArraysEqual compares the array portions of two states, treating missing
@@ -96,28 +304,44 @@ func (s *State) GetArrayN(name string, idx []int64) int64 {
 func ArraysEqual(a, b *State) bool { return DiffArrays(a, b) == "" }
 
 // DiffArrays describes the first few differences between the array states,
-// or "" when equal (missing entries are zero).
+// or "" when equal. A cell that was never written reads through its
+// state's seed (0 without one). Arrays are visited in name order and cells
+// in the string order of their keys "i,j".
 func DiffArrays(a, b *State) string {
-	var diffs []string
 	names := map[string]bool{}
-	for n := range a.Arrays {
-		names[n] = true
-	}
-	for n := range b.Arrays {
-		names[n] = true
+	for _, st := range []*State{a, b} {
+		for n := range st.arrays {
+			names[n] = true
+		}
+		if st.seed != nil && a.seed != b.seed {
+			for n := range st.seed.boxes {
+				names[n] = true
+			}
+		}
 	}
 	sorted := make([]string, 0, len(names))
 	for n := range names {
 		sorted = append(sorted, n)
 	}
 	sort.Strings(sorted)
+	var diffs []string
 	for _, n := range sorted {
-		keys := map[string]bool{}
-		for k := range a.Arrays[n] {
-			keys[k] = true
+		keys := map[string][]int64{}
+		add := func(idx []int64) {
+			k := string(appendKey(nil, idx))
+			if _, ok := keys[k]; !ok {
+				keys[k] = append([]int64(nil), idx...)
+			}
 		}
-		for k := range b.Arrays[n] {
-			keys[k] = true
+		for _, st := range []*State{a, b} {
+			st.EachCell(n, func(idx []int64, _ int64) { add(idx) })
+			// Cells neither state wrote read the same value under one
+			// shared seed; under different seeds every boxed cell counts.
+			if st.seed != nil && a.seed != b.seed {
+				if box, ok := st.seed.boxes[n]; ok {
+					box.each(add)
+				}
+			}
 		}
 		sk := make([]string, 0, len(keys))
 		for k := range keys {
@@ -125,7 +349,7 @@ func DiffArrays(a, b *State) string {
 		}
 		sort.Strings(sk)
 		for _, k := range sk {
-			av, bv := a.Arrays[n][k], b.Arrays[n][k]
+			av, bv := a.GetArrayN(n, keys[k]), b.GetArrayN(n, keys[k])
 			if av != bv {
 				diffs = append(diffs, fmt.Sprintf("%s[%s]: %d vs %d", n, k, av, bv))
 				if len(diffs) >= 8 {
@@ -192,7 +416,8 @@ type Options struct {
 	MaxSteps int64
 	// TraceRef, when set, observes every array element access: the
 	// syntactic reference being executed, whether it is a store, and the
-	// concrete subscript tuple. The callback must not mutate idx.
+	// concrete subscript tuple. The callback must not mutate idx or retain
+	// it after returning.
 	TraceRef func(ref *ast.ArrayRef, isStore bool, idx []int64)
 	// LoopIter, when set, observes the start of every loop iteration with
 	// the loop being run and the induction value for the iteration.
@@ -214,6 +439,9 @@ type machine struct {
 	steps int64
 	max   int64
 	opts  Options
+	// subs is the subscript stack: evalSubs pushes one tuple, and its
+	// caller pops it once the access is done.
+	subs []int64
 }
 
 // Run executes the program on a copy of init (nil = empty) and returns the
@@ -272,7 +500,7 @@ func (m *machine) execStmt(s ast.Stmt) error {
 		case *ast.Ident:
 			m.st.Scalars[lhs.Name] = v
 		case *ast.ArrayRef:
-			idx, err := m.evalSubs(lhs)
+			idx, base, err := m.evalSubs(lhs)
 			if err != nil {
 				return err
 			}
@@ -280,6 +508,7 @@ func (m *machine) execStmt(s ast.Stmt) error {
 				m.opts.TraceRef(lhs, true, idx)
 			}
 			m.st.SetArrayN(lhs.Name, idx, v)
+			m.subs = m.subs[:base]
 			m.stats.ArrayStores[lhs.Name]++
 		default:
 			return &RuntimeError{Pos: st.Pos(), Msg: "invalid assignment target"}
@@ -372,16 +601,20 @@ func (m *machine) execStmt(s ast.Stmt) error {
 	return &RuntimeError{Msg: "unknown statement"}
 }
 
-func (m *machine) evalSubs(ref *ast.ArrayRef) ([]int64, error) {
-	idx := make([]int64, len(ref.Subs))
-	for k, sub := range ref.Subs {
+// evalSubs pushes ref's subscript values onto the subscript stack and
+// returns them with the stack height to pop back to. A nested access in a
+// subscript pushes and pops above the values pushed so far.
+func (m *machine) evalSubs(ref *ast.ArrayRef) (idx []int64, base int, err error) {
+	base = len(m.subs)
+	for _, sub := range ref.Subs {
 		v, err := m.eval(sub)
 		if err != nil {
-			return nil, err
+			m.subs = m.subs[:base]
+			return nil, base, err
 		}
-		idx[k] = v
+		m.subs = append(m.subs, v)
 	}
-	return idx, nil
+	return m.subs[base:], base, nil
 }
 
 func (m *machine) eval(e ast.Expr) (int64, error) {
@@ -391,7 +624,7 @@ func (m *machine) eval(e ast.Expr) (int64, error) {
 	case *ast.Ident:
 		return m.st.Scalars[ex.Name], nil
 	case *ast.ArrayRef:
-		idx, err := m.evalSubs(ex)
+		idx, base, err := m.evalSubs(ex)
 		if err != nil {
 			return 0, err
 		}
@@ -399,7 +632,9 @@ func (m *machine) eval(e ast.Expr) (int64, error) {
 			m.opts.TraceRef(ex, false, idx)
 		}
 		m.stats.ArrayLoads[ex.Name]++
-		return m.st.GetArrayN(ex.Name, idx), nil
+		v := m.st.GetArrayN(ex.Name, idx)
+		m.subs = m.subs[:base]
+		return v, nil
 	case *ast.Unary:
 		v, err := m.eval(ex.X)
 		if err != nil {

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -161,7 +163,9 @@ func TestZeroTripLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Arrays["A"]) != 0 || stats.Iterations != 0 {
+	written := 0
+	st.EachCell("A", func([]int64, int64) { written++ })
+	if written != 0 || stats.Iterations != 0 {
 		t.Fatal("zero-trip loop executed")
 	}
 }
@@ -228,5 +232,63 @@ func TestCloneIsolation(t *testing.T) {
 	b.Scalars["x"] = 2
 	if a.GetArray("A", 1) != 5 || a.Scalars["x"] != 1 {
 		t.Fatal("clone not isolated")
+	}
+}
+
+func TestCellTableGrowsAndKeepsRanksApart(t *testing.T) {
+	st := NewState()
+	for i := int64(-50); i < 200; i++ {
+		st.SetArrayN("A", []int64{i, -i}, i*3)
+	}
+	st.SetArray("A", 7, 99) // another rank under the same name is another cell
+	for i := int64(-50); i < 200; i++ {
+		if got := st.GetArrayN("A", []int64{i, -i}); got != i*3 {
+			t.Fatalf("A[%d, %d] = %d, want %d", i, -i, got, i*3)
+		}
+	}
+	if got := st.GetArray("A", 7); got != 99 {
+		t.Fatalf("A[7] = %d, want 99", got)
+	}
+	if got := st.GetArrayN("A", []int64{7, 0}); got != 0 {
+		t.Fatalf("unwritten A[7, 0] = %d, want 0", got)
+	}
+	n := 0
+	st.EachCell("A", func([]int64, int64) { n++ })
+	if n != 251 {
+		t.Fatalf("EachCell visited %d cells, want 251", n)
+	}
+	if d := DiffArrays(st, st.Clone()); d != "" {
+		t.Fatalf("clone differs: %s", d)
+	}
+}
+
+func TestSeedReadsThroughUnwrittenCells(t *testing.T) {
+	seed := NewSeed()
+	seed.Box("A", []int64{1, -4}, []int64{3, 20})
+	st := NewSeededState(seed)
+	inside := st.GetArrayN("A", []int64{2, 5})
+	if inside < 1 || inside > 997 {
+		t.Fatalf("boxed cell reads %d, want a value in 1..997", inside)
+	}
+	if got := st.GetArrayN("A", []int64{4, 5}); got != 0 {
+		t.Fatalf("cell outside the box reads %d, want 0", got)
+	}
+	if got := st.GetArray("A", 2); got != 0 {
+		t.Fatalf("cell of another rank reads %d, want 0", got)
+	}
+	st.SetArrayN("A", []int64{2, 5}, inside+1)
+	if got := st.GetArrayN("A", []int64{2, 5}); got != inside+1 {
+		t.Fatalf("written cell reads %d, want %d", got, inside+1)
+	}
+	if got := st.Clone().GetArrayN("A", []int64{3, 20}); got != seed.Value("A", []int64{3, 20}) {
+		t.Fatalf("clone lost the seed: %d", got)
+	}
+	// Under one shared seed only written cells can differ; a state without
+	// the seed differs on every boxed cell.
+	if d := DiffArrays(st, NewSeededState(seed)); d != fmt.Sprintf("A[2,5]: %d vs %d", inside+1, inside) {
+		t.Fatalf("diff under a shared seed = %q", d)
+	}
+	if d := DiffArrays(NewSeededState(seed), NewState()); !strings.HasPrefix(d, "A[1,-1]: ") || !strings.HasSuffix(d, "; ...") {
+		t.Fatalf("diff against an unseeded state = %q", d)
 	}
 }

@@ -114,7 +114,7 @@ func (c *Context) boundsFinding(ref *ast.ArrayRef, sub ast.Expr, dim int, size, 
 	if d := c.Info.Dims[ref.Name]; d != nil {
 		f.Related = append(f.Related, diag.Related{Pos: d.Pos(), Message: "bounds declared here"})
 		if !below {
-			if fix, ok := growDimFix(c.Src, d, dim, value); ok {
+			if fix, ok := growDimFix(c.vet().lines, d, dim, value); ok {
 				f.SuggestedFixes = append(f.SuggestedFixes, fix)
 			}
 		}
@@ -126,8 +126,8 @@ func (c *Context) boundsFinding(ref *ast.ArrayRef, sub ast.Expr, dim int, size, 
 // the subscript's proven maximum. Only literal sizes are editable, and the
 // source text is verified before the edit is offered. Underflow (below 1)
 // has no declaration-side fix — arrays are 1-based.
-func growDimFix(src string, d *ast.Dim, dim int, value int64) (diag.SuggestedFix, bool) {
-	if src == "" || dim >= len(d.Sizes) {
+func growDimFix(lines *diag.LineIndex, d *ast.Dim, dim int, value int64) (diag.SuggestedFix, bool) {
+	if lines == nil || dim >= len(d.Sizes) {
 		return diag.SuggestedFix{}, false
 	}
 	lit, ok := d.Sizes[dim].(*ast.IntLit)
@@ -136,7 +136,7 @@ func growDimFix(src string, d *ast.Dim, dim int, value int64) (diag.SuggestedFix
 	}
 	old := fmt.Sprintf("%d", lit.Value)
 	pos := lit.Pos()
-	text, ok := diag.LineAt(src, pos.Line)
+	text, ok := lines.Line(pos.Line)
 	if !ok || pos.Col < 1 || pos.Col-1+len(old) > len(text) || text[pos.Col-1:pos.Col-1+len(old)] != old {
 		return diag.SuggestedFix{}, false
 	}

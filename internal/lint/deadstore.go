@@ -50,7 +50,7 @@ func runDeadStore(c *Context) []diag.Finding {
 				Message: fmt.Sprintf("overwritten by this store (%s)", rs.By),
 			})
 		}
-		if fix, ok := deadStoreFix(c.Src, rs.Store); ok {
+		if fix, ok := deadStoreFix(c.vet().lines, rs.Store); ok {
 			f.SuggestedFixes = append(f.SuggestedFixes, fix)
 		}
 		out = append(out, f)
@@ -62,12 +62,12 @@ func runDeadStore(c *Context) []diag.Finding {
 // only offered when the line provably holds exactly one assignment to the
 // store's array (the mini-language puts one statement per line), so the
 // deletion removes the dead statement and nothing else.
-func deadStoreFix(src string, store *ir.Ref) (diag.SuggestedFix, bool) {
-	if src == "" {
+func deadStoreFix(lines *diag.LineIndex, store *ir.Ref) (diag.SuggestedFix, bool) {
+	if lines == nil {
 		return diag.SuggestedFix{}, false
 	}
 	line := store.Expr.Pos().Line
-	text, ok := diag.LineAt(src, line)
+	text, ok := lines.Line(line)
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}
@@ -79,7 +79,7 @@ func deadStoreFix(src string, store *ir.Ref) (diag.SuggestedFix, bool) {
 	if r := strings.TrimLeft(rest, " \t"); len(r) == 0 || (r[0] != '[' && r[0] != '(') {
 		return diag.SuggestedFix{}, false
 	}
-	edit, ok := diag.DeleteLineEdit(src, line)
+	edit, ok := lines.DeleteLineEdit(line)
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}

@@ -15,8 +15,10 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -62,6 +64,46 @@ type Context struct {
 	// Src is the original source text when known ("" otherwise); analyzers
 	// use it to build suggested fixes that splice real lines.
 	Src string
+
+	// shared is what every loop of one run shares; race is the loop's race
+	// certification once RunOn has computed it.
+	shared *vetShared
+	race   *raceCert
+}
+
+// vetShared is what the loops of one RunOn share: the source's line
+// index (nil when the source is unknown) and, computed on first use, the
+// fresh induction-variable name of uninit's fixes.
+type vetShared struct {
+	lines *diag.LineIndex
+
+	prog   *ast.Program
+	ivOnce sync.Once
+	iv     string
+}
+
+func newVetShared(prog *ast.Program, src string) *vetShared {
+	sh := &vetShared{prog: prog}
+	if src != "" {
+		sh.lines = diag.NewLineIndex(src)
+	}
+	return sh
+}
+
+// freshIV returns an induction-variable name no identifier of the program
+// uses.
+func (sh *vetShared) freshIV() string {
+	sh.ivOnce.Do(func() { sh.iv = freshName(sh.prog, "ii") })
+	return sh.iv
+}
+
+// vet returns what the context shares with the other loops of its run; a
+// context built by hand, outside RunOn, gets its own.
+func (c *Context) vet() *vetShared {
+	if c.shared == nil {
+		c.shared = newVetShared(c.Program, c.Src)
+	}
+	return c.shared
 }
 
 // Facts returns the loop's range-fact environment (never-nil-safe: every
@@ -185,12 +227,27 @@ func Run(file string, prog *ast.Program, opts *Options) ([]diag.Finding, *driver
 // RunOn applies the analyzers to an existing whole-program analysis. The
 // analysis must have been produced with (at least) the Specs() problems.
 func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Finding {
+	fs, _ := runOn(file, pa, opts)
+	return fs
+}
+
+// runOn is RunOn, also reporting how many interpreter runs the race
+// analyzer's certification bridge made.
+//
+// The analyzers run per loop through the driver's fan-out; the race
+// analyzer certifies its loop there. One bridge then checks every loop's
+// verdict on the interpreter, and the race findings render from the
+// verdicts and the bridge's outcomes.
+func runOn(file string, pa *driver.ProgramAnalysis, opts *Options) ([]diag.Finding, int) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	selected := selectAnalyzers(opts.Analyzers)
+	race := slices.Index(selected, raceAnalyzer)
 	before := definedBefore(pa.Prog)
-	slots := make([][]diag.Finding, len(pa.Loops))
+	shared := newVetShared(pa.Prog, opts.Src)
+	ctxs := make([]*Context, len(pa.Loops))
+	slots := make([][][]diag.Finding, len(pa.Loops))
 	pa.ForEachLoop(opts.Parallelism, func(i int, la *driver.LoopAnalysis) {
 		ctx := &Context{
 			File:          file,
@@ -199,20 +256,36 @@ func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Findin
 			Loop:          la,
 			DefinedBefore: before[la.Loop],
 			Src:           opts.Src,
+			shared:        shared,
 		}
 		if pa.Metrics != nil && i < len(pa.Metrics.PerLoop) {
 			ctx.Metrics = pa.Metrics.PerLoop[i]
 		}
-		for _, a := range selected {
-			slots[i] = append(slots[i], a.Run(ctx)...)
+		ctxs[i] = ctx
+		slots[i] = make([][]diag.Finding, len(selected))
+		for k, a := range selected {
+			if k == race {
+				ctx.race = &raceCert{verdict: CertifyLoop(ctx)}
+				continue
+			}
+			slots[i][k] = a.Run(ctx)
 		}
 	})
+	runs := 0
+	if race >= 0 {
+		runs = checkCerts(pa.Prog, ctxs, opts.Parallelism)
+		for i, ctx := range ctxs {
+			slots[i][race] = runRace(ctx)
+		}
+	}
 	var out []diag.Finding
-	for _, fs := range slots {
-		out = append(out, fs...)
+	for _, byAnalyzer := range slots {
+		for _, fs := range byAnalyzer {
+			out = append(out, fs...)
+		}
 	}
 	diag.Sort(out)
-	return diag.Dedup(out)
+	return diag.Dedup(out), runs
 }
 
 func selectAnalyzers(ids []string) []*Analyzer {

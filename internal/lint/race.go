@@ -193,10 +193,51 @@ const differentStrideScan = 4096
 // paper's framework reason about).
 const maxBlockingDist = 8
 
-// runRace certifies the loop and renders the verdict as findings,
-// bridging to the dynamic checks in replay.go.
+// raceCert is one loop's race certification: the static verdict and its
+// dynamic check.
+type raceCert struct {
+	verdict *Verdict
+	// job is the verdict's check on the interpreter, settled by the
+	// program's bridge; nil for unknown verdicts and program-less contexts.
+	job *bridgeJob
+}
+
+// checkCerts hands the verdicts of ctxs to one certification bridge for
+// the program and returns the interpreter runs it made. Racy verdicts
+// replay their witness; parallel verdicts run the permutation check.
+func checkCerts(prog *ast.Program, ctxs []*Context, parallelism int) int {
+	if prog == nil {
+		return 0
+	}
+	var jobs []*bridgeJob
+	for _, c := range ctxs {
+		rc := c.race
+		switch rc.verdict.Class {
+		case VerdictRacy:
+			rc.job = &bridgeJob{loop: c.Loop.Loop, witness: rc.verdict.Witness}
+		case VerdictParallel:
+			rc.job = &bridgeJob{loop: c.Loop.Loop, shuffleSeed: permutationSeed}
+		default:
+			continue
+		}
+		jobs = append(jobs, rc.job)
+	}
+	if len(jobs) == 0 {
+		return 0
+	}
+	b := newBridge(prog)
+	b.run(jobs, parallelism)
+	return b.runs
+}
+
+// runRace renders the loop's certified verdict and its bridge outcome as
+// findings. Outside RunOn it certifies and checks the loop by itself.
 func runRace(c *Context) []diag.Finding {
-	v := CertifyLoop(c)
+	if c.race == nil {
+		c.race = &raceCert{verdict: CertifyLoop(c)}
+		checkCerts(c.Program, []*Context{c}, 1)
+	}
+	v, job := c.race.verdict, c.race.job
 	loop := c.Loop.Loop
 	pos := loop.Pos()
 	var out []diag.Finding
@@ -226,8 +267,8 @@ func runRace(c *Context) []diag.Finding {
 				"carried":   fmt.Sprintf("%d", v.CarriedDeps),
 			},
 		}
-		if c.Program != nil {
-			if err := ReplayWitness(c.Program, loop, w); err != nil {
+		if job != nil {
+			if err := job.err; err != nil {
 				out = append(out, diag.Finding{
 					Analyzer: "race",
 					Pos:      pos,
@@ -271,8 +312,8 @@ func runRace(c *Context) []diag.Finding {
 				Detail: map[string]string{"verdict": "parallel", "carried": fmt.Sprintf("%d", v.CarriedDeps)},
 			})
 		}
-		if c.Program != nil {
-			if err := PermutationCheck(c.Program, loop, permutationSeed); err != nil {
+		if job != nil {
+			if err := job.err; err != nil {
 				out = append(out, diag.Finding{
 					Analyzer: "race",
 					Pos:      pos,

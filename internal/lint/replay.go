@@ -4,19 +4,29 @@
 // provably-parallel loops run once in natural order and once under a
 // shuffled iteration schedule with the final array states compared.
 //
+// One bridge serves a whole program. The interpreter hooks only observe,
+// so one run can check every loop at once: a trip probe per distinct
+// environment records every loop's trip count, and a seeded natural-order
+// run per environment confirms every witness of that environment and is
+// the baseline of every permutation check in it. Only the permutation
+// check needs runs of its own, one shuffled run per parallel loop. Each
+// check's outcome equals the outcome of running it alone.
+//
 // Executed references are matched to witness references by rendered source
-// text, not pointer identity: the driver's content-addressed memo cache
-// may hand a loop the graph of a structurally identical twin, so the ref
-// Exprs in a LoopAnalysis can alias a different loop's AST. The rendered
-// text of a normalized reference is identical across such twins.
+// text, not pointer identity: the driver's memo shares a loop's graph with
+// every later parse of the same loop at the same positions, so the ref
+// Exprs a witness was built from may belong to another AST, while the
+// rendered text of a normalized reference is identical across them.
 package lint
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -36,72 +46,270 @@ const dynamicMaxSteps = 4_000_000
 // bound — are bound to deterministic values that drive the loop to at
 // least IterLate iterations. A nil return means the race was observed.
 func ReplayWitness(prog *ast.Program, loop *ast.DoLoop, w *Witness) error {
-	env, err := realizeTrip(prog, loop, w.IterLate)
-	if err != nil {
-		return err
+	job := &bridgeJob{loop: loop, witness: w}
+	newBridge(prog).run([]*bridgeJob{job}, 1)
+	return job.err
+}
+
+// PermutationCheck runs the program twice on identical seeded inputs —
+// once with loop's natural iteration order, once with a deterministically
+// shuffled schedule — and reports an error when the final array states
+// differ. A certified-parallel loop must pass for any seed.
+func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
+	job := &bridgeJob{loop: loop, shuffleSeed: seed}
+	newBridge(prog).run([]*bridgeJob{job}, 1)
+	return job.err
+}
+
+// bridgeJob is one dynamic check: a racy witness to replay, or (witness
+// nil) a parallel loop to run under the schedule shuffleSeed picks. err is
+// its outcome once the bridge has run.
+type bridgeJob struct {
+	loop        *ast.DoLoop
+	witness     *Witness
+	shuffleSeed int64
+
+	env map[string]int64
+	err error
+}
+
+// bridge runs the dynamic checks of one program.
+type bridge struct {
+	prog *ast.Program
+	// free are the program's free scalars, sorted; realizeTrip binds them.
+	free []string
+	// seed gives every array the program names its initial cell values.
+	seed *interp.Seed
+	// probes memoizes trip probes by environment key.
+	probes map[string]*tripProbe
+	// text memoizes the rendered text of executed references.
+	text map[*ast.ArrayRef]string
+	// runs counts the interpreter runs made.
+	runs int
+}
+
+// tripProbe is one unseeded run of the program under an environment: the
+// largest induction value every loop reached, and how the run ended.
+type tripProbe struct {
+	trips map[*ast.DoLoop]int64
+	err   error
+}
+
+func newBridge(prog *ast.Program) *bridge {
+	return &bridge{
+		prog:   prog,
+		free:   freeScalars(prog),
+		seed:   programSeed(prog),
+		probes: map[string]*tripProbe{},
+		text:   map[*ast.ArrayRef]string{},
 	}
-	var expected string
-	if w.HasCell {
-		expected = cellKey(w.Cell)
+}
+
+// run settles every job: realize its environment, then one natural run
+// per distinct environment, then one shuffled run per permutation job
+// whose natural run succeeded, fanned out over at most parallelism
+// goroutines (0 = GOMAXPROCS). Outcomes do not depend on parallelism.
+func (b *bridge) run(jobs []*bridgeJob, parallelism int) {
+	var envs []string
+	byEnv := map[string][]*bridgeJob{}
+	for _, j := range jobs {
+		var err error
+		if j.witness != nil {
+			j.env, err = b.realizeTrip(j.loop, j.witness.IterLate)
+			if err != nil {
+				j.err = err
+				continue
+			}
+		} else if j.env, err = b.realizeTrip(j.loop, 3); err != nil {
+			// A shorter schedule still permutes when the loop runs at all;
+			// a loop that cannot be driven has nothing to falsify.
+			if j.env, err = b.realizeTrip(j.loop, 2); err != nil {
+				continue
+			}
+		}
+		key := b.envKey(j.env)
+		if _, ok := byEnv[key]; !ok {
+			envs = append(envs, key)
+		}
+		byEnv[key] = append(byEnv[key], j)
 	}
-	var (
-		active    bool
-		cur       int64
-		fromCells map[string]bool
-		sawEarly  bool
-		sawLate   bool
-		confirmed bool
-	)
-	opts := &interp.Options{
+
+	type shuffle struct {
+		job           *bridgeJob
+		init, natural *interp.State
+	}
+	var shuffles []shuffle
+	for _, key := range envs {
+		group := byEnv[key]
+		init := b.initState(group[0].env)
+		natural, err := b.naturalRun(init, group)
+		for _, j := range group {
+			// Without a clean natural run (the probe inputs trap in
+			// unrelated code) there is no baseline to compare against.
+			if j.witness == nil && err == nil {
+				shuffles = append(shuffles, shuffle{j, init, natural})
+			}
+		}
+	}
+
+	b.runs += len(shuffles)
+	workers := parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(shuffles))
+	next := make(chan shuffle)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range next {
+				s.job.err = b.shuffledRun(s.job, s.init, s.natural)
+			}
+		}()
+	}
+	for _, s := range shuffles {
+		next <- s
+	}
+	close(next)
+	wg.Wait()
+}
+
+// naturalRun executes the program once in natural order from init,
+// replaying every witness of the group on its own tracker, and returns
+// the final state and how the run ended.
+func (b *bridge) naturalRun(init *interp.State, group []*bridgeJob) (*interp.State, error) {
+	var trackers []*tracker
+	byLoop := map[*ast.DoLoop][]*tracker{}
+	for _, j := range group {
+		if j.witness != nil {
+			t := &tracker{job: j}
+			trackers = append(trackers, t)
+			byLoop[j.loop] = append(byLoop[j.loop], t)
+		}
+	}
+	opts := &interp.Options{MaxSteps: dynamicMaxSteps}
+	if len(trackers) > 0 {
+		opts.LoopIter = func(l *ast.DoLoop, i int64) {
+			for _, t := range byLoop[l] {
+				t.iter(i)
+			}
+		}
+		opts.LoopDone = func(l *ast.DoLoop) {
+			for _, t := range byLoop[l] {
+				t.active = false
+			}
+		}
+		opts.TraceRef = func(ref *ast.ArrayRef, isStore bool, idx []int64) {
+			for _, t := range trackers {
+				t.access(b, ref, isStore, idx)
+			}
+		}
+	}
+	b.runs++
+	final, _, err := interp.Run(b.prog, init, opts)
+	for _, t := range trackers {
+		t.job.err = t.verdict(err)
+	}
+	return final, err
+}
+
+// shuffledRun executes the program from init with the job's loop under a
+// shuffled schedule and compares the final arrays with the natural run's.
+func (b *bridge) shuffledRun(j *bridgeJob, init, natural *interp.State) error {
+	rng := rand.New(rand.NewSource(j.shuffleSeed))
+	shuffled, _, err := interp.Run(b.prog, init, &interp.Options{
 		MaxSteps: dynamicMaxSteps,
-		LoopIter: func(l *ast.DoLoop, i int64) {
-			if l != loop {
-				return
+		LoopOrder: func(l *ast.DoLoop, iters []int64) []int64 {
+			if l != j.loop {
+				return nil
 			}
-			if i == 1 && !confirmed {
-				// Normalized loops start at 1, so this is a new dynamic
-				// instance; collisions must not span instances.
-				fromCells = map[string]bool{}
-			}
-			active, cur = true, i
+			out := make([]int64, len(iters))
+			copy(out, iters)
+			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+			return out
 		},
-		LoopDone: func(l *ast.DoLoop) {
-			if l == loop {
-				active = false
-			}
-		},
-		TraceRef: func(ref *ast.ArrayRef, isStore bool, idx []int64) {
-			if !active || confirmed || ref.Name != w.Array {
-				return
-			}
-			key := cellKey(idx)
-			text := ast.ExprString(ref)
-			if cur == w.IterEarly && isStore == w.FromStore && text == w.FromText {
-				sawEarly = true
-				if !w.HasCell || key == expected {
-					fromCells[key] = true
-				}
-			}
-			if cur == w.IterLate && isStore == w.ToStore && text == w.ToText {
-				sawLate = true
-				if fromCells[key] {
-					confirmed = true
-				}
-			}
-		},
+	})
+	if err != nil {
+		return fmt.Errorf("shuffled run failed where the natural order succeeded: %v", err)
 	}
-	_, _, runErr := interp.Run(prog, seededState(prog, env), opts)
-	if confirmed {
+	if d := interp.DiffArrays(natural, shuffled); d != "" {
+		return fmt.Errorf("final array states diverged: %s", d)
+	}
+	return nil
+}
+
+// tracker replays one witness: it watches the witness's loop and records
+// the cells the early reference touches at IterEarly within one dynamic
+// instance of the loop, until the late reference touches one of them at
+// IterLate.
+type tracker struct {
+	job       *bridgeJob
+	active    bool
+	cur       int64
+	fromCells [][]int64
+	sawEarly  bool
+	sawLate   bool
+	confirmed bool
+}
+
+func (t *tracker) iter(i int64) {
+	if i == 1 && !t.confirmed {
+		// Normalized loops start at 1, so this is a new dynamic instance;
+		// collisions must not span instances.
+		t.fromCells = t.fromCells[:0]
+	}
+	t.active, t.cur = true, i
+}
+
+func (t *tracker) access(b *bridge, ref *ast.ArrayRef, isStore bool, idx []int64) {
+	w := t.job.witness
+	if !t.active || t.confirmed || ref.Name != w.Array {
+		return
+	}
+	early := t.cur == w.IterEarly && isStore == w.FromStore
+	late := t.cur == w.IterLate && isStore == w.ToStore
+	if !early && !late {
+		return
+	}
+	text, ok := b.text[ref]
+	if !ok {
+		text = ast.ExprString(ref)
+		b.text[ref] = text
+	}
+	if early && text == w.FromText {
+		t.sawEarly = true
+		if !w.HasCell || slices.Equal(idx, w.Cell) {
+			t.fromCells = append(t.fromCells, slices.Clone(idx))
+		}
+	}
+	if late && text == w.ToText {
+		t.sawLate = true
+		for _, c := range t.fromCells {
+			if slices.Equal(c, idx) {
+				t.confirmed = true
+				break
+			}
+		}
+	}
+}
+
+// verdict is the replay's outcome given how the run ended: nil when the
+// race was observed.
+func (t *tracker) verdict(runErr error) error {
+	w := t.job.witness
+	if t.confirmed {
 		return nil
 	}
 	if runErr != nil {
 		return fmt.Errorf("interpreter run failed before the witness was reached: %v", runErr)
 	}
 	switch {
-	case !sawEarly:
+	case !t.sawEarly:
 		return fmt.Errorf("%s did not execute at iteration %d of the loop over %s",
 			accessText(w.FromText, w.FromStore), w.IterEarly, w.IV)
-	case !sawLate:
+	case !t.sawLate:
 		return fmt.Errorf("%s did not execute at iteration %d of the loop over %s",
 			accessText(w.ToText, w.ToStore), w.IterLate, w.IV)
 	default:
@@ -111,49 +319,6 @@ func ReplayWitness(prog *ast.Program, loop *ast.DoLoop, w *Witness) error {
 	}
 }
 
-// PermutationCheck runs the program twice on identical seeded inputs —
-// once with loop's natural iteration order, once with a deterministically
-// shuffled schedule — and reports an error when the final array states
-// differ. A certified-parallel loop must pass for any seed.
-func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
-	env, err := realizeTrip(prog, loop, 3)
-	if err != nil {
-		// A shorter schedule still permutes when the loop runs at all;
-		// a loop that cannot be driven has nothing to falsify.
-		env, err = realizeTrip(prog, loop, 2)
-		if err != nil {
-			return nil
-		}
-	}
-	init := seededState(prog, env)
-	natural, _, errA := interp.Run(prog, init, &interp.Options{MaxSteps: dynamicMaxSteps})
-	if errA != nil {
-		// The probe inputs do not execute cleanly (e.g. division by zero in
-		// unrelated code); there is no baseline to compare against.
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	shuffled, _, errB := interp.Run(prog, init, &interp.Options{
-		MaxSteps: dynamicMaxSteps,
-		LoopOrder: func(l *ast.DoLoop, iters []int64) []int64 {
-			if l != loop {
-				return nil
-			}
-			out := make([]int64, len(iters))
-			copy(out, iters)
-			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-			return out
-		},
-	})
-	if errB != nil {
-		return fmt.Errorf("shuffled run failed where the natural order succeeded: %v", errB)
-	}
-	if d := interp.DiffArrays(natural, shuffled); d != "" {
-		return fmt.Errorf("final array states diverged: %s", d)
-	}
-	return nil
-}
-
 // realizeTrip binds every free scalar of the program to a deterministic
 // value such that the given loop executes at least need iterations,
 // growing the free scalars of the loop bound geometrically until the trip
@@ -161,18 +326,18 @@ func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
 // iteration costs at least one interpreter step, so a need beyond the step
 // budget is refused up front, and growth stops at the first probe that ran
 // out of steps: a larger bound only needs more of them.
-func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]int64, error) {
+func (b *bridge) realizeTrip(loop *ast.DoLoop, need int64) (map[string]int64, error) {
 	if need > dynamicMaxSteps {
 		return nil, fmt.Errorf("cannot drive the loop to iteration %d within the %d-step replay budget", need, dynamicMaxSteps)
 	}
-	free := freeScalars(prog)
-	env := make(map[string]int64, len(free))
-	for k, name := range free {
+	env := make(map[string]int64, len(b.free))
+	for k, name := range b.free {
 		env[name] = int64(5 + 2*k)
 	}
-	hiIDs := freeIdentsIn(loop.Hi, free)
+	hiIDs := freeIdentsIn(loop.Hi, b.free)
 	for attempt := 0; ; attempt++ {
-		trip, err := probeTrip(prog, loop, env)
+		p := b.probe(env)
+		trip, err := p.trips[loop], p.err
 		if trip >= need {
 			return env, nil
 		}
@@ -188,23 +353,49 @@ func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]in
 	}
 }
 
-// probeTrip runs the program under env and reports the largest induction
-// value the target loop reached.
-func probeTrip(prog *ast.Program, loop *ast.DoLoop, env map[string]int64) (int64, error) {
+// probe runs the program unseeded under env, once per distinct env, and
+// records the largest induction value every loop reached.
+func (b *bridge) probe(env map[string]int64) *tripProbe {
+	key := b.envKey(env)
+	if p, ok := b.probes[key]; ok {
+		return p
+	}
 	st := interp.NewState()
 	for k, v := range env {
 		st.Scalars[k] = v
 	}
-	var max int64
-	_, _, err := interp.Run(prog, st, &interp.Options{
+	p := &tripProbe{trips: map[*ast.DoLoop]int64{}}
+	b.runs++
+	_, _, p.err = interp.Run(b.prog, st, &interp.Options{
 		MaxSteps: dynamicMaxSteps,
 		LoopIter: func(l *ast.DoLoop, i int64) {
-			if l == loop && i > max {
-				max = i
+			if i > p.trips[l] {
+				p.trips[l] = i
 			}
 		},
 	})
-	return max, err
+	b.probes[key] = p
+	return p
+}
+
+// envKey renders env's values in free-scalar order.
+func (b *bridge) envKey(env map[string]int64) string {
+	var buf []byte
+	for _, name := range b.free {
+		buf = strconv.AppendInt(buf, env[name], 10)
+		buf = append(buf, ',')
+	}
+	return string(buf)
+}
+
+// initState is the initial state of the seeded runs: env for the scalars,
+// and every array reading the program's seed.
+func (b *bridge) initState(env map[string]int64) *interp.State {
+	st := interp.NewSeededState(b.seed)
+	for k, v := range env {
+		st.Scalars[k] = v
+	}
+	return st
 }
 
 // freeScalars returns the scalar names the program reads but never
@@ -254,15 +445,11 @@ func freeIdentsIn(e ast.Expr, free []string) []string {
 	return out
 }
 
-// seededState builds the initial interpreter state: env for the scalars,
-// and every array pre-filled with distinct deterministic values over a
-// bounded index box (declared bounds when present). Distinct values make
-// order-dependent overwrites visible to the permutation check.
-func seededState(prog *ast.Program, env map[string]int64) *interp.State {
-	st := interp.NewState()
-	for k, v := range env {
-		st.Scalars[k] = v
-	}
+// programSeed gives every array the program names distinct deterministic
+// initial values over a bounded index box (declared bounds when present).
+// Distinct values make order-dependent overwrites visible to the
+// permutation check.
+func programSeed(prog *ast.Program) *interp.Seed {
 	ndims := map[string]int{}
 	declared := map[string][]int64{}
 	ast.Inspect(prog.Body, func(n ast.Node) bool {
@@ -287,25 +474,19 @@ func seededState(prog *ast.Program, env map[string]int64) *interp.State {
 		}
 		return true
 	})
-	names := make([]string, 0, len(ndims))
-	for n := range ndims {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		nd := ndims[name]
-		if nd == 0 {
-			continue
+	seed := interp.NewSeed()
+	for name, nd := range ndims {
+		if nd > 0 {
+			lo, hi := seedRanges(nd, declared[name])
+			seed.Box(name, lo, hi)
 		}
-		lo, hi := seedRanges(nd, declared[name])
-		seedArray(st, name, make([]int64, 0, nd), lo, hi)
 	}
-	return st
+	return seed
 }
 
-// seedRanges picks the per-dimension index box to pre-fill: declared
-// arrays seed their 1-based range (capped), undeclared arrays a small box
-// around the origin including negative indices.
+// seedRanges picks the per-dimension index box to seed: declared arrays
+// seed their 1-based range (capped), undeclared arrays a small box around
+// the origin including negative indices.
 func seedRanges(nd int, sizes []int64) (lo, hi []int64) {
 	lo = make([]int64, nd)
 	hi = make([]int64, nd)
@@ -331,34 +512,4 @@ func seedRanges(nd int, sizes []int64) (lo, hi []int64) {
 		}
 	}
 	return lo, hi
-}
-
-func seedArray(st *interp.State, name string, idx []int64, lo, hi []int64) {
-	d := len(idx)
-	if d == len(lo) {
-		st.SetArrayN(name, idx, seedValue(name, cellKey(idx)))
-		return
-	}
-	for v := lo[d]; v <= hi[d]; v++ {
-		seedArray(st, name, append(idx, v), lo, hi)
-	}
-}
-
-// seedValue derives a nonzero deterministic element value from the array
-// name and element key.
-func seedValue(name, key string) int64 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return int64(h.Sum32()%997) + 1
-}
-
-// cellKey matches the interpreter's element-key encoding.
-func cellKey(idx []int64) string {
-	parts := make([]string, len(idx))
-	for i, v := range idx {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return strings.Join(parts, ",")
 }

@@ -148,16 +148,17 @@ func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 // (DefinedBefore) under which the analyzer accepts the read — so the fix
 // provably eliminates its finding and `vet -fix` converges.
 func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
-	if c.Src == "" {
+	li := c.vet().lines
+	if li == nil {
 		return diag.SuggestedFix{}, false
 	}
 	loop := c.Loop.Loop
 	line := loop.Pos().Line
-	text, ok := diag.LineAt(c.Src, line)
+	text, ok := li.Line(line)
 	if !ok || !strings.HasPrefix(strings.TrimLeft(text, " \t"), "do") {
 		return diag.SuggestedFix{}, false
 	}
-	iv := freshName(c.Program, "ii")
+	iv := c.vet().freshIV()
 	subs := make([]string, len(u.Expr.Subs))
 	for k, sub := range u.Expr.Subs {
 		subs[k] = ast.ExprString(ast.SubstituteIdent(sub, c.Loop.Graph().IV, &ast.Ident{Name: iv}))
@@ -167,7 +168,7 @@ func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
 		fmt.Sprintf("    %s[%s] := 0", u.Array, strings.Join(subs, ", ")),
 		"enddo",
 	}
-	edit, ok := diag.InsertLinesEdit(c.Src, line, lines)
+	edit, ok := li.InsertLinesEdit(line, lines)
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}

@@ -325,7 +325,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set(exitHeader, "0")
-	fmt.Fprint(w, pa.Report())
+	io.WriteString(w, pa.Report())
 	s.counters.completed.Add(1)
 	s.latency.observe(time.Since(t0))
 }
@@ -434,7 +434,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if exit == 2 {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
-	fmt.Fprint(w, body.String())
+	io.WriteString(w, body.String())
 	s.counters.completed.Add(1)
 	s.latency.observe(time.Since(t0))
 }
