@@ -452,7 +452,9 @@ func BenchmarkDriverMemoization(b *testing.B) {
 // BenchmarkFrontEnd isolates the zero-copy front end (lexer, parser,
 // semantic checks) from the solver: the cost of getting a large program
 // from source bytes to a checked AST. The shared-interner variant models
-// the batch pipeline, where one intern table serves many programs.
+// the batch pipeline, where one intern table serves many programs. The
+// normalize variant times the last front-end stage alone: sema.Normalize
+// of the parsed, checked program.
 func BenchmarkFrontEnd(b *testing.B) {
 	src := []byte(ast.ProgramString(driverBenchProgram()))
 	prog, err := parser.ParseBytes(src, nil)
@@ -482,6 +484,13 @@ func BenchmarkFrontEnd(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := sema.Check(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("normalize", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sema.Normalize(prog); err != nil {
 				b.Fatal(err)
 			}
 		}

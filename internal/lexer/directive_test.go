@@ -11,7 +11,7 @@ import (
 // lexical errors.
 func scanDirectives(src string) ([]token.Directive, []*Error) {
 	l := New(src)
-	l.All()
+	scanAll(l)
 	return l.Directives(), l.Errors()
 }
 

@@ -37,6 +37,10 @@ type Lexer struct {
 	atLineStart bool
 	in          *token.Interner
 	directives  []token.Directive
+	// recent caches the last symbol interned per hash bucket of its
+	// spelling: loop bodies repeat a handful of names, and a hit costs a
+	// short compare instead of a map lookup.
+	recent [128]token.Sym
 }
 
 // New returns a lexer over src.
@@ -215,16 +219,27 @@ func (l *Lexer) Next() token.Token {
 
 	case isLetter(c):
 		start := l.off
+		letters := true // keywords are two or more letters, nothing else
+		h := 0
 		for isIdentPart(l.peek()) {
-			l.advance()
+			c := l.advance()
+			h = h*31 + int(c)
+			if !isLetter(c) {
+				letters = false
+			}
 		}
 		word := l.src[start:l.off]
-		kind := token.LookupBytes(word)
-		if kind != token.IDENT {
-			return token.Token{Kind: kind, Text: kind.String(), Pos: pos}
+		if letters && len(word) > 1 {
+			if kind := token.LookupBytes(word); kind != token.IDENT {
+				return token.Token{Kind: kind, Text: kind.String(), Pos: pos}
+			}
 		}
-		sym := l.in.Intern(word)
-		return token.Token{Kind: token.IDENT, Text: l.in.Name(sym), Sym: sym, Pos: pos}
+		slot := &l.recent[h&(len(l.recent)-1)]
+		if name := l.in.Name(*slot); name == string(word) {
+			return token.Token{Kind: token.IDENT, Text: name, Sym: *slot, Pos: pos}
+		}
+		*slot = l.in.Intern(word)
+		return token.Token{Kind: token.IDENT, Text: l.in.Name(*slot), Sym: *slot, Pos: pos}
 	}
 
 	// Operators and punctuation.
@@ -289,19 +304,4 @@ func (l *Lexer) Next() token.Token {
 
 	l.errorf(pos, "illegal character %q", c)
 	return token.Token{Kind: token.ILLEGAL, Text: string(c), Pos: pos}
-}
-
-// All scans the entire input and returns every token including the final EOF.
-func (l *Lexer) All() []token.Token {
-	// Dense loop sources run just under 2 bytes per token, so len/2 lands
-	// within one growth step of the final size instead of doubling a
-	// multi-megabyte slice ~15 times from nil.
-	out := make([]token.Token, 0, len(l.src)/2+16)
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out
-		}
-	}
 }

@@ -6,10 +6,23 @@ import (
 	"repro/internal/token"
 )
 
+// scanAll lexes the whole input and returns every token, the final EOF
+// included.
+func scanAll(l *Lexer) []token.Token {
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
 	l := New(src)
 	var out []token.Kind
-	for _, t := range l.All() {
+	for _, t := range scanAll(l) {
 		out = append(out, t.Kind)
 	}
 	return out
@@ -76,7 +89,7 @@ func TestKeywordsCaseInsensitive(t *testing.T) {
 
 func TestIdentifiersKeepCase(t *testing.T) {
 	l := New("Alpha beta_2 C")
-	toks := l.All()
+	toks := scanAll(l)
 	if toks[0].Text != "Alpha" || toks[1].Text != "beta_2" || toks[2].Text != "C" {
 		t.Fatalf("identifier texts wrong: %v", toks)
 	}
@@ -84,7 +97,7 @@ func TestIdentifiersKeepCase(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	l := New("a := 1\n  b := 2")
-	toks := l.All()
+	toks := scanAll(l)
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v, want 1:1", toks[0].Pos)
 	}
@@ -102,7 +115,7 @@ func TestPositions(t *testing.T) {
 
 func TestIllegalColon(t *testing.T) {
 	l := New("a : b")
-	toks := l.All()
+	toks := scanAll(l)
 	found := false
 	for _, tk := range toks {
 		if tk.Kind == token.ILLEGAL {
@@ -119,7 +132,7 @@ func TestIllegalColon(t *testing.T) {
 
 func TestIllegalDigitIdent(t *testing.T) {
 	l := New("1abc := 2")
-	toks := l.All()
+	toks := scanAll(l)
 	if toks[0].Kind != token.ILLEGAL {
 		t.Fatalf("expected ILLEGAL for 1abc, got %v", toks[0])
 	}

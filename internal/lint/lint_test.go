@@ -292,6 +292,21 @@ func TestVetFrontEndFindings(t *testing.T) {
 	}
 }
 
+// TestEmptyStridedLoopHasNoBoundsFinding: do i = 2, 1, 2 never runs, so
+// its reference to A[i] cannot leave A's declared range. Normalization
+// must give the loop an upper bound below 1, not a single trip.
+func TestEmptyStridedLoopHasNoBoundsFinding(t *testing.T) {
+	res := lint.Vet("<test>", "dim A[1]\ndo i = 2, 1, 2\n  A[i] := 0\nenddo\n", nil)
+	if res.FrontEndFailed {
+		t.Fatalf("front end failed: %v", res.Findings)
+	}
+	for _, f := range res.Findings {
+		if f.Analyzer == "bounds" {
+			t.Errorf("unexpected finding on an empty loop: %s", f)
+		}
+	}
+}
+
 // TestAnalyzerRegistry pins the registry's IDs and ordering (documentation
 // tables and the -analyzers selector depend on both).
 func TestAnalyzerRegistry(t *testing.T) {

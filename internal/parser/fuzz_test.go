@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -16,45 +18,7 @@ import (
 // `go test -fuzz=FuzzParse ./internal/parser` for continuous fuzzing; the
 // seed corpus runs as a normal test.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"do i = 1, UB\n  C[i+2] := C[i] * 2\nenddo",
-		"if a == 0 then b := 1",
-		"do i = 1, 10, 2\n A(i) = A(i-1)\nenddo",
-		"do j = 1, M\n do i = 1, N\n  X[i, j] := X[i-1, j+1]\n enddo\nenddo",
-		"a := -(1 + 2) * x / 3 % 4",
-		"do i = 1, N\n if x > 0 and y < 2 or not z == 1 then A[i] := 0\nenddo",
-		"x := ((((1))))",
-		"! comment only",
-		"do i = 1, \n enddo",
-		"A[B[i]] := A[i*i]",
-		"dim A[100]\nA[1] := 0",
-		"dim X[64, 64]\ndim X(64, 64)",
-		"dim",
-		"dim A",
-		"dim A[",
-		"dim A[]\ndim B[0]\ndim C[-1]",
-		// Lint control directives: well-formed (line, trailing, bang, multi-ID,
-		// wildcard) and malformed (unknown verb, missing reason, empty ID).
-		"//lint:ignore race benchmark kernel\ndo i = 1, 8\n  A[i+1] := A[i]\nenddo",
-		"A[i] := B[i] //lint:ignore uninit seeded by caller",
-		"!lint:ignore race,uninit,deadstore vetted\ndo i = 1, 4\n A[i] := 0\nenddo",
-		"//lint:ignore * vendored example",
-		"//lint:fixme later",
-		"//lint:ignore race",
-		"//lint:ignore ,race why",
-		"//lint:ignore",
-		// Race-classification shapes: racy (carried flow dep), parallel
-		// (disjoint strided cells), unknown (non-affine, scalar carry),
-		// multi-dimensional and negative-stride variants.
-		"dim A[64]\ndo i = 1, 20\n  A[i+2] := A[i] * 2\nenddo",
-		"dim A[64]\ndo i = 1, 10\n  A[2*i] := A[2*i - 1]\nenddo",
-		"do i = 1, 100\n  A[i*i] := B[i]\nenddo",
-		"do i = 1, 50\n  s := C[i] + s\n  D[i] := s\nenddo",
-		"dim M[64, 64]\ndo i = 1, 40\n  M[i+1, 5] := M[i, 5] * 2\nenddo",
-		"dim A[32]\ndo i = 20, 2, -1\n  A[i-1] := A[i] + 1\nenddo",
-	}
-	for _, s := range seeds {
+	for _, s := range quotedSeeds(f, "testdata/seeds.txt") {
 		f.Add(s)
 	}
 	for _, path := range exampleSeeds(f) {
@@ -90,6 +54,27 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("print unstable: %q vs %q", printed, got)
 		}
 	})
+}
+
+// quotedSeeds reads a seed file: one Go-quoted string per line, skipping
+// blank lines and "//" comments.
+func quotedSeeds(f *testing.F, path string) []string {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatalf("reading seeds: %v", err)
+	}
+	var out []string
+	for n, line := range strings.Split(string(b), "\n") {
+		if line == "" || strings.HasPrefix(line, "//") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatalf("%s:%d: %v", path, n+1, err)
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // exampleSeeds lists the .loop programs under examples/ so the fuzzer

@@ -59,11 +59,15 @@ func (l ErrorList) Error() string {
 	return b.String()
 }
 
+// parser pulls tokens from the lexer one at a time: it holds only the
+// current token, plus a count of the tokens consumed so far, which
+// parseBlock uses to detect a statement that made no progress.
 type parser struct {
-	toks   []token.Token
-	pos    int
-	errs   ErrorList
-	nextDo int // next DoLoop label
+	lx     *lexer.Lexer
+	tok    token.Token // current token
+	used   int         // tokens consumed
+	errs   ErrorList   // syntax errors; lexical errors are the lexer's
+	nextDo int         // next DoLoop label
 }
 
 // Parse parses source text into a Program. On syntax errors it returns the
@@ -81,21 +85,29 @@ func ParseBytes(src []byte, in *token.Interner) (*ast.Program, error) {
 }
 
 func parseLexer(lx *lexer.Lexer) (*ast.Program, error) {
-	toks := lx.All()
-	p := &parser{toks: toks, nextDo: 1}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
-	}
-	prog := &ast.Program{Syms: lx.Interner(), Directives: lx.Directives()}
+	p := &parser{lx: lx, tok: lx.Next(), nextDo: 1}
+	prog := &ast.Program{Syms: lx.Interner()}
 	p.skipSeparators()
-	prog.Body = p.parseBlock(token.EOF)
-	if p.cur().Kind != token.EOF {
-		p.errorf("unexpected %s at top level", p.cur())
+	prog.Body = p.parseBlock()
+	if p.tok.Kind != token.EOF {
+		p.errorf("unexpected %s at top level", p.tok)
+		// Parsing stops here, but the rest of the input is still scanned:
+		// its lexical errors and lint directives belong to the result.
+		for p.tok.Kind != token.EOF {
+			p.tok = lx.Next()
+		}
 	}
-	if len(p.errs) > 0 {
-		return prog, p.errs
+	prog.Directives = lx.Directives()
+	lexErrs := lx.Errors()
+	if len(lexErrs)+len(p.errs) == 0 {
+		return prog, nil
 	}
-	return prog, nil
+	// Every lexical error comes first, then the syntax errors.
+	errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	return prog, append(errs, p.errs...)
 }
 
 // MustParse parses src and panics on error. Intended for tests and examples
@@ -108,14 +120,14 @@ func MustParse(src string) *ast.Program {
 	return prog
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
+func (p *parser) cur() token.Token { return p.tok }
 
-func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if t.Kind != token.EOF {
-		p.pos++
+// next consumes the current token. EOF is never consumed.
+func (p *parser) next() {
+	if p.tok.Kind != token.EOF {
+		p.tok = p.lx.Next()
+		p.used++
 	}
-	return t
 }
 
 func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
@@ -129,8 +141,9 @@ func (p *parser) accept(k token.Kind) bool {
 }
 
 func (p *parser) expect(k token.Kind) token.Token {
-	if p.at(k) {
-		return p.next()
+	if t := p.tok; t.Kind == k {
+		p.next()
+		return t
 	}
 	p.errorf("expected %s, found %s", k, p.cur())
 	return token.Token{Kind: k, Pos: p.cur().Pos}
@@ -163,7 +176,7 @@ func (p *parser) syncStmt() {
 
 // parseBlock parses statements until one of the closers (ENDDO/ENDIF/ELSE) or
 // EOF is seen. The closer itself is not consumed.
-func (p *parser) parseBlock(closers ...token.Kind) []ast.Stmt {
+func (p *parser) parseBlock() []ast.Stmt {
 	var out []ast.Stmt
 	for {
 		p.skipSeparators()
@@ -171,12 +184,12 @@ func (p *parser) parseBlock(closers ...token.Kind) []ast.Stmt {
 		if k == token.EOF || k == token.ENDDO || k == token.ENDIF || k == token.ELSE {
 			return out
 		}
-		before := p.pos
+		before := p.used
 		s := p.parseStmt()
 		if s != nil {
 			out = append(out, s)
 		}
-		if p.pos == before {
+		if p.used == before {
 			// No progress: drop the offending token to guarantee termination.
 			p.errorf("unexpected %s", p.cur())
 			p.next()
@@ -317,7 +330,8 @@ func (p *parser) parseAnd() ast.Expr {
 func (p *parser) parseRel() ast.Expr {
 	e := p.parseAdd()
 	if p.cur().Kind.IsRelational() {
-		op := p.next().Kind
+		op := p.tok.Kind
+		p.next()
 		return &ast.Binary{Op: op, L: e, R: p.parseAdd()}
 	}
 	// In expression position a bare '=' means equality (Fortran habit).
@@ -331,7 +345,8 @@ func (p *parser) parseRel() ast.Expr {
 func (p *parser) parseAdd() ast.Expr {
 	e := p.parseMul()
 	for p.cur().Kind.IsAdditive() {
-		op := p.next().Kind
+		op := p.tok.Kind
+		p.next()
 		e = &ast.Binary{Op: op, L: e, R: p.parseMul()}
 	}
 	return e
@@ -340,7 +355,8 @@ func (p *parser) parseAdd() ast.Expr {
 func (p *parser) parseMul() ast.Expr {
 	e := p.parseUnary()
 	for p.cur().Kind.IsMultiplicative() {
-		op := p.next().Kind
+		op := p.tok.Kind
+		p.next()
 		e = &ast.Binary{Op: op, L: e, R: p.parseUnary()}
 	}
 	return e
@@ -348,7 +364,8 @@ func (p *parser) parseMul() ast.Expr {
 
 func (p *parser) parseUnary() ast.Expr {
 	if p.at(token.MINUS) || p.at(token.NOT) {
-		t := p.next()
+		t := p.tok
+		p.next()
 		return &ast.Unary{OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
 	}
 	return p.parsePrimary()
@@ -363,7 +380,8 @@ func (p *parser) parsePrimary() ast.Expr {
 	case token.IDENT:
 		p.next()
 		if p.at(token.LBRACKET) || p.at(token.LPAREN) {
-			open := p.next().Kind
+			open := p.tok.Kind
+			p.next()
 			closeKind := token.RBRACKET
 			if open == token.LPAREN {
 				closeKind = token.RPAREN

@@ -529,6 +529,27 @@ func (p Poly) Monomials() []Monomial {
 	return out
 }
 
+// NumTerms returns the number of non-constant terms of p.
+func (p Poly) NumTerms() int { return len(p.terms) }
+
+// Term returns the coefficient and monomial key of p's i-th non-constant
+// term, 0 ≤ i < NumTerms(), in the order Monomials and String list them.
+// The key is the term's symbol factors, sorted and joined by '*';
+// NextFactor walks it. Neither allocates.
+func (p Poly) Term(i int) (coeff int64, key string) {
+	t := p.terms[i]
+	return t.coeff, t.mon
+}
+
+// NextFactor splits a monomial key into its first factor and the key of
+// the remaining factors, which is empty after the last one.
+func NextFactor(key string) (factor, rest string) {
+	if i := strings.IndexByte(key, '*'); i >= 0 {
+		return key[:i], key[i+1:]
+	}
+	return key, ""
+}
+
 // Eval evaluates p under the given symbol assignment. Missing symbols
 // evaluate as 0.
 func (p Poly) Eval(env map[string]int64) int64 {

@@ -56,27 +56,34 @@ func (e *ErrNotAffine) Error() string {
 // ExprToPoly converts an arithmetic expression to a polynomial, treating
 // every identifier as a symbol. It fails on relational/boolean operators,
 // on '%' and on inexact division.
-func ExprToPoly(e ast.Expr) (poly.Poly, error) {
+func ExprToPoly(e ast.Expr) (poly.Poly, error) { return polyIn(e, nil) }
+
+// polyIn is ExprToPoly with each identifier that env binds standing for
+// its binding's polynomial (see Normalize).
+func polyIn(e ast.Expr, env []binding) (poly.Poly, error) {
 	switch ex := e.(type) {
 	case *ast.IntLit:
 		return poly.Const(ex.Value), nil
 	case *ast.Ident:
+		if b := lookup(env, ex.Name); b != nil {
+			return b.p, b.err
+		}
 		return poly.Sym(ex.Name), nil
 	case *ast.Unary:
 		if ex.Op != token.MINUS {
 			return poly.Zero, fmt.Errorf("%s: operator %s not allowed in subscript", ex.Pos(), ex.Op)
 		}
-		p, err := ExprToPoly(ex.X)
+		p, err := polyIn(ex.X, env)
 		if err != nil {
 			return poly.Zero, err
 		}
 		return p.Neg(), nil
 	case *ast.Binary:
-		l, err := ExprToPoly(ex.L)
+		l, err := polyIn(ex.L, env)
 		if err != nil {
 			return poly.Zero, err
 		}
-		r, err := ExprToPoly(ex.R)
+		r, err := polyIn(ex.R, env)
 		if err != nil {
 			return poly.Zero, err
 		}

@@ -9,51 +9,53 @@ import (
 	"repro/internal/token"
 )
 
-// PolyToExpr converts a polynomial back into a source expression. Symbols
-// become identifiers; the result is simplified (constant terms folded,
-// ×1 elided). Stride symbols of the form "X#k" produced by DefaultDims are
-// not convertible — callers that generate runtime code must use concrete
-// dimension sizes instead; PolyToExpr reports them via ok=false.
+// PolyToExpr converts a polynomial back into a source expression: its
+// terms in the order poly.String lists them, each written |c|·s1·s2·… and
+// joined by + and −, with ×1 elided and the constant last. A constant
+// polynomial is a single literal. Symbols become identifiers. Stride
+// symbols of the form "X#k" produced by DefaultDims are not convertible —
+// callers that generate runtime code must use concrete dimension sizes
+// instead; PolyToExpr reports them via ok=false.
 func PolyToExpr(p poly.Poly) (ast.Expr, bool) {
-	for _, s := range p.Symbols() {
-		if strings.Contains(s, "#") {
+	var expr ast.Expr
+	for i := 0; i < p.NumTerms(); i++ {
+		c, key := p.Term(i)
+		if strings.IndexByte(key, '#') >= 0 {
 			return nil, false
 		}
+		expr = appendTerm(expr, c, termExpr(abs64(c), key))
 	}
-	terms := p.Monomials()
-	var expr ast.Expr
-	for _, t := range terms {
-		mag := termExpr(abs64(t.Coeff), t.Symbols)
-		switch {
-		case expr == nil && t.Coeff < 0:
-			expr = &ast.Unary{Op: token.MINUS, X: mag}
-		case expr == nil:
-			expr = mag
-		case t.Coeff < 0:
-			expr = &ast.Binary{Op: token.MINUS, L: expr, R: mag}
-		default:
-			expr = &ast.Binary{Op: token.PLUS, L: expr, R: mag}
-		}
+	k := p.ConstPart()
+	switch {
+	case expr == nil:
+		return &ast.IntLit{Value: k}, true
+	case k != 0:
+		expr = appendTerm(expr, k, &ast.IntLit{Value: abs64(k)})
 	}
-	if expr == nil {
-		expr = &ast.IntLit{Value: 0}
-	}
-	return Simplify(expr), true
+	return expr, true
 }
 
-// termExpr renders |c|·s1·s2·… as an expression.
-func termExpr(c int64, syms []string) ast.Expr {
-	if len(syms) == 0 {
-		return &ast.IntLit{Value: c}
+// appendTerm adds the term c·… whose magnitude is mag to the sum expr
+// (nil for the first term).
+func appendTerm(expr ast.Expr, c int64, mag ast.Expr) ast.Expr {
+	switch {
+	case expr == nil && c < 0:
+		return &ast.Unary{Op: token.MINUS, X: mag}
+	case expr == nil:
+		return mag
+	case c < 0:
+		return &ast.Binary{Op: token.MINUS, L: expr, R: mag}
 	}
-	var prod ast.Expr
-	for _, s := range syms {
-		id := &ast.Ident{Name: s}
-		if prod == nil {
-			prod = id
-		} else {
-			prod = &ast.Binary{Op: token.STAR, L: prod, R: id}
-		}
+	return &ast.Binary{Op: token.PLUS, L: expr, R: mag}
+}
+
+// termExpr renders c·s1·s2·… for the monomial key of a non-constant term.
+func termExpr(c int64, key string) ast.Expr {
+	f, key := poly.NextFactor(key)
+	var prod ast.Expr = &ast.Ident{Name: f}
+	for key != "" {
+		f, key = poly.NextFactor(key)
+		prod = &ast.Binary{Op: token.STAR, L: prod, R: &ast.Ident{Name: f}}
 	}
 	if c == 1 {
 		return prod
@@ -95,28 +97,15 @@ func SortedSymbols(p poly.Poly) []string {
 
 // CanonicalizeSubscripts returns a deep copy of the program in which every
 // polynomial array subscript is rewritten to its canonical affine form
-// (e.g. "1 + (i-1)*3 + 2" becomes "3*i"). Loop normalization and unrolling
-// substitute expressions into subscripts; canonicalization collapses the
-// residue so downstream code generation emits a single multiply per
-// subscript, which strength reduction can then remove entirely.
-// Non-polynomial subscripts are left unchanged.
+// (e.g. "1 + (i-1)*3 + 2" becomes "3*i", as PolyToExpr writes it). Loop
+// unrolling and derived-IV removal substitute expressions into subscripts;
+// canonicalization collapses the residue so downstream code generation
+// emits a single multiply per subscript, which strength reduction can then
+// remove entirely. Non-polynomial subscripts are left unchanged, array
+// references inside them included. Normalize canonicalizes the same way,
+// in the same walk.
 func CanonicalizeSubscripts(prog *ast.Program) *ast.Program {
-	out := &ast.Program{Body: ast.CloneStmts(prog.Body), Syms: prog.Syms, Directives: prog.Directives}
-	ast.Inspect(out.Body, func(n ast.Node) bool {
-		ref, ok := n.(*ast.ArrayRef)
-		if !ok {
-			return true
-		}
-		for k, sub := range ref.Subs {
-			p, err := ExprToPoly(sub)
-			if err != nil {
-				continue
-			}
-			if e, ok := PolyToExpr(p); ok {
-				ref.Subs[k] = e
-			}
-		}
-		return false // subscripts of subscripts were handled by ExprToPoly
-	})
-	return out
+	var w rewriter
+	body, _ := w.block(prog.Body) // only loop normalization can fail
+	return &ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/poly"
 	"repro/internal/token"
 )
 
@@ -13,53 +14,124 @@ import (
 // an upper bound UB with increment one").
 //
 // A loop  do i = lo, hi, s  (s a nonzero integer constant, s defaults to 1)
-// becomes  do i = 1, (hi−lo)/s + 1  with every use of i in the body replaced
-// by  lo + (i−1)·s. Loops already in normal form are returned unchanged
+// becomes  do i = 1, (hi−lo+s)/s  with every use of i in the body replaced
+// by  lo + (i−1)·s. Integer division truncates toward zero, so the new
+// upper bound is the trip count whenever the loop runs, and at most 0
+// when it does not. Loops already in normal form are returned unchanged
 // (structurally copied). A loop whose step is not a nonzero integer constant
-// is an error.
+// is an error. Every polynomial array subscript of the copy is in canonical
+// form (see CanonicalizeSubscripts), so the substitution residue
+// "1 + (i-1)*3 + 2" reads "3 * i".
+//
+// The copy is built in one walk that carries the replacements of the
+// enclosing loops' variables, and shares no node with prog. The intern
+// table and lint directives carry over: normalization rewrites statements,
+// not identities or comments.
+//
+// The replacements are hygienic: a name in a loop's lower bound means what
+// it means at the loop header, even when an inner loop reuses an enclosing
+// induction variable's name (a nest Check rejects).
 func Normalize(prog *ast.Program) (*ast.Program, error) {
-	body, err := normalizeBlock(prog.Body)
+	w := rewriter{normalize: true}
+	body, err := w.block(prog.Body)
 	if err != nil {
 		return nil, err
 	}
-	// Substitution leaves residue like "1 + (i-1)*3 + 2" in subscripts;
-	// canonicalization collapses it back to affine form ("3*i"). The intern
-	// table and lint directives carry over: normalization rewrites
-	// statements, not identities or comments.
-	return CanonicalizeSubscripts(&ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}), nil
+	return &ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}, nil
 }
 
-func normalizeBlock(body []ast.Stmt) ([]ast.Stmt, error) {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		switch st := s.(type) {
-		case *ast.DoLoop:
-			n, err := normalizeLoop(st)
-			if err != nil {
-				return nil, err
+// binding is one entry of the rewrite's environment: a loop variable and
+// what replaces it in the loop's body. A nil repl marks a normal-form loop
+// whose variable shadows an outer binding of the same name.
+type binding struct {
+	name  string
+	repl  ast.Expr  // with the enclosing bindings applied; subscripts as written
+	canon ast.Expr  // repl with its subscripts canonicalized
+	p     poly.Poly // repl as a polynomial, when err is nil
+	err   error
+}
+
+// rewriter copies statements, replacing bound loop variables and writing
+// every polynomial subscript in canonical form. With normalize set it also
+// normalizes each loop and binds its variable for the body.
+type rewriter struct {
+	normalize bool
+	env       []binding // innermost last
+}
+
+// lookup returns the binding that replaces name, or nil when name is
+// unbound or shadowed.
+func lookup(env []binding, name string) *binding {
+	for k := len(env) - 1; k >= 0; k-- {
+		if env[k].name == name {
+			if env[k].repl == nil {
+				return nil
 			}
-			out = append(out, n)
-		case *ast.If:
-			thenB, err := normalizeBlock(st.Then)
-			if err != nil {
-				return nil, err
-			}
-			var elseB []ast.Stmt
-			if st.Else != nil {
-				elseB, err = normalizeBlock(st.Else)
-				if err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, &ast.If{IfPos: st.IfPos, Cond: ast.CloneExpr(st.Cond), Then: thenB, Else: elseB})
-		default:
-			out = append(out, ast.CloneStmt(s))
+			return &env[k]
 		}
+	}
+	return nil
+}
+
+// block copies a statement list. Normalization always yields a non-nil
+// list; canonicalization keeps nil as nil.
+func (w *rewriter) block(list []ast.Stmt) ([]ast.Stmt, error) {
+	if list == nil && !w.normalize {
+		return nil, nil
+	}
+	out := make([]ast.Stmt, len(list))
+	for i, s := range list {
+		st, err := w.stmt(s)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = st
 	}
 	return out, nil
 }
 
-func normalizeLoop(st *ast.DoLoop) (*ast.DoLoop, error) {
+func (w *rewriter) stmt(s ast.Stmt) (ast.Stmt, error) {
+	switch st := s.(type) {
+	case nil:
+		return nil, nil
+	case *ast.DoLoop:
+		if w.normalize {
+			return w.loop(st)
+		}
+		c := &ast.DoLoop{
+			DoPos: st.DoPos, Var: st.Var, VarSym: st.VarSym, Label: st.Label,
+			Lo: w.expr(st.Lo), Hi: w.expr(st.Hi), Step: w.expr(st.Step),
+		}
+		c.Body, _ = w.block(st.Body)
+		return c, nil
+	case *ast.If:
+		c := &ast.If{IfPos: st.IfPos, Cond: w.expr(st.Cond)}
+		var err error
+		if c.Then, err = w.block(st.Then); err != nil {
+			return nil, err
+		}
+		if st.Else != nil {
+			if c.Else, err = w.block(st.Else); err != nil {
+				return nil, err
+			}
+		}
+		return c, nil
+	case *ast.Assign:
+		return &ast.Assign{LHS: w.expr(st.LHS), RHS: w.expr(st.RHS)}, nil
+	case *ast.Dim:
+		// A declaration's sizes are canonicalized but never substituted.
+		c := &ast.Dim{DimPos: st.DimPos, Name: st.Name, Sym: st.Sym, NamePos: st.NamePos, Sizes: make([]ast.Expr, len(st.Sizes))}
+		for i, sz := range st.Sizes {
+			c.Sizes[i] = w.canonical(sz)
+		}
+		return c, nil
+	}
+	panic("sema: unknown statement type in rewrite")
+}
+
+// loop normalizes one loop and rewrites its body under the loop's binding.
+// A normalized loop has no step and no VarSym.
+func (w *rewriter) loop(st *ast.DoLoop) (*ast.DoLoop, error) {
 	step := int64(1)
 	if st.Step != nil {
 		v, ok := constValue(st.Step)
@@ -69,33 +141,112 @@ func normalizeLoop(st *ast.DoLoop) (*ast.DoLoop, error) {
 		}
 		step = v
 	}
-
-	body, err := normalizeBlock(st.Body)
+	out := &ast.DoLoop{DoPos: st.DoPos, Var: st.Var, Label: st.Label}
+	mark := len(w.env)
+	if v, ok := constValue(st.Lo); ok && v == 1 && step == 1 {
+		out.Lo, out.Hi = w.expr(st.Lo), w.expr(st.Hi)
+		if lookup(w.env, st.Var) != nil {
+			w.env = append(w.env, binding{name: st.Var})
+		}
+	} else {
+		// UB = (hi − lo + step)/step, folded from the loop's own bounds
+		// before the enclosing replacements apply.
+		out.Lo = lit(1)
+		out.Hi = w.expr(simplify(div(add(sub(st.Hi, st.Lo), lit(step)), lit(step))))
+		w.bind(st.Var, st.Lo, step)
+	}
+	body, err := w.block(st.Body)
+	w.env = w.env[:mark]
 	if err != nil {
 		return nil, err
 	}
+	out.Body = body
+	return out, nil
+}
 
-	loIsOne := false
-	if v, ok := constValue(st.Lo); ok && v == 1 {
-		loIsOne = true
+// bind pushes i ↦ lo + (i−1)·step, folded as simplify folds it: the lower
+// bound drops out when it is zero and the factor when the step is one. The
+// enclosing replacements apply to lo only; the i in (i−1) is the
+// normalized variable itself.
+func (w *rewriter) bind(name string, lo ast.Expr, step int64) {
+	var repl ast.Expr = sub(&ast.Ident{Name: name}, lit(1))
+	if step != 1 {
+		repl = mul(repl, lit(step))
 	}
-	if loIsOne && step == 1 {
-		return &ast.DoLoop{
-			DoPos: st.DoPos, Var: st.Var, Label: st.Label,
-			Lo: ast.CloneExpr(st.Lo), Hi: ast.CloneExpr(st.Hi), Body: body,
-		}, nil
+	lo = simplify(lo)
+	if v, ok := constValue(lo); !ok || v != 0 {
+		repl = add(w.subst(lo), repl)
 	}
+	b := binding{name: name, repl: repl, canon: w.canonical(repl)}
+	b.p, b.err = ExprToPoly(repl)
+	w.env = append(w.env, b)
+}
 
-	// UB = (hi − lo)/step + 1;  i ↦ lo + (i−1)·step.
-	iv := &ast.Ident{Name: st.Var}
-	ub := simplify(add(div(sub(ast.CloneExpr(st.Hi), ast.CloneExpr(st.Lo)), lit(step)), lit(1)))
-	repl := simplify(add(ast.CloneExpr(st.Lo), mul(sub(iv, lit(1)), lit(step))))
-	body = ast.SubstituteIdentStmts(body, st.Var, repl)
+// canonical copies e with its subscripts canonicalized and no
+// replacement applied.
+func (w *rewriter) canonical(e ast.Expr) ast.Expr {
+	env := w.env
+	w.env = nil
+	c := w.expr(e)
+	w.env = env
+	return c
+}
 
-	return &ast.DoLoop{
-		DoPos: st.DoPos, Var: st.Var, Label: st.Label,
-		Lo: lit(1), Hi: ub, Body: body,
-	}, nil
+// expr copies e with bound variables replaced and every polynomial array
+// subscript in canonical form. A subscript that is not a polynomial is
+// copied with the replacements applied and nothing inside it canonicalized.
+func (w *rewriter) expr(e ast.Expr) ast.Expr {
+	switch ex := e.(type) {
+	case nil:
+		return nil
+	case *ast.Ident:
+		if b := lookup(w.env, ex.Name); b != nil {
+			return ast.CloneExpr(b.canon)
+		}
+		c := *ex
+		return &c
+	case *ast.IntLit:
+		c := *ex
+		return &c
+	case *ast.ArrayRef:
+		c := &ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: make([]ast.Expr, len(ex.Subs))}
+		for k, s := range ex.Subs {
+			if p, err := polyIn(s, w.env); err == nil {
+				if canon, ok := PolyToExpr(p); ok {
+					c.Subs[k] = canon
+					continue
+				}
+			}
+			c.Subs[k] = w.subst(s)
+		}
+		return c
+	case *ast.Binary:
+		return &ast.Binary{Op: ex.Op, L: w.expr(ex.L), R: w.expr(ex.R)}
+	case *ast.Unary:
+		return &ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.expr(ex.X)}
+	}
+	panic("sema: unknown expression type in rewrite")
+}
+
+// subst copies e with bound variables replaced and nothing canonicalized.
+func (w *rewriter) subst(e ast.Expr) ast.Expr {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		if b := lookup(w.env, ex.Name); b != nil {
+			return ast.CloneExpr(b.repl)
+		}
+	case *ast.ArrayRef:
+		c := &ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: make([]ast.Expr, len(ex.Subs))}
+		for k, s := range ex.Subs {
+			c.Subs[k] = w.subst(s)
+		}
+		return c
+	case *ast.Binary:
+		return &ast.Binary{Op: ex.Op, L: w.subst(ex.L), R: w.subst(ex.R)}
+	case *ast.Unary:
+		return &ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.subst(ex.X)}
+	}
+	return ast.CloneExpr(e)
 }
 
 // constValue evaluates a constant integer expression.
