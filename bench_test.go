@@ -7,6 +7,7 @@ package arrayflow_test
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -15,10 +16,12 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dataflow"
 	"repro/internal/dataflow/reference"
+	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/lattice"
+	"repro/internal/lint"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/problems"
@@ -694,6 +697,46 @@ func BenchmarkVet(b *testing.B) {
 		b.ResetTimer()
 		run(b, false)
 	})
+}
+
+// BenchmarkRender times the three vet writers alone over the findings of
+// an 8-loop program (304 of them, about what one program of perfbench's
+// vet-serve corpus yields). Each writer makes one pass into one pre-sized
+// buffer, so allocs/op does not grow with the findings.
+func BenchmarkRender(b *testing.B) {
+	prog := synth.MultiLoopProgram(synth.MultiParams{Seed: 41, Loops: 8, StmtsPer: 8, DistinctBodies: 4})
+	res := arrayflow.Vet("bench.loop", ast.ProgramString(prog), &arrayflow.LintOptions{DisableCache: true})
+	if res.Analysis == nil {
+		b.Fatalf("front end rejected the synthetic program: %v", res.Findings)
+	}
+	rules := lint.RuleMetas()
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"text", func(w io.Writer) error { return diag.WriteText(w, "bench.loop", res.Findings) }},
+		{"json", func(w io.Writer) error { return diag.WriteJSON(w, "bench.loop", res.Findings) }},
+		{"sarif", func(w io.Writer) error { return diag.WriteSARIF(w, "bench.loop", rules, res.Findings) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var n countingWriter
+			for i := 0; i < b.N; i++ {
+				if err := c.write(&n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(res.Findings)), "findings")
+			b.ReportMetric(float64(n)/float64(b.N)/1e3, "kB/op")
+		})
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }
 
 // --- Ablation: initialization pass (DESIGN.md §5.2) -------------------------------

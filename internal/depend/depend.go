@@ -43,7 +43,12 @@ func Build(g *ir.Graph, res *dataflow.Result, maxDist int64) *Graph {
 			dg.StmtIDs = append(dg.StmtIDs, nd.ID)
 		}
 	}
-	seen := map[string]bool{}
+	type edgeKey struct {
+		from, to int
+		distance int64
+		kind     string
+	}
+	seen := map[edgeKey]bool{}
 	for _, d := range problems.FindDependences(res, maxDist) {
 		e := Edge{From: d.From.Node.ID, To: d.To.Node.ID, Distance: d.Distance, Kind: d.Kind,
 			FromRef: d.From, ToRef: d.To}
@@ -53,7 +58,7 @@ func Build(g *ir.Graph, res *dataflow.Result, maxDist int64) *Graph {
 		if e.Distance == 0 && !g.Precedes(d.From.Node, d.To.Node) {
 			continue
 		}
-		key := fmt.Sprintf("%d>%d:%d:%s", e.From, e.To, e.Distance, e.Kind)
+		key := edgeKey{e.From, e.To, e.Distance, e.Kind}
 		if seen[key] {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/token"
@@ -30,7 +31,7 @@ var severityNames = [...]string{"info", "warning", "error"}
 // String returns the lower-case severity name.
 func (s Severity) String() string {
 	if s < Info || s > Error {
-		return fmt.Sprintf("Severity(%d)", int(s))
+		return "Severity(" + strconv.Itoa(int(s)) + ")"
 	}
 	return severityNames[s]
 }
@@ -227,30 +228,54 @@ func MaxSeverity(fs []Finding) (Severity, bool) {
 // file is the run's display name, used for findings that do not carry
 // their own File (single-source front ends); findings with File set (the
 // Go importer's module-root-relative paths) print it instead.
+//
+// The output is appended to one buffer sized up front and written with a
+// single Write.
 func WriteText(w io.Writer, file string, fs []Finding) error {
-	// Render into one pre-sized builder and write once: the per-line
-	// Fprintf-to-w pattern cost a write call per finding, which dominated
-	// rendering on large finding sets.
-	var b strings.Builder
 	size := 0
-	for _, f := range fs {
-		size += len(file) + len(f.File) + len(f.Message) + 48
+	for i := range fs {
+		f := &fs[i]
+		size += len(file) + len(f.File) + len(f.Analyzer) + len(f.Message) + 48
 		for _, r := range f.Related {
-			size += len(file) + len(r.Message) + 24
+			size += len(file) + len(f.File) + len(r.File) + len(r.Message) + 32
 		}
 	}
-	b.Grow(size)
-	for _, f := range fs {
+	b := make([]byte, 0, size)
+	for i := range fs {
+		f := &fs[i]
 		if f.Suppressed {
 			continue
 		}
-		fmt.Fprintf(&b, "%s:%s\n", artifactName(file, f.File), f)
+		artifact := artifactName(file, f.File)
+		b = append(b, artifact...)
+		b = append(b, ':')
+		b = appendPos(b, f.Pos)
+		b = append(b, ": "...)
+		b = append(b, f.Severity.String()...)
+		b = append(b, ": "...)
+		b = append(b, f.Analyzer...)
+		b = append(b, ": "...)
+		b = append(b, f.Message...)
+		b = append(b, '\n')
 		for _, r := range f.Related {
-			fmt.Fprintf(&b, "    %s:%s: %s\n", artifactName(artifactName(file, f.File), r.File), r.Pos, r.Message)
+			b = append(b, "    "...)
+			b = append(b, artifactName(artifact, r.File)...)
+			b = append(b, ':')
+			b = appendPos(b, r.Pos)
+			b = append(b, ": "...)
+			b = append(b, r.Message...)
+			b = append(b, '\n')
 		}
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
+}
+
+// appendPos appends "line:col".
+func appendPos(b []byte, p token.Pos) []byte {
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(p.Col), 10)
 }
 
 // artifactName resolves a finding-level file against the run-level display
@@ -262,20 +287,133 @@ func artifactName(runFile, findingFile string) string {
 	return runFile
 }
 
-// File groups the findings of one source file for JSON output.
-type File struct {
-	File     string    `json:"file"`
-	Findings []Finding `json:"findings"`
+// WriteJSON renders one file's findings as an indented JSON document with a
+// trailing newline:
+//
+//	{"file": <file>, "findings": [<finding>, ...]}
+//
+// Each finding's members follow Finding's field order and JSON tags, with
+// Detail keys sorted; the bytes are exactly what encoding/json's Encoder
+// writes for the same value with SetIndent("", "  "), HTML escaping
+// included. No findings render as an empty array. The document is
+// appended to one buffer sized up front and written with a single Write.
+func WriteJSON(w io.Writer, file string, fs []Finding) error {
+	size, maxKeys := 64+len(file), 0
+	for i := range fs {
+		n, k := jsonSize(&fs[i])
+		size += n
+		maxKeys = max(maxKeys, k)
+	}
+	jw := newJSONW(size, maxKeys)
+	jw.open('{')
+	jw.key("file")
+	jw.str(file)
+	jw.key("findings")
+	jw.open('[')
+	for i := range fs {
+		jw.elem()
+		jw.finding(&fs[i])
+	}
+	jw.close(']')
+	jw.close('}')
+	jw.b = append(jw.b, '\n')
+	_, err := w.Write(jw.b)
+	return err
 }
 
-// WriteJSON renders one file's findings as an indented JSON document with a
-// trailing newline. Output is deterministic for sorted findings: struct
-// fields emit in declaration order and Detail maps sort by key.
-func WriteJSON(w io.Writer, file string, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
+// jsonSize bounds the indented JSON bytes of f, escapes aside (newJSONW
+// adds an eighth for them), and returns its detail map's size, which
+// bounds the sort scratch. The constants cover each object's fixed text
+// at its indentation, with positions of up to five digits.
+func jsonSize(f *Finding) (size, keys int) {
+	size = 256 + len(f.Analyzer) + len(f.File) + len(f.Message)
+	for _, r := range f.Related {
+		size += 160 + len(r.File) + len(r.Message)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(File{File: file, Findings: fs})
+	for k, v := range f.Detail {
+		size += 24 + len(k) + len(v)
+	}
+	for _, fix := range f.SuggestedFixes {
+		size += 112 + len(fix.Message)
+		for _, e := range fix.Edits {
+			size += 288 + len(e.NewText)
+		}
+	}
+	return size, len(f.Detail)
+}
+
+// finding writes f as encoding/json renders the tagged Finding struct.
+func (w *jsonw) finding(f *Finding) {
+	w.open('{')
+	w.key("analyzer")
+	w.str(f.Analyzer)
+	if f.File != "" {
+		w.key("file")
+		w.str(f.File)
+	}
+	w.key("pos")
+	w.pos(f.Pos)
+	w.key("end")
+	w.pos(f.End)
+	w.key("severity")
+	w.str(f.Severity.String())
+	w.key("message")
+	w.str(f.Message)
+	if len(f.Related) > 0 {
+		w.key("related")
+		w.open('[')
+		for _, r := range f.Related {
+			w.elem()
+			w.open('{')
+			if r.File != "" {
+				w.key("file")
+				w.str(r.File)
+			}
+			w.key("pos")
+			w.pos(r.Pos)
+			w.key("message")
+			w.str(r.Message)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if len(f.Detail) > 0 {
+		w.key("detail")
+		w.strMap(f.Detail)
+	}
+	if len(f.SuggestedFixes) > 0 {
+		w.key("suggestedFixes")
+		w.open('[')
+		for _, fix := range f.SuggestedFixes {
+			w.elem()
+			w.open('{')
+			w.key("message")
+			w.str(fix.Message)
+			w.key("edits")
+			if fix.Edits == nil {
+				w.b = append(w.b, "null"...)
+			} else {
+				w.open('[')
+				for _, e := range fix.Edits {
+					w.elem()
+					w.open('{')
+					w.key("pos")
+					w.pos(e.Pos)
+					w.key("end")
+					w.pos(e.End)
+					w.key("newText")
+					w.str(e.NewText)
+					w.close('}')
+				}
+				w.close(']')
+			}
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if f.Suppressed {
+		w.key("suppressed")
+		w.b = append(w.b, "true"...)
+	}
+	w.close('}')
 }

@@ -8,10 +8,8 @@
 package diag
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"io"
+	"slices"
 
 	"repro/internal/token"
 )
@@ -39,102 +37,6 @@ type RuleMeta struct {
 	Properties map[string]string
 }
 
-// The sarif* types mirror the SARIF 2.1.0 object model, restricted to the
-// emitted subset. Field order is emission order (encoding/json preserves
-// struct order), which keeps golden files stable.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	SemVer         string      `json:"semanticVersion,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string             `json:"id"`
-	ShortDescription sarifMessage       `json:"shortDescription"`
-	HelpURI          string             `json:"helpUri,omitempty"`
-	DefaultConfig    sarifConfiguration `json:"defaultConfiguration"`
-	Properties       map[string]string  `json:"properties,omitempty"`
-}
-
-type sarifConfiguration struct {
-	Level string `json:"level"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID              string             `json:"ruleId"`
-	RuleIndex           int                `json:"ruleIndex"`
-	Level               string             `json:"level"`
-	Message             sarifMessage       `json:"message"`
-	Locations           []sarifLocation    `json:"locations"`
-	RelatedLocations    []sarifLocation    `json:"relatedLocations,omitempty"`
-	Fixes               []sarifFix         `json:"fixes,omitempty"`
-	Suppressions        []sarifSuppression `json:"suppressions,omitempty"`
-	PartialFingerprints map[string]string  `json:"partialFingerprints,omitempty"`
-	Properties          map[string]string  `json:"properties,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-	Message          *sarifMessage         `json:"message,omitempty"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-	EndLine     int `json:"endLine,omitempty"`
-	EndColumn   int `json:"endColumn,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifMessage          `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Replacements     []sarifReplacement    `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifRegion   `json:"deletedRegion"`
-	InsertedContent *sarifMessage `json:"insertedContent,omitempty"`
-}
-
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification,omitempty"`
-}
-
 // sarifLevel maps a severity to the SARIF reporting level.
 func sarifLevel(s Severity) string {
 	switch s {
@@ -154,106 +56,348 @@ func sarifLevel(s Severity) string {
 // findings are included with an inSource suppression object rather than
 // dropped — that is how code-scanning backends distinguish "fixed" from
 // "silenced".
+//
+// The log is written in one pass into one buffer sized up front, with the
+// bytes encoding/json's Encoder writes under SetIndent("", "  ") for the
+// SARIF object model (the test oracle in oracle_test.go keeps that
+// model and checks the two agree).
 func WriteSARIF(w io.Writer, file string, rules []RuleMeta, fs []Finding) error {
-	index := map[string]int{}
-	var sr []sarifRule
-	addRule := func(m RuleMeta) {
-		if _, ok := index[m.ID]; ok {
-			return
-		}
-		index[m.ID] = len(sr)
-		doc := m.Doc
-		if doc == "" {
-			doc = m.ID
-		}
-		sr = append(sr, sarifRule{
-			ID:               m.ID,
-			ShortDescription: sarifMessage{Text: doc},
-			HelpURI:          m.HelpURI,
-			DefaultConfig:    sarifConfiguration{Level: sarifLevel(m.Default)},
-			Properties:       m.Properties,
-		})
-	}
+	size, maxKeys := 512+len(file), 0
 	for _, m := range rules {
-		addRule(m)
-	}
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		addRule(RuleMeta{ID: f.Analyzer, Default: f.Severity})
-		// Multi-file front ends stamp each finding with its own
-		// module-root-relative artifact; the run-level name is only the
-		// single-source fallback, so `-lang go` results resolve against the
-		// real .go files in code scanning instead of a synthetic name.
-		artifact := artifactName(file, f.File)
-		r := sarifResult{
-			RuleID:    f.Analyzer,
-			RuleIndex: index[f.Analyzer],
-			Level:     sarifLevel(f.Severity),
-			Message:   sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: physicalLocation(artifact, f.Pos, f.End),
-			}},
-			PartialFingerprints: map[string]string{
-				"arrayflowFinding/v1": fingerprint(f),
-			},
+		size += 256 + len(m.ID) + len(m.Doc) + len(m.HelpURI)
+		for k, v := range m.Properties {
+			size += 32 + len(k) + len(v)
 		}
+		maxKeys = max(maxKeys, len(m.Properties))
+	}
+	for i := range fs {
+		n, k := sarifSize(&fs[i], len(file))
+		size += n
+		maxKeys = max(maxKeys, k)
+	}
+	jw := newJSONW(size, maxKeys)
+	jw.open('{')
+	jw.key("$schema")
+	jw.str(SARIFSchemaURI)
+	jw.key("version")
+	jw.str(SARIFVersion)
+	jw.key("runs")
+	jw.open('[')
+	jw.elem()
+	jw.open('{')
+	jw.key("tool")
+	jw.open('{')
+	jw.key("driver")
+	jw.open('{')
+	jw.key("name")
+	jw.str("arrayflow")
+	jw.key("informationUri")
+	jw.str("https://github.com/arrayflow/arrayflow")
+	jw.key("semanticVersion")
+	jw.str("1.0.0")
+	jw.key("rules")
+	// The rules table: the given rules first (the first of equal IDs
+	// wins), then one entry per analyzer that only findings name. ids
+	// mirrors the table for ruleIndex; it is small, so a linear scan
+	// beats a map.
+	var idBuf [32]string
+	ids := idBuf[:0]
+	for _, m := range rules {
+		if slices.Contains(ids, m.ID) {
+			continue
+		}
+		if len(ids) == 0 {
+			jw.open('[')
+		}
+		ids = append(ids, m.ID)
+		jw.elem()
+		jw.rule(m)
+	}
+	for i := range fs {
+		if slices.Contains(ids, fs[i].Analyzer) {
+			continue
+		}
+		if len(ids) == 0 {
+			jw.open('[')
+		}
+		ids = append(ids, fs[i].Analyzer)
+		jw.elem()
+		jw.rule(RuleMeta{ID: fs[i].Analyzer, Default: fs[i].Severity})
+	}
+	if len(ids) == 0 {
+		jw.b = append(jw.b, "null"...)
+	} else {
+		jw.close(']')
+	}
+	jw.close('}')
+	jw.close('}')
+	jw.key("results")
+	jw.open('[')
+	for i := range fs {
+		jw.elem()
+		jw.result(file, &fs[i], slices.Index(ids, fs[i].Analyzer))
+	}
+	jw.close(']')
+	jw.close('}')
+	jw.close(']')
+	jw.close('}')
+	jw.b = append(jw.b, '\n')
+	_, err := w.Write(jw.b)
+	return err
+}
+
+// sarifSize bounds the indented bytes of f's result, escapes aside
+// (newJSONW adds an eighth for them), and returns its detail map's
+// size, which bounds the sort scratch. The constants cover each object's
+// fixed text at its indentation, with positions of up to five digits.
+func sarifSize(f *Finding, fileLen int) (size, keys int) {
+	artifact := max(fileLen, len(f.File))
+	size = 960 + len(f.Analyzer) + len(f.Message) + artifact
+	for _, r := range f.Related {
+		size += 384 + len(r.File) + artifact + len(r.Message)
+	}
+	if len(f.Detail) > 0 {
+		size += 48
+	}
+	for k, v := range f.Detail {
+		size += 24 + len(k) + len(v)
+	}
+	for _, fix := range f.SuggestedFixes {
+		size += 384 + len(fix.Message) + artifact
+		for _, e := range fix.Edits {
+			size += 416 + len(e.NewText)
+		}
+	}
+	if f.Suppressed {
+		size += 192
+	}
+	return size, len(f.Detail)
+}
+
+// rule writes one entry of the rules table.
+func (w *jsonw) rule(m RuleMeta) {
+	doc := m.Doc
+	if doc == "" {
+		doc = m.ID
+	}
+	w.open('{')
+	w.key("id")
+	w.str(m.ID)
+	w.key("shortDescription")
+	w.text(doc)
+	if m.HelpURI != "" {
+		w.key("helpUri")
+		w.str(m.HelpURI)
+	}
+	w.key("defaultConfiguration")
+	w.open('{')
+	w.key("level")
+	w.str(sarifLevel(m.Default))
+	w.close('}')
+	if len(m.Properties) > 0 {
+		w.key("properties")
+		w.strMap(m.Properties)
+	}
+	w.close('}')
+}
+
+// result writes f as a SARIF result against rule ruleIndex. Multi-file
+// front ends stamp each finding with its own module-root-relative
+// artifact; the run-level name is only the single-source fallback, so
+// `-lang go` results resolve against the real .go files in code scanning
+// instead of a synthetic name.
+func (w *jsonw) result(file string, f *Finding, ruleIndex int) {
+	artifact := artifactName(file, f.File)
+	w.open('{')
+	w.key("ruleId")
+	w.str(f.Analyzer)
+	w.key("ruleIndex")
+	w.int(ruleIndex)
+	w.key("level")
+	w.str(sarifLevel(f.Severity))
+	w.key("message")
+	w.text(f.Message)
+	w.key("locations")
+	w.open('[')
+	w.elem()
+	w.open('{')
+	w.physicalLocation(artifact, f.Pos, f.End)
+	w.close('}')
+	w.close(']')
+	if len(f.Related) > 0 {
+		w.key("relatedLocations")
+		w.open('[')
 		for _, rel := range f.Related {
-			msg := sarifMessage{Text: rel.Message}
-			r.RelatedLocations = append(r.RelatedLocations, sarifLocation{
-				PhysicalLocation: physicalLocation(artifactName(artifact, rel.File), rel.Pos, token.Pos{}),
-				Message:          &msg,
-			})
+			w.elem()
+			w.open('{')
+			w.physicalLocation(artifactName(artifact, rel.File), rel.Pos, token.Pos{})
+			w.key("message")
+			w.text(rel.Message)
+			w.close('}')
 		}
+		w.close(']')
+	}
+	if len(f.SuggestedFixes) > 0 {
+		w.key("fixes")
+		w.open('[')
 		for _, fix := range f.SuggestedFixes {
-			r.Fixes = append(r.Fixes, sarifFixOf(artifact, fix))
+			w.elem()
+			w.fix(artifact, fix)
 		}
-		if f.Suppressed {
-			kind := f.Detail["suppressionKind"]
-			if kind == "" {
-				kind = "inSource"
-			}
-			r.Suppressions = append(r.Suppressions, sarifSuppression{
-				Kind:          kind,
-				Justification: f.Detail["suppressedBy"],
-			})
-		}
-		if len(f.Detail) > 0 {
-			r.Properties = f.Detail
-		}
-		results = append(results, r)
+		w.close(']')
 	}
-	log := sarifLog{
-		Schema:  SARIFSchemaURI,
-		Version: SARIFVersion,
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:           "arrayflow",
-				InformationURI: "https://github.com/arrayflow/arrayflow",
-				SemVer:         "1.0.0",
-				Rules:          sr,
-			}},
-			Results: results,
-		}},
+	if f.Suppressed {
+		kind := f.Detail["suppressionKind"]
+		if kind == "" {
+			kind = "inSource"
+		}
+		w.key("suppressions")
+		w.open('[')
+		w.elem()
+		w.open('{')
+		w.key("kind")
+		w.str(kind)
+		if j := f.Detail["suppressedBy"]; j != "" {
+			w.key("justification")
+			w.str(j)
+		}
+		w.close('}')
+		w.close(']')
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
+	w.key("partialFingerprints")
+	w.open('{')
+	w.key("arrayflowFinding/v1")
+	w.b = append(w.b, '"')
+	w.b = appendHex64(w.b, fingerprint(f))
+	w.b = append(w.b, '"')
+	w.close('}')
+	if len(f.Detail) > 0 {
+		w.key("properties")
+		w.strMap(f.Detail)
+	}
+	w.close('}')
+}
+
+// physicalLocation writes the physicalLocation member of a location
+// object. An invalid end leaves the region a point.
+func (w *jsonw) physicalLocation(file string, pos, end token.Pos) {
+	w.key("physicalLocation")
+	w.open('{')
+	w.key("artifactLocation")
+	w.uri(file)
+	w.key("region")
+	if end.IsValid() {
+		w.region(pos, end)
+	} else {
+		w.region(pos, token.Pos{})
+	}
+	w.close('}')
+}
+
+func (w *jsonw) uri(file string) {
+	w.open('{')
+	w.key("uri")
+	w.str(file)
+	w.close('}')
+}
+
+// region writes a SARIF region; zero columns and a zero end line are
+// omitted, as the optional members they are.
+func (w *jsonw) region(start, end token.Pos) {
+	w.open('{')
+	w.key("startLine")
+	w.int(start.Line)
+	if start.Col != 0 {
+		w.key("startColumn")
+		w.int(start.Col)
+	}
+	if end.Line != 0 {
+		w.key("endLine")
+		w.int(end.Line)
+	}
+	if end.Col != 0 {
+		w.key("endColumn")
+		w.int(end.Col)
+	}
+	w.close('}')
+}
+
+// fix writes a SuggestedFix as a SARIF fix object. Insertions (invalid
+// End) become zero-width deleted regions.
+func (w *jsonw) fix(file string, fix SuggestedFix) {
+	w.open('{')
+	w.key("description")
+	w.text(fix.Message)
+	w.key("artifactChanges")
+	w.open('[')
+	w.elem()
+	w.open('{')
+	w.key("artifactLocation")
+	w.uri(file)
+	w.key("replacements")
+	w.open('[')
+	for _, e := range fix.Edits {
+		end := e.End
+		if !end.IsValid() {
+			end = e.Pos
+		}
+		w.elem()
+		w.open('{')
+		w.key("deletedRegion")
+		w.region(e.Pos, end)
+		if e.NewText != "" {
+			w.key("insertedContent")
+			w.text(e.NewText)
+		}
+		w.close('}')
+	}
+	w.close(']')
+	w.close('}')
+	w.close(']')
+	w.close('}')
 }
 
 // fingerprint is the stable identity of a finding for baseline matching
-// across runs: the owning file (when the front end is multi-file), the
-// analyzer, severity, and message (positions shift as code moves; messages
-// carry the distinguishing facts). The same key feeds the suppression
-// baseline, so SARIF consumers and -baseline agree on what "the same
-// finding" means. Findings without a File hash exactly the bytes they
-// always did, so single-source fingerprints are unchanged.
-func fingerprint(f Finding) string {
-	h := fnv.New64a()
+// across runs: the 64-bit FNV-1a hash of the owning file (when the front
+// end is multi-file), the analyzer, severity, and message, NUL-separated
+// (positions shift as code moves; messages carry the distinguishing
+// facts). The same key feeds the suppression baseline, so SARIF consumers
+// and -baseline agree on what "the same finding" means. Findings without
+// a File hash exactly the bytes they always did, so single-source
+// fingerprints are unchanged.
+func fingerprint(f *Finding) uint64 {
+	h := uint64(fnvOffset64)
 	if f.File != "" {
-		fmt.Fprintf(h, "%s\x00", f.File)
+		h = fnvAdd(h, f.File)
+		h = fnvAdd(h, "\x00")
 	}
-	fmt.Fprintf(h, "%s\x00%s\x00%s", f.Analyzer, f.Severity, f.Message)
-	return fmt.Sprintf("%016x", h.Sum64())
+	h = fnvAdd(h, f.Analyzer)
+	h = fnvAdd(h, "\x00")
+	h = fnvAdd(h, f.Severity.String())
+	h = fnvAdd(h, "\x00")
+	return fnvAdd(h, f.Message)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds s into the FNV-1a hash h.
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// appendHex64 appends x as 16 lower-case hex digits.
+func appendHex64(b []byte, x uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[x>>uint(shift)&0xF])
+	}
+	return b
 }
 
 // BaselineKey is the position-independent identity used by both SARIF
@@ -267,44 +411,4 @@ func BaselineKey(f Finding) string {
 		key = f.File + "\x00" + key
 	}
 	return key
-}
-
-func physicalLocation(file string, pos, end token.Pos) sarifPhysicalLocation {
-	reg := sarifRegion{StartLine: pos.Line, StartColumn: pos.Col}
-	if end.IsValid() {
-		reg.EndLine = end.Line
-		reg.EndColumn = end.Col
-	}
-	return sarifPhysicalLocation{
-		ArtifactLocation: sarifArtifactLocation{URI: file},
-		Region:           reg,
-	}
-}
-
-// sarifFixOf converts a SuggestedFix to the SARIF fix object. Insertions
-// (invalid End) become zero-width deleted regions.
-func sarifFixOf(file string, fix SuggestedFix) sarifFix {
-	reps := make([]sarifReplacement, 0, len(fix.Edits))
-	for _, e := range fix.Edits {
-		reg := sarifRegion{StartLine: e.Pos.Line, StartColumn: e.Pos.Col}
-		if e.End.IsValid() {
-			reg.EndLine = e.End.Line
-			reg.EndColumn = e.End.Col
-		} else {
-			reg.EndLine = e.Pos.Line
-			reg.EndColumn = e.Pos.Col
-		}
-		rep := sarifReplacement{DeletedRegion: reg}
-		if e.NewText != "" {
-			rep.InsertedContent = &sarifMessage{Text: e.NewText}
-		}
-		reps = append(reps, rep)
-	}
-	return sarifFix{
-		Description: sarifMessage{Text: fix.Message},
-		ArtifactChanges: []sarifArtifactChange{{
-			ArtifactLocation: sarifArtifactLocation{URI: file},
-			Replacements:     reps,
-		}},
-	}
 }

@@ -206,8 +206,8 @@ func TestSARIFStructure(t *testing.T) {
 			t.Errorf("result %d region start = %d:%d, want %d:%d",
 				i, loc.Region.StartLine, loc.Region.StartColumn, f.Pos.Line, f.Pos.Col)
 		}
-		if got := r.PartialFingerprints["arrayflowFinding/v1"]; got != fingerprint(f) {
-			t.Errorf("result %d fingerprint = %q, want %q", i, got, fingerprint(f))
+		if got := r.PartialFingerprints["arrayflowFinding/v1"]; got != oracleFingerprint(f) {
+			t.Errorf("result %d fingerprint = %q, want %q", i, got, oracleFingerprint(f))
 		}
 		if len(r.RelatedLocations) != len(f.Related) {
 			t.Errorf("result %d relatedLocations = %d, want %d", i, len(r.RelatedLocations), len(f.Related))
@@ -284,12 +284,12 @@ func TestFingerprintStability(t *testing.T) {
 	a := Finding{Analyzer: "alpha", Pos: token.Pos{Line: 3, Col: 1}, Severity: Warning, Message: "m"}
 	b := a
 	b.Pos = token.Pos{Line: 30, Col: 7}
-	if fingerprint(a) != fingerprint(b) {
+	if oracleFingerprint(a) != oracleFingerprint(b) {
 		t.Error("fingerprint depends on position")
 	}
 	c := a
 	c.Message = "other"
-	if fingerprint(a) == fingerprint(c) {
+	if oracleFingerprint(a) == oracleFingerprint(c) {
 		t.Error("fingerprint ignores the message")
 	}
 	if BaselineKey(a) != BaselineKey(b) || BaselineKey(a) == BaselineKey(c) {

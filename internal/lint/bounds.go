@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/diag"
@@ -98,14 +98,14 @@ func (c *Context) boundsFinding(ref *ast.ArrayRef, sub ast.Expr, dim int, size, 
 		Analyzer: "bounds",
 		Pos:      pos,
 		Severity: diag.Error,
-		Message: fmt.Sprintf("subscript %d of %s reaches %d, %s the declared range 1..%d",
-			dim+1, ast.ExprString(ref), value, side, size),
+		Message: "subscript " + strconv.Itoa(dim+1) + " of " + ast.ExprString(ref) + " reaches " + itoa(value) +
+			", " + side + " the declared range 1.." + itoa(size),
 		Detail: map[string]string{
 			"array":     ref.Name,
-			"dimension": fmt.Sprintf("%d", dim+1),
-			"value":     fmt.Sprintf("%d", value),
-			"range":     fmt.Sprintf("1..%d", size),
-			"at":        fmt.Sprintf("%s = %d", c.Loop.Graph().IV, atIter),
+			"dimension": strconv.Itoa(dim + 1),
+			"value":     itoa(value),
+			"range":     "1.." + itoa(size),
+			"at":        c.Loop.Graph().IV + " = " + itoa(atIter),
 		},
 	}
 	if a == 0 {
@@ -134,18 +134,18 @@ func growDimFix(lines *diag.LineIndex, d *ast.Dim, dim int, value int64) (diag.S
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}
-	old := fmt.Sprintf("%d", lit.Value)
+	old := itoa(lit.Value)
 	pos := lit.Pos()
 	text, ok := lines.Line(pos.Line)
 	if !ok || pos.Col < 1 || pos.Col-1+len(old) > len(text) || text[pos.Col-1:pos.Col-1+len(old)] != old {
 		return diag.SuggestedFix{}, false
 	}
 	return diag.SuggestedFix{
-		Message: fmt.Sprintf("grow dimension %d of %s to %d", dim+1, d.Name, value),
+		Message: "grow dimension " + strconv.Itoa(dim+1) + " of " + d.Name + " to " + itoa(value),
 		Edits: []diag.TextEdit{{
 			Pos:     pos,
 			End:     token.Pos{Line: pos.Line, Col: pos.Col + len(old)},
-			NewText: fmt.Sprintf("%d", value),
+			NewText: itoa(value),
 		}},
 	}, true
 }

@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -26,31 +26,32 @@ func runDeadStore(c *Context) []diag.Finding {
 	if res == nil {
 		return nil
 	}
-	var out []diag.Finding
-	for _, rs := range problems.FindRedundantStores(res) {
+	stores := problems.FindRedundantStores(res)
+	out := make([]diag.Finding, 0, len(stores))
+	for _, rs := range stores {
 		when := "later in the same iteration"
 		if rs.Distance > 0 {
 			when = iterations(rs.Distance) + " later"
 		}
+		store, by := ast.ExprString(rs.Store.Expr), rs.By.String()
 		f := diag.Finding{
 			Analyzer: "deadstore",
 			Pos:      rs.Store.Expr.Pos(),
 			Severity: diag.Warning,
-			Message: fmt.Sprintf("store to %s is dead: %s overwrites the element %s with no intervening read",
-				ast.ExprString(rs.Store.Expr), rs.By, when),
+			Message:  "store to " + store + " is dead: " + by + " overwrites the element " + when + " with no intervening read",
 			Detail: map[string]string{
 				"array":         rs.Store.Array,
-				"distance":      fmt.Sprintf("%d", rs.Distance),
-				"overwrittenBy": rs.By.String(),
+				"distance":      strconv.FormatInt(rs.Distance, 10),
+				"overwrittenBy": by,
 			},
 		}
 		if len(rs.By.Members) > 0 {
 			f.Related = append(f.Related, diag.Related{
 				Pos:     rs.By.Members[0].Expr.Pos(),
-				Message: fmt.Sprintf("overwritten by this store (%s)", rs.By),
+				Message: "overwritten by this store (" + by + ")",
 			})
 		}
-		if fix, ok := deadStoreFix(c.vet().lines, rs.Store); ok {
+		if fix, ok := deadStoreFix(c.vet().lines, rs.Store, store); ok {
 			f.SuggestedFixes = append(f.SuggestedFixes, fix)
 		}
 		out = append(out, f)
@@ -62,7 +63,7 @@ func runDeadStore(c *Context) []diag.Finding {
 // only offered when the line provably holds exactly one assignment to the
 // store's array (the mini-language puts one statement per line), so the
 // deletion removes the dead statement and nothing else.
-func deadStoreFix(lines *diag.LineIndex, store *ir.Ref) (diag.SuggestedFix, bool) {
+func deadStoreFix(lines *diag.LineIndex, store *ir.Ref, storeText string) (diag.SuggestedFix, bool) {
 	if lines == nil {
 		return diag.SuggestedFix{}, false
 	}
@@ -84,7 +85,7 @@ func deadStoreFix(lines *diag.LineIndex, store *ir.Ref) (diag.SuggestedFix, bool
 		return diag.SuggestedFix{}, false
 	}
 	return diag.SuggestedFix{
-		Message: fmt.Sprintf("delete the dead store to %s", ast.ExprString(store.Expr)),
+		Message: "delete the dead store to " + storeText,
 		Edits:   []diag.TextEdit{edit},
 	}, true
 }

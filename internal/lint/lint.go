@@ -14,9 +14,9 @@
 package lint
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -343,5 +343,5 @@ func iterations(n int64) string {
 	if n == 1 {
 		return "1 iteration"
 	}
-	return fmt.Sprintf("%d iterations", n)
+	return strconv.FormatInt(n, 10) + " iterations"
 }

@@ -19,7 +19,6 @@
 package lint
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -95,13 +94,14 @@ func collectNestInfo(loop *ast.DoLoop) *nestInfo {
 	boundRefs := func(e ast.Expr, iv string) {
 		ast.InspectExpr(e, func(n ast.Node) bool {
 			if ar, ok := n.(*ast.ArrayRef); ok {
+				t := ast.ExprString(ar)
 				ni.blockers = append(ni.blockers, Blocker{
-					Pos:  ar.Pos(),
-					Slug: "inner-bound-ref",
-					Reason: fmt.Sprintf("the bound of the inner loop over %s reads %s, which the summarized body does not model",
-						iv, ast.ExprString(ar)),
-					Comparison: fmt.Sprintf("footprint of %s across iterations", ast.ExprString(ar)),
-					Missing:    "an inner loop bound free of array reads",
+					Pos:    ar.Pos(),
+					Slug:   "inner-bound-ref",
+					reason: fixedText("the bound of the inner loop over " + iv + " reads " + t + ", which the summarized body does not model"),
+					cert: func() (string, string) {
+						return "footprint of " + t + " across iterations", "an inner loop bound free of array reads"
+					},
 				})
 				return false
 			}
@@ -143,7 +143,7 @@ func collectNestInfo(loop *ast.DoLoop) *nestInfo {
 // job; this covers (inner, inner) and (outer, inner) pairs, which the
 // analyzer previously wrote off with a blanket "nested loop is summarized"
 // blocker.
-func certifyNest(c *Context, g *ir.Graph) (evidence []PairEvidence, racy []*Witness, blockers []Blocker) {
+func certifyNest(c *Context, g *ir.Graph, texts loopTexts) (evs []PairEvidence, racy []*Witness, blockers []Blocker) {
 	ni := collectNestInfo(g.Loop)
 	blockers = append(blockers, ni.blockers...)
 	facts := c.Facts()
@@ -154,13 +154,14 @@ func certifyNest(c *Context, g *ir.Graph) (evidence []PairEvidence, racy []*Witn
 		case r.FromInner && r.InnerAffine:
 			refs = append(refs, r)
 		case r.FromInner:
+			t := texts.of(r)
 			blockers = append(blockers, Blocker{
-				Pos:  r.Expr.Pos(),
-				Slug: "nonaffine-nest-subscript",
-				Reason: fmt.Sprintf("subscript of %s inside a nested loop is not affine in %s and its inner induction variables",
-					refText(r), g.IV),
-				Comparison: fmt.Sprintf("footprint of %s across iterations of %s", refText(r), g.IV),
-				Missing:    "an affine subscript",
+				Pos:    r.Expr.Pos(),
+				Slug:   "nonaffine-nest-subscript",
+				reason: fixedText("subscript of " + t + " inside a nested loop is not affine in " + g.IV + " and its inner induction variables"),
+				cert: func() (string, string) {
+					return "footprint of " + t + " across iterations of " + g.IV, "an affine subscript"
+				},
 			})
 		case r.Affine:
 			refs = append(refs, r)
@@ -174,11 +175,11 @@ func certifyNest(c *Context, g *ir.Graph) (evidence []PairEvidence, racy []*Witn
 			if !r1.FromInner && !r2.FromInner {
 				continue // plain pair: the exact pairwise solver owns it
 			}
-			o := resolveNestPair(r1, r2, g, ni, facts)
+			o := resolveNestPair(r1, r2, g, ni, facts, texts)
 			switch o.kind {
 			case pairNone, pairIndependent:
-				evidence = append(evidence, PairEvidence{
-					FromText: refText(r1), ToText: refText(r2), Reason: o.reason,
+				evs = append(evs, PairEvidence{
+					FromText: texts.of(r1), ToText: texts.of(r2), reason: o.reason,
 				})
 			case pairConflict:
 				racy = append(racy, o.witness)
@@ -191,12 +192,12 @@ func certifyNest(c *Context, g *ir.Graph) (evidence []PairEvidence, racy []*Witn
 			}
 		}
 	}
-	return evidence, racy, blockers
+	return evs, racy, blockers
 }
 
 // resolveNestPair decides one pair with at least one summarized-loop
 // reference: collision-free, a concrete witness, or a certified unknown.
-func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefacts.Facts) pairOutcome {
+func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefacts.Facts, texts loopTexts) pairOutcome {
 	a1, okA1 := r1.Form.A.IsConst()
 	a2, okA2 := r2.Form.A.IsConst()
 	if !okA1 || !okA2 {
@@ -204,22 +205,28 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		if okA1 {
 			sym = r2.Form.A
 		}
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "nest-symbolic-stride",
-			Reason: fmt.Sprintf("stride of %s or %s over %s is symbolic (%s)",
-				refText(r1), refText(r2), g.IV, sym),
-			Comparison: fmt.Sprintf("%s·δ = %s − %s", sym, r1.Form.B, r2.Form.B),
-			Missing:    fmt.Sprintf("a constant value for %s", sym),
-		}}
+			reason: deferText(func() string {
+				return "stride of " + texts.of(r1) + " or " + texts.of(r2) + " over " + g.IV + " is symbolic (" + sym.String() + ")"
+			}),
+			cert: func() (string, string) {
+				s := sym.String()
+				return s + "·δ = " + r1.Form.B.String() + " − " + r2.Form.B.String(), "a constant value for " + s
+			},
+		})
 	}
 	if a1 != a2 {
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "nest-stride-mismatch",
-			Reason: fmt.Sprintf("%s and %s advance with different strides (%d and %d) through a summarized loop",
-				refText(r1), refText(r2), a1, a2),
-			Comparison: fmt.Sprintf("%d·i1 + %s = %d·i2 + %s", a1, r1.Form.B, a2, r2.Form.B),
-			Missing:    "equal strides (mixed-stride nest pairs are not solved)",
-		}}
+			reason: deferText(func() string {
+				return texts.of(r1) + " and " + texts.of(r2) + " advance with different strides (" + itoa(a1) + " and " + itoa(a2) + ") through a summarized loop"
+			}),
+			cert: func() (string, string) {
+				return itoa(a1) + "·i1 + " + r1.Form.B.String() + " = " + itoa(a2) + "·i2 + " + r2.Form.B.String(),
+					"equal strides (mixed-stride nest pairs are not solved)"
+			},
+		})
 	}
 	a := a1
 
@@ -233,14 +240,16 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		var ok bool
 		b2, ok = b2.Substitute(s, poly.Sym(primedName(s)))
 		if !ok {
-			return pairOutcome{kind: pairUnknown, blocker: Blocker{
+			return unknown(Blocker{
 				Pos:  r2.Expr.Pos(),
 				Slug: "nest-nonlinear-subscript",
-				Reason: fmt.Sprintf("subscript of %s is nonlinear in the inner induction variable %s",
-					refText(r2), s),
-				Comparison: fmt.Sprintf("footprint of %s across iterations of %s", refText(r2), g.IV),
-				Missing:    fmt.Sprintf("a subscript linear in %s", s),
-			}}
+				reason: deferText(func() string {
+					return "subscript of " + texts.of(r2) + " is nonlinear in the inner induction variable " + s
+				}),
+				cert: func() (string, string) {
+					return "footprint of " + texts.of(r2) + " across iterations of " + g.IV, "a subscript linear in " + s
+				},
+			})
 		}
 	}
 	d := r1.Form.B.Sub(b2)
@@ -253,32 +262,35 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		maxAbs = g.UBConst - 1
 	}
 	if maxAbs <= 0 {
-		return pairOutcome{kind: pairNone, reason: "single-iteration loop"}
+		return evidence(pairNone, fixedText("single-iteration loop"))
 	}
 
 	if a == 0 {
-		return resolveNestZeroStride(r1, r2, g, ni, d, rng, g0, c0)
+		return resolveNestZeroStride(r1, r2, g, ni, d, rng, g0, c0, texts)
 	}
 
 	if !rng.Bounded() {
 		// Footprint distance unbounded under the known facts: only the gcd
 		// congruence can still refute every candidate distance.
 		if g0 > 0 && !congruenceSolvable(a, c0, g0, maxAbs) {
-			return pairOutcome{kind: pairNone, reason: fmt.Sprintf(
-				"no carried collision: %d·δ ≡ %d (mod %d) has no solution within %d iteration(s)",
-				a, c0, g0, maxAbs)}
+			return evidence(pairNone, deferText(func() string {
+				return "no carried collision: " + itoa(a) + "·δ ≡ " + itoa(c0) + " (mod " + itoa(g0) +
+					") has no solution within " + itoa(maxAbs) + " iteration(s)"
+			}))
 		}
 		if g0 == 0 {
 			// D is constant: the collision distance is exactly c0/a.
-			return resolveNestConstDistance(r1, r2, g, ni, a, c0, maxAbs)
+			return resolveNestConstDistance(r1, r2, g, ni, a, c0, maxAbs, texts)
 		}
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "nest-symbolic-range",
-			Reason: fmt.Sprintf("footprint distance of %s and %s is %s, unbounded under the known facts",
-				refText(r1), refText(r2), d),
-			Comparison: fmt.Sprintf("%d·δ = %s with δ ≠ 0", a, d),
-			Missing:    fmt.Sprintf("bounds for %s", strings.Join(unboundedSymbols(d, facts), ", ")),
-		}}
+			reason: deferText(func() string {
+				return "footprint distance of " + texts.of(r1) + " and " + texts.of(r2) + " is " + d.String() + ", unbounded under the known facts"
+			}),
+			cert: func() (string, string) {
+				return itoa(a) + "·δ = " + d.String() + " with δ ≠ 0", "bounds for " + strings.Join(unboundedSymbols(d, facts), ", ")
+			},
+		})
 	}
 
 	// Bounded distance range: enumerate every candidate δ and keep the ones
@@ -300,104 +312,125 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		}
 	}
 	if len(candidates) == 0 {
-		reason := fmt.Sprintf("no carried collision: %d·δ stays outside the footprint distance range %s for 1 ≤ |δ| ≤ %d",
-			a, rng, maxAbs)
-		if g0 > 1 {
-			reason = fmt.Sprintf("no carried collision: %d·δ ∈ %s with %d·δ ≡ %d (mod %d) has no solution for 1 ≤ |δ| ≤ %d",
-				a, rng, a, c0, g0, maxAbs)
-		}
-		return pairOutcome{kind: pairNone, reason: reason}
+		return evidence(pairNone, deferText(func() string {
+			if g0 > 1 {
+				return "no carried collision: " + itoa(a) + "·δ ∈ " + rng.String() + " with " + itoa(a) + "·δ ≡ " + itoa(c0) +
+					" (mod " + itoa(g0) + ") has no solution for 1 ≤ |δ| ≤ " + itoa(maxAbs)
+			}
+			return "no carried collision: " + itoa(a) + "·δ stays outside the footprint distance range " + rng.String() +
+				" for 1 ≤ |δ| ≤ " + itoa(maxAbs)
+		}))
 	}
 	for _, sd := range candidates {
-		if w, ok := buildNestWitness(r1, r2, sd, a, d, g, ni); ok {
+		if w, ok := buildNestWitness(r1, r2, sd, a, d, g, ni, texts); ok {
 			return pairOutcome{kind: pairConflict, witness: w}
 		}
 	}
-	return pairOutcome{kind: pairUnknown, blocker: Blocker{
-		Slug: "nest-witness",
-		Reason: fmt.Sprintf("%s and %s may collide at iteration distance %d, but no replayable witness is constructible (guarded references or symbolic inner bounds)",
-			refText(r1), refText(r2), abs64(candidates[0])),
-		Comparison: fmt.Sprintf("%d·δ = %s at δ = %d", a, d, candidates[0]),
-		Missing:    "constant inner loop bounds and unguarded references for a concrete witness",
-	}}
+	first := candidates[0]
+	return unknown(Blocker{
+		Slug:   "nest-witness",
+		reason: deferText(func() string { return nestWitnessReason(texts.of(r1), texts.of(r2), itoa(abs64(first))) }),
+		cert: func() (string, string) {
+			return itoa(a) + "·δ = " + d.String() + " at δ = " + itoa(first), nestWitnessMissing
+		},
+	})
 }
+
+// nestWitnessReason and nestWitnessMissing are the why-certificate of a
+// possible collision no concrete witness could be built for.
+func nestWitnessReason(t1, t2, dist string) string {
+	return t1 + " and " + t2 + " may collide at iteration distance " + dist +
+		", but no replayable witness is constructible (guarded references or symbolic inner bounds)"
+}
+
+const nestWitnessMissing = "constant inner loop bounds and unguarded references for a concrete witness"
 
 // resolveNestZeroStride handles a = 0: the outer iteration number drops
 // out, so the pair collides across iterations exactly when D = B1 − B2′
 // can reach zero.
-func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Poly, rng rangefacts.Interval, g0, c0 int64) pairOutcome {
+func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Poly, rng rangefacts.Interval, g0, c0 int64, texts loopTexts) pairOutcome {
 	if (rng.HasLo && rng.Lo >= 1) || (rng.HasHi && rng.Hi <= -1) {
-		return pairOutcome{kind: pairNone, reason: fmt.Sprintf(
-			"footprints never meet: %s ∈ %s excludes 0", d, rng)}
+		return evidence(pairNone, deferText(func() string {
+			return "footprints never meet: " + d.String() + " ∈ " + rng.String() + " excludes 0"
+		}))
 	}
 	if g0 > 0 && !congruent(0, c0, g0) {
-		return pairOutcome{kind: pairNone, reason: fmt.Sprintf(
-			"footprints never meet: %s ≡ %d (mod %d) excludes 0", d, mod(c0, g0), g0)}
+		return evidence(pairNone, deferText(func() string {
+			return "footprints never meet: " + d.String() + " ≡ " + itoa(mod(c0, g0)) + " (mod " + itoa(g0) + ") excludes 0"
+		}))
 	}
 	if d.IsZero() {
 		// Identical footprint every outer iteration; any element collides at
 		// distance 1.
-		if w, ok := buildNestWitness(r1, r2, 1, 0, d, g, ni); ok {
+		if w, ok := buildNestWitness(r1, r2, 1, 0, d, g, ni, texts); ok {
 			return pairOutcome{kind: pairConflict, witness: w}
 		}
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "nest-witness",
-			Reason: fmt.Sprintf("%s and %s touch the same elements in every iteration of %s, but no replayable witness is constructible (guarded references or symbolic inner bounds)",
-				refText(r1), refText(r2), g.IV),
-			Comparison: fmt.Sprintf("%s − %s = 0", refText(r1), refText(r2)),
-			Missing:    "constant inner loop bounds and unguarded references for a concrete witness",
-		}}
+			reason: deferText(func() string {
+				return texts.of(r1) + " and " + texts.of(r2) + " touch the same elements in every iteration of " + g.IV +
+					", but no replayable witness is constructible (guarded references or symbolic inner bounds)"
+			}),
+			cert: func() (string, string) {
+				return texts.of(r1) + " − " + texts.of(r2) + " = 0", nestWitnessMissing
+			},
+		})
 	}
-	if w, ok := solveNestZero(r1, r2, d, g, ni); ok {
+	if w, ok := solveNestZero(r1, r2, d, g, ni, texts); ok {
 		return pairOutcome{kind: pairConflict, witness: w}
 	}
-	return pairOutcome{kind: pairUnknown, blocker: Blocker{
+	return unknown(Blocker{
 		Slug: "nest-symbolic-range",
-		Reason: fmt.Sprintf("whether the footprints of %s and %s overlap depends on %s",
-			refText(r1), refText(r2), d),
-		Comparison: fmt.Sprintf("%s = 0 for independent inner iterations", d),
-		Missing:    fmt.Sprintf("a bound excluding 0 for %s", d),
-	}}
+		reason: deferText(func() string {
+			return "whether the footprints of " + texts.of(r1) + " and " + texts.of(r2) + " overlap depends on " + d.String()
+		}),
+		cert: func() (string, string) {
+			s := d.String()
+			return s + " = 0 for independent inner iterations", "a bound excluding 0 for " + s
+		},
+	})
 }
 
 // resolveNestConstDistance handles a constant D with a nonzero stride: the
 // unique candidate distance is c0/a.
-func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, maxAbs int64) pairOutcome {
+func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, maxAbs int64, texts loopTexts) pairOutcome {
 	if c0%a != 0 {
-		return pairOutcome{kind: pairNone, reason: fmt.Sprintf(
-			"offset %d is not divisible by stride %d", c0, a)}
+		return evidence(pairNone, deferText(func() string {
+			return "offset " + itoa(c0) + " is not divisible by stride " + itoa(a)
+		}))
 	}
 	delta := c0 / a
 	if delta == 0 {
-		return pairOutcome{kind: pairIndependent, reason: "collide only within one iteration (δ = 0)"}
+		return evidence(pairIndependent, fixedText("collide only within one iteration (δ = 0)"))
 	}
 	if abs64(delta) > maxAbs {
-		return pairOutcome{kind: pairNone, reason: fmt.Sprintf(
-			"collision distance %d exceeds the trip count", abs64(delta))}
+		return evidence(pairNone, deferText(func() string {
+			return "collision distance " + itoa(abs64(delta)) + " exceeds the trip count"
+		}))
 	}
-	if w, ok := buildNestWitness(r1, r2, delta, a, poly.Const(c0), g, ni); ok {
+	if w, ok := buildNestWitness(r1, r2, delta, a, poly.Const(c0), g, ni, texts); ok {
 		return pairOutcome{kind: pairConflict, witness: w}
 	}
-	return pairOutcome{kind: pairUnknown, blocker: Blocker{
-		Slug: "nest-witness",
-		Reason: fmt.Sprintf("%s and %s may collide at iteration distance %d, but no replayable witness is constructible (guarded references or symbolic inner bounds)",
-			refText(r1), refText(r2), abs64(delta)),
-		Comparison: fmt.Sprintf("%d·δ = %d at δ = %d", a, c0, delta),
-		Missing:    "constant inner loop bounds and unguarded references for a concrete witness",
-	}}
+	return unknown(Blocker{
+		Slug:   "nest-witness",
+		reason: deferText(func() string { return nestWitnessReason(texts.of(r1), texts.of(r2), itoa(abs64(delta))) }),
+		cert: func() (string, string) {
+			return itoa(a) + "·δ = " + itoa(c0) + " at δ = " + itoa(delta), nestWitnessMissing
+		},
+	})
 }
 
 // solveNestZero searches for inner values making D = 0 with a = 0 — the
 // footprints of any two outer iterations then share that element, so the
 // witness uses distance 1.
-func solveNestZero(r1, r2 *ir.Ref, d poly.Poly, g *ir.Graph, ni *nestInfo) (*Witness, bool) {
-	return solveNestCollision(r1, r2, 1, 0, d, g, ni)
+func solveNestZero(r1, r2 *ir.Ref, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
+	return solveNestCollision(r1, r2, 1, 0, d, g, ni, texts)
 }
 
 // buildNestWitness constructs a replayable witness for the signed
 // iteration distance sd (sd = i2 − i1; positive means r1 executes first).
-func buildNestWitness(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo) (*Witness, bool) {
-	return solveNestCollision(r1, r2, sd, a, d, g, ni)
+func buildNestWitness(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
+	return solveNestCollision(r1, r2, sd, a, d, g, ni, texts)
 }
 
 // solveNestCollision enumerates feasible inner-iteration tuples solving
@@ -406,7 +439,7 @@ func buildNestWitness(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni 
 // both references execute unconditionally, every enclosing inner loop has
 // a constant normalized bound, and D mentions only inner induction
 // variables (primed or not).
-func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo) (*Witness, bool) {
+func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
 	ctx1, ok1 := ni.refs[r1.Expr]
 	ctx2, ok2 := ni.refs[r2.Expr]
 	if !ok1 || !ok2 || ctx1.conditional || ctx2.conditional {
@@ -437,7 +470,7 @@ func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, n
 			env[v] = idx[i] + 1
 		}
 		if d.Eval(env) == target {
-			return packageNestWitness(r1, r2, sd, env, g, ni), true
+			return packageNestWitness(r1, r2, sd, env, g, texts), true
 		}
 		tried++
 		if tried >= nestWitnessAssignments {
@@ -460,7 +493,7 @@ func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, n
 
 // packageNestWitness builds the Witness for a solved collision: env binds
 // r1's inner variables by source name and r2's by primed name.
-func packageNestWitness(r1, r2 *ir.Ref, sd int64, env map[string]int64, g *ir.Graph, ni *nestInfo) *Witness {
+func packageNestWitness(r1, r2 *ir.Ref, sd int64, env map[string]int64, g *ir.Graph, texts loopTexts) *Witness {
 	early, late := r1, r2
 	dist := sd
 	earlyEnv, lateEnv := splitNestEnv(env)
@@ -475,8 +508,8 @@ func packageNestWitness(r1, r2 *ir.Ref, sd int64, env map[string]int64, g *ir.Gr
 		Distance:  dist,
 		Kind:      dependenceKind(early, late),
 		Array:     early.Array,
-		FromText:  refText(early),
-		ToText:    refText(late),
+		FromText:  texts.of(early),
+		ToText:    texts.of(late),
 		FromStore: early.Kind == ir.Def,
 		ToStore:   late.Kind == ir.Def,
 		FromPos:   early.Expr.Pos(),

@@ -1,8 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -88,6 +88,10 @@ type Witness struct {
 	// computable (HasCell); symbolic programs leave it to the replay.
 	Cell    []int64
 	HasCell bool
+
+	// from is the early reference of a pairwise witness, whose cell is
+	// evaluated only once the witness is chosen for the verdict.
+	from *ast.ArrayRef
 }
 
 // CellString renders the colliding element, e.g. "A[3]" or "A[2, 7]".
@@ -95,30 +99,68 @@ func (w *Witness) CellString() string {
 	if !w.HasCell {
 		return w.Array + "[?]"
 	}
-	parts := make([]string, len(w.Cell))
+	b := make([]byte, 0, len(w.Array)+2+4*len(w.Cell))
+	b = append(b, w.Array...)
+	b = append(b, '[')
 	for i, c := range w.Cell {
-		parts[i] = fmt.Sprintf("%d", c)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, c, 10)
 	}
-	return w.Array + "[" + strings.Join(parts, ", ") + "]"
+	return string(append(b, ']'))
 }
 
 // Blocker names one construct preventing certification. Beyond the prose
-// Reason, a blocker is a structured why-certificate: the taxonomy slug,
+// reason, a blocker is a structured why-certificate: the taxonomy slug,
 // the exact comparison the certifier could not resolve, the range facts
 // that were available when it tried, and the single missing fact that
-// would settle it.
+// would settle it. Its texts are rendered on first use: a verdict reports
+// the reasons of at most four blockers and the certificate of one.
 type Blocker struct {
-	Pos    token.Pos
-	Reason string
+	Pos token.Pos
 	// Slug is the stable taxonomy identifier (one of BlockerSlugs).
 	Slug string
-	// Comparison renders the failed comparison, e.g. "n·δ = j − j' + 6".
-	Comparison string
-	// Facts lists the range facts in scope when the comparison failed.
+	// Facts lists the range facts in scope when the comparison failed. A
+	// verdict fills it in for its lead blocker, the one it reports.
 	Facts string
-	// Missing names the single fact that would resolve the comparison.
-	Missing string
+
+	reason lazyText
+	// cert renders the failed comparison (e.g. "n·δ = j − j' + 6") and the
+	// missing fact.
+	cert func() (comparison, missing string)
 }
+
+// Reason is the blocker's prose reason.
+func (b *Blocker) Reason() string { return b.reason.String() }
+
+// Certificate renders the failed comparison and the single missing fact
+// that would resolve it.
+func (b *Blocker) Certificate() (comparison, missing string) {
+	if b.cert == nil {
+		return "", ""
+	}
+	return b.cert()
+}
+
+// lazyText is text rendered only when something reads it: fixed text, or
+// a render function whose result is kept.
+type lazyText struct {
+	s      string
+	render func() string
+}
+
+func fixedText(s string) lazyText        { return lazyText{s: s} }
+func deferText(f func() string) lazyText { return lazyText{render: f} }
+func (t *lazyText) String() string {
+	if t.render != nil {
+		t.s, t.render = t.render(), nil
+	}
+	return t.s
+}
+
+// itoa renders n in decimal.
+func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
 // BlockerSlugs is the closed taxonomy of certification blockers, exported
 // so output consumers (SARIF rule metadata, the corpus harness) can
@@ -145,10 +187,14 @@ func BlockerSlugs() []string {
 
 // PairEvidence records why one conflicting reference pair cannot carry a
 // dependence — the per-reference δ evidence attached to parallel verdicts.
+// The reason is rendered on first use: a verdict reports at most six pairs.
 type PairEvidence struct {
 	FromText, ToText string
-	Reason           string
+	reason           lazyText
 }
+
+// Reason states why the pair carries no dependence.
+func (e *PairEvidence) Reason() string { return e.reason.String() }
 
 // Verdict is the certified classification of one loop.
 type Verdict struct {
@@ -171,8 +217,32 @@ type Verdict struct {
 type pairOutcome struct {
 	kind    pairKind
 	witness *Witness // kind == pairConflict
-	reason  string   // evidence (pairNone/pairIndependent)
+	reason  lazyText // evidence (pairNone/pairIndependent)
 	blocker Blocker  // why-certificate (pairUnknown)
+}
+
+// evidence and unknown build the non-conflict outcomes.
+func evidence(kind pairKind, reason lazyText) pairOutcome {
+	return pairOutcome{kind: kind, reason: reason}
+}
+
+func unknown(b Blocker) pairOutcome { return pairOutcome{kind: pairUnknown, blocker: b} }
+
+// loopTexts renders each reference of one loop's graph at most once:
+// evidence, blockers and witnesses name the same references pair after
+// pair.
+type loopTexts []string // by ir.Ref.ID
+
+func newLoopTexts(g *ir.Graph) loopTexts { return make(loopTexts, len(g.Refs)+1) }
+
+func (t loopTexts) of(r *ir.Ref) string {
+	if r.ID <= 0 || r.ID >= len(t) {
+		return ast.ExprString(r.Expr)
+	}
+	if t[r.ID] == "" {
+		t[r.ID] = ast.ExprString(r.Expr)
+	}
+	return t[r.ID]
 }
 
 type pairKind int
@@ -245,26 +315,27 @@ func runRace(c *Context) []diag.Finding {
 	switch v.Class {
 	case VerdictRacy:
 		w := v.Witness
+		from, to := accessText(w.FromText, w.FromStore), accessText(w.ToText, w.ToStore)
+		early, late, cell := itoa(w.IterEarly), itoa(w.IterLate), w.CellString()
 		f := diag.Finding{
 			Analyzer: "race",
 			Pos:      pos,
 			Severity: diag.Warning,
-			Message: fmt.Sprintf("loop over %s is provably racy: %s (iteration %d) and %s (iteration %d) touch %s — %s dependence at distance %d",
-				v.IV, accessText(w.FromText, w.FromStore), w.IterEarly,
-				accessText(w.ToText, w.ToStore), w.IterLate, w.CellString(), w.Kind, w.Distance),
+			Message: "loop over " + v.IV + " is provably racy: " + from + " (iteration " + early + ") and " +
+				to + " (iteration " + late + ") touch " + cell + " — " + w.Kind + " dependence at distance " + itoa(w.Distance),
 			Related: []diag.Related{
-				{Pos: w.FromPos, Message: fmt.Sprintf("%s at iteration %d", accessText(w.FromText, w.FromStore), w.IterEarly)},
-				{Pos: w.ToPos, Message: fmt.Sprintf("%s at iteration %d", accessText(w.ToText, w.ToStore), w.IterLate)},
+				{Pos: w.FromPos, Message: from + " at iteration " + early},
+				{Pos: w.ToPos, Message: to + " at iteration " + late},
 			},
 			Detail: map[string]string{
 				"verdict":   "racy",
 				"iv":        v.IV,
-				"iterEarly": fmt.Sprintf("%d", w.IterEarly),
-				"iterLate":  fmt.Sprintf("%d", w.IterLate),
-				"distance":  fmt.Sprintf("%d", w.Distance),
+				"iterEarly": early,
+				"iterLate":  late,
+				"distance":  itoa(w.Distance),
 				"kind":      w.Kind,
-				"cell":      w.CellString(),
-				"carried":   fmt.Sprintf("%d", v.CarriedDeps),
+				"cell":      cell,
+				"carried":   strconv.Itoa(v.CarriedDeps),
 			},
 		}
 		if job != nil {
@@ -273,8 +344,8 @@ func runRace(c *Context) []diag.Finding {
 					Analyzer: "race",
 					Pos:      pos,
 					Severity: diag.Error,
-					Message: fmt.Sprintf("certification bridge failure: racy witness for the loop over %s did not replay on the interpreter: %v",
-						v.IV, err),
+					Message: "certification bridge failure: racy witness for the loop over " + v.IV +
+						" did not replay on the interpreter: " + err.Error(),
 					Detail: map[string]string{"verdict": "racy", "replay": "failed"},
 				})
 				f.Detail["replay"] = "failed"
@@ -285,16 +356,17 @@ func runRace(c *Context) []diag.Finding {
 		out = append(out, f)
 
 	case VerdictParallel:
+		pairs := strconv.Itoa(len(v.Evidence))
 		f := diag.Finding{
 			Analyzer: "race",
 			Pos:      pos,
 			Severity: diag.Info,
-			Message: fmt.Sprintf("loop over %s is provably parallel: no loop-carried dependence across %d conflicting reference pair(s)",
-				v.IV, len(v.Evidence)),
+			Message: "loop over " + v.IV + " is provably parallel: no loop-carried dependence across " +
+				pairs + " conflicting reference pair(s)",
 			Detail: map[string]string{
 				"verdict": "parallel",
 				"iv":      v.IV,
-				"pairs":   fmt.Sprintf("%d", len(v.Evidence)),
+				"pairs":   pairs,
 			},
 		}
 		if ev := evidenceSummary(v.Evidence); ev != "" {
@@ -303,13 +375,14 @@ func runRace(c *Context) []diag.Finding {
 		if v.CarriedDeps > 0 {
 			// The dependence graph disagrees with the certification — one of
 			// the two is wrong; surface it loudly instead of guessing.
+			carried := strconv.Itoa(v.CarriedDeps)
 			out = append(out, diag.Finding{
 				Analyzer: "race",
 				Pos:      pos,
 				Severity: diag.Error,
-				Message: fmt.Sprintf("certification inconsistency: loop over %s certified parallel but the dependence graph carries %d edge(s)",
-					v.IV, v.CarriedDeps),
-				Detail: map[string]string{"verdict": "parallel", "carried": fmt.Sprintf("%d", v.CarriedDeps)},
+				Message: "certification inconsistency: loop over " + v.IV +
+					" certified parallel but the dependence graph carries " + carried + " edge(s)",
+				Detail: map[string]string{"verdict": "parallel", "carried": carried},
 			})
 		}
 		if job != nil {
@@ -318,8 +391,8 @@ func runRace(c *Context) []diag.Finding {
 					Analyzer: "race",
 					Pos:      pos,
 					Severity: diag.Error,
-					Message: fmt.Sprintf("certification bridge failure: loop over %s certified parallel but a shuffled iteration order diverged: %v",
-						v.IV, err),
+					Message: "certification bridge failure: loop over " + v.IV +
+						" certified parallel but a shuffled iteration order diverged: " + err.Error(),
 					Detail: map[string]string{"verdict": "parallel", "permutation": "diverged"},
 				})
 				f.Detail["permutation"] = "diverged"
@@ -330,42 +403,44 @@ func runRace(c *Context) []diag.Finding {
 		out = append(out, f)
 
 	default: // VerdictUnknown
-		b := v.Blockers[0]
+		b := &v.Blockers[0]
 		f := diag.Finding{
 			Analyzer: "race",
 			Pos:      pos,
 			Severity: diag.Info,
-			Message:  fmt.Sprintf("parallelism of the loop over %s is unknown: %s", v.IV, b.Reason),
+			Message:  "parallelism of the loop over " + v.IV + " is unknown: " + b.Reason(),
 			Detail: map[string]string{
 				"verdict":  "unknown",
 				"iv":       v.IV,
-				"blockers": fmt.Sprintf("%d", len(v.Blockers)),
+				"blockers": strconv.Itoa(len(v.Blockers)),
 			},
 		}
 		// The leading blocker's why-certificate, machine-readable: the
 		// failed comparison, the facts that were in scope, and the one
 		// missing fact that would settle it.
+		comparison, missing := b.Certificate()
 		if b.Slug != "" {
 			f.Detail["blocker.slug"] = b.Slug
 		}
-		if b.Comparison != "" {
-			f.Detail["why.comparison"] = b.Comparison
+		if comparison != "" {
+			f.Detail["why.comparison"] = comparison
 		}
 		if b.Facts != "" {
 			f.Detail["why.facts"] = b.Facts
 		}
-		if b.Missing != "" {
-			f.Detail["why.missing"] = b.Missing
+		if missing != "" {
+			f.Detail["why.missing"] = missing
 		}
-		for i, bl := range v.Blockers {
+		for i := range v.Blockers {
 			if i >= 4 {
 				break
 			}
+			bl := &v.Blockers[i]
 			rp := bl.Pos
 			if !rp.IsValid() {
 				rp = pos
 			}
-			f.Related = append(f.Related, diag.Related{Pos: rp, Message: bl.Reason})
+			f.Related = append(f.Related, diag.Related{Pos: rp, Message: bl.Reason()})
 		}
 		out = append(out, f)
 	}
@@ -380,17 +455,28 @@ func accessText(text string, store bool) string {
 	return "load " + text
 }
 
-// evidenceSummary folds per-pair evidence into one bounded detail string.
+// evidenceSummary folds per-pair evidence into one bounded detail string:
+// the first six pairs, then a count of the rest.
 func evidenceSummary(evs []PairEvidence) string {
-	var parts []string
-	for i, e := range evs {
+	var b strings.Builder
+	for i := range evs {
+		if i > 0 {
+			b.WriteString("; ")
+		}
 		if i >= 6 {
-			parts = append(parts, fmt.Sprintf("(+%d more)", len(evs)-i))
+			b.WriteString("(+")
+			b.WriteString(strconv.Itoa(len(evs) - i))
+			b.WriteString(" more)")
 			break
 		}
-		parts = append(parts, fmt.Sprintf("%s vs %s: %s", e.FromText, e.ToText, e.Reason))
+		e := &evs[i]
+		b.WriteString(e.FromText)
+		b.WriteString(" vs ")
+		b.WriteString(e.ToText)
+		b.WriteString(": ")
+		b.WriteString(e.Reason())
 	}
-	return strings.Join(parts, "; ")
+	return b.String()
 }
 
 // CertifyLoop runs the static side of the certification for one analyzed
@@ -406,15 +492,17 @@ func CertifyLoop(c *Context) *Verdict {
 	// must come before the carried-edge count so a degraded δ-reaching
 	// solution cannot masquerade as a parallel loop.
 	if name, res := fuelExhaustedResult(c); res != nil {
+		budget := itoa(res.FuelBudget)
 		v.Class = VerdictUnknown
 		v.Blockers = []Blocker{{
 			Pos:  c.Loop.Loop.Pos(),
 			Slug: "fuel-exhausted",
-			Reason: fmt.Sprintf("the solver's fuel budget (%d) was exhausted on problem %s — data flow facts degraded to claim nothing",
-				res.FuelBudget, name),
-			Comparison: fmt.Sprintf("fixed point of problem %s within %d solver steps", name, res.FuelBudget),
-			Facts:      "none (solve degraded before facts stabilized)",
-			Missing:    "a larger fuel budget (-fuel)",
+			reason: fixedText("the solver's fuel budget (" + budget + ") was exhausted on problem " + name +
+				" — data flow facts degraded to claim nothing"),
+			cert: func() (string, string) {
+				return "fixed point of problem " + name + " within " + budget + " solver steps", "a larger fuel budget (-fuel)"
+			},
+			Facts: "none (solve degraded before facts stabilized)",
 		}}
 		return v
 	}
@@ -434,16 +522,18 @@ func CertifyLoop(c *Context) *Verdict {
 	}
 
 	// Structural blockers.
-	blockers := structuralBlockers(c)
+	texts := newLoopTexts(g)
+	blockers := structuralBlockers(c, texts)
 
 	// The loop's range facts and, when the bound is symbolic, its bound
-	// polynomial — both feed the facts-assisted cases of resolvePair.
+	// polynomial and the facts' upper bound on it — all feed the
+	// facts-assisted cases of resolvePair.
 	facts := c.Facts()
-	var ubPoly poly.Poly
-	hasUBPoly := false
+	var trip symbolicTrip
 	if !g.HasUB && g.UB != nil {
 		if p, err := sema.ExprToPoly(g.UB); err == nil {
-			ubPoly, hasUBPoly = p, true
+			trip.ub, trip.hasUB = p, true
+			trip.hi, trip.hasHi = facts.UpperBound(p)
 		}
 	}
 
@@ -461,24 +551,28 @@ func CertifyLoop(c *Context) *Verdict {
 			if r1.Array != r2.Array || (r1.Kind != ir.Def && r2.Kind != ir.Def) {
 				continue
 			}
-			o := resolvePair(r1, r2, g, facts, ubPoly, hasUBPoly)
+			o := resolvePair(r1, r2, g, texts, facts, trip)
 			switch o.kind {
 			case pairNone, pairIndependent:
 				v.Evidence = append(v.Evidence, PairEvidence{
-					FromText: refText(r1), ToText: refText(r2), Reason: o.reason,
+					FromText: texts.of(r1), ToText: texts.of(r2), reason: o.reason,
 				})
 			case pairConflict:
 				if exit != nil && g.Dominates(r1.Node, exit) && g.Dominates(r2.Node, exit) {
 					racy = append(racy, o.witness)
 				} else {
+					t1, t2, dist := texts.of(r1), texts.of(r2), o.witness.Distance
 					blockers = append(blockers, Blocker{
 						Pos:  r1.Expr.Pos(),
 						Slug: "guarded-conflict",
-						Reason: fmt.Sprintf("potential race between %s and %s at distance %d is guarded by a branch — not provable either way",
-							refText(r1), refText(r2), o.witness.Distance),
-						Comparison: fmt.Sprintf("%s and %s collide at distance %d only when the guard holds",
-							refText(r1), refText(r2), o.witness.Distance),
-						Missing: "guard conditions are not modeled as constraints on the collision",
+						reason: deferText(func() string {
+							return "potential race between " + t1 + " and " + t2 + " at distance " + itoa(dist) +
+								" is guarded by a branch — not provable either way"
+						}),
+						cert: func() (string, string) {
+							return t1 + " and " + t2 + " collide at distance " + itoa(dist) + " only when the guard holds",
+								"guard conditions are not modeled as constraints on the collision"
+						},
 					})
 				}
 			case pairUnknown:
@@ -493,48 +587,49 @@ func CertifyLoop(c *Context) *Verdict {
 
 	// Pairs involving a summarized inner loop, which the pairwise solver
 	// above skips (their subscripts range over inner induction variables).
-	nestEv, nestRacy, nestBlockers := certifyNest(c, g)
+	nestEv, nestRacy, nestBlockers := certifyNest(c, g, texts)
 	v.Evidence = append(v.Evidence, nestEv...)
 	racy = append(racy, nestRacy...)
 	blockers = append(blockers, nestBlockers...)
-
-	// Every certificate records the facts that were in scope; fill the ones
-	// the resolvers left empty, then collapse duplicates (distinct pairs
-	// often fail on the same construct at the same position).
-	factsDesc := facts.Describe()
-	for i := range blockers {
-		if blockers[i].Facts == "" {
-			blockers[i].Facts = factsDesc
-		}
-	}
-	blockers = dedupeBlockers(blockers)
 
 	switch {
 	case len(racy) > 0:
 		sort.Slice(racy, func(i, j int) bool { return witnessLess(racy[i], racy[j]) })
 		v.Class = VerdictRacy
 		v.Witness = racy[0]
+		if w := v.Witness; w.from != nil {
+			w.Cell, w.HasCell = evalCell(w.from, w.IV, w.IterEarly)
+		}
 	case len(blockers) > 0:
-		sort.Slice(blockers, func(i, j int) bool {
-			a, b := blockers[i], blockers[j]
+		// Order by position, then reason, and collapse duplicates (distinct
+		// pairs often fail on the same construct at the same position),
+		// keeping the first occurrence. Reasons render only where two
+		// blockers share a position.
+		sort.SliceStable(blockers, func(i, j int) bool {
+			a, b := &blockers[i], &blockers[j]
 			if a.Pos != b.Pos {
 				return a.Pos.Line < b.Pos.Line || (a.Pos.Line == b.Pos.Line && a.Pos.Col < b.Pos.Col)
 			}
-			return a.Reason < b.Reason
+			return a.Reason() < b.Reason()
 		})
 		v.Class = VerdictUnknown
-		v.Blockers = blockers
+		v.Blockers = dedupeBlockers(blockers)
+		// Every certificate records the facts that were in scope; only the
+		// lead blocker's are reported.
+		if lead := &v.Blockers[0]; lead.Facts == "" {
+			lead.Facts = facts.Describe()
+		}
 	default:
 		v.Class = VerdictParallel
 		sort.Slice(v.Evidence, func(i, j int) bool {
-			a, b := v.Evidence[i], v.Evidence[j]
+			a, b := &v.Evidence[i], &v.Evidence[j]
 			if a.FromText != b.FromText {
 				return a.FromText < b.FromText
 			}
 			if a.ToText != b.ToText {
 				return a.ToText < b.ToText
 			}
-			return a.Reason < b.Reason
+			return a.Reason() < b.Reason()
 		})
 	}
 	return v
@@ -545,17 +640,20 @@ func CertifyLoop(c *Context) *Verdict {
 // inner loops are NOT blockers by themselves any more — certifyNest
 // resolves their reference pairs exactly and reports its own certificates
 // when it cannot.
-func structuralBlockers(c *Context) []Blocker {
+func structuralBlockers(c *Context, texts loopTexts) []Blocker {
 	var out []Blocker
 	g := c.Loop.Graph()
+	iv := g.IV
 	for _, r := range g.Refs {
 		if !r.FromInner && !r.Affine {
+			t := texts.of(r)
 			out = append(out, Blocker{
-				Pos:        r.Expr.Pos(),
-				Slug:       "nonaffine-subscript",
-				Reason:     fmt.Sprintf("subscript of %s is not affine in %s", refText(r), g.IV),
-				Comparison: fmt.Sprintf("footprint of %s across iterations of %s", refText(r), g.IV),
-				Missing:    fmt.Sprintf("a subscript of the form a·%s + b", g.IV),
+				Pos:    r.Expr.Pos(),
+				Slug:   "nonaffine-subscript",
+				reason: fixedText("subscript of " + t + " is not affine in " + iv),
+				cert: func() (string, string) {
+					return "footprint of " + t + " across iterations of " + iv, "a subscript of the form a·" + iv + " + b"
+				},
 			})
 		}
 	}
@@ -564,12 +662,14 @@ func structuralBlockers(c *Context) []Blocker {
 	ast.Inspect(c.Loop.Loop.Body, func(n ast.Node) bool {
 		if as, ok := n.(*ast.Assign); ok {
 			if id, ok := as.LHS.(*ast.Ident); ok {
+				name := id.Name
 				out = append(out, Blocker{
-					Pos:        id.Pos(),
-					Slug:       "scalar-carried",
-					Reason:     fmt.Sprintf("scalar assignment to %s may carry a dependence between iterations", id.Name),
-					Comparison: fmt.Sprintf("cross-iteration flow through the single cell %s", id.Name),
-					Missing:    fmt.Sprintf("a privatization or reduction proof for %s", id.Name),
+					Pos:    id.Pos(),
+					Slug:   "scalar-carried",
+					reason: fixedText("scalar assignment to " + name + " may carry a dependence between iterations"),
+					cert: func() (string, string) {
+						return "cross-iteration flow through the single cell " + name, "a privatization or reduction proof for " + name
+					},
 				})
 			}
 		}
@@ -578,28 +678,21 @@ func structuralBlockers(c *Context) []Blocker {
 	return out
 }
 
-// dedupeBlockers collapses blockers sharing position and reason — distinct
-// reference pairs frequently trip over the same construct — keeping the
-// first occurrence (which carries the same certificate by construction).
+// dedupeBlockers collapses adjacent blockers sharing position and reason
+// in a sorted slice — distinct reference pairs frequently trip over the
+// same construct — keeping the first occurrence (which carries the same
+// certificate by construction).
 func dedupeBlockers(bs []Blocker) []Blocker {
-	type key struct {
-		pos    token.Pos
-		reason string
-	}
-	seen := map[key]bool{}
-	out := bs[:0]
-	for _, b := range bs {
-		k := key{b.Pos, b.Reason}
-		if seen[k] {
+	out := bs[:1]
+	for i := 1; i < len(bs); i++ {
+		prev := &out[len(out)-1]
+		if bs[i].Pos == prev.Pos && bs[i].Reason() == prev.Reason() {
 			continue
 		}
-		seen[k] = true
-		out = append(out, b)
+		out = append(out, bs[i])
 	}
 	return out
 }
-
-func refText(r *ir.Ref) string { return ast.ExprString(r.Expr) }
 
 func exitNode(g *ir.Graph) *ir.Node {
 	for _, nd := range g.Nodes {
@@ -625,6 +718,16 @@ func witnessLess(a, b *Witness) bool {
 	return a.Kind < b.Kind
 }
 
+// symbolicTrip is a symbolic loop bound as resolvePair consults it: the
+// bound's polynomial and, once per loop, the range facts' upper bound on
+// it.
+type symbolicTrip struct {
+	ub    poly.Poly
+	hasUB bool
+	hi    int64
+	hasHi bool
+}
+
 // resolvePair decides whether two references can touch the same element in
 // two different iterations of the loop, exactly where possible. The loop's
 // range facts settle symbolic comparisons the constant arithmetic cannot:
@@ -632,7 +735,7 @@ func witnessLess(a, b *Witness) bool {
 // symbolic element difference proved nonzero, a stride proved larger than
 // a constant offset. Every statically undecidable pair yields a blocker
 // carrying the exact comparison that failed.
-func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, facts *rangefacts.Facts, ubPoly poly.Poly, hasUBPoly bool) pairOutcome {
+func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts.Facts, trip symbolicTrip) pairOutcome {
 	hasUB, ub, iv := g.HasUB, g.UBConst, g.IV
 	// tripAtMost reports whether the trip count provably fits within k
 	// iterations — from the constant bound, or from the facts when the
@@ -641,12 +744,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, facts *rangefacts.Facts, ubPoly po
 		if hasUB {
 			return ub <= k
 		}
-		if hasUBPoly {
-			if hi, ok := facts.UpperBound(ubPoly); ok {
-				return hi <= k
-			}
-		}
-		return false
+		return trip.hasHi && trip.hi <= k
 	}
 	// beyondTrip reports whether a collision at (signed) distance delta
 	// lies past the last iteration.
@@ -658,39 +756,43 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, facts *rangefacts.Facts, ubPoly po
 	}
 	constDelta := func(delta int64) pairOutcome {
 		if delta == 0 {
-			return pairOutcome{kind: pairIndependent, reason: "collide only within one iteration (δ = 0)"}
+			return evidence(pairIndependent, fixedText("collide only within one iteration (δ = 0)"))
 		}
 		if beyondTrip(delta) {
-			return pairOutcome{kind: pairNone,
-				reason: fmt.Sprintf("collision distance %d exceeds the trip count", abs64(delta))}
+			return evidence(pairNone, deferText(func() string {
+				return "collision distance " + itoa(abs64(delta)) + " exceeds the trip count"
+			}))
 		}
 		early, late := r1, r2
 		if delta < 0 {
 			early, late, delta = r2, r1, -delta
 		}
-		return conflict(early, late, 1, 1+delta, iv)
+		return conflict(early, late, 1, 1+delta, iv, texts)
 	}
+	// symbolic names the pair for the blockers below.
+	pair := func() string { return texts.of(r1) + " and " + texts.of(r2) }
 
 	a1, b1, ok1 := r1.Form.ConstCoeffs()
 	a2, b2, ok2 := r2.Form.ConstCoeffs()
 	switch {
 	case ok1 && ok2 && a1 == a2 && a1 == 0:
 		if b1 != b2 {
-			return pairOutcome{kind: pairNone, reason: "distinct constant elements"}
+			return evidence(pairNone, fixedText("distinct constant elements"))
 		}
 		if tripAtMost(1) {
-			return pairOutcome{kind: pairNone, reason: "single-iteration loop"}
+			return evidence(pairNone, fixedText("single-iteration loop"))
 		}
-		return conflict(r1, r2, 1, 2, iv)
+		return conflict(r1, r2, 1, 2, iv, texts)
 	case ok1 && ok2 && a1 == a2:
 		diff := b1 - b2
 		if diff%a1 != 0 {
-			return pairOutcome{kind: pairNone,
-				reason: fmt.Sprintf("offset %d is not divisible by stride %d", diff, a1)}
+			return evidence(pairNone, deferText(func() string {
+				return "offset " + itoa(diff) + " is not divisible by stride " + itoa(a1)
+			}))
 		}
 		return constDelta(diff / a1)
 	case ok1 && ok2: // different constant strides
-		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, iv)
+		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, iv, texts)
 	case r1.Form.A.Equal(r2.Form.A) && r1.Form.A.IsZero():
 		// Both subscripts are invariant in iv (common for the innermost loop
 		// of a nest, where the subscript ranges over the outer variables):
@@ -699,26 +801,31 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, facts *rangefacts.Facts, ubPoly po
 		diff := r1.Form.B.Sub(r2.Form.B)
 		if diff.IsZero() {
 			if tripAtMost(1) {
-				return pairOutcome{kind: pairNone, reason: "single-iteration loop"}
+				return evidence(pairNone, fixedText("single-iteration loop"))
 			}
-			return conflict(r1, r2, 1, 2, iv)
+			return conflict(r1, r2, 1, 2, iv, texts)
 		}
 		if facts.ProveNonZero(diff) {
-			return pairOutcome{kind: pairNone,
-				reason: fmt.Sprintf("distinct elements: %s ≠ 0 by the loop's range facts", diff)}
+			return evidence(pairNone, deferText(func() string {
+				return "distinct elements: " + diff.String() + " ≠ 0 by the loop's range facts"
+			}))
 		}
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "symbolic-distance",
-			Reason: fmt.Sprintf("whether %s and %s name the same element depends on %s",
-				refText(r1), refText(r2), diff),
-			Comparison: fmt.Sprintf("%s = 0?", diff),
-			Missing:    fmt.Sprintf("a fact excluding 0 for %s", diff),
-		}}
+			reason: deferText(func() string {
+				return "whether " + pair() + " name the same element depends on " + diff.String()
+			}),
+			cert: func() (string, string) {
+				d := diff.String()
+				return d + " = 0?", "a fact excluding 0 for " + d
+			},
+		})
 	case r1.Form.A.Equal(r2.Form.A):
 		// Symbolic but equal linear parts: the collision distance is
 		// (b1−b2)/a when that quotient is exact.
+		a := r1.Form.A
 		diff := r1.Form.B.Sub(r2.Form.B)
-		if q, ok := diff.DivExact(r1.Form.A); ok {
+		if q, ok := diff.DivExact(a); ok {
 			if delta, isConst := q.IsConst(); isConst {
 				return constDelta(delta)
 			}
@@ -734,58 +841,74 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, facts *rangefacts.Facts, ubPoly po
 			// fits a trip count of ub only when |δ| < ub: a proven one-sided
 			// bound past that excludes every pair.
 			if hasUB && ((okLo && lo >= ub) || (okHi && hi <= -ub)) {
-				return pairOutcome{kind: pairNone,
-					reason: fmt.Sprintf("collision distance %s provably reaches past the trip count %d", q, ub)}
+				return evidence(pairNone, deferText(func() string {
+					return "collision distance " + q.String() + " provably reaches past the trip count " + itoa(ub)
+				}))
 			}
-			if hasUBPoly && (facts.ProveGE(q, ubPoly) || facts.ProveGE(q.Neg(), ubPoly)) {
-				return pairOutcome{kind: pairNone,
-					reason: fmt.Sprintf("collision distance %s provably reaches past the trip count %s", q, ubPoly)}
+			if trip.hasUB && (facts.ProveGE(q, trip.ub) || facts.ProveGE(q.Neg(), trip.ub)) {
+				return evidence(pairNone, deferText(func() string {
+					return "collision distance " + q.String() + " provably reaches past the trip count " + trip.ub.String()
+				}))
 			}
-			return pairOutcome{kind: pairUnknown, blocker: Blocker{
+			return unknown(Blocker{
 				Slug: "symbolic-distance",
-				Reason: fmt.Sprintf("collision distance of %s and %s is symbolic (%s)",
-					refText(r1), refText(r2), q),
-				Comparison: fmt.Sprintf("δ = %s with 1 ≤ |δ| < trip count?", q),
-				Missing:    fmt.Sprintf("a constant value for %s, or a proof it reaches the trip count", q),
-			}}
+				reason: deferText(func() string {
+					return "collision distance of " + pair() + " is symbolic (" + q.String() + ")"
+				}),
+				cert: func() (string, string) {
+					d := q.String()
+					return "δ = " + d + " with 1 ≤ |δ| < trip count?", "a constant value for " + d + ", or a proof it reaches the trip count"
+				},
+			})
 		}
 		if diffC, isConst := diff.IsConst(); isConst {
 			// a·δ = diffC with a symbolic: impossible for δ ≠ 0 once |a| is
 			// proved to exceed |diffC|.
-			if diffC != 0 && (facts.ProveGT(r1.Form.A, poly.Const(abs64(diffC))) ||
-				facts.ProveGT(r1.Form.A.Neg(), poly.Const(abs64(diffC)))) {
-				return pairOutcome{kind: pairNone,
-					reason: fmt.Sprintf("stride magnitude |%s| provably exceeds the offset %d", r1.Form.A, abs64(diffC))}
+			if diffC != 0 && (facts.ProveGT(a, poly.Const(abs64(diffC))) ||
+				facts.ProveGT(a.Neg(), poly.Const(abs64(diffC)))) {
+				return evidence(pairNone, deferText(func() string {
+					return "stride magnitude |" + a.String() + "| provably exceeds the offset " + itoa(abs64(diffC))
+				}))
 			}
-			return pairOutcome{kind: pairUnknown, blocker: Blocker{
+			return unknown(Blocker{
 				Slug: "symbolic-stride",
-				Reason: fmt.Sprintf("collision of %s and %s depends on the symbolic stride (%s)",
-					refText(r1), refText(r2), r1.Form.A),
-				Comparison: fmt.Sprintf("%s·δ = %d for some integer δ ≠ 0?", r1.Form.A, diffC),
-				Missing:    fmt.Sprintf("a fact proving |%s| > %d, or a constant value for it", r1.Form.A, abs64(diffC)),
-			}}
+				reason: deferText(func() string {
+					return "collision of " + pair() + " depends on the symbolic stride (" + a.String() + ")"
+				}),
+				cert: func() (string, string) {
+					s := a.String()
+					return s + "·δ = " + itoa(diffC) + " for some integer δ ≠ 0?",
+						"a fact proving |" + s + "| > " + itoa(abs64(diffC)) + ", or a constant value for it"
+				},
+			})
 		}
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
+		return unknown(Blocker{
 			Slug: "symbolic-distance",
-			Reason: fmt.Sprintf("collision distance of %s and %s is symbolic (%s)",
-				refText(r1), refText(r2), diff),
-			Comparison: fmt.Sprintf("%s·δ = %s for some integer δ ≠ 0?", r1.Form.A, diff),
-			Missing:    fmt.Sprintf("bounds resolving %s against %s", diff, r1.Form.A),
-		}}
+			reason: deferText(func() string {
+				return "collision distance of " + pair() + " is symbolic (" + diff.String() + ")"
+			}),
+			cert: func() (string, string) {
+				d, s := diff.String(), a.String()
+				return s + "·δ = " + d + " for some integer δ ≠ 0?", "bounds resolving " + d + " against " + s
+			},
+		})
 	default:
-		return pairOutcome{kind: pairUnknown, blocker: Blocker{
-			Slug:   "symbolic-coeffs",
-			Reason: fmt.Sprintf("subscripts of %s and %s have symbolic coefficients", refText(r1), refText(r2)),
-			Comparison: fmt.Sprintf("(%s)·i + %s = (%s)·i' + %s?",
-				r1.Form.A, r1.Form.B, r2.Form.A, r2.Form.B),
-			Missing: "constant or matching strides",
-		}}
+		return unknown(Blocker{
+			Slug: "symbolic-coeffs",
+			reason: deferText(func() string {
+				return "subscripts of " + pair() + " have symbolic coefficients"
+			}),
+			cert: func() (string, string) {
+				return "(" + r1.Form.A.String() + ")·i + " + r1.Form.B.String() + " = (" + r2.Form.A.String() + ")·i' + " + r2.Form.B.String() + "?",
+					"constant or matching strides"
+			},
+		})
 	}
 }
 
 // resolveDifferentStrides searches for the smallest iteration distance at
 // which a1·i + b1 and a2·j + b2 coincide with i ≠ j, both in range.
-func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, iv string) pairOutcome {
+func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, iv string, texts loopTexts) pairOutcome {
 	da := a1 - a2
 	bound := int64(differentStrideScan)
 	if hasUB {
@@ -797,7 +920,7 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 			i2 := num / da
 			i1 := i2 - d
 			if i1 >= 1 && (!hasUB || i2 <= ub) {
-				return conflict(r1, r2, i1, i2, iv)
+				return conflict(r1, r2, i1, i2, iv, texts)
 			}
 		}
 		// Direction B: r2 runs d iterations before r1 (i1 − i2 = d).
@@ -805,35 +928,42 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 			i1 := num / da
 			i2 := i1 - d
 			if i2 >= 1 && (!hasUB || i1 <= ub) {
-				return conflict(r2, r1, i2, i1, iv)
+				return conflict(r2, r1, i2, i1, iv, texts)
 			}
 		}
 	}
+	strides := func() string { return "strides " + itoa(a1) + " and " + itoa(a2) }
 	if hasUB {
-		return pairOutcome{kind: pairNone,
-			reason: fmt.Sprintf("strides %d and %d admit no colliding iteration pair within the trip count %d", a1, a2, ub)}
+		return evidence(pairNone, deferText(func() string {
+			return strides() + " admit no colliding iteration pair within the trip count " + itoa(ub)
+		}))
 	}
 	// Symbolic bound: the scan is a heuristic. When neither direction's
 	// Diophantine equation (da·i − a·d = b2−b1) has integer solutions at
 	// all, the pair provably never collides; otherwise stay conservative.
 	diff := b2 - b1
 	if diff%gcd(abs64(da), abs64(a1)) != 0 && diff%gcd(abs64(da), abs64(a2)) != 0 {
-		return pairOutcome{kind: pairNone,
-			reason: fmt.Sprintf("strides %d and %d never produce the same element (no integer solution)", a1, a2)}
+		return evidence(pairNone, deferText(func() string {
+			return strides() + " never produce the same element (no integer solution)"
+		}))
 	}
-	return pairOutcome{kind: pairUnknown, blocker: Blocker{
+	scan := itoa(differentStrideScan)
+	return unknown(Blocker{
 		Slug: "symbolic-bound-scan",
-		Reason: fmt.Sprintf("no collision of %s and %s within %d iterations, but the loop bound is symbolic",
-			refText(r1), refText(r2), differentStrideScan),
-		Comparison: fmt.Sprintf("%d·i + %d = %d·i' + %d for some i' − i > %d?", a1, b1, a2, b2, differentStrideScan),
-		Missing:    "a constant trip count (the scan is exhaustive only under one)",
-	}}
+		reason: deferText(func() string {
+			return "no collision of " + texts.of(r1) + " and " + texts.of(r2) + " within " + scan + " iterations, but the loop bound is symbolic"
+		}),
+		cert: func() (string, string) {
+			return itoa(a1) + "·i + " + itoa(b1) + " = " + itoa(a2) + "·i' + " + itoa(b2) + " for some i' − i > " + scan + "?",
+				"a constant trip count (the scan is exhaustive only under one)"
+		},
+	})
 }
 
 // conflict builds the pairConflict outcome with a fully-populated witness:
 // early executes at iteration iterEarly, late at iterLate, touching the
 // same element.
-func conflict(early, late *ir.Ref, iterEarly, iterLate int64, iv string) pairOutcome {
+func conflict(early, late *ir.Ref, iterEarly, iterLate int64, iv string, texts loopTexts) pairOutcome {
 	w := &Witness{
 		IV:        iv,
 		IterEarly: iterEarly,
@@ -841,16 +971,13 @@ func conflict(early, late *ir.Ref, iterEarly, iterLate int64, iv string) pairOut
 		Distance:  iterLate - iterEarly,
 		Kind:      dependenceKind(early, late),
 		Array:     early.Array,
-		FromText:  refText(early),
-		ToText:    refText(late),
+		FromText:  texts.of(early),
+		ToText:    texts.of(late),
 		FromStore: early.Kind == ir.Def,
 		ToStore:   late.Kind == ir.Def,
 		FromPos:   early.Expr.Pos(),
 		ToPos:     late.Expr.Pos(),
-	}
-	if cell, ok := evalCell(early.Expr, iv, iterEarly); ok {
-		w.Cell = cell
-		w.HasCell = true
+		from:      early.Expr,
 	}
 	return pairOutcome{kind: pairConflict, witness: w}
 }
@@ -870,10 +997,9 @@ func dependenceKind(early, late *ir.Ref) string {
 // (iv = iter), succeeding only when every subscript is constant under that
 // single binding.
 func evalCell(ref *ast.ArrayRef, iv string, iter int64) ([]int64, bool) {
-	env := map[string]int64{iv: iter}
 	out := make([]int64, len(ref.Subs))
 	for k, sub := range ref.Subs {
-		v, ok := evalConstExpr(sub, env)
+		v, ok := evalConstExpr(sub, iv, iter)
 		if !ok {
 			return nil, false
 		}
@@ -882,17 +1008,16 @@ func evalCell(ref *ast.ArrayRef, iv string, iter int64) ([]int64, bool) {
 	return out, true
 }
 
-// evalConstExpr evaluates an expression under env, failing on any symbol
-// outside env, array reference, or division/modulo edge case.
-func evalConstExpr(e ast.Expr, env map[string]int64) (int64, bool) {
+// evalConstExpr evaluates an expression with iv bound to iter, failing on
+// any other symbol, array reference, or division/modulo edge case.
+func evalConstExpr(e ast.Expr, iv string, iter int64) (int64, bool) {
 	switch ex := e.(type) {
 	case *ast.IntLit:
 		return ex.Value, true
 	case *ast.Ident:
-		v, ok := env[ex.Name]
-		return v, ok
+		return iter, ex.Name == iv
 	case *ast.Unary:
-		v, ok := evalConstExpr(ex.X, env)
+		v, ok := evalConstExpr(ex.X, iv, iter)
 		if !ok {
 			return 0, false
 		}
@@ -907,11 +1032,11 @@ func evalConstExpr(e ast.Expr, env map[string]int64) (int64, bool) {
 		}
 		return 0, false
 	case *ast.Binary:
-		l, ok := evalConstExpr(ex.L, env)
+		l, ok := evalConstExpr(ex.L, iv, iter)
 		if !ok {
 			return 0, false
 		}
-		r, ok := evalConstExpr(ex.R, env)
+		r, ok := evalConstExpr(ex.R, iv, iter)
 		if !ok {
 			return 0, false
 		}

@@ -331,3 +331,35 @@ func TestWitnessReplayBeyondStepBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfReadLowerBoundRejected: do j = j, N, -1 reads j before the loop
+// assigns it, which normalization cannot keep apart from the normalized j.
+// It once normalized to a loop storing only A[1], so vet reported a false
+// racy warning plus a bridge failure; the front end now refuses it.
+func TestSelfReadLowerBoundRejected(t *testing.T) {
+	res := lint.Vet("self.loop", "do j = j, N, -1\n  A[j] := 0\nenddo\n", &lint.Options{Parallelism: 1, DisableCache: true})
+	if !res.FrontEndFailed || res.ExitCode() != 2 {
+		t.Fatalf("want a front-end failure (exit 2), got exit %d: %v", res.ExitCode(), res.Findings)
+	}
+	want := "1:8: error: sema: loop lower bound reads its own induction variable j"
+	if len(res.Findings) != 1 || res.Findings[0].String() != want {
+		t.Fatalf("findings = %v, want only %q", res.Findings, want)
+	}
+}
+
+// TestBridgeBindsScalarsAssignedLater: j bounds the first loop and is the
+// induction variable of a later one. The bridge once took every assigned
+// name for a non-input, left j unbound (0), and could not drive the first
+// loop to its witness's second iteration, reporting a bridge failure.
+func TestBridgeBindsScalarsAssignedLater(t *testing.T) {
+	src := "do i = 1, j, 2\n  A[0] := i\nenddo\ndo j = 1, N\n  B[j] := 0\nenddo\n"
+	res := lint.Vet("later.loop", src, &lint.Options{Parallelism: 1, DisableCache: true})
+	got := raceVerdicts(t, res)
+	want := [][2]string{{"racy", "confirmed"}, {"parallel", "verified"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("race verdicts = %v, want %v", got, want)
+	}
+	if res.ExitCode() != 0 {
+		t.Fatalf("exit %d, want 0: %v", res.ExitCode(), res.Findings)
+	}
+}

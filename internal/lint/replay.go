@@ -21,6 +21,7 @@ package lint
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -398,29 +399,62 @@ func (b *bridge) initState(env map[string]int64) *interp.State {
 	return st
 }
 
-// freeScalars returns the scalar names the program reads but never
-// assigns (induction variables count as assigned), sorted.
+// freeScalars returns the scalar names that some read may see before the
+// program assigns them, sorted: the program's inputs, which realizeTrip
+// binds. A name the program assigns only later (a bound of one loop that
+// a later loop uses as its induction variable, a scalar computed after
+// its first use) is still an input. The walk follows execution order: a
+// loop's induction variable is bound only inside its body (the
+// interpreter restores it after the loop), a loop may run no iteration,
+// and only what both branches of an if assign is assigned after it.
 func freeScalars(prog *ast.Program) []string {
-	assigned := map[string]bool{}
-	used := map[string]bool{}
-	ast.Inspect(prog.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.DoLoop:
-			assigned[x.Var] = true
-		case *ast.Assign:
-			if id, ok := x.LHS.(*ast.Ident); ok {
-				assigned[id.Name] = true
+	free := map[string]bool{}
+	reads := func(e ast.Expr, assigned map[string]bool) {
+		ast.InspectExpr(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !assigned[id.Name] {
+				free[id.Name] = true
 			}
-		case *ast.Ident:
-			used[x.Name] = true
+			return true
+		})
+	}
+	var block func(stmts []ast.Stmt, assigned map[string]bool)
+	block = func(stmts []ast.Stmt, assigned map[string]bool) {
+		for _, s := range stmts {
+			switch st := s.(type) {
+			case *ast.Assign:
+				reads(st.RHS, assigned)
+				switch lhs := st.LHS.(type) {
+				case *ast.Ident:
+					assigned[lhs.Name] = true
+				case *ast.ArrayRef:
+					for _, sub := range lhs.Subs {
+						reads(sub, assigned)
+					}
+				}
+			case *ast.If:
+				reads(st.Cond, assigned)
+				then, els := maps.Clone(assigned), maps.Clone(assigned)
+				block(st.Then, then)
+				block(st.Else, els)
+				for name := range then {
+					if els[name] {
+						assigned[name] = true
+					}
+				}
+			case *ast.DoLoop:
+				reads(st.Lo, assigned)
+				reads(st.Hi, assigned)
+				reads(st.Step, assigned)
+				body := maps.Clone(assigned)
+				body[st.Var] = true
+				block(st.Body, body)
+			}
 		}
-		return true
-	})
-	var out []string
-	for name := range used {
-		if !assigned[name] {
-			out = append(out, name)
-		}
+	}
+	block(prog.Body, map[string]bool{})
+	out := make([]string, 0, len(free))
+	for name := range free {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

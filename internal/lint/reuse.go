@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/diag"
@@ -25,28 +25,29 @@ func runReuse(c *Context) []diag.Finding {
 	if res == nil {
 		return nil
 	}
-	var out []diag.Finding
-	for _, r := range problems.FindReuses(res) {
+	reuses := problems.FindReuses(res)
+	out := make([]diag.Finding, 0, len(reuses))
+	for _, r := range reuses {
 		when := "earlier in the same iteration"
 		if r.Distance > 0 {
 			when = iterations(r.Distance) + " earlier"
 		}
+		source := r.From.String()
 		f := diag.Finding{
 			Analyzer: "reuse",
 			Pos:      r.At.Expr.Pos(),
 			Severity: diag.Info,
-			Message: fmt.Sprintf("load of %s reuses the value of %s from %s",
-				ast.ExprString(r.At.Expr), r.From, when),
+			Message:  "load of " + ast.ExprString(r.At.Expr) + " reuses the value of " + source + " from " + when,
 			Detail: map[string]string{
 				"array":    r.At.Array,
-				"distance": fmt.Sprintf("%d", r.Distance),
-				"source":   r.From.String(),
+				"distance": strconv.FormatInt(r.Distance, 10),
+				"source":   source,
 			},
 		}
 		if len(r.From.Members) > 0 {
 			f.Related = append(f.Related, diag.Related{
 				Pos:     r.From.Members[0].Expr.Pos(),
-				Message: fmt.Sprintf("value available from here (%s)", r.From),
+				Message: "value available from here (" + source + ")",
 			})
 		}
 		out = append(out, f)

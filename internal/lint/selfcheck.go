@@ -1,8 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/diag"
 )
@@ -44,9 +44,9 @@ func runSelfCheck(c *Context) []diag.Finding {
 				Analyzer: "selfcheck",
 				Pos:      c.Loop.Loop.Pos(),
 				Severity: diag.Error,
-				Message: fmt.Sprintf("problem %s needed %d changing passes on the loop over %s, exceeding the framework's bound of 2",
-					name, res.ChangedPasses, c.Loop.Loop.Var),
-				Detail: map[string]string{"problem": name, "changedPasses": fmt.Sprintf("%d", res.ChangedPasses)},
+				Message: "problem " + name + " needed " + strconv.Itoa(res.ChangedPasses) + " changing passes on the loop over " +
+					c.Loop.Loop.Var + ", exceeding the framework's bound of 2",
+				Detail: map[string]string{"problem": name, "changedPasses": strconv.Itoa(res.ChangedPasses)},
 			})
 		}
 	}
@@ -55,11 +55,11 @@ func runSelfCheck(c *Context) []diag.Finding {
 			Analyzer: "selfcheck",
 			Pos:      c.Loop.Loop.Pos(),
 			Severity: diag.Info,
-			Message: fmt.Sprintf("framework self-check passed for the loop over %s: %d problem(s) converged within %d changing pass(es)",
-				c.Loop.Loop.Var, len(names), maxChanged),
+			Message: "framework self-check passed for the loop over " + c.Loop.Loop.Var + ": " + strconv.Itoa(len(names)) +
+				" problem(s) converged within " + strconv.Itoa(maxChanged) + " changing pass(es)",
 			Detail: map[string]string{
-				"problems":      fmt.Sprintf("%d", len(names)),
-				"changedPasses": fmt.Sprintf("%d", maxChanged),
+				"problems":      strconv.Itoa(len(names)),
+				"changedPasses": strconv.Itoa(maxChanged),
 			},
 		})
 	}

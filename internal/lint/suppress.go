@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/diag"
 	"repro/internal/token"
@@ -31,7 +31,7 @@ func ApplySuppressions(fs []diag.Finding, dirs []token.Directive) []diag.Finding
 			if f.Detail == nil {
 				f.Detail = map[string]string{}
 			}
-			f.Detail["suppressedBy"] = fmt.Sprintf("//lint:ignore at line %d: %s", d.Pos.Line, d.Reason)
+			f.Detail["suppressedBy"] = "//lint:ignore at line " + strconv.Itoa(d.Pos.Line) + ": " + d.Reason
 			f.Detail["suppressionKind"] = "inSource"
 			break
 		}

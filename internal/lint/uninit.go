@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -57,7 +57,7 @@ func runUninit(c *Context) []diag.Finding {
 		if r, ok := guaranteed[u]; ok {
 			if r.Distance >= 1 {
 				f := uninitGapFinding(u, r)
-				if fix, ok := uninitFix(c, u, fmt.Sprintf("%d", r.Distance)); ok {
+				if fix, ok := uninitFix(c, u, strconv.FormatInt(r.Distance, 10)); ok {
 					f.SuggestedFixes = append(f.SuggestedFixes, fix)
 				}
 				out = append(out, f)
@@ -78,22 +78,23 @@ func runUninit(c *Context) []diag.Finding {
 // guaranteed producer lags r.Distance iterations: that many leading
 // iterations read elements nothing in the loop has written yet.
 func uninitGapFinding(u *ir.Ref, r problems.Reuse) diag.Finding {
+	gap, producer := iterations(r.Distance), r.From.String()
 	f := diag.Finding{
 		Analyzer: "uninit",
 		Pos:      u.Expr.Pos(),
 		Severity: diag.Warning,
-		Message: fmt.Sprintf("%s reads a possibly uninitialized element during the first %s: the earliest guaranteed store (%s) lags %s",
-			ast.ExprString(u.Expr), iterations(r.Distance), r.From, iterations(r.Distance)),
+		Message: ast.ExprString(u.Expr) + " reads a possibly uninitialized element during the first " + gap +
+			": the earliest guaranteed store (" + producer + ") lags " + gap,
 		Detail: map[string]string{
 			"array":    u.Array,
-			"gap":      fmt.Sprintf("%d", r.Distance),
-			"producer": r.From.String(),
+			"gap":      strconv.FormatInt(r.Distance, 10),
+			"producer": producer,
 		},
 	}
 	if len(r.From.Members) > 0 {
 		f.Related = append(f.Related, diag.Related{
 			Pos:     r.From.Members[0].Expr.Pos(),
-			Message: fmt.Sprintf("earliest guaranteed store (%s)", r.From),
+			Message: "earliest guaranteed store (" + producer + ")",
 		})
 	}
 	return f
@@ -119,22 +120,23 @@ func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 	if best == nil {
 		return diag.Finding{}, false
 	}
+	candidate := best.String()
 	f := diag.Finding{
 		Analyzer: "uninit",
 		Pos:      u.Expr.Pos(),
 		Severity: diag.Warning,
-		Message: fmt.Sprintf("%s may read an uninitialized element: the matching store %s is not guaranteed to precede the read on every path",
-			ast.ExprString(u.Expr), best),
+		Message: ast.ExprString(u.Expr) + " may read an uninitialized element: the matching store " + candidate +
+			" is not guaranteed to precede the read on every path",
 		Detail: map[string]string{
 			"array":             u.Array,
-			"candidate":         best.String(),
-			"candidateDistance": fmt.Sprintf("%d", bestDist),
+			"candidate":         candidate,
+			"candidateDistance": strconv.FormatInt(bestDist, 10),
 		},
 	}
 	if len(best.Members) > 0 {
 		f.Related = append(f.Related, diag.Related{
 			Pos:     best.Members[0].Expr.Pos(),
-			Message: fmt.Sprintf("candidate store (%s)", best),
+			Message: "candidate store (" + candidate + ")",
 		})
 	}
 	return f, true
@@ -164,8 +166,8 @@ func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
 		subs[k] = ast.ExprString(ast.SubstituteIdent(sub, c.Loop.Graph().IV, &ast.Ident{Name: iv}))
 	}
 	lines := []string{
-		fmt.Sprintf("do %s = 1, %s", iv, bound),
-		fmt.Sprintf("    %s[%s] := 0", u.Array, strings.Join(subs, ", ")),
+		"do " + iv + " = 1, " + bound,
+		"    " + u.Array + "[" + strings.Join(subs, ", ") + "] := 0",
 		"enddo",
 	}
 	edit, ok := li.InsertLinesEdit(line, lines)
@@ -173,7 +175,7 @@ func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
 		return diag.SuggestedFix{}, false
 	}
 	return diag.SuggestedFix{
-		Message: fmt.Sprintf("initialize the elements %s reads before the loop", ast.ExprString(u.Expr)),
+		Message: "initialize the elements " + ast.ExprString(u.Expr) + " reads before the loop",
 		Edits:   []diag.TextEdit{edit},
 	}, true
 }
@@ -199,7 +201,7 @@ func freshName(prog *ast.Program, base string) string {
 		return base
 	}
 	for k := 2; ; k++ {
-		cand := fmt.Sprintf("%s%d", base, k)
+		cand := base + strconv.Itoa(k)
 		if !used[cand] {
 			return cand
 		}

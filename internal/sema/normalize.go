@@ -28,9 +28,12 @@ import (
 // table and lint directives carry over: normalization rewrites statements,
 // not identities or comments.
 //
-// The replacements are hygienic: a name in a loop's lower bound means what
-// it means at the loop header, even when an inner loop reuses an enclosing
-// induction variable's name (a nest Check rejects).
+// A name in a loop's lower bound means what it means at the loop header,
+// even when an inner loop reuses an enclosing induction variable's name (a
+// nest Check rejects). The one name the rewrite cannot keep apart is the
+// loop's own variable: in  do j = j, N  the lower bound reads j before the
+// loop assigns it, while the substituted body can only read the normalized
+// j. Normalize refuses such a loop with a positioned error, as Check does.
 func Normalize(prog *ast.Program) (*ast.Program, error) {
 	w := rewriter{normalize: true}
 	body, err := w.block(prog.Body)
@@ -141,6 +144,9 @@ func (w *rewriter) loop(st *ast.DoLoop) (*ast.DoLoop, error) {
 		}
 		step = v
 	}
+	if err := selfReadError(st); err != nil {
+		return nil, err
+	}
 	out := &ast.DoLoop{DoPos: st.DoPos, Var: st.Var, Label: st.Label}
 	mark := len(w.env)
 	if v, ok := constValue(st.Lo); ok && v == 1 && step == 1 {
@@ -162,6 +168,23 @@ func (w *rewriter) loop(st *ast.DoLoop) (*ast.DoLoop, error) {
 	}
 	out.Body = body
 	return out, nil
+}
+
+// selfReadError reports a lower bound that reads the loop's own induction
+// variable (nil when it does not). Such a bound is the variable's value
+// before the loop, which no normalized body can name.
+func selfReadError(st *ast.DoLoop) error {
+	var at *ast.Ident
+	ast.InspectExpr(st.Lo, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && at == nil && id.Name == st.Var {
+			at = id
+		}
+		return at == nil
+	})
+	if at == nil {
+		return nil
+	}
+	return &Error{Pos: at.Pos(), Msg: "loop lower bound reads its own induction variable " + st.Var}
 }
 
 // bind pushes i ↦ lo + (i−1)·step, folded as simplify folds it: the lower

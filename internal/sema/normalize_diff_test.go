@@ -15,8 +15,9 @@ import (
 )
 
 // reusesIV reports whether some loop of prog reuses an enclosing loop's
-// induction variable. Check rejects such nests, and on them Normalize's
-// hygienic substitution differs from the oracle's capture by design.
+// induction variable. Check rejects such nests, and on them Normalize,
+// which resolves a lower bound's names at its loop's header, differs from
+// the oracle's capture by design.
 func reusesIV(prog *ast.Program) bool {
 	_, errs := CheckAll(prog)
 	for _, err := range errs {
@@ -121,6 +122,9 @@ var normalizeSeeds = []string{
 	"do i = -3, 3\n A[i - 2 * 2 + 0 * j] := A[0 - i]\nenddo",
 	"do i = 1 - 1, A[2 + 0]\n A[B[i]] := A[i] + B[A[i + 1] + 0]\nenddo",
 	"do i = 1, 4\n do j = 2, i\n  A[j] := A[i]\n enddo\nenddo",
+	"do j = j, N, -1\n A[j] := 0\nenddo",
+	"do j = j, N\n A[j] := 0\nenddo",
+	"do i = 1, N, 2\n A[0] := i\nenddo\ndo i = 2 * i - 1, N, 3\n do j = A[j + i], i\n  A[j] := 0\n enddo\nenddo",
 }
 
 // normalizeSources lists the seed programs: FuzzParse's seeds, the

@@ -16,7 +16,8 @@ import (
 // the exact trip count (hi − lo + s)/s, as in Normalize. Normalize and
 // CanonicalizeSubscripts must produce exactly the trees these functions
 // produce, on programs where no loop reuses an enclosing induction
-// variable (see Normalize).
+// variable (see Normalize). Like Normalize, it refuses a lower bound that
+// reads the loop's own induction variable.
 
 // oracleNormalize is the former Normalize.
 func oracleNormalize(prog *ast.Program) (*ast.Program, error) {
@@ -66,6 +67,9 @@ func oracleNormalizeLoop(st *ast.DoLoop) (*ast.DoLoop, error) {
 				"loop step %q must be a nonzero integer constant", ast.ExprString(st.Step))}
 		}
 		step = v
+	}
+	if err := selfReadError(st); err != nil {
+		return nil, err
 	}
 
 	body, err := oracleNormalizeBlock(st.Body)

@@ -92,6 +92,9 @@ func (c *checker) setFlag(s token.Sym, f uint8) {
 //
 //   - loops are DO loops controlled by a basic induction variable;
 //   - no statement in a loop assigns to any enclosing induction variable;
+//   - no loop's lower bound reads the loop's own induction variable (the
+//     value before the loop, which normalization cannot keep apart from
+//     the normalized variable);
 //   - induction variables are not used as arrays and vice versa;
 //   - every array is used with a consistent number of dimensions;
 //   - array subscripts are polynomial expressions (affineness with respect
@@ -147,6 +150,9 @@ func (c *checker) checkBlock(body []ast.Stmt, enclosing []token.Sym) {
 				if iv == vs {
 					c.errorf(st.Pos(), "loop reuses enclosing induction variable %s", st.Var)
 				}
+			}
+			if err := selfReadError(st); err != nil {
+				c.errs = append(c.errs, err)
 			}
 			c.checkExpr(st.Lo)
 			c.checkExpr(st.Hi)

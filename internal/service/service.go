@@ -398,10 +398,10 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		Assume:       assume,
 	}
 	var res *lint.VetResult
-	rules := lint.RuleMetas()
+	rules := lint.RuleMetas
 	if lang == "go" {
 		res = goimport.VetSource(name, []byte(src), opts)
-		rules = goimport.RuleMetas()
+		rules = goimport.RuleMetas
 	} else {
 		res = lint.Vet(name, src, opts)
 	}
@@ -410,20 +410,6 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		s.counters.frontEndErrors.Add(1)
 	}
 
-	var body strings.Builder
-	var err error
-	switch format {
-	case "json":
-		err = diag.WriteJSON(&body, name, res.Findings)
-	case "sarif":
-		err = diag.WriteSARIF(&body, name, rules, res.Findings)
-	default:
-		err = diag.WriteText(&body, name, res.Findings)
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render_failed", err.Error(), 0)
-		return
-	}
 	switch format {
 	case "json", "sarif":
 		w.Header().Set("Content-Type", "application/json")
@@ -434,7 +420,17 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if exit == 2 {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
-	io.WriteString(w, body.String())
+	// Each writer renders into one buffer and hands it to the response in
+	// a single Write. Rendering cannot fail; a failed write means the
+	// client is gone, and there is no one left to tell.
+	switch format {
+	case "json":
+		diag.WriteJSON(w, name, res.Findings)
+	case "sarif":
+		diag.WriteSARIF(w, name, rules(), res.Findings)
+	default:
+		diag.WriteText(w, name, res.Findings)
+	}
 	s.counters.completed.Add(1)
 	s.latency.observe(time.Since(t0))
 }

@@ -34,7 +34,8 @@
 #
 # Environment:
 #   BENCH_PATTERN      benchmark regexp (default: the solver suite plus
-#                      both BenchmarkVet variants, recorded ungated)
+#                      both BenchmarkVet variants and the three
+#                      BenchmarkRender writers, recorded ungated)
 #   BENCH_TIME         go test -benchtime value (default 1s; CI may lower it)
 #   BENCH_BASELINE     baseline snapshot to diff against, advisory only
 #                      (default BENCH_PR4.json; set empty to skip the diff)
@@ -61,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_PR9.json}"
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet}"
+PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet|BenchmarkRender}"
 TIME="${BENCH_TIME:-1s}"
 BASELINE="${BENCH_BASELINE-BENCH_PR4.json}"
 GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
