@@ -9,7 +9,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/goimport"
-	"repro/internal/parser"
 	"repro/internal/sema"
 )
 
@@ -101,20 +100,8 @@ func diffLoadLoop(path string) *ast.Program {
 		fmt.Fprintln(os.Stderr, "arrayflow diff:", err)
 		os.Exit(2)
 	}
-	prog, err := parser.Parse(src)
-	if err != nil {
-		reportErrors(file, "parse", err)
-		os.Exit(2)
-	}
-	if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-		for _, e := range errs {
-			reportErrors(file, "check", e)
-		}
-		os.Exit(2)
-	}
-	prog, err = sema.Normalize(prog)
-	if err != nil {
-		reportErrors(file, "normalize", err)
+	prog := load(file, []byte(src), nil)
+	if prog == nil {
 		os.Exit(2)
 	}
 	return prog

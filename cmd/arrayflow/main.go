@@ -60,7 +60,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +77,6 @@ import (
 	"repro/internal/goimport"
 	"repro/internal/ir"
 	"repro/internal/lint"
-	"repro/internal/parser"
 	"repro/internal/problems"
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
@@ -163,7 +161,7 @@ func main() {
 	startProfiles(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
-	_, prog := loadProgram(flag.Arg(0))
+	prog := loadProgram(flag.Arg(0))
 
 	if *whole {
 		pa, err := driver.Analyze(prog, &driver.Options{
@@ -284,33 +282,13 @@ func runBatch(args []string) {
 	// (the interner is not synchronized); the analysis fans out below.
 	in := token.NewInterner()
 	progs := make([]*ast.Program, len(files))
-	frontErr := make([]bool, len(files))
 	for i, f := range files {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "arrayflow batch:", err)
 			os.Exit(2)
 		}
-		prog, err := parser.ParseBytes(src, in)
-		if err != nil {
-			reportErrors(f, "parse", err)
-			frontErr[i] = true
-			continue
-		}
-		if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-			for _, e := range errs {
-				reportErrors(f, "check", e)
-			}
-			frontErr[i] = true
-			continue
-		}
-		prog, err = sema.Normalize(prog)
-		if err != nil {
-			reportErrors(f, "normalize", err)
-			frontErr[i] = true
-			continue
-		}
-		progs[i] = prog
+		progs[i] = load(f, src, in)
 	}
 
 	startProfiles(*cpuprofile, *memprofile)
@@ -324,7 +302,7 @@ func runBatch(args []string) {
 	for i, r := range results {
 		fmt.Printf("== %s ==\n", files[i])
 		switch {
-		case frontErr[i]:
+		case progs[i] == nil:
 			fmt.Println("skipped: front-end errors (see stderr)")
 			exit = 1
 		case r.Err != nil:
@@ -598,54 +576,31 @@ func runVetGo(pattern string, opts *lint.Options, format string, fix, includeTes
 	os.Exit(res.ExitCode())
 }
 
-// loadProgram reads, parses, checks, and normalizes the input. Every
-// front-end error is printed with a file:line:col prefix before exiting
-// nonzero — not just the first.
-func loadProgram(path string) (string, *ast.Program) {
+// loadProgram reads and front-ends the input, exiting 1 after printing
+// every front-end error.
+func loadProgram(path string) *ast.Program {
 	src, file, err := readSource(path)
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := parser.Parse(src)
-	if err != nil {
-		reportErrors(file, "parse", err)
+	prog := load(file, []byte(src), nil)
+	if prog == nil {
 		os.Exit(1)
 	}
-	if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-		for _, e := range errs {
-			reportErrors(file, "check", e)
-		}
-		os.Exit(1)
-	}
-	prog, err = sema.Normalize(prog)
-	if err != nil {
-		reportErrors(file, "normalize", err)
-		os.Exit(1)
-	}
-	return file, prog
+	return prog
 }
 
-// reportErrors prints every positioned error inside err as
-// "file:line:col: stage: message".
-func reportErrors(file, stage string, err error) {
-	line := func(pos fmt.Stringer, msg string) {
-		fmt.Fprintf(os.Stderr, "%s:%s: %s: %s\n", file, pos, stage, msg)
-	}
-	var pl parser.ErrorList
-	var pe *parser.Error
-	var se *sema.Error
-	switch {
-	case errors.As(err, &pl):
-		for _, e := range pl {
-			line(e.Pos, e.Msg)
+// load front-ends one source (see sema.Load). On failure it prints every
+// error of the failing stage to stderr as "file:line:col: stage: message"
+// and returns nil.
+func load(file string, src []byte, in *token.Interner) *ast.Program {
+	prog, fail := sema.Load(src, in)
+	if fail != nil {
+		for _, l := range fail.Lines(file) {
+			fmt.Fprintln(os.Stderr, l)
 		}
-	case errors.As(err, &pe):
-		line(pe.Pos, pe.Msg)
-	case errors.As(err, &se):
-		line(se.Pos, se.Msg)
-	default:
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", file, stage, err)
 	}
+	return prog
 }
 
 // readSource returns the program text and a display name for diagnostics.

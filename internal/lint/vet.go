@@ -1,12 +1,10 @@
 package lint
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/diag"
 	"repro/internal/driver"
-	"repro/internal/parser"
 	"repro/internal/sema"
 	"repro/internal/token"
 )
@@ -69,31 +67,17 @@ func Vet(file, src string, opts *Options) *VetResult {
 	o := *opts
 	o.Src = src
 	res := &VetResult{File: file, Src: src, Werror: o.Werror}
-	fail := func(analyzer string, err error) *VetResult {
-		res.Findings = frontEndFindings(analyzer, err)
-		res.FrontEndFailed = true
-		diag.Sort(res.Findings)
-		return res
-	}
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return fail("parse", err)
-	}
-	if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-		for _, err := range errs {
-			res.Findings = append(res.Findings, frontEndFindings("sema", err)...)
+	norm, fail := sema.Load([]byte(src), nil)
+	if fail != nil {
+		analyzer := "sema"
+		if fail.Stage == "parse" {
+			analyzer = "parse"
 		}
-		res.FrontEndFailed = true
-		diag.Sort(res.Findings)
-		return res
-	}
-	norm, err := sema.Normalize(prog)
-	if err != nil {
-		return fail("sema", err)
+		return res.failed(analyzer, fail.Errs)
 	}
 	findings, pa, err := Run(file, norm, &o)
 	if err != nil {
-		return fail("sema", err)
+		return res.failed("sema", sema.Diagnostics(err))
 	}
 	findings = ApplySuppressions(findings, norm.Directives)
 	for _, f := range findings {
@@ -154,30 +138,18 @@ func Fix(file, src string, opts *Options) (*FixOutcome, error) {
 	return out, nil
 }
 
-// frontEndFindings converts parser/sema errors into findings, preserving
-// each error's own position. Errors without one anchor at 1:1.
-func frontEndFindings(analyzer string, err error) []diag.Finding {
-	var out []diag.Finding
-	add := func(pos token.Pos, msg string) {
+// failed records a front-end (or analysis) failure: every error becomes
+// an error finding of the analyzer at the error's own position, or at 1:1
+// when it has none.
+func (r *VetResult) failed(analyzer string, errs []sema.Diagnostic) *VetResult {
+	for _, d := range errs {
+		pos := d.Pos
 		if !pos.IsValid() {
 			pos = token.Pos{Line: 1, Col: 1}
 		}
-		out = append(out, diag.Finding{Analyzer: analyzer, Pos: pos, Severity: diag.Error, Message: msg})
+		r.Findings = append(r.Findings, diag.Finding{Analyzer: analyzer, Pos: pos, Severity: diag.Error, Message: d.Msg})
 	}
-	var pl parser.ErrorList
-	var pe *parser.Error
-	var se *sema.Error
-	switch {
-	case errors.As(err, &pl):
-		for _, e := range pl {
-			add(e.Pos, e.Msg)
-		}
-	case errors.As(err, &pe):
-		add(pe.Pos, pe.Msg)
-	case errors.As(err, &se):
-		add(se.Pos, se.Msg)
-	default:
-		add(token.Pos{}, err.Error())
-	}
-	return out
+	r.FrontEndFailed = true
+	diag.Sort(r.Findings)
+	return r
 }

@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/driver"
-	"repro/internal/parser"
 	"repro/internal/sema"
 	"repro/internal/token"
 )
@@ -93,21 +91,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchItem, len(req.Programs))
 	for i, p := range req.Programs {
 		items[i].Name = p.Name
-		prog, err := parser.ParseBytes([]byte(p.Src), in)
-		if err != nil {
-			items[i].Errors = errorLines(p.Name, "parse", err)
-			continue
-		}
-		if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-			for _, e := range errs {
-				items[i].Errors = append(items[i].Errors, errorLines(p.Name, "check", e)...)
-			}
-			continue
-		}
-		prog, err = sema.Normalize(prog)
-		if err != nil {
-			items[i].Errors = errorLines(p.Name, "normalize", err)
-			continue
+		prog, fail := sema.Load([]byte(p.Src), in)
+		if fail != nil {
+			items[i].Errors = fail.Lines(p.Name)
 		}
 		progs[i] = prog
 	}
@@ -140,17 +126,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.counters.completed.Add(1)
 	s.latency.observe(time.Since(t0))
-}
-
-// errorLines renders a front-end error into per-line strings (the NDJSON
-// counterpart of the text rendering analyze/vet use).
-func errorLines(name, stage string, err error) []string {
-	text := strings.TrimSuffix(renderFrontEndErrors(name, stage, err), "\n")
-	var out []string
-	for _, line := range strings.Split(text, "\n") {
-		if line != "" {
-			out = append(out, line)
-		}
-	}
-	return out
 }

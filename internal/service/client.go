@@ -13,9 +13,9 @@ import (
 	"time"
 )
 
-// Client is a minimal HTTP client for the /v1 API. It is what cmd/loadgen
-// drives and what library users get from arrayflow.NewServiceClient; every
-// method is safe for concurrent use.
+// Client is a minimal HTTP client for the /v1 API. It is what library
+// users get from arrayflow.NewServiceClient and what the service's load
+// tests drive; every method is safe for concurrent use.
 type Client struct {
 	base string
 	hc   *http.Client

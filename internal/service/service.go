@@ -45,13 +45,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/driver"
 	"repro/internal/goimport"
 	"repro/internal/lint"
-	"repro/internal/parser"
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
 )
@@ -305,13 +303,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	name := queryName(r)
 	vectors := queryBool(r, "vectors", true)
 
-	prog, errText := frontEnd(name, src)
-	if errText != "" {
+	prog, fail := sema.Load([]byte(src), nil)
+	if fail != nil {
 		s.counters.frontEndErrors.Add(1)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set(exitHeader, "2")
 		w.WriteHeader(http.StatusUnprocessableEntity)
-		fmt.Fprint(w, errText)
+		io.WriteString(w, strings.Join(fail.Lines(name), "\n")+"\n")
 		return
 	}
 	pa, err := driver.Analyze(prog, s.driverOptions(vectors))
@@ -600,54 +598,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(st)
-}
-
-// frontEnd runs parse → check → normalize, rendering every positioned
-// error exactly the way the CLI does ("name:line:col: stage: message"
-// lines). It returns the normalized program, or "" and the error text.
-func frontEnd(name, src string) (*ast.Program, string) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, renderFrontEndErrors(name, "parse", err)
-	}
-	if _, errs := sema.CheckAll(prog); len(errs) > 0 {
-		var b strings.Builder
-		for _, e := range errs {
-			b.WriteString(renderFrontEndErrors(name, "check", e))
-		}
-		return nil, b.String()
-	}
-	prog, err = sema.Normalize(prog)
-	if err != nil {
-		return nil, renderFrontEndErrors(name, "normalize", err)
-	}
-	return prog, ""
-}
-
-// renderFrontEndErrors formats every positioned error inside err as
-// "name:line:col: stage: message\n" — the same shape cmd/arrayflow prints
-// to stderr, so service and CLI diagnostics read identically.
-func renderFrontEndErrors(name, stage string, err error) string {
-	var b strings.Builder
-	line := func(pos fmt.Stringer, msg string) {
-		fmt.Fprintf(&b, "%s:%s: %s: %s\n", name, pos, stage, msg)
-	}
-	var pl parser.ErrorList
-	var pe *parser.Error
-	var se *sema.Error
-	switch {
-	case errors.As(err, &pl):
-		for _, e := range pl {
-			line(e.Pos, e.Msg)
-		}
-	case errors.As(err, &pe):
-		line(pe.Pos, pe.Msg)
-	case errors.As(err, &se):
-		line(se.Pos, se.Msg)
-	default:
-		fmt.Fprintf(&b, "%s: %s: %s\n", name, stage, err)
-	}
-	return b.String()
 }
 
 // queryName returns the display name for diagnostics ("name" query

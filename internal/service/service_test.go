@@ -20,12 +20,13 @@ import (
 	"repro/internal/driver"
 	"repro/internal/goimport"
 	"repro/internal/lint"
+	"repro/internal/sema"
 	"repro/internal/synth"
 )
 
 // exampleSources loads every examples/*.loop file plus a few synthetic
-// multi-loop programs, keyed by display name, so service tests exercise the
-// same corpus the CLI and loadgen do.
+// multi-loop programs, keyed by display name: the corpus the service tests
+// replay.
 func exampleSources(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
@@ -50,6 +51,25 @@ func exampleSources(t *testing.T) map[string]string {
 	return srcs
 }
 
+// renderVet renders findings as `arrayflow vet -format format` prints them.
+func renderVet(t *testing.T, format, name string, rules []diag.RuleMeta, fs []diag.Finding) string {
+	t.Helper()
+	var b strings.Builder
+	var err error
+	switch format {
+	case "json":
+		err = diag.WriteJSON(&b, name, fs)
+	case "sarif":
+		err = diag.WriteSARIF(&b, name, rules, fs)
+	default:
+		err = diag.WriteText(&b, name, fs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func newTestServer(t *testing.T, opts *Options) (*Server, *httptest.Server) {
 	t.Helper()
 	driver.ResetCache()
@@ -65,7 +85,7 @@ func newTestServer(t *testing.T, opts *Options) (*Server, *httptest.Server) {
 
 // TestAnalyzeMatchesCLIRender asserts the /v1/analyze body is byte-identical
 // to the report the CLI path produces for the same source: the exact
-// frontEnd → driver.Analyze → Report() pipeline cmd/arrayflow runs.
+// sema.Load → driver.Analyze → Report() pipeline cmd/arrayflow runs.
 func TestAnalyzeMatchesCLIRender(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	c := NewClient(ts.URL)
@@ -74,9 +94,9 @@ func TestAnalyzeMatchesCLIRender(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		prog, errText := frontEnd(name, src)
-		if errText != "" {
-			t.Fatalf("%s: unexpected front-end failure: %s", name, errText)
+		prog, fail := sema.Load([]byte(src), nil)
+		if fail != nil {
+			t.Fatalf("%s: unexpected front-end failure: %v", name, fail.Lines(name))
 		}
 		pa, err := driver.Analyze(prog, &driver.Options{NestVectors: true, Parallelism: 1})
 		if err != nil {
@@ -101,21 +121,9 @@ func TestVetMatchesCLIRender(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, format, err)
 			}
 			res := lint.Vet(name, src, &lint.Options{Parallelism: 1})
-			var want strings.Builder
-			switch format {
-			case "json":
-				err = diag.WriteJSON(&want, name, res.Findings)
-			case "sarif":
-				err = diag.WriteSARIF(&want, name, lint.RuleMetas(), res.Findings)
-			default:
-				err = diag.WriteText(&want, name, res.Findings)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vr.Body != want.String() {
+			if want := renderVet(t, format, name, lint.RuleMetas(), res.Findings); vr.Body != want {
 				t.Errorf("%s/%s: HTTP body diverges from CLI render\nHTTP:\n%s\nCLI:\n%s",
-					name, format, vr.Body, want.String())
+					name, format, vr.Body, want)
 			}
 			if vr.Exit != res.ExitCode() {
 				t.Errorf("%s/%s: exit header %d, CLI exit %d", name, format, vr.Exit, res.ExitCode())
@@ -415,20 +423,8 @@ func Recurrence(a, b []int, n int) {
 			t.Fatalf("%s: status %d, body %s", format, resp.StatusCode, body)
 		}
 		res := goimport.VetSource("k.go", []byte(goSrc), &lint.Options{Parallelism: 1})
-		var want strings.Builder
-		switch format {
-		case "json":
-			err = diag.WriteJSON(&want, "k.go", res.Findings)
-		case "sarif":
-			err = diag.WriteSARIF(&want, "k.go", goimport.RuleMetas(), res.Findings)
-		default:
-			err = diag.WriteText(&want, "k.go", res.Findings)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if body != want.String() {
-			t.Errorf("%s: HTTP body diverges from CLI render\nHTTP:\n%s\nCLI:\n%s", format, body, want.String())
+		if want := renderVet(t, format, "k.go", goimport.RuleMetas(), res.Findings); body != want {
+			t.Errorf("%s: HTTP body diverges from CLI render\nHTTP:\n%s\nCLI:\n%s", format, body, want)
 		}
 		if got := resp.Header.Get(exitHeader); got != fmt.Sprint(res.ExitCode()) {
 			t.Errorf("%s: exit header %q, CLI exit %d", format, got, res.ExitCode())

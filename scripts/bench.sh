@@ -20,15 +20,9 @@
 # the persistent cache's reason to exist, asserted within one machine's
 # measurements so it cannot drift with hardware.
 #
-# A warm-restart phase then runs loadgen's embedded redeploy scenario
-# (cold traffic, in-memory memo reset, warm traffic that must answer from
-# the persistent cache) and merges its p50/p99 into the snapshot as
-# ServeWarmRestart pseudo-rows. Finally a service-layer phase starts
-# `arrayflow serve` on an ephemeral port, replays concurrent mixed
-# analyze/vet/batch traffic with cmd/loadgen, and records p50/p99 latency
-# and throughput into BENCH_PR6.json — diffed against the previous
-# BENCH_PR6.json under loadgen's -maxregress gate. docs/OPERATIONS.md
-# explains how to read the diff.
+# The service is measured elsewhere: perfbench/run.py times served vet and
+# disk-warm restarts end to end, and internal/service's tests hold it
+# correct under load, across a dropped memo and through a drain.
 #
 # Usage: scripts/bench.sh [output.json]
 #
@@ -48,15 +42,6 @@
 #   SWEEP_BENCH        set to 0 to skip the symbolic-bound sweep phase
 #   SWEEP_OUT          sweep snapshot path (default BENCH_PR10.json)
 #   SWEEP_FLOOR        minimum provably-classified percentage (default 78)
-#   SERVE_BENCH        set to 0 to skip the service load phase
-#   SERVE_OUT          service snapshot path (default BENCH_PR6.json)
-#   SERVE_CONCURRENCY  loadgen workers (default 1000)
-#   SERVE_DURATION     loadgen duration (default 10s)
-#   SERVE_MAXREGRESS   loadgen regression factor (default 2.0)
-#   RESTART_BENCH      set to 0 to skip the warm-restart phase
-#   RESTART_DURATION   per-phase duration of the warm-restart scenario
-#                      (default 5s)
-#   RESTART_CONCURRENCY  warm-restart workers (default 64)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,8 +54,8 @@ GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
 RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5}"
 
 TMP="$(mktemp)"
-RESTART_DIR="$(mktemp -d)"
-trap 'rm -f "$TMP"; rm -rf "$RESTART_DIR"' EXIT
+WORK="$(mktemp -d)"
+trap 'rm -f "$TMP"; rm -rf "$WORK"' EXIT
 
 go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" . | tee "$TMP"
 go run ./cmd/benchjson -o "$OUT" < "$TMP"
@@ -105,81 +90,10 @@ fi
 if [ "${SWEEP_BENCH:-1}" != "0" ]; then
   SWEEP_OUT="${SWEEP_OUT:-BENCH_PR10.json}"
   SWEEP_FLOOR="${SWEEP_FLOOR:-78}"
-  go run ./cmd/corpus -root ./... -o "$RESTART_DIR/corpus.json"
-  go run ./cmd/benchjson -corpus "$RESTART_DIR/corpus.json" \
+  go run ./cmd/corpus -root ./... -o "$WORK/corpus.json"
+  go run ./cmd/benchjson -corpus "$WORK/corpus.json" \
     -floor "CorpusVerdicts/provablyClassified:$SWEEP_FLOOR" \
     -ceiling "CorpusDifferential/mismatch:0" \
     -o "$SWEEP_OUT" < /dev/null
   echo "wrote $SWEEP_OUT"
 fi
-
-# ---- warm-restart phase ----------------------------------------------------
-# The service-level counterpart of BenchmarkWarmStart: loadgen runs an
-# embedded server with a persistent cache, replays a cold phase, drops the
-# in-memory memo exactly as a redeploy would, then replays a warm phase
-# that must answer from disk (the run fails on a zero disk-hit delta).
-# Both phases' p50/p99 land in $OUT as ServeWarmRestart pseudo-rows.
-
-if [ "${RESTART_BENCH:-1}" != "0" ]; then
-  RESTART_DURATION="${RESTART_DURATION:-5s}"
-  RESTART_CONCURRENCY="${RESTART_CONCURRENCY:-64}"
-  go run ./cmd/loadgen -cache-dir "$RESTART_DIR/cache" -concurrency "$RESTART_CONCURRENCY" \
-    -duration "$RESTART_DURATION" -bench-rows "$OUT"
-  echo "merged warm-restart rows into $OUT"
-fi
-
-# ---- service load phase ----------------------------------------------------
-
-if [ "${SERVE_BENCH:-1}" = "0" ]; then
-  exit 0
-fi
-
-SERVE_OUT="${SERVE_OUT:-BENCH_PR6.json}"
-SERVE_CONCURRENCY="${SERVE_CONCURRENCY:-1000}"
-SERVE_DURATION="${SERVE_DURATION:-10s}"
-SERVE_MAXREGRESS="${SERVE_MAXREGRESS:-2.0}"
-
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  rm -f "$TMP"
-  rm -rf "$RESTART_DIR"
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill -TERM "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-go build -o "$WORK/arrayflow" ./cmd/arrayflow
-go build -o "$WORK/loadgen" ./cmd/loadgen
-
-# Start the daemon on an ephemeral port and scrape the resolved address
-# from its startup line on stderr.
-"$WORK/arrayflow" serve -addr 127.0.0.1:0 2> "$WORK/serve.log" &
-SERVE_PID=$!
-URL=""
-for _ in $(seq 1 100); do
-  URL="$(sed -n 's|.*listening on \(http://[0-9.:]*\).*|\1|p' "$WORK/serve.log" | head -1)"
-  [ -n "$URL" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { cat "$WORK/serve.log"; echo "arrayflow serve died"; exit 1; }
-  sleep 0.1
-done
-[ -n "$URL" ] || { echo "could not scrape serve address"; exit 1; }
-
-# loadgen writes -out before it reads -baseline, so preserve the previous
-# snapshot for the diff.
-LOADGEN_ARGS=(-url "$URL" -concurrency "$SERVE_CONCURRENCY" -duration "$SERVE_DURATION" -out "$SERVE_OUT" -maxregress "$SERVE_MAXREGRESS")
-if [ -f "$SERVE_OUT" ]; then
-  cp "$SERVE_OUT" "$WORK/serve-baseline.json"
-  LOADGEN_ARGS+=(-baseline "$WORK/serve-baseline.json")
-fi
-"$WORK/loadgen" "${LOADGEN_ARGS[@]}"
-echo "wrote $SERVE_OUT"
-
-# A clean SIGTERM drain is part of the bench contract: the daemon must
-# exit 0 after the load.
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-SERVE_PID=""
