@@ -542,11 +542,12 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 // persistent cache), disk-warm (fresh process, persistent cache populated
 // by a previous run — the warm-restart path), and memory-warm (long-lived
 // process, memo cache resident). Disk-warm analysis decodes only the
-// checksummed containers and solver counters, deferring graph rebuilds and
-// row decodes until a loop's facts are read; the -report variants force
-// that restore by rendering every report, so they bound the warm-start win
-// for callers that consume everything. scripts/bench.sh gates disk-warm at
-// ≤ 0.5× cold.
+// checksummed containers, solver counters and stored reuse lines,
+// deferring graph rebuilds and row decodes until a loop's facts are read.
+// The -report variants also render every report, which reads only the
+// counters and the stored lines, so a disk-warm report restores nothing.
+// scripts/bench.sh gates disk-warm at ≤ 0.5× cold and disk-warm-report at
+// ≤ 0.5× cold-report.
 func BenchmarkWarmStart(b *testing.B) {
 	progs := make([]*ast.Program, 16)
 	for i := range progs {
@@ -586,10 +587,10 @@ func BenchmarkWarmStart(b *testing.B) {
 		}
 	}
 	b.Run("disk-warm", warm(false))
-	// The forced variants render every report, so the disk-warm point also
-	// pays the deferred restore (graph rebuild + row decode) instead of
-	// stopping at the lazily-loaded counters. Compare against cold-report
-	// for the honest speedup when the caller consumes every loop's facts.
+	// The report variants render every report: the cold point renders
+	// from its fresh solves, the disk-warm point from the reuse lines its
+	// entries store, without the deferred restore (graph rebuild + row
+	// decode).
 	b.Run("cold-report", func(b *testing.B) {
 		run(b, &driver.Options{}, true, true)
 	})

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,8 +25,9 @@ import (
 // derived reuse facts — live in parts, which a solve computed in-process
 // fills eagerly and a disk-loaded solve materializes lazily on first
 // access: whole-program analysis over a warm disk cache reads only meta,
-// and the graph rebuild + row decode happen the first time a consumer
-// actually looks at a loop's facts.
+// a report reads meta and the reuse lines the entry stored, and the graph
+// rebuild + row decode happen the first time a consumer actually looks at
+// a loop's facts.
 //
 // Once a cache entry is published its solved value is never mutated again
 // beyond the one-shot materialization — the graph is Precompute()d before
@@ -36,6 +38,15 @@ import (
 type solved struct {
 	// meta holds one entry per spec, in the solve's spec order.
 	meta []specMeta
+	// stored marks a value loaded from disk, whose report lines are lines:
+	// the entry's reuse lines, each a Reuse.WriteTo rendering ending in
+	// '\n'. lines aliases the entry's payload, which the deferred row
+	// blobs pin anyway.
+	stored bool
+	lines  []byte
+	// twin is the memo entry a relocated value is restored from. Reuse
+	// lines carry no source positions, so they are the twin's.
+	twin *solved
 
 	once sync.Once
 	// fill is set on lazily-loaded values; it must not fail (the disk
@@ -68,6 +79,60 @@ func (sv *solved) materialize() *solvedParts {
 		}
 	})
 	return sv.parts
+}
+
+// nodes returns the loop's flow-graph node count, read off the solver
+// counters; only a value that solved no problem restores its graph.
+func (sv *solved) nodes() int {
+	if len(sv.meta) > 0 {
+		return sv.meta[0].meta.Nodes
+	}
+	return len(sv.materialize().graph.Nodes)
+}
+
+// writeReuses writes one report line per reuse of the loop's
+// must-reaching-definitions solve: lead, iv, ": ", the reuse as
+// Reuse.WriteTo renders it, and '\n'. A value solved in memory renders
+// from its reuse records and keeps no text; a value loaded from disk
+// copies the lines its entry stored, and a relocated twin those of its
+// source entry, so neither restores anything.
+func (sv *solved) writeReuses(b *strings.Builder, lead, iv string) {
+	if sv.twin != nil {
+		sv.twin.writeReuses(b, lead, iv)
+		return
+	}
+	if sv.stored {
+		// The decoder admits only lines that end in '\n', so every step
+		// finds one.
+		for rest := sv.lines; len(rest) > 0; {
+			k := bytes.IndexByte(rest, '\n') + 1
+			b.WriteString(lead)
+			b.WriteString(iv)
+			b.WriteString(": ")
+			b.Write(rest[:k])
+			rest = rest[k:]
+		}
+		return
+	}
+	for _, r := range sv.materialize().reuses {
+		b.WriteString(lead)
+		b.WriteString(iv)
+		b.WriteString(": ")
+		r.WriteTo(b)
+		b.WriteByte('\n')
+	}
+}
+
+// reuseSize estimates the bytes writeReuses writes when each line opens
+// with prefix bytes, without restoring a deferred value.
+func (sv *solved) reuseSize(prefix int) int {
+	if sv.twin != nil {
+		return sv.twin.reuseSize(prefix)
+	}
+	if sv.stored {
+		return len(sv.lines) + prefix*bytes.Count(sv.lines, []byte{'\n'})
+	}
+	return (prefix + 47) * len(sv.materialize().reuses)
 }
 
 // newSolvedEager wraps freshly-computed parts, deriving the per-spec
@@ -473,7 +538,7 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 // restoreParts path.
 func (sv *solved) relocated(loop *ast.DoLoop, env *solveEnv) *solved {
 	specs, dims := env.specs, env.dims
-	return &solved{meta: sv.meta, fill: func() *solvedParts {
+	return &solved{meta: sv.meta, twin: sv, fill: func() *solvedParts {
 		src := sv.materialize()
 		metas := make([]specMeta, len(specs))
 		blobs := make([][]byte, len(specs))

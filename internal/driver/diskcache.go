@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +28,15 @@ import (
 // set — so any change to what a payload means abandons old files wholesale
 // instead of risking a misparse.
 //
-// Only the solver's packed fixed points, init snapshots, and counters are
-// stored (see dataflow.EncodeRows/ResultMeta); the flow graph, class tables,
-// pr bitsets, and reuse facts are deterministic functions of the loop AST.
-// A load eagerly decodes just the checksummed container and the per-spec
-// counters — enough for whole-program metrics — and defers the graph
-// rebuild and row restore until a consumer first reads the loop's facts, at
-// which point the materialized value is byte-identical to a fresh solve.
+// Stored are the solver's packed fixed points, init snapshots, and counters
+// (see dataflow.EncodeRows/ResultMeta), and the loop's reuse lines as
+// ProgramAnalysis.Report prints them; the flow graph, class tables, pr
+// bitsets, and reuse records are deterministic functions of the loop AST.
+// A load eagerly decodes just the checksummed container, the per-spec
+// counters, and the reuse lines — enough for whole-program metrics and the
+// report — and defers the graph rebuild and row restore until a consumer
+// first reads the loop's facts, at which point the materialized value is
+// byte-identical to a fresh solve.
 //
 // Failure policy: the disk cache never makes an Analyze call fail. Unusable
 // roots disable it for the call; unreadable, truncated, corrupted, stale, or
@@ -41,8 +44,19 @@ import (
 // DiskCacheStats().Errors when the bytes were there but wrong).
 
 // diskFormatGeneration versions everything about the container that the
-// payload version does not cover. Bump on any incompatible change.
-const diskFormatGeneration = "afdisk-v1"
+// payload version does not cover. Bump on any incompatible change. v2
+// appends the loop's reuse lines to the payload: each reuse of the
+// must-reaching-definitions solve as problems.Reuse.WriteTo renders it
+// (reference text, @nK node IDs, distances — no source positions),
+// followed by '\n'. The lines are a derivation frozen into the files, so
+// a change to FindReuses or Reuse.WriteTo must bump the generation too.
+const diskFormatGeneration = "afdisk-v2"
+
+// reuseLinesDigest pins that derivation: the FNV-1a 64 digest
+// TestDiskFormatPinsReuseLines computes over the reuse lines of every
+// examples/*.loop. When it no longer matches, bump diskFormatGeneration
+// and record the new digest.
+const reuseLinesDigest = "76d52a3535bcb445"
 
 // diskCache is one (root, schema) binding: entries for one spec set +
 // format generation, in one subdirectory of the user's cache root.
@@ -142,14 +156,14 @@ func ResetDiskCacheStats() {
 
 // load reads and validates the entry for key and returns a lazily-restored
 // solved value. The eager half is cheap — container checksum, per-spec
-// counters, row-blob framing — which is all whole-program analysis needs;
-// the graph rebuild, class-table derivation, row decode, and reuse
-// extraction are deferred into the value's fill hook and run at most once,
-// the first time a consumer reads the loop's facts. The loop and env must
-// be the ones the key was computed from. Any eager failure returns
-// ok=false and the caller solves cold; a deferred failure (impossible
-// without a content-address collision — the blobs are checksummed) falls
-// back to a fresh solve inside fill.
+// counters, row-blob framing, reuse lines — which is all whole-program
+// analysis and its report need; the graph rebuild, class-table derivation,
+// row decode, and reuse extraction are deferred into the value's fill hook
+// and run at most once, the first time a consumer reads the loop's facts.
+// The loop and env must be the ones the key was computed from. Any eager
+// failure returns ok=false and the caller solves cold; a deferred failure
+// (impossible without a content-address collision — the blobs are
+// checksummed) falls back to a fresh solve inside fill.
 func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOracle, env *solveEnv) (sv *solved, nbytes int64, ok bool) {
 	start := time.Now()
 	data, err := os.ReadFile(dc.entryPath(key))
@@ -172,28 +186,13 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 		return nil, 0, false
 	}
 	specs := env.specs
-	r := cachefile.NewReader(payload)
-	if n := r.Uint(); n != uint64(len(specs)) {
-		return nil, 0, false
-	}
-	sv = &solved{meta: make([]specMeta, 0, len(specs))}
-	blobs := make([][]byte, 0, len(specs))
-	for _, spec := range specs {
-		if name := r.String(); name != spec.Name {
-			return nil, 0, false
-		}
-		meta := dataflow.DecodeResultMeta(r)
-		blobs = append(blobs, r.Blob())
-		if r.Err() != nil {
-			return nil, 0, false
-		}
-		sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: meta})
-	}
-	if !r.Done() {
+	ent, ok := decodeEntry(payload, specs)
+	if !ok {
 		return nil, 0, false
 	}
 	dims, fuel := env.dims, env.fuel
-	metas := sv.meta
+	metas, blobs := ent.metas, ent.blobs
+	sv = &solved{meta: metas, stored: true, lines: ent.lines}
 	sv.fill = func() *solvedParts {
 		t0 := time.Now()
 		parts, err := restoreParts(loop, specs, dims, metas, blobs)
@@ -219,6 +218,46 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 		return parts
 	}
 	return sv, int64(len(data)), true
+}
+
+// diskEntry is one decoded payload. Blobs and lines alias the payload.
+type diskEntry struct {
+	// metas and blobs hold each spec's counters and packed rows, in spec
+	// order.
+	metas []specMeta
+	blobs [][]byte
+	// lines are the loop's reuse lines, each ending in '\n'.
+	lines []byte
+}
+
+// decodeEntry parses a payload that store wrote for specs:
+//
+//	uvarint  spec count
+//	per spec: string name, dataflow.ResultMeta, blob rows
+//	blob     reuse lines
+//
+// It accepts only a payload it consumes whole, whose spec names are specs'
+// in order and whose reuse lines are empty or end in '\n' — what
+// solved.writeReuses relies on to split them.
+func decodeEntry(payload []byte, specs []*dataflow.Spec) (diskEntry, bool) {
+	r := cachefile.NewReader(payload)
+	if n := r.Uint(); n != uint64(len(specs)) {
+		return diskEntry{}, false
+	}
+	ent := diskEntry{metas: make([]specMeta, 0, len(specs)), blobs: make([][]byte, 0, len(specs))}
+	for _, spec := range specs {
+		if name := r.String(); name != spec.Name {
+			return diskEntry{}, false
+		}
+		meta := dataflow.DecodeResultMeta(r)
+		ent.blobs = append(ent.blobs, r.Blob())
+		ent.metas = append(ent.metas, specMeta{name: spec.Name, meta: meta})
+	}
+	ent.lines = r.Blob()
+	if !r.Done() || (len(ent.lines) > 0 && ent.lines[len(ent.lines)-1] != '\n') {
+		return diskEntry{}, false
+	}
+	return ent, true
 }
 
 // restoreParts rebuilds the graph-entangled artifacts of a disk entry: the
@@ -271,6 +310,8 @@ func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int6
 		res.EncodeRows(&rw)
 		w.Blob(rw.Bytes())
 	}
+	// A string is framed like a blob, which is how decodeEntry reads it.
+	w.String(reuseLines(parts.reuses))
 	img := cachefile.Encode(dc.schema, key.fp.Hi, key.fp.Lo, w.Bytes())
 	err := cachefile.WriteAtomic(dc.entryPath(key), img)
 	if errors.Is(err, fs.ErrNotExist) && os.MkdirAll(dc.dir, 0o755) == nil {
@@ -285,4 +326,15 @@ func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int6
 	diskStats.storeBytes.Add(n)
 	diskStats.storeNS.Add(time.Since(start).Nanoseconds())
 	return n
+}
+
+// reuseLines renders reuses as a disk entry stores them: each as
+// Reuse.WriteTo renders it, followed by '\n'.
+func reuseLines(reuses []problems.Reuse) string {
+	var b strings.Builder
+	for _, r := range reuses {
+		r.WriteTo(&b)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/cachefile"
+	"repro/internal/dataflow"
 	"repro/internal/dataflow/reference"
 	"repro/internal/parser"
 	"repro/internal/problems"
@@ -355,4 +359,123 @@ enddo
 	if !strings.Contains(warm.Loops[0].Result("must-reaching-defs").TupleTable(-1), "A[i + 1]") {
 		t.Error("restored table lost class headers")
 	}
+}
+
+// TestDiskFormatPinsReuseLines pins the reuse lines disk entries store.
+// They are a derivation (FindReuses, Reuse.WriteTo) frozen into users'
+// cache directories, and the schema hash cannot see it change: without a
+// generation bump, old entries would keep serving the old lines. The
+// digest covers the own and with-respect-to lines of every
+// examples/*.loop under the default specs and StandardSpecs.
+func TestDiskFormatPinsReuseLines(t *testing.T) {
+	h := fnv.New64a()
+	for _, specs := range [][]*dataflow.Spec{nil, problems.StandardSpecs()} {
+		for _, s := range ValidExamples(t) {
+			pa, err := Analyze(mustLoad(t, s.Name, s.Src), &Options{Specs: specs, DisableCache: true, Parallelism: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			for _, la := range pa.Loops {
+				fmt.Fprintf(h, "%s loop %s\x00%s", s.Name, la.Loop.Var, reuseLines(la.Reuses()))
+				wrt := la.WRT()
+				for _, iv := range sortedKeys(wrt) {
+					fmt.Fprintf(h, "wrt %s\x00%s", iv, reuseLines(wrt[iv]))
+				}
+			}
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != reuseLinesDigest {
+		t.Errorf("the reuse lines disk entries store changed (digest %s, recorded %s): bump diskFormatGeneration "+
+			"and record the new digest in reuseLinesDigest (only the digest when just examples/ changed)", got, reuseLinesDigest)
+	}
+}
+
+// storedPayloads analyzes every examples/*.loop with an empty cache
+// directory and returns the payloads of the entries stored under specs'
+// schema, in file-name order.
+func storedPayloads(tb testing.TB, specs []*dataflow.Spec) [][]byte {
+	tb.Helper()
+	root := tb.TempDir()
+	ResetCache()
+	defer ResetCache()
+	for _, s := range ValidExamples(tb) {
+		if _, err := Analyze(mustLoad(tb, s.Name, s.Src), &Options{Specs: specs, NestVectors: true, CacheDir: root, Parallelism: 1}); err != nil {
+			tb.Fatalf("%s: %v", s.Name, err)
+		}
+	}
+	dc := openDiskCacheFor(root, specs)
+	names, err := filepath.Glob(filepath.Join(dc.dir, "*"))
+	if err != nil || len(names) == 0 {
+		tb.Fatalf("no entries stored under %s (%v)", dc.dir, err)
+	}
+	var out [][]byte
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var hi, lo uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "%016x%016x", &hi, &lo); err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		payload, err := cachefile.Decode(data, dc.schema, hi, lo)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, payload)
+	}
+	return out
+}
+
+// FuzzDiskEntry feeds the entry decoder arbitrary payloads, seeded with the
+// entries analyzing examples/ stores under the default specs and under
+// StandardSpecs. The decoder must not panic and must accept every seed.
+// What it accepts it must have consumed whole — one byte more or less is
+// rejected — and its reuse lines must be walkable: a report renders one
+// line per '\n', each carrying the stored text after its prefix.
+func FuzzDiskEntry(f *testing.F) {
+	specSets := [][]*dataflow.Spec{{problems.MustReachingDefs()}, problems.StandardSpecs()}
+	type seed struct {
+		set     int
+		payload string
+	}
+	seeds := map[seed]bool{}
+	for i, specs := range specSets {
+		for _, payload := range storedPayloads(f, specs) {
+			f.Add(uint8(i), payload)
+			seeds[seed{i, string(payload)}] = true
+		}
+	}
+	f.Fuzz(func(t *testing.T, set uint8, payload []byte) {
+		i := int(set) % len(specSets)
+		specs := specSets[i]
+		ent, ok := decodeEntry(payload, specs)
+		if !ok {
+			if seeds[seed{i, string(payload)}] {
+				t.Fatal("a stored entry does not decode")
+			}
+			return
+		}
+		if len(ent.metas) != len(specs) || len(ent.blobs) != len(specs) {
+			t.Fatalf("decoded %d metas and %d row blobs for %d specs", len(ent.metas), len(ent.blobs), len(specs))
+		}
+		if _, ok := decodeEntry(payload[:len(payload)-1], specs); ok {
+			t.Error("accepted the payload without its last byte")
+		}
+		if _, ok := decodeEntry(append(payload[:len(payload):len(payload)], 0), specs); ok {
+			t.Error("accepted the payload with a trailing byte")
+		}
+		sv := &solved{meta: ent.metas, stored: true, lines: ent.lines}
+		var got strings.Builder
+		sv.writeReuses(&got, "  reuse", "")
+		var want strings.Builder
+		for _, line := range strings.SplitAfter(string(ent.lines), "\n") {
+			if line != "" {
+				want.WriteString("  reuse: " + line)
+			}
+		}
+		if got.String() != want.String() {
+			t.Fatalf("rendered %q from the stored lines %q", got.String(), ent.lines)
+		}
+	})
 }

@@ -39,10 +39,11 @@ import (
 //
 // The graph, fixed points, and reuse facts are reached through accessor
 // methods rather than fields: a loop answered from the persistent solve
-// cache holds only its decoded counters until something actually reads the
-// facts, at which point the deferred restore (graph rebuild + row decode)
-// runs exactly once. Loops solved in-process materialize eagerly, so the
-// accessors cost a nil check. All accessors are safe for concurrent use.
+// cache holds only its decoded counters and stored report lines until
+// something actually reads the facts, at which point the deferred restore
+// (graph rebuild + row decode) runs exactly once. Loops solved in-process
+// materialize eagerly, so the accessors cost a nil check. All accessors
+// are safe for concurrent use.
 type LoopAnalysis struct {
 	Loop  *ast.DoLoop
 	Depth int // 1 = outermost
@@ -506,41 +507,33 @@ func tightInnerOf(outer *ast.DoLoop) (*ast.DoLoop, bool) {
 	return inner, ok
 }
 
-// Report renders the whole-program findings.
+// Report renders the whole-program findings. Each loop's header reads its
+// node count off the solver counters and its reuse lines come from
+// solved.writeReuses, so a loop answered from the persistent cache is
+// reported without restoring its graph or rows.
 func (pa *ProgramAnalysis) Report() string {
 	var b strings.Builder
-	// Pre-size for the common shape: one header line per loop plus ~56
-	// bytes per reuse line. Underestimates only cost a regrow.
+	// Pre-size for the common shape: one header line per loop plus the
+	// reuse lines. Underestimates only cost a regrow.
 	size := 48
 	for _, la := range pa.Loops {
-		size += 40 + 56*len(la.Reuses())
-		for _, rs := range la.wrt {
-			size += 64 * len(rs.materialize().reuses)
+		size += 40 + la.own.reuseSize(len("  reuse: "))
+		for iv, sv := range la.wrt {
+			size += sv.reuseSize(len("  reuse wrt : ") + len(iv))
 		}
 	}
 	b.Grow(size)
 	fmt.Fprintf(&b, "program analysis: %d loops (innermost first)\n", len(pa.Loops))
 	for _, la := range pa.Loops {
-		fmt.Fprintf(&b, "loop %s (depth %d, %d nodes):\n", la.Loop.Var, la.Depth, len(la.Graph().Nodes))
-		for _, r := range la.Reuses() {
-			b.WriteString("  reuse: ")
-			r.WriteTo(&b)
-			b.WriteByte('\n')
-		}
-		wrt := la.WRT()
-		ivs := make([]string, 0, len(wrt))
-		for iv := range wrt {
+		fmt.Fprintf(&b, "loop %s (depth %d, %d nodes):\n", la.Loop.Var, la.Depth, la.own.nodes())
+		la.own.writeReuses(&b, "  reuse", "")
+		ivs := make([]string, 0, len(la.wrt))
+		for iv := range la.wrt {
 			ivs = append(ivs, iv)
 		}
 		sort.Strings(ivs)
 		for _, iv := range ivs {
-			for _, r := range wrt[iv] {
-				b.WriteString("  reuse wrt ")
-				b.WriteString(iv)
-				b.WriteString(": ")
-				r.WriteTo(&b)
-				b.WriteByte('\n')
-			}
+			la.wrt[iv].writeReuses(&b, "  reuse wrt ", iv)
 		}
 	}
 	for _, outer := range pa.vectorLoops() {

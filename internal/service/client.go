@@ -23,8 +23,19 @@ type Client struct {
 
 // NewClient returns a Client for the service at baseURL (e.g.
 // "http://127.0.0.1:8377"). A trailing slash is tolerated.
+//
+// Each Client sends through its own copy of http.DefaultTransport whose
+// idle pool for the service's host is as deep as its whole idle pool. The
+// default keeps two idle connections per host, so a Client shared by more
+// goroutines closed and redialed most of its connections.
 func NewClient(baseURL string) *Client {
-	return &Client{base: strings.TrimSuffix(baseURL, "/"), hc: &http.Client{}}
+	var rt http.RoundTripper = http.DefaultTransport
+	if t, ok := rt.(*http.Transport); ok {
+		t = t.Clone()
+		t.MaxIdleConnsPerHost = t.MaxIdleConns
+		rt = t
+	}
+	return &Client{base: strings.TrimSuffix(baseURL, "/"), hc: &http.Client{Transport: rt}}
 }
 
 // StatusError is returned when the service answers with an error status:

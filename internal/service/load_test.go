@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,9 +30,19 @@ var vetFormats = []string{"text", "json", "sarif"}
 // reference is a program's memo-free in-process render: the bytes every
 // served answer for it must equal.
 type reference struct {
-	analyze string
-	vet     map[string]string // by format
-	vetExit int
+	// analyze is the /v1/analyze body: the report, or the positioned
+	// error lines of a 422 when rejected is set.
+	analyze  string
+	rejected bool
+	vet      map[string]string // by format
+	vetExit  int
+}
+
+// badSources are programs the front end rejects, one per failing stage.
+var badSources = map[string]string{
+	"bad-parse.loop":     "do i = 1,\nenddo\n",
+	"bad-check.loop":     "do j = j, N, -1\n  A[j] := 0\nenddo\n",
+	"bad-normalize.loop": "do i = 1, 10, k\n  A[i] := 0\nenddo\n",
 }
 
 // references renders every program of srcs without the memo cache.
@@ -39,16 +50,17 @@ func references(t *testing.T, srcs map[string]string) map[string]*reference {
 	t.Helper()
 	refs := map[string]*reference{}
 	for name, src := range srcs {
-		prog, fail := sema.Load([]byte(src), nil)
-		if fail != nil {
-			t.Fatalf("%s: %v", name, fail.Lines(name))
-		}
-		pa, err := driver.Analyze(prog, &driver.Options{NestVectors: true, Parallelism: 1, DisableCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		res := lint.Vet(name, src, &lint.Options{Parallelism: 1, DisableCache: true})
-		ref := &reference{analyze: pa.Report(), vet: map[string]string{}, vetExit: res.ExitCode()}
+		ref := &reference{vet: map[string]string{}, vetExit: res.ExitCode()}
+		if prog, fail := sema.Load([]byte(src), nil); fail != nil {
+			ref.analyze, ref.rejected = strings.Join(fail.Lines(name), "\n")+"\n", true
+		} else {
+			pa, err := driver.Analyze(prog, &driver.Options{NestVectors: true, Parallelism: 1, DisableCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.analyze = pa.Report()
+		}
 		for _, format := range vetFormats {
 			ref.vet[format] = renderVet(t, format, name, lint.RuleMetas(), res.Findings)
 		}
@@ -69,14 +81,20 @@ func sortedNames(srcs map[string]string) []string {
 
 // TestMixedLoad releases 64 clients at once on a server with two workers
 // and a short queue. Each sends a seeded mix of analyze, vet (text, JSON
-// and SARIF) and batch requests over the example corpus, and retries a
-// refusal after a scaled-down Retry-After. Every final answer must equal
-// the memo-free render byte for byte, every refusal must be a prompt 429
-// envelope with a usable Retry-After, and nothing else may arrive. After
-// the run /v1/stats must balance: nothing in flight or queued, and every
-// arrival either completed or was refused.
+// and SARIF) and batch requests over the example corpus, plus sources the
+// front end rejects in the analyze and vet traffic, and retries a refusal
+// after a scaled-down Retry-After. Every final answer must equal the
+// memo-free render byte for byte (a 422 with the error lines or findings
+// for a rejected source), every refusal must be a prompt 429 envelope with
+// a usable Retry-After, and nothing else may arrive. After the run
+// /v1/stats must balance: nothing in flight or queued, and every arrival
+// either completed or was refused.
 func TestMixedLoad(t *testing.T) {
 	srcs := exampleSources(t)
+	good := sortedNames(srcs)
+	for name, src := range badSources {
+		srcs[name] = src
+	}
 	names := sortedNames(srcs)
 	refs := references(t, srcs)
 	const (
@@ -85,10 +103,6 @@ func TestMixedLoad(t *testing.T) {
 		deadline  = 20 * time.Second
 	)
 	_, ts := newTestServer(t, &Options{Workers: 2, MaxQueue: 8, Deadline: deadline})
-	// One pool for every client, deep enough that no connection is
-	// dropped and redialed between retries.
-	tr := &http.Transport{MaxIdleConnsPerHost: clients}
-	t.Cleanup(tr.CloseIdleConnections)
 
 	ctx := context.Background()
 	var refused atomic.Int64
@@ -99,11 +113,10 @@ func TestMixedLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := NewClient(ts.URL)
-			c.hc = &http.Client{Transport: tr}
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			<-barrier
 			for i := 0; i < perClient; i++ {
-				send := mixedRequest(ctx, c, rng, names, srcs, refs)
+				send := mixedRequest(ctx, c, rng, names, good, srcs, refs)
 				for {
 					t0 := time.Now()
 					err := send()
@@ -160,14 +173,20 @@ func TestMixedLoad(t *testing.T) {
 
 // mixedRequest draws one request of the mix and returns a function that
 // sends it: nil means a final answer equal to its reference, a 429
-// *StatusError a refusal, and any other error a failure.
-func mixedRequest(ctx context.Context, c *Client, rng *rand.Rand, names []string, srcs map[string]string, refs map[string]*reference) func() error {
+// *StatusError a refusal, and any other error a failure. Analyze and vet
+// requests draw from names, batches from good, the sources the front end
+// accepts.
+func mixedRequest(ctx context.Context, c *Client, rng *rand.Rand, names, good []string, srcs map[string]string, refs map[string]*reference) func() error {
 	name := names[rng.Intn(len(names))]
 	ref := refs[name]
 	switch kind := rng.Intn(5); kind {
 	case 0:
 		return func() error {
 			got, err := c.Analyze(ctx, name, srcs[name])
+			var se *StatusError
+			if ref.rejected && errors.As(err, &se) && se.Status == http.StatusUnprocessableEntity {
+				got, err = se.Body, nil
+			}
 			if err == nil && got != ref.analyze {
 				return errors.New("/v1/analyze " + name + ": body differs from the memo-free report")
 			}
@@ -189,7 +208,7 @@ func mixedRequest(ctx context.Context, c *Client, rng *rand.Rand, names []string
 	}
 	req := &BatchRequest{Vectors: true}
 	for n := 2 + rng.Intn(3); n > 0; n-- {
-		p := names[rng.Intn(len(names))]
+		p := good[rng.Intn(len(good))]
 		req.Programs = append(req.Programs, BatchProgram{Name: p, Src: srcs[p]})
 	}
 	return func() error {
@@ -352,5 +371,61 @@ func TestDrainUnderLoad(t *testing.T) {
 		t.Errorf("request after the drain: status %d, want a refused connection", resp.StatusCode)
 	} else if !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Errorf("request after the drain: %v, want a refused connection", err)
+	}
+}
+
+// TestClientReusesConnections sends 20 analyze requests from each of 64
+// goroutines through one Client and counts the connections the server
+// accepts through its ConnState hook. The server holds the first round
+// until all 64 requests have arrived, so each came on a connection of its
+// own and no goroutine could hand one to another early. From then on a
+// Client that keeps an idle connection for each goroutine sharing it
+// never dials again: at most one connection per goroutine.
+func TestClientReusesConnections(t *testing.T) {
+	srcs := exampleSources(t)
+	names := sortedNames(srcs)
+	const goroutines, perGoroutine = 64, 20
+	driver.ResetCache()
+	t.Cleanup(driver.ResetCache)
+	handler := New(&Options{Workers: goroutines}).Handler()
+	var arrivals atomic.Int64
+	var firstRound sync.WaitGroup
+	firstRound.Add(goroutines)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrivals.Add(1) <= goroutines {
+			firstRound.Done()
+			firstRound.Wait()
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				name := names[(g+i)%len(names)]
+				if _, err := c.Analyze(ctx, name, srcs[name]); err != nil {
+					t.Errorf("goroutine %d: %s: %v", g, name, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := conns.Load(); n > goroutines {
+		t.Errorf("%d goroutines sending %d requests each opened %d connections, want at most one each",
+			goroutines, perGoroutine, n)
 	}
 }

@@ -303,27 +303,25 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	name := queryName(r)
 	vectors := queryBool(r, "vectors", true)
 
-	prog, fail := sema.Load([]byte(src), nil)
-	if fail != nil {
-		s.counters.frontEndErrors.Add(1)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set(exitHeader, "2")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		io.WriteString(w, strings.Join(fail.Lines(name), "\n")+"\n")
-		return
-	}
-	pa, err := driver.Analyze(prog, s.driverOptions(vectors))
-	if err != nil {
-		s.counters.frontEndErrors.Add(1)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set(exitHeader, "2")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		fmt.Fprintf(w, "%s: analyze: %s\n", name, err)
-		return
+	body, failed := "", true
+	if prog, fail := sema.Load([]byte(src), nil); fail != nil {
+		body = strings.Join(fail.Lines(name), "\n") + "\n"
+	} else if pa, err := driver.Analyze(prog, s.driverOptions(vectors)); err != nil {
+		body = name + ": analyze: " + err.Error() + "\n"
+	} else {
+		body, failed = pa.Report(), false
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set(exitHeader, "0")
-	io.WriteString(w, pa.Report())
+	if failed {
+		// A front-end failure is an answer, as on /v1/vet: it counts as
+		// completed.
+		s.counters.frontEndErrors.Add(1)
+		w.Header().Set(exitHeader, "2")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+	} else {
+		w.Header().Set(exitHeader, "0")
+	}
+	io.WriteString(w, body)
 	s.counters.completed.Add(1)
 	s.latency.observe(time.Since(t0))
 }

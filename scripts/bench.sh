@@ -14,11 +14,13 @@
 # BENCH_PR4.json ns/op.
 # The gated points were recorded 2-4x *under* that baseline, so the gate
 # has real headroom on any reasonable machine and firing means the
-# word-packed solver's headline wins actually eroded. A second hard
-# failure is the same-snapshot ratio (cmd/benchjson -ratio): disk-warm
-# whole-program analysis must run at no more than 0.5x the cold run —
-# the persistent cache's reason to exist, asserted within one machine's
-# measurements so it cannot drift with hardware.
+# word-packed solver's headline wins actually eroded. The other hard
+# failures are same-snapshot ratios (cmd/benchjson -ratio): disk-warm
+# whole-program analysis must run at no more than 0.5x the cold run, and
+# so must disk-warm analysis plus every report, which renders from the
+# reuse lines the entries store — the persistent cache's reason to
+# exist, asserted within one machine's measurements so it cannot drift
+# with hardware.
 #
 # The service is measured elsewhere: perfbench/run.py times served vet and
 # disk-warm restarts end to end, and internal/service's tests hold it
@@ -36,8 +38,9 @@
 #   BENCH_GATE         hard gate spec BASELINE:PATTERN:FACTOR (default
 #                      holds packed ScalingLinear to 1.25x BENCH_PR4.json;
 #                      set empty to skip the gate)
-#   BENCH_RATIO        same-snapshot ratio spec NUM:DEN:FACTOR (default
-#                      holds disk-warm analysis to 0.5x cold; set empty
+#   BENCH_RATIO        space-separated same-snapshot ratio specs
+#                      NUM:DEN:FACTOR (default holds disk-warm analysis,
+#                      with and without reports, to 0.5x cold; set empty
 #                      to skip)
 #   SWEEP_BENCH        set to 0 to skip the symbolic-bound sweep phase
 #   SWEEP_OUT          sweep snapshot path (default BENCH_PR10.json)
@@ -51,7 +54,7 @@ PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|Benc
 TIME="${BENCH_TIME:-1s}"
 BASELINE="${BENCH_BASELINE-BENCH_PR4.json}"
 GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
-RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5}"
+RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5 BenchmarkWarmStart/disk-warm-report:BenchmarkWarmStart/cold-report:0.5}"
 
 TMP="$(mktemp)"
 WORK="$(mktemp -d)"
@@ -73,9 +76,14 @@ if [ -n "$GATE" ] && [ -f "${GATE%%:*}" ]; then
   go run ./cmd/benchjson -gate "$GATE" "$OUT" > /dev/null
 fi
 if [ -n "$RATIO" ]; then
-  # Hard gate within this snapshot: disk-warm analysis must be at most
-  # half the cold time, or the persistent cache is not earning its keep.
-  go run ./cmd/benchjson -ratio "$RATIO" "$OUT" > /dev/null
+  # Hard gates within this snapshot: disk-warm analysis, and disk-warm
+  # analysis plus reports, must each be at most half their cold time, or
+  # the persistent cache is not earning its keep.
+  RATIO_FLAGS=()
+  for spec in $RATIO; do
+    RATIO_FLAGS+=(-ratio "$spec")
+  done
+  go run ./cmd/benchjson "${RATIO_FLAGS[@]}" "$OUT" > /dev/null
 fi
 
 # ---- symbolic-bound sweep ---------------------------------------------------
