@@ -396,7 +396,7 @@ type (
 // NewService returns an analysis daemon with opts resolved to documented
 // defaults (nil = all defaults): GOMAXPROCS workers, a 256-deep queue, a
 // 10-second per-request deadline, a 1 MiB body cap, and the process-global
-// sharded memo cache.
+// memo cache.
 func NewService(opts *ServiceOptions) *Service { return service.New(opts) }
 
 // NewServiceHandler is NewService(opts).Handler() — the one-liner for

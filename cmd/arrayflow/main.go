@@ -39,8 +39,8 @@
 //	               [-cache-dir dir] [-fuel n] old new
 //
 // The serve mode runs the analyses as a long-lived HTTP/JSON daemon —
-// /v1/analyze, /v1/vet, /v1/batch, and /v1/stats over the shared sharded
-// memo cache, with queue-depth admission control (429 + Retry-After on
+// /v1/analyze, /v1/vet, /v1/batch, and /v1/stats over the shared memo
+// cache, with queue-depth admission control (429 + Retry-After on
 // overload), per-request deadlines, and a graceful SIGTERM drain that
 // exits 0. Responses are byte-identical to the corresponding CLI output;
 // the wire reference lives in docs/API.md and the runbook in

@@ -15,8 +15,8 @@ import (
 )
 
 // runServe implements the `arrayflow serve` subcommand: a long-lived
-// HTTP/JSON analysis daemon over the shared interner, sharded memo cache,
-// and pooled solver arenas (internal/service; wire reference in
+// HTTP/JSON analysis daemon over the shared interner, memo cache, and
+// pooled solver arenas (internal/service; wire reference in
 // docs/API.md, runbook in docs/OPERATIONS.md).
 //
 // Exit status: 0 after a graceful drain (SIGTERM/SIGINT received, listener

@@ -2,8 +2,6 @@ package driver
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -43,43 +41,12 @@ func AnalyzeBatch(progs []*ast.Program, opts *Options) []BatchResult {
 	per := *opts
 	per.Parallelism = 1 // program-level fan-out replaces wave-level
 	per.CacheCap = 0    // already applied once above
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(progs) {
-		workers = len(progs)
-	}
-	one := func(i int, sc *dataflow.Scratch) {
+	fanOut(len(progs), opts.Parallelism, dataflow.NewScratch(), func(i int, sc *dataflow.Scratch) {
 		if progs[i] == nil {
 			out[i].Err = errors.New("nil program")
 			return
 		}
 		out[i].Analysis, out[i].Err = analyze(progs[i], &per, sc)
-	}
-	if workers <= 1 {
-		sc := dataflow.NewScratch()
-		for i := range progs {
-			one(i, sc)
-		}
-		return out
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := dataflow.NewScratch()
-			for i := range work {
-				one(i, sc)
-			}
-		}()
-	}
-	for i := range progs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	})
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/cachefile"
@@ -189,7 +188,9 @@ type memoKey struct {
 	fp ast.FP128
 }
 
-// solveCache memoizes loop solves content-addressed by memoKey.
+// solveCache memoizes loop solves content-addressed by memoKey. One mutex
+// covers the entry map, the insertion order and the tallies; a solve runs
+// outside it, in its entry's sync.Once.
 type solveCache struct {
 	mu      sync.Mutex
 	cap     int // <0 = unlimited
@@ -208,105 +209,9 @@ type solveCache struct {
 // whole-map drop.
 const defaultCacheCap = 4096
 
-// cacheShards is the number of independently-locked segments of the
-// process-global memo table. Keys route by fingerprint, so the shard choice
-// is a pure function of the content address; under concurrent load (many
-// driver workers, or many requests in a long-lived service) contention on
-// any one lock drops by roughly the shard count. The shard count is a
-// power of two so routing is a mask, not a division.
-const cacheShards = 8
-
-// shardedCache fans the memo table out across cacheShards independent
-// solveCache segments, each with its own lock and its own half-eviction
-// order. The total capacity is split evenly across shards, so the global
-// bound set by Options.CacheCap still holds; caps too small to split
-// meaningfully degrade to a single shard so the bound stays exact.
-type shardedCache struct {
-	shards [cacheShards]*solveCache
-	// single, when set, routes every key to shard 0 — the small-cap
-	// degenerate mode where splitting the bound across shards would let
-	// the table overshoot the requested total.
-	single atomic.Bool
-}
-
-func newShardedCache(totalCap int) *shardedCache {
-	c := &shardedCache{}
-	for i := range c.shards {
-		c.shards[i] = newSolveCache(-1)
-	}
-	c.setCap(totalCap)
-	return c
-}
-
-// shardFor routes a key to its segment. The low fingerprint bits are
-// already uniformly distributed (FNV-1a), so a mask suffices.
-func (c *shardedCache) shardFor(key memoKey) *solveCache {
-	if c.single.Load() {
-		return c.shards[0]
-	}
-	return c.shards[(key.fp.Hi^key.fp.Lo)&(cacheShards-1)]
-}
-
-// setCap splits a total bound across the shards: n<0 removes the bound
-// everywhere; a small positive n (under two entries per shard) routes
-// everything to shard 0 with the exact bound; otherwise each shard gets an
-// equal floor share so the sum never exceeds n. Switching modes leaves
-// resident entries where they are — content addressing makes a key that
-// became unreachable in its old shard a plain re-solve, never a
-// correctness issue.
-func (c *shardedCache) setCap(n int) {
-	switch {
-	case n < 0:
-		c.single.Store(false)
-		for _, s := range c.shards {
-			s.setCap(-1)
-		}
-	case n < 2*cacheShards:
-		c.single.Store(true)
-		c.shards[0].setCap(n)
-	default:
-		c.single.Store(false)
-		per := n / cacheShards
-		for _, s := range c.shards {
-			s.setCap(per)
-		}
-	}
-}
-
-// claim delegates to the key's shard; only that shard's lock is taken.
-func (c *shardedCache) claim(key memoKey) (*cacheEntry, bool) {
-	return c.shardFor(key).claim(key)
-}
-
-// stats sums entries and lifetime hit/miss tallies across shards. The
-// totals are a consistent snapshot per shard, not across shards; for the
-// deterministic counts the tests pin, per-shard sums are exact because
-// every claim increments exactly one shard under its lock.
-func (c *shardedCache) stats() (entries, hits, misses int) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		entries += len(s.entries)
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
-	}
-	return entries, hits, misses
-}
-
-// reset drops every shard's entries and zeroes the tallies.
-func (c *shardedCache) reset() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = map[memoKey]*cacheEntry{}
-		s.order = nil
-		s.hits, s.misses = 0, 0
-		s.mu.Unlock()
-	}
-}
-
 // globalCache is the process-wide memo table shared by every Analyze call
 // that does not set Options.DisableCache.
-var globalCache = newShardedCache(defaultCacheCap)
+var globalCache = newSolveCache(defaultCacheCap)
 
 func newSolveCache(cap int) *solveCache {
 	return &solveCache{cap: cap, entries: map[memoKey]*cacheEntry{}}
@@ -318,6 +223,22 @@ func (c *solveCache) setCap(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = n
+}
+
+// stats reports the resident entry count and the lifetime tallies.
+func (c *solveCache) stats() (entries, hits, misses int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries), c.hits, c.misses
+}
+
+// reset drops every entry and zeroes the tallies.
+func (c *solveCache) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = map[memoKey]*cacheEntry{}
+	c.order = nil
+	c.hits, c.misses = 0, 0
 }
 
 // cacheKey computes the content-addressed key for a loop + spec set by
@@ -471,6 +392,9 @@ func (env *solveEnv) withSpecs(specs []*dataflow.Spec) *solveEnv {
 
 // solveOutcome reports how one solveLoop call was served.
 type solveOutcome struct {
+	// key is the memo key the solve was looked up under (zero with the
+	// cache disabled).
+	key memoKey
 	// hit is an in-memory memo hit (the entry existed before this call).
 	hit bool
 	// diskHit means this call claimed the entry and filled it from the
@@ -516,7 +440,7 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 		}
 		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle, sc)
 	})
-	out := solveOutcome{hit: hit}
+	out := solveOutcome{key: key, hit: hit}
 	if claimed {
 		out.diskHit, out.loadBytes = e.diskHit, e.loadBytes
 		if env.disk != nil && !e.diskHit && e.err == nil {
@@ -674,9 +598,9 @@ func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][
 }
 
 // SetCacheCap adjusts the process-global memo bound directly: n>0 sets the
-// total cap (split across shards), n<0 removes it, n==0 keeps the current
-// bound. Equivalent to passing Options.CacheCap on the next Analyze call;
-// long-lived hosts (the HTTP service) call it once at startup.
+// cap, n<0 removes it, n==0 keeps the current bound. Equivalent to passing
+// Options.CacheCap on the next Analyze call; long-lived hosts (the HTTP
+// service) call it once at startup.
 func SetCacheCap(n int) {
 	if n != 0 {
 		globalCache.setCap(n)
@@ -684,32 +608,9 @@ func SetCacheCap(n int) {
 }
 
 // CacheStats reports the global solve cache's current size and lifetime
-// hit/miss tallies (process-wide, across Analyze calls), summed over every
-// shard.
+// hit/miss tallies (process-wide, across Analyze calls).
 func CacheStats() (entries, hits, misses int) {
 	return globalCache.stats()
-}
-
-// CacheShardStat is one shard's slice of the process-global memo table, as
-// reported by CacheShardStats.
-type CacheShardStat struct {
-	// Entries is the shard's resident entry count; Hits and Misses are its
-	// lifetime lookup tallies.
-	Entries, Hits, Misses int
-}
-
-// CacheShardStats reports the per-shard breakdown of the global solve
-// cache — one record per shard, in shard order. The sum over shards equals
-// CacheStats; a heavily skewed distribution means fingerprints are
-// colliding on the routing bits (never observed; keys are FNV-1a uniform).
-func CacheShardStats() []CacheShardStat {
-	out := make([]CacheShardStat, cacheShards)
-	for i, s := range globalCache.shards {
-		s.mu.Lock()
-		out[i] = CacheShardStat{Entries: len(s.entries), Hits: s.hits, Misses: s.misses}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // ResetCache drops every memoized solve and zeroes the tallies. Tests and

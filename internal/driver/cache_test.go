@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -56,6 +57,63 @@ func TestEvictionDropsOldestHalf(t *testing.T) {
 	}
 	if c.hits != 3 || c.misses != 7 {
 		t.Errorf("tallies hits=%d misses=%d, want 3/7", c.hits, c.misses)
+	}
+}
+
+// TestCacheCapBound fills the table far past its bound: the entry count
+// never exceeds the cap that was set, and reaches it exactly.
+func TestCacheCapBound(t *testing.T) {
+	for _, cap := range []int{8, 16, 64, 200} {
+		c := newSolveCache(cap)
+		most := 0
+		for i := 0; i < 4*cap; i++ {
+			c.claim(fpKey(i))
+			entries, _, _ := c.stats()
+			if entries > cap {
+				t.Fatalf("cap %d: table grew to %d entries at insert %d", cap, entries, i)
+			}
+			most = max(most, entries)
+		}
+		if most != cap {
+			t.Errorf("cap %d: table held at most %d entries, want exactly %d", cap, most, cap)
+		}
+	}
+}
+
+// TestCacheUnlimited removes the bound and checks nothing is evicted.
+func TestCacheUnlimited(t *testing.T) {
+	c := newSolveCache(-1)
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		c.claim(fpKey(i))
+	}
+	if entries, _, misses := c.stats(); entries != n || misses != n {
+		t.Fatalf("unbounded cache: %d entries / %d misses, want %d/%d", entries, misses, n, n)
+	}
+}
+
+// TestCacheDeterministicMissCount claims k distinct keys from many
+// goroutines concurrently: exactly k misses must be tallied no matter how
+// claims interleave, because the table counts under its lock and the
+// singleflight cell is created exactly once per key.
+func TestCacheDeterministicMissCount(t *testing.T) {
+	const keys, claimers = 64, 8
+	c := newSolveCache(-1)
+	var wg sync.WaitGroup
+	for g := 0; g < claimers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				c.claim(fpKey(i))
+			}
+		}()
+	}
+	wg.Wait()
+	entries, hits, misses := c.stats()
+	if entries != keys || misses != keys || hits != keys*(claimers-1) {
+		t.Fatalf("entries/hits/misses = %d/%d/%d, want %d/%d/%d",
+			entries, hits, misses, keys, keys*(claimers-1), keys)
 	}
 }
 

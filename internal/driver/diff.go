@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/dataflow"
-	"repro/internal/problems"
-	"repro/internal/rangefacts"
 	"repro/internal/token"
 )
 
 // Incremental re-analysis between two versions of a program (or two sets of
-// programs): fingerprint every loop of both versions with the same 128-bit
-// content address the memo cache keys on, report which loops changed, and
-// re-solve only those — the unchanged ones are served by the memo (and,
-// with Options.CacheDir, the persistent) cache warmed by the old version's
+// programs): match every loop of both versions by the 128-bit content
+// address its memo lookup used, report which loops changed, and re-solve
+// only those — the unchanged ones are served by the memo (and, with
+// Options.CacheDir, the persistent) cache warmed by the old version's
 // analysis. This is the fine-grained invalidation step the ROADMAP's
 // incremental-analysis item asks for: an edit to one loop of an N-loop
 // program costs one solve, not N.
@@ -75,12 +72,14 @@ func (m *Metrics) merge(o *Metrics) {
 	m.PerLoop = append(m.PerLoop, o.PerLoop...)
 }
 
-// DiffPrograms analyzes the old version, fingerprints both versions, and
-// analyzes the new version over the warmed cache. The two slices pair
-// programs positionally but the fingerprint match is global: a loop moved
-// across programs (or across positions) still counts as unchanged. opts
-// applies to both passes; Options.DisableCache is rejected because the
-// memoization *is* the incremental step.
+// DiffPrograms analyzes the old version, then the new version over the
+// warmed cache, and matches the two versions' loops by the memo key each
+// loop's own solve was looked up under (LoopAnalysis.key), so the diff and
+// the memo cannot disagree on what changed. The two slices pair programs
+// positionally but the key match is global: a loop moved across programs
+// (or across positions) still counts as unchanged. opts applies to both
+// passes; Options.DisableCache is rejected because the memoization *is*
+// the incremental step.
 func DiffPrograms(oldProgs, newProgs []*ast.Program, opts *Options) (*DiffResult, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -88,27 +87,6 @@ func DiffPrograms(oldProgs, newProgs []*ast.Program, opts *Options) (*DiffResult
 	if opts.DisableCache {
 		return nil, fmt.Errorf("driver: DiffPrograms requires the memo cache (Options.DisableCache is set)")
 	}
-	specs := opts.Specs
-	if specs == nil {
-		specs = []*dataflow.Spec{problems.MustReachingDefs()}
-	}
-
-	keysOf := func(pa *ProgramAnalysis) []memoKey {
-		dims := declaredDims(pa.Info)
-		entries := collectEntries(pa.Prog)
-		keys := make([]memoKey, len(entries))
-		for i, e := range entries {
-			// Re-derive each loop's fact environment the way analyzeOne
-			// did, so the diff keys match the memo keys exactly.
-			sig := ""
-			if o := factsOracle(rangefacts.Derive(pa.Prog, pa.Info, e.loop, opts.Assume, opts.Fuel)); o != nil {
-				sig = o.Signature()
-			}
-			keys[i] = cacheKey(e.loop, specs, dims, opts.Fuel, sig)
-		}
-		return keys
-	}
-
 	d := &DiffResult{OldMetrics: &Metrics{}, NewMetrics: &Metrics{}}
 
 	// Pass 1: the old version. Its solves populate the memo (and, when
@@ -120,14 +98,13 @@ func DiffPrograms(oldProgs, newProgs []*ast.Program, opts *Options) (*DiffResult
 			return nil, fmt.Errorf("old version, program %d: %w", i, err)
 		}
 		d.OldMetrics.merge(pa.Metrics)
-		for _, k := range keysOf(pa) {
-			oldCount[k]++
+		for _, la := range pa.Loops {
+			oldCount[la.key]++
 		}
 	}
 
 	// Pass 2: the new version. Unchanged loops are cache hits by
-	// construction (same fingerprint resolution); the multiset match below
-	// just names them.
+	// construction (same key); the multiset match below just names them.
 	for pi, prog := range newProgs {
 		pa, err := Analyze(prog, opts)
 		if err != nil {
@@ -135,12 +112,10 @@ func DiffPrograms(oldProgs, newProgs []*ast.Program, opts *Options) (*DiffResult
 		}
 		d.New = append(d.New, pa)
 		d.NewMetrics.merge(pa.Metrics)
-		keys := keysOf(pa)
-		entries := collectEntries(prog)
-		for i, e := range entries {
-			dl := DiffLoop{Prog: pi, Index: i, Var: e.loop.Var, Depth: e.depth, Pos: e.loop.DoPos}
-			if oldCount[keys[i]] > 0 {
-				oldCount[keys[i]]--
+		for i, la := range pa.Loops {
+			dl := DiffLoop{Prog: pi, Index: i, Var: la.Loop.Var, Depth: la.Depth, Pos: la.Loop.DoPos}
+			if oldCount[la.key] > 0 {
+				oldCount[la.key]--
 				d.Unchanged++
 			} else {
 				dl.Changed = true

@@ -1,11 +1,14 @@
 package driver
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/sema"
 )
 
 // diffSource builds an N-loop program where loop k's body is editable.
@@ -119,6 +122,55 @@ func TestDiffWithPersistentCache(t *testing.T) {
 	}
 	if d.NewMetrics.CacheMisses != 1 {
 		t.Errorf("new pass CacheMisses = %d, want 1", d.NewMetrics.CacheMisses)
+	}
+}
+
+// TestDiffSeesLoopContext keeps a loop's text byte-identical between the
+// versions and edits only its context. An enclosing guard that feeds the
+// loop's range facts, or the dim size of the 2-D array it indexes, changes
+// its solve: the loop is Changed and costs exactly one solve. An unrelated
+// statement leaves it Unchanged. The loops are flat because in a tight nest
+// the §3.6 re-analysis adds a solve of its own.
+func TestDiffSeesLoopContext(t *testing.T) {
+	guarded, err := os.ReadFile(filepath.Join("..", "..", "examples", "guarded_parallel.loop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flat = "do i = 1, 10\n  A[i, 3] := A[i, 4] + 1\nenddo\n"
+	for _, tc := range []struct {
+		name, old, new string
+		changed        bool
+	}{
+		{"guard", string(guarded), strings.Replace(string(guarded), "k >= 64", "k >= 8", 1), true},
+		{"dim", "dim A[10, 20]\n" + flat, "dim A[10, 30]\n" + flat, true},
+		{"unrelated statement", "dim A[10, 20]\nB[1] := 0\n" + flat, "dim A[10, 20]\nB[1] := 7\n" + flat, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.old == tc.new {
+				t.Fatal("the versions are identical")
+			}
+			var progs [2]*ast.Program
+			for i, src := range []string{tc.old, tc.new} {
+				prog, fail := sema.Load([]byte(src), nil)
+				if fail != nil {
+					t.Fatal(fail.Lines("src"))
+				}
+				progs[i] = prog
+			}
+			ResetCache()
+			d, err := DiffPrograms(progs[:1], progs[1:], &Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if tc.changed {
+				want = 1
+			}
+			if d.Changed != want || d.Unchanged != 1-want || d.NewMetrics.CacheMisses != d.Changed {
+				t.Errorf("changed/unchanged = %d/%d with %d new-version misses, want %d/%d with %d",
+					d.Changed, d.Unchanged, d.NewMetrics.CacheMisses, want, 1-want, want)
+			}
+		})
 	}
 }
 

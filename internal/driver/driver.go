@@ -54,6 +54,9 @@ type LoopAnalysis struct {
 	// facts is the loop's solved range-fact environment, derived before the
 	// solve and folded into its memo fingerprint.
 	facts *rangefacts.Facts
+	// key is the memo key of the own solve (zero with the cache disabled);
+	// DiffPrograms matches two versions' loops by it.
+	key memoKey
 }
 
 // Facts returns the loop's range-fact environment: loop bounds, dominating
@@ -114,10 +117,9 @@ type Options struct {
 	// Specs lists the problem instances to solve on every loop graph.
 	// Nil runs must-reaching definitions only.
 	Specs []*dataflow.Spec
-	// NestVectors enables the §6 extension on tight two-level nests.
+	// NestVectors enables the §6 extension on tight two-level nests, with
+	// the vector search bounded by maxVectorDist.
 	NestVectors bool
-	// MaxVectorDist bounds the vector search (default 8).
-	MaxVectorDist int64
 	// Parallelism caps the worker goroutines per scheduling wave.
 	// 0 uses runtime.GOMAXPROCS(0); 1 forces the serial schedule.
 	// Results are byte-for-byte identical at every setting.
@@ -157,6 +159,9 @@ type Options struct {
 	CacheDir string
 }
 
+// maxVectorDist bounds the §6 distance-vector search on each tight nest.
+const maxVectorDist = 8
+
 // entry is one loop to analyze, with its nesting context.
 type entry struct {
 	loop      *ast.DoLoop
@@ -179,10 +184,6 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 	specs := opts.Specs
 	if specs == nil {
 		specs = []*dataflow.Spec{problems.MustReachingDefs()}
-	}
-	maxVec := opts.MaxVectorDist
-	if maxVec <= 0 {
-		maxVec = 8
 	}
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -209,62 +210,29 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 
 	entries := collectEntries(prog)
 
-	// Wave schedule: loops grouped by nesting depth, deepest wave first.
-	// Within a wave every loop is independent (each is solved on its own
-	// graph; inner loops appear only as summary nodes built from their own
-	// AST), so the wave fans out across the worker pool. Workers write
-	// into per-entry slots, which keeps the merge deterministic: slot order
-	// is the innermost-first entry order regardless of completion order.
-	byDepth := map[int][]int{}
-	maxDepth := 0
-	for i, e := range entries {
-		byDepth[e.depth] = append(byDepth[e.depth], i)
-		if e.depth > maxDepth {
-			maxDepth = e.depth
-		}
-	}
+	// Wave schedule: entries are sorted deepest first, so each nesting
+	// depth is one contiguous wave. Within a wave every loop is independent
+	// (each is solved on its own graph; inner loops appear only as summary
+	// nodes built from their own AST), so the wave fans out across the
+	// workers. Workers write into per-entry slots, which keeps the merge
+	// deterministic: slot order is the innermost-first entry order
+	// regardless of completion order.
 	results := make([]*LoopAnalysis, len(entries))
 	loopMetrics := make([]LoopMetrics, len(entries))
 	errs := make([]error, len(entries))
-	serialScratch := sc
-	if serialScratch == nil {
-		serialScratch = dataflow.NewScratch()
+	if sc == nil {
+		sc = dataflow.NewScratch()
 	}
-	for d := maxDepth; d >= 1; d-- {
-		idxs := byDepth[d]
-		if len(idxs) == 0 {
-			continue
+	for lo := 0; lo < len(entries); {
+		hi := lo + 1
+		for hi < len(entries) && entries[hi].depth == entries[lo].depth {
+			hi++
 		}
-		w := workers
-		if w > len(idxs) {
-			w = len(idxs)
-		}
-		if w <= 1 {
-			for _, i := range idxs {
-				results[i], loopMetrics[i], errs[i] = analyzeOne(entries[i], env, serialScratch)
-			}
-			continue
-		}
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Per-worker free list: every loop this worker solves
-				// reuses one scratch bundle, so the wave's transient
-				// allocations are bounded by the worker count.
-				sc := dataflow.NewScratch()
-				for i := range work {
-					results[i], loopMetrics[i], errs[i] = analyzeOne(entries[i], env, sc)
-				}
-			}()
-		}
-		for _, i := range idxs {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
+		wave := entries[lo:hi]
+		fanOut(len(wave), workers, sc, func(k int, sc *dataflow.Scratch) {
+			results[lo+k], loopMetrics[lo+k], errs[lo+k] = analyzeOne(wave[k], env, sc)
+		})
+		lo = hi
 	}
 	// First error in entry order — deterministic no matter which worker
 	// failed first on the wall clock.
@@ -278,7 +246,7 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 	if opts.NestVectors {
 		for _, e := range entries {
 			if inner, ok := tightInnerOf(e.loop); ok && !containsLoop(inner.Body) {
-				recs, err := nest.FindRecurrences(e.loop, maxVec)
+				recs, err := nest.FindRecurrences(e.loop, maxVectorDist)
 				if err == nil && len(recs) > 0 {
 					pa.Vectors[e.loop] = recs
 					pa.vectorOrder = append(pa.vectorOrder, e.loop)
@@ -316,31 +284,41 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 // completion order. fn must not mutate shared state without its own
 // synchronization.
 func (pa *ProgramAnalysis) ForEachLoop(parallelism int, fn func(i int, la *LoopAnalysis)) {
-	n := len(pa.Loops)
-	if n == 0 {
-		return
+	fanOut(len(pa.Loops), parallelism, nil, func(i int, _ *dataflow.Scratch) { fn(i, pa.Loops[i]) })
+}
+
+// fanOut calls fn(i, sc) once for every i in [0, n) on at most workers
+// goroutines (workers <= 0 means GOMAXPROCS), which take indices off one
+// channel, and returns when every call has. With one worker, or one index,
+// the calls run in order on the calling goroutine with sc = scratch.
+// Otherwise each goroutine hands its calls one dataflow.Scratch of its own,
+// so the solves of one worker reuse one free list — or nil, when scratch is
+// nil.
+func fanOut(n, workers int, scratch *dataflow.Scratch, fn func(i int, sc *dataflow.Scratch)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
 	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i, la := range pa.Loops {
-			fn(i, la)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i, scratch)
 		}
 		return
 	}
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc *dataflow.Scratch
+			if scratch != nil {
+				sc = dataflow.NewScratch()
+			}
 			for i := range work {
-				fn(i, pa.Loops[i])
+				fn(i, sc)
 			}
 		}()
 	}
@@ -425,7 +403,7 @@ func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, Lo
 	for _, sm := range sv.meta {
 		lm.Solver.Add(sm.meta.Metrics())
 	}
-	la := &LoopAnalysis{Loop: e.loop, Depth: e.depth, own: sv, wrt: map[string]*solved{}, facts: facts}
+	la := &LoopAnalysis{Loop: e.loop, Depth: e.depth, own: sv, wrt: map[string]*solved{}, facts: facts, key: oc.key}
 
 	// §3.6: for the innermost loop of a tight chain, re-analyze its
 	// body with respect to each enclosing induction variable.

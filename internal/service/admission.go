@@ -126,6 +126,7 @@ type counters struct {
 	rejectedDeadline                 atomic.Int64
 	rejectedOversize                 atomic.Int64
 	rejectedDraining                 atomic.Int64
+	rejectedBadRequest               atomic.Int64
 	frontEndErrors                   atomic.Int64
 	batchPrograms, batchProgramFails atomic.Int64
 }

@@ -68,16 +68,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req BatchRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json",
-			fmt.Sprintf("request body is not a valid batch document: %s", err), 0)
+		s.badRequest(w, "bad_json", fmt.Sprintf("request body is not a valid batch document: %s", err))
 		return
 	}
 	if len(req.Programs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch",
-			"batch request names no programs", 0)
+		s.badRequest(w, "empty_batch", "batch request names no programs")
 		return
 	}
 	if len(req.Programs) > maxBatchPrograms {
+		s.counters.rejectedOversize.Add(1)
 		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
 			fmt.Sprintf("batch has %d programs, cap is %d", len(req.Programs), maxBatchPrograms), 0)
 		return
@@ -118,7 +117,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.counters.frontEndErrors.Add(1)
 		}
 		if err := enc.Encode(items[i]); err != nil {
-			return // client went away; nothing sane to write
+			// The client went away; the analysis ran, so the request
+			// still counts as completed.
+			break
 		}
 		if flusher != nil {
 			flusher.Flush()

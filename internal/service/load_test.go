@@ -164,7 +164,7 @@ func TestMixedLoad(t *testing.T) {
 		t.Errorf("after the run: in_flight %d, queued %d (want 0, 0)", st.InFlight, st.Queued)
 	}
 	arrivals := st.Requests.Analyze + st.Requests.Vet + st.Requests.Batch
-	rejected := st.Rejected.Overload + st.Rejected.Deadline + st.Rejected.Oversize + st.Rejected.Draining
+	rejected := st.Rejected.Overload + st.Rejected.Deadline + st.Rejected.Oversize + st.Rejected.Draining + st.Rejected.BadRequest
 	if st.Completed != clients*perClient || rejected != refused.Load() || arrivals != st.Completed+rejected {
 		t.Errorf("stats do not balance: %d arrivals, %d completed, %d rejected; clients saw %d answers and %d refusals",
 			arrivals, st.Completed, rejected, clients*perClient, refused.Load())

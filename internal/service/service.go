@@ -1,7 +1,7 @@
 // Package service exposes the arrayflow analysis pipeline as a long-lived
 // HTTP/JSON daemon — the process boundary around the shared interner,
-// sharded memo cache, and pooled solver arenas that the batch API proved
-// out. It is what `arrayflow serve` runs.
+// memo cache, and pooled solver arenas that the batch API proved out. It
+// is what `arrayflow serve` runs.
 //
 // The API surface is four endpoints under /v1 (see docs/API.md for the
 // full wire reference):
@@ -26,9 +26,9 @@
 // parsing. Adversarial inputs therefore degrade to bounded-latency
 // refusals, never unbounded solves. Responses are byte-identical to the
 // corresponding CLI output at every worker/cache setting; identical
-// loops across concurrent requests coalesce in the driver's sharded,
-// singleflight memo cache, so a hot loop body is solved once no matter how
-// many clients send it.
+// loops across concurrent requests coalesce in the driver's singleflight
+// memo cache, so a hot loop body is solved once no matter how many
+// clients send it.
 package service
 
 import (
@@ -116,7 +116,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the analysis daemon: a stateless handler bundle over the
-// process-global driver state (sharded memo cache, interner, solver pools)
+// process-global driver state (memo cache, interner, solver pools)
 // plus the admission gate and request counters. Create one with New and
 // mount Handler on an http.Server; Servers are safe for concurrent use.
 type Server struct {
@@ -220,6 +220,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 		return nil
 	}
 	if r.Method != http.MethodPost {
+		s.counters.rejectedBadRequest.Add(1)
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 			"use POST with the program source as the request body", 0)
@@ -254,6 +255,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 		return nil
 	}
 	return func() { release(); cancel() }
+}
+
+// badRequest refuses a malformed request with 400 and counts the refusal.
+func (s *Server) badRequest(w http.ResponseWriter, code, msg string) {
+	s.counters.rejectedBadRequest.Add(1)
+	writeError(w, http.StatusBadRequest, code, msg, 0)
 }
 
 // readBody reads the request body under the MaxBody cap, refusing larger
@@ -354,8 +361,8 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		format = "text"
 	}
 	if format != "text" && format != "json" && format != "sarif" {
-		writeError(w, http.StatusBadRequest, "bad_format",
-			fmt.Sprintf("unknown format %q (want text, json, or sarif)", format), 0)
+		s.badRequest(w, "bad_format",
+			fmt.Sprintf("unknown format %q (want text, json, or sarif)", format))
 		return
 	}
 	lang := r.URL.Query().Get("lang")
@@ -363,8 +370,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		lang = "loop"
 	}
 	if lang != "loop" && lang != "go" {
-		writeError(w, http.StatusBadRequest, "bad_lang",
-			fmt.Sprintf("unknown lang %q (want loop or go)", lang), 0)
+		s.badRequest(w, "bad_lang", fmt.Sprintf("unknown lang %q (want loop or go)", lang))
 		return
 	}
 	src, ok := s.readBody(w, r)
@@ -380,7 +386,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	for _, a := range r.URL.Query()["assume"] {
 		facts, err := rangefacts.ParseAssumption(a)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_assume", err.Error(), 0)
+			s.badRequest(w, "bad_assume", err.Error())
 			return
 		}
 		assume = append(assume, facts...)
@@ -469,16 +475,20 @@ type Stats struct {
 		Stats   int64 `json:"stats"`
 	} `json:"requests"`
 	// Completed counts requests that produced an analysis response
-	// (front-end failures included — the analysis ran).
+	// (front-end failures included — the analysis ran — and batches whose
+	// client left mid-stream).
 	Completed int64 `json:"completed"`
 	// Rejected breaks refusals down by cause: queue overflow (429),
-	// deadline expiry in queue (429), oversized body (413), and drain
-	// mode (503).
+	// deadline expiry in queue (429), oversized body or batch (413), drain
+	// mode (503), and malformed requests (400, and 405 for a wrong
+	// method). Every analyze, vet and batch arrival is either completed or
+	// rejected for exactly one cause.
 	Rejected struct {
-		Overload int64 `json:"overload"`
-		Deadline int64 `json:"deadline"`
-		Oversize int64 `json:"oversize"`
-		Draining int64 `json:"draining"`
+		Overload   int64 `json:"overload"`
+		Deadline   int64 `json:"deadline"`
+		Oversize   int64 `json:"oversize"`
+		Draining   int64 `json:"draining"`
+		BadRequest int64 `json:"bad_request"`
 	} `json:"rejected"`
 	// FrontEndErrors counts requests whose source failed to parse, check,
 	// or normalize (HTTP 422 on analyze/vet; per-program on batch).
@@ -508,15 +518,13 @@ type Stats struct {
 		P99   float64 `json:"p99"`
 	} `json:"latency_ms"`
 
-	// Cache snapshots the process-global sharded memo cache: totals plus
-	// the per-shard breakdown (entries/hits/misses per shard, in shard
-	// order). Hits count coalesced work: a hit is a solve some earlier —
-	// possibly concurrent — request already paid for.
+	// Cache snapshots the process-global memo cache. Hits count coalesced
+	// work: a hit is a solve some earlier — possibly concurrent — request
+	// already paid for.
 	Cache struct {
-		Entries int64                   `json:"entries"`
-		Hits    int64                   `json:"hits"`
-		Misses  int64                   `json:"misses"`
-		Shards  []driver.CacheShardStat `json:"shards"`
+		Entries int64 `json:"entries"`
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
 	} `json:"cache"`
 
 	// DiskCache snapshots the persistent cache counters (all zero unless
@@ -572,6 +580,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.Rejected.Deadline = s.counters.rejectedDeadline.Load()
 	st.Rejected.Oversize = s.counters.rejectedOversize.Load()
 	st.Rejected.Draining = s.counters.rejectedDraining.Load()
+	st.Rejected.BadRequest = s.counters.rejectedBadRequest.Load()
 	st.LatencyMS.Count = s.latency.total.Load()
 	st.LatencyMS.P50 = s.latency.quantile(0.50)
 	st.LatencyMS.P90 = s.latency.quantile(0.90)
@@ -580,7 +589,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.Cache.Entries = int64(entries)
 	st.Cache.Hits = int64(hits)
 	st.Cache.Misses = int64(misses)
-	st.Cache.Shards = driver.CacheShardStats()
 	ds := driver.DiskCacheStats()
 	st.DiskCache.Dir = s.opts.CacheDir
 	st.DiskCache.Hits = ds.Hits

@@ -26,35 +26,28 @@
 # disk-warm restarts end to end, and internal/service's tests hold it
 # correct under load, across a dropped memo and through a drain.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh [output.json]    (default BENCH_PR9.json)
 #
-# Environment:
-#   BENCH_PATTERN      benchmark regexp (default: the solver suite plus
-#                      both BenchmarkVet variants and the three
-#                      BenchmarkRender writers, recorded ungated)
-#   BENCH_TIME         go test -benchtime value (default 1s; CI may lower it)
-#   BENCH_BASELINE     baseline snapshot to diff against, advisory only
-#                      (default BENCH_PR4.json; set empty to skip the diff)
-#   BENCH_GATE         hard gate spec BASELINE:PATTERN:FACTOR (default
-#                      holds packed ScalingLinear to 1.25x BENCH_PR4.json;
-#                      set empty to skip the gate)
-#   BENCH_RATIO        space-separated same-snapshot ratio specs
-#                      NUM:DEN:FACTOR (default holds disk-warm analysis,
-#                      with and without reports, to 0.5x cold; set empty
-#                      to skip)
-#   SWEEP_BENCH        set to 0 to skip the symbolic-bound sweep phase
-#   SWEEP_OUT          sweep snapshot path (default BENCH_PR10.json)
-#   SWEEP_FLOOR        minimum provably-classified percentage (default 78)
+# BENCH_TIME sets the go test -benchtime value (default 1s; CI lowers it).
+# Nothing else is configurable: the benchmark set (the solver suite plus
+# both BenchmarkVet variants and the three BenchmarkRender writers, the
+# last two recorded ungated), the advisory baseline, every hard gate and
+# the sweep (snapshot BENCH_PR10.json, floor 78%) always run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_PR9.json}"
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet|BenchmarkRender}"
 TIME="${BENCH_TIME:-1s}"
-BASELINE="${BENCH_BASELINE-BENCH_PR4.json}"
-GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
-RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5 BenchmarkWarmStart/disk-warm-report:BenchmarkWarmStart/cold-report:0.5}"
+PATTERN="BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet|BenchmarkRender"
+BASELINE="BENCH_PR4.json"
+GATE="BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25"
+RATIOS=(
+  BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5
+  BenchmarkWarmStart/disk-warm-report:BenchmarkWarmStart/cold-report:0.5
+)
+SWEEP_OUT="BENCH_PR10.json"
+SWEEP_FLOOR=78
 
 TMP="$(mktemp)"
 WORK="$(mktemp -d)"
@@ -64,27 +57,23 @@ go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" . | tee "$TMP"
 go run ./cmd/benchjson -o "$OUT" < "$TMP"
 echo "wrote $OUT"
 
-if [ -n "$BASELINE" ] && [ -f "$BASELINE" ]; then
-  # Advisory: the per-benchmark delta report is worth reading, but absolute
-  # ns/op drifts with the machine, so a >10% delta is a note, not a failure.
-  go run ./cmd/benchjson -diff "$BASELINE" "$OUT" > /dev/null ||
-    echo "note: ns/op drifted beyond 10% of $BASELINE on benchmarks above (advisory; the hard limit is the gate)"
-fi
-if [ -n "$GATE" ] && [ -f "${GATE%%:*}" ]; then
-  # Hard gate: fails the script (set -e) if any gated point exceeds its
-  # ceiling or went missing.
-  go run ./cmd/benchjson -gate "$GATE" "$OUT" > /dev/null
-fi
-if [ -n "$RATIO" ]; then
-  # Hard gates within this snapshot: disk-warm analysis, and disk-warm
-  # analysis plus reports, must each be at most half their cold time, or
-  # the persistent cache is not earning its keep.
-  RATIO_FLAGS=()
-  for spec in $RATIO; do
-    RATIO_FLAGS+=(-ratio "$spec")
-  done
-  go run ./cmd/benchjson "${RATIO_FLAGS[@]}" "$OUT" > /dev/null
-fi
+# Advisory: the per-benchmark delta report is worth reading, but absolute
+# ns/op drifts with the machine, so a >10% delta is a note, not a failure.
+go run ./cmd/benchjson -diff "$BASELINE" "$OUT" > /dev/null ||
+  echo "note: ns/op drifted beyond 10% of $BASELINE on benchmarks above (advisory; the hard limit is the gate)"
+
+# Hard gate: fails the script (set -e) if any gated point exceeds its
+# ceiling or went missing.
+go run ./cmd/benchjson -gate "$GATE" "$OUT" > /dev/null
+
+# Hard gates within this snapshot: disk-warm analysis, and disk-warm
+# analysis plus reports, must each be at most half their cold time, or
+# the persistent cache is not earning its keep.
+RATIO_FLAGS=()
+for spec in "${RATIOS[@]}"; do
+  RATIO_FLAGS+=(-ratio "$spec")
+done
+go run ./cmd/benchjson "${RATIO_FLAGS[@]}" "$OUT" > /dev/null
 
 # ---- symbolic-bound sweep ---------------------------------------------------
 # Self-analysis precision, recorded as a trajectory point: cmd/corpus lowers
@@ -95,13 +84,9 @@ fi
 # what holds it there — and differential execution must report zero
 # mismatches (a mismatch means a certificate lied about a real program).
 
-if [ "${SWEEP_BENCH:-1}" != "0" ]; then
-  SWEEP_OUT="${SWEEP_OUT:-BENCH_PR10.json}"
-  SWEEP_FLOOR="${SWEEP_FLOOR:-78}"
-  go run ./cmd/corpus -root ./... -o "$WORK/corpus.json"
-  go run ./cmd/benchjson -corpus "$WORK/corpus.json" \
-    -floor "CorpusVerdicts/provablyClassified:$SWEEP_FLOOR" \
-    -ceiling "CorpusDifferential/mismatch:0" \
-    -o "$SWEEP_OUT" < /dev/null
-  echo "wrote $SWEEP_OUT"
-fi
+go run ./cmd/corpus -root ./... -o "$WORK/corpus.json"
+go run ./cmd/benchjson -corpus "$WORK/corpus.json" \
+  -floor "CorpusVerdicts/provablyClassified:$SWEEP_FLOOR" \
+  -ceiling "CorpusDifferential/mismatch:0" \
+  -o "$SWEEP_OUT" < /dev/null
+echo "wrote $SWEEP_OUT"
