@@ -503,8 +503,8 @@ func BenchmarkFrontEnd(b *testing.B) {
 // --- Batch: many programs through one worker pool ------------------------------
 
 // BenchmarkAnalyzeBatch measures the cold path over N distinct programs:
-// the batched API (one worker pool, per-worker scratch, shared cache
-// machinery) against a loop of standalone Analyze calls.
+// the batched API (one worker pool, shared cache machinery) against a loop
+// of standalone Analyze calls.
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	progs := make([]*ast.Program, 16)
 	for i := range progs {

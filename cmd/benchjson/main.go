@@ -5,6 +5,11 @@
 // named by -o). scripts/bench.sh uses it to record the repo's perf
 // trajectory snapshots (BENCH_PR3.json, BENCH_PR4.json).
 //
+// Output from `go test -count N` carries N samples per benchmark. Each row
+// records the median of the samples' ns/op, B/op and allocs/op, and the
+// fastest and slowest ns/op as ns_min and ns_max; every comparison below
+// reads the medians, so one outlier sample cannot pass or fail a check.
+//
 // With -diff BASELINE.json it additionally compares the new measurements
 // against the baseline snapshot and exits 1 if any benchmark present in
 // both regressed by more than -tol percent ns/op (default 10). Benchmarks
@@ -48,11 +53,15 @@ import (
 	"strings"
 )
 
-// Row is the recorded measurement of one benchmark.
+// Row is the recorded measurement of one benchmark: the medians of its
+// samples, and the range of their ns/op (absent from snapshots recorded
+// before samples were kept, and from corpus pseudo-rows).
 type Row struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"b_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	NsMin       float64 `json:"ns_min,omitempty"`
+	NsMax       float64 `json:"ns_max,omitempty"`
 }
 
 // cpuSuffix strips the trailing GOMAXPROCS marker (e.g. "-8") go test
@@ -366,10 +375,11 @@ func gate(g gateSpec, base, cur map[string]Row) bool {
 	return ok
 }
 
-// parseBenchOutput scans `go test -bench` text and collects one Row per
-// benchmark name (GOMAXPROCS suffix stripped).
+// parseBenchOutput scans `go test -bench` text, collects every sample per
+// benchmark name (GOMAXPROCS suffix stripped) and returns one Row per name
+// holding the samples' medians and ns/op range.
 func parseBenchOutput(r io.Reader) (map[string]Row, error) {
-	rows := map[string]Row{}
+	samples := map[string][]Row{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -383,7 +393,7 @@ func parseBenchOutput(r io.Reader) (map[string]Row, error) {
 			continue
 		}
 		name := cpuSuffix.ReplaceAllString(fields[0], "")
-		row := rows[name]
+		var row Row
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -398,9 +408,38 @@ func parseBenchOutput(r io.Reader) (map[string]Row, error) {
 				row.AllocsPerOp = v
 			}
 		}
-		rows[name] = row
+		samples[name] = append(samples[name], row)
+	}
+	rows := make(map[string]Row, len(samples))
+	for name, ss := range samples {
+		pick := func(f func(Row) float64) []float64 {
+			vs := make([]float64, len(ss))
+			for i, s := range ss {
+				vs[i] = f(s)
+			}
+			sort.Float64s(vs)
+			return vs
+		}
+		ns := pick(func(r Row) float64 { return r.NsPerOp })
+		rows[name] = Row{
+			NsPerOp:     median(ns),
+			BytesPerOp:  median(pick(func(r Row) float64 { return r.BytesPerOp })),
+			AllocsPerOp: median(pick(func(r Row) float64 { return r.AllocsPerOp })),
+			NsMin:       ns[0],
+			NsMax:       ns[len(ns)-1],
+		}
 	}
 	return rows, sc.Err()
+}
+
+// median returns the middle of sorted values (the mean of the two middle
+// ones for an even count).
+func median(sorted []float64) float64 {
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // loadSnapshot reads a JSON document previously written by this tool.

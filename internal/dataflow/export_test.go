@@ -20,7 +20,7 @@ func CompiledClamps(g *ir.Graph, spec *Spec, opts *Options) ([]Clamp, uint) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	sc := NewScratch()
+	sc := &Scratch{}
 	st := newSolveCtx(g).prepare(spec, opts, sc)
 	out := make([]Clamp, len(sc.clamps))
 	for i, c := range sc.clamps {
@@ -30,12 +30,12 @@ func CompiledClamps(g *ir.Graph, spec *Spec, opts *Options) ([]Clamp, uint) {
 }
 
 // LaneWidth reports the lane width res's rows are packed at.
-func LaneWidth(res *Result) uint { return res.pk.Lane }
+func LaneWidth(res *Result) uint { return res.rows.pk.Lane }
 
 // PreserveMemoCells compiles spec on g exactly as Solve does and returns
 // the number of cells the compile's preserve memo laid out.
 func PreserveMemoCells(g *ir.Graph, spec *Spec) int {
-	sc := NewScratch()
+	sc := &Scratch{}
 	newSolveCtx(g).prepare(spec, &Options{}, sc)
 	return len(sc.dists)
 }

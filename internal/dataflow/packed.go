@@ -5,8 +5,8 @@
 //   - IN/OUT state lives in word-packed rows (lattice.Packing): one uint64
 //     holds 8, 4 or 1 class cells (8-, 16- or 64-bit lanes), so meets, flow
 //     applications, and the changed-check run whole words at a time with
-//     SWAR min/max kernels. The rows are the Result's own storage; readers
-//     decode on demand.
+//     SWAR min/max kernels. The rows are solve-time scratch: a finished
+//     solve keeps its fixed point as per-class change points (rows.go).
 //   - The paper has two flow functions, generate max(x, 0) and preserve
 //     min(x, p), and classes never interact, so every (node, class) flow
 //     function collapses to one clamp x ↦ min(max(x, lo), hi). The compiler
@@ -131,44 +131,55 @@ func (ctx *solveCtx) prZeroFor(ct *classTable, backward bool) [][]uint64 {
 
 // prZeroRows returns, per class, the bitset of node IDs with pr = 0: nodes
 // that some member precedes (forward) or that precede some member
-// (backward). The construction is one linear pass over the graph's
-// references: each generating reference ORs its node's packed precedes row
-// into its class's bitset, straight-line word ORs with no per-node Precedes
-// calls. Consecutive members in the same node OR the same row, so the pass
-// skips the duplicate.
+// (backward). A class whose members all sit in one node has exactly that
+// node's packed precedes row as its bitset, so it aliases the graph's row;
+// on wide loops (one member per class) no bitset is built at all. The
+// other classes get their own row in one backing array, built in one
+// linear pass over the graph's references: each generating reference ORs
+// its node's row into its class's bitset, straight-line word ORs with no
+// per-node Precedes calls, skipping a member whose node the class's
+// previous member already OR-ed.
 func prZeroRows(g *ir.Graph, ct *classTable, backward bool) [][]uint64 {
+	row := g.PrecedesRow
+	if backward {
+		row = g.PrecededByRow
+	}
 	words := g.BitWords()
-	backing := make([]uint64, len(ct.classes)*words)
 	pz := make([][]uint64, len(ct.classes))
-	for i := range pz {
-		pz[i] = backing[i*words : (i+1)*words]
-	}
-	lastNode := make([]int32, len(ct.classes))
-	for i := range lastNode {
-		lastNode[i] = -1
-	}
-	for _, r := range g.Refs {
-		ci := ct.refClass[r.ID]
-		if ci < 0 {
-			continue
-		}
-		id := int32(r.Node.ID)
-		if lastNode[ci] == id {
-			continue // same node already OR-ed for this class
-		}
-		lastNode[ci] = id
-		var src []uint64
-		if backward {
-			src = g.PrecededByRow(int(id))
+	own := 0
+	for i, c := range ct.classes {
+		if oneNode(c) {
+			pz[i] = row(c.Members[0].Node.ID)
 		} else {
-			src = g.PrecedesRow(int(id))
+			own++
 		}
-		row := pz[ci]
-		for w := range row {
-			row[w] |= src[w]
+	}
+	if own == 0 {
+		return pz
+	}
+	backing := make([]uint64, own*words)
+	for i, c := range ct.classes {
+		if pz[i] == nil {
+			pz[i], backing = backing[:words:words], backing[words:]
+			last := -1
+			for _, r := range c.Members {
+				if id := r.Node.ID; id != last {
+					last = id
+					src := row(id)
+					for w := range pz[i] {
+						pz[i][w] |= src[w]
+					}
+				}
+			}
 		}
 	}
 	return pz
+}
+
+// oneNode reports whether every member of c sits in one node. Members are
+// in reference-ID order, which groups them by node.
+func oneNode(c *Class) bool {
+	return c.Members[0].Node == c.Members[len(c.Members)-1].Node
 }
 
 func bitGet(row []uint64, i int) bool {
@@ -206,8 +217,8 @@ type solver struct {
 
 	pk        lattice.Packing
 	words     int
-	inW       []uint64 // packed IN rows (the Result's row set 0)
-	outW      []uint64 // packed OUT rows (the Result's row set 1)
+	inW       []uint64 // packed IN rows
+	outW      []uint64 // packed OUT rows
 	loW       []uint64 // per-node batch lower bounds
 	hiW       []uint64 // per-node batch upper bounds
 	genW      []uint64 // per-node generate lanes (All in generating cells)
@@ -267,9 +278,9 @@ func laneFor(clamps []clamp, maxPasses int) uint {
 }
 
 // prepare builds the per-spec iteration state: class table, compiled
-// clamps, the Result's packed rows at the chosen lane width, the LO/HI/GEN
-// bound rows, and the fuel budget. After prepare, initStage and iteratePass
-// allocate nothing.
+// clamps, the IN/OUT rows at the chosen lane width, the LO/HI/GEN bound
+// rows, and the fuel budget. Every row lives in the scratch. After prepare,
+// initStage and iteratePass allocate nothing.
 func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) *solver {
 	res := &Result{Graph: ctx.g, Spec: spec}
 	ct := ctx.tableFor(spec, sc)
@@ -297,20 +308,13 @@ func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) *solver {
 
 	st.pk = lattice.NewPacking(m, laneFor(clamps, opts.passLimit()))
 	st.words = st.pk.Words
-	res.pk = st.pk
 	size := n * st.words
-	res.hasInit = !spec.May && !opts.SkipInitPass
-	sets := 2
-	if res.hasInit {
-		sets = 4
-	}
-	res.rows = getRows(sets * size)
-	st.inW, st.outW = res.set(0), res.set(1)
-
-	st.loW = grow(&sc.words[0], size)
-	st.hiW = grow(&sc.words[1], size)
-	st.genW = grow(&sc.words[2], size)
-	st.scrW = grow(&sc.words[3], st.words)
+	st.inW = grow(&sc.words[0], size)
+	st.outW = grow(&sc.words[1], size)
+	st.loW = grow(&sc.words[2], size)
+	st.hiW = grow(&sc.words[3], size)
+	st.genW = grow(&sc.words[4], size)
+	st.scrW = grow(&sc.words[5], st.words)
 	// Default bounds are the identity clamp lo = ⊥, hi = ⊤; only compiled
 	// slots deviate, so the sparse pass below touches O(refs) cells, not
 	// O(n·m). hi's tail lanes may hold ⊤ safely: ApplyBounds computes
@@ -340,12 +344,12 @@ func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) *solver {
 	return st
 }
 
-// solve runs one problem instance.
+// solve runs one problem instance and stores its fixed point as change
+// points.
 func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 	start := time.Now()
 	st := ctx.prepare(spec, opts, sc)
 	res := st.res
-	defer func() { res.Elapsed = time.Since(start) }()
 
 	st.initStage(opts)
 	for pass := 1; pass <= opts.passLimit(); pass++ {
@@ -358,7 +362,7 @@ func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 			res.ChangedPasses++
 		}
 		if opts.CollectTrace {
-			res.Trace = append(res.Trace, TraceEntry{In: res.decodeSet(0), Out: res.decodeSet(1)})
+			res.Trace = append(res.Trace, st.snapshot())
 		}
 		if !changed {
 			break
@@ -367,7 +371,20 @@ func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 	if st.exhausted {
 		st.degrade()
 	}
+	res.rows = encodeRows(&st.pk, ctx.n, st.inW, st.outW, sc)
+	res.Elapsed = time.Since(start)
 	return res
+}
+
+// snapshot decodes the current IN and OUT rows into fresh 1-based slabs.
+func (st *solver) snapshot() TraceEntry {
+	n, w := len(st.g.Nodes), st.words
+	e := TraceEntry{In: lattice.Slab(n, st.m), Out: lattice.Slab(n, st.m)}
+	for id := 1; id <= n; id++ {
+		st.pk.DecodeRow(e.In[id], st.inW[(id-1)*w:id*w])
+		st.pk.DecodeRow(e.Out[id], st.outW[(id-1)*w:id*w])
+	}
+	return e
 }
 
 // initStage runs the paper's initialization (§3.2 for must, §3.3 for may).
@@ -391,8 +408,9 @@ func (st *solver) initStage(opts *Options) {
 		}
 	default:
 		st.initPass()
-		copy(st.res.set(2), st.inW)
-		copy(st.res.set(3), st.outW)
+		if opts.CollectTrace {
+			st.res.init = st.snapshot()
+		}
 	}
 }
 
@@ -666,7 +684,7 @@ func (e *compiler) buildForms(sc *Scratch) {
 		cells += (k + int(nExtra[a])) * 2 * k
 	}
 	e.memo = grow(&sc.dists, cells)
-	e.memoDone = grow(&sc.words[4], (cells+63)/64)
+	e.memoDone = grow(&sc.words[6], (cells+63)/64)
 	clear(e.memoDone)
 }
 

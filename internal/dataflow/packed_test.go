@@ -77,7 +77,7 @@ func TestPackedSteadyStateAllocFree(t *testing.T) {
 		widest := uint(0)
 		for _, spec := range standardTestSpecs() {
 			ctx := newSolveCtx(g)
-			sc := NewScratch()
+			sc := &Scratch{}
 			st := ctx.prepare(spec, &Options{}, sc)
 			widest = max(widest, st.pk.Lane)
 			st.initStage(&Options{})
@@ -95,29 +95,33 @@ func TestPackedSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestPackedSlabLayout pins the packed row storage shape: IN and OUT sets
-// (plus the two init snapshot sets for a must-problem) of one row per node,
-// pk.Words words each, with the tail lanes past the last class zero — the
-// invariant that makes row equality word equality.
+// TestPackedSlabLayout pins the shape of the rows a solve iterates over:
+// IN and OUT sets of one row per node, pk.Words words each, in the solve's
+// scratch, with the tail lanes past the last class zero at the fixed point
+// — the invariant that makes row equality word equality and keeps tail
+// lanes out of the change points.
 func TestPackedSlabLayout(t *testing.T) {
 	g := buildLoop(t, fig1)
 	for _, spec := range standardTestSpecs() {
-		res := Solve(g, spec, nil)
-		sets := 2
-		if res.InitIn() != nil {
-			sets = 4
+		sc := &Scratch{}
+		opts := &Options{}
+		st := newSolveCtx(g).prepare(spec, opts, sc)
+		st.initStage(opts)
+		for st.iteratePass() {
 		}
-		if want := sets * len(g.Nodes) * res.pk.Words; len(res.rows) != want {
-			t.Fatalf("%s: rows = %d words, want %d", spec.Name, len(res.rows), want)
-		}
-		perWord := 64 / int(res.pk.Lane)
-		rem := len(res.Classes) % perWord
-		if rem == 0 {
-			continue
-		}
-		for i := res.pk.Words - 1; i < len(res.rows); i += res.pk.Words {
-			if tail := res.rows[i] >> uint(rem*int(res.pk.Lane)); tail != 0 {
-				t.Fatalf("%s: row word %d has nonzero tail lanes %#x", spec.Name, i, tail)
+		for _, set := range [][]uint64{st.inW, st.outW} {
+			if want := len(g.Nodes) * st.pk.Words; len(set) != want {
+				t.Fatalf("%s: rows = %d words, want %d", spec.Name, len(set), want)
+			}
+			perWord := 64 / int(st.pk.Lane)
+			rem := st.m % perWord
+			if rem == 0 {
+				continue
+			}
+			for i := st.pk.Words - 1; i < len(set); i += st.pk.Words {
+				if tail := set[i] >> uint(rem*int(st.pk.Lane)); tail != 0 {
+					t.Fatalf("%s: row word %d has nonzero tail lanes %#x", spec.Name, i, tail)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package dataflow_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,11 +13,12 @@ import (
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/problems"
+	"repro/internal/synth"
 )
 
 // restoreCase is one solved (graph, spec) of the example corpus with its
-// persisted encoding: the meta block followed by the row blob, framed as
-// the driver's disk cache frames each spec.
+// persisted encoding: the meta block followed by the change-point rows,
+// framed as the driver's disk cache frames each spec.
 type restoreCase struct {
 	g       *ir.Graph
 	spec    *dataflow.Spec
@@ -24,9 +26,10 @@ type restoreCase struct {
 	payload []byte
 }
 
-// restoreCases solves every loop of every parseable example, and of the
-// differential corpus (whose lane loops pack at 16 and 64 bits), under the
-// standard specs and encodes each result.
+// restoreCases solves every loop of every parseable example, of the
+// differential corpus (whose lane loops pack at 16 and 64 bits) and of
+// three wide loops (whose rows barely change from node to node), under
+// the standard specs, and encodes each result.
 func restoreCases(tb testing.TB) []restoreCase {
 	tb.Helper()
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "*.loop"))
@@ -45,6 +48,10 @@ func restoreCases(tb testing.TB) []restoreCase {
 	for _, name := range sortedNames(corpus) {
 		srcs = append(srcs, []byte(corpus[name]))
 	}
+	for _, wide := range []*ast.Program{synth.WideLoop(512, 0), synth.WideLoop(768, 0),
+		synth.Loop(synth.Params{Seed: 1, Stmts: 1024, Arrays: 4, MaxDist: 5, CondProb: 0.2})} {
+		srcs = append(srcs, []byte(ast.ProgramString(wide)))
+	}
 	var cases []restoreCase
 	for _, src := range srcs {
 		prog, err := parser.ParseBytes(src, nil)
@@ -62,10 +69,9 @@ func restoreCases(tb testing.TB) []restoreCase {
 			}
 			for _, spec := range problems.StandardSpecs() {
 				res := dataflow.Solve(g, spec, nil)
-				var w, rw cachefile.Writer
+				var w cachefile.Writer
 				res.PersistMeta().Encode(&w)
-				res.EncodeRows(&rw)
-				w.Blob(rw.Bytes())
+				w.Blob(res.Rows())
 				cases = append(cases, restoreCase{g, spec, res, w.Bytes()})
 			}
 			return true
@@ -78,7 +84,7 @@ func restoreCases(tb testing.TB) []restoreCase {
 // against the example corpus's graphs: every payload must either be
 // rejected with an error or restore to a Result whose tables and cells
 // read without panicking, and an unmodified seed must restore to exactly
-// the cold solve's fixed point and init snapshot.
+// the cold solve's fixed point, cell by cell.
 func FuzzRestoreResult(f *testing.F) {
 	cases := restoreCases(f)
 	for i, c := range cases {
@@ -103,12 +109,15 @@ func FuzzRestoreResult(f *testing.F) {
 			}
 			return
 		}
-		fixed, init := res.TupleTable(-1), res.TupleTable(0)
+		fixed := res.TupleTable(-1)
 		for _, nd := range c.g.Nodes {
 			for _, cl := range res.Classes {
-				res.InAt(nd, cl)
-				res.OutAt(nd, cl)
+				in, out := res.InAt(nd, cl), res.OutAt(nd, cl)
 				res.Pr(cl, nd)
+				if seed && (!in.Eq(c.cold.InAt(nd, cl)) || !out.Eq(c.cold.OutAt(nd, cl))) {
+					t.Fatalf("%s: restored cell (n%d, %s) = (%s, %s), want (%s, %s)", c.spec.Name, nd.ID, cl,
+						in, out, c.cold.InAt(nd, cl), c.cold.OutAt(nd, cl))
+				}
 			}
 		}
 		if !seed {
@@ -117,11 +126,80 @@ func FuzzRestoreResult(f *testing.F) {
 		if want := c.cold.TupleTable(-1); fixed != want {
 			t.Errorf("%s: restored fixed point differs:\n%s\nwant:\n%s", c.spec.Name, fixed, want)
 		}
-		if want := c.cold.TupleTable(0); init != want {
-			t.Errorf("%s: restored init snapshot differs:\n%s\nwant:\n%s", c.spec.Name, init, want)
-		}
-		if got, want := res.Metrics(), c.cold.Metrics(); got != want {
+		// The wall time is not persisted: a restored solve took none.
+		want := c.cold.Metrics()
+		want.Elapsed = 0
+		if got := res.Metrics(); got != want {
 			t.Errorf("%s: restored metrics %+v, want %+v", c.spec.Name, got, want)
 		}
 	})
 }
+
+// TestRestoreRejectsMalformedRows damages a solved loop's change-point
+// rows one field at a time (the layout rows.go documents): every damaged
+// payload must be refused with an error, since a reader trusts the run
+// bounds, the ID order and range, and the change-point canon.
+func TestRestoreRejectsMalformedRows(t *testing.T) {
+	// An 8-bit-lane solve with a run of two or more points; j is that
+	// run's first point.
+	var c restoreCase
+	j := -1
+	for _, rc := range restoreCases(t) {
+		if rc.cold.Rows()[0] != 8 {
+			continue
+		}
+		if j = longRun(rc.cold.Rows(), len(rc.cold.Classes)); j >= 0 {
+			c = rc
+			break
+		}
+	}
+	if j < 0 {
+		t.Fatal("no corpus solve has a run of two change points at 8-bit lanes")
+	}
+	rows := c.cold.Rows()
+	n, m := len(c.g.Nodes), len(c.cold.Classes)
+	ids := 1 + 4*(2*m+1)
+	vals := ids + 4*le32(rows, 1+4*2*m)
+	damage := map[string]func(b []byte) []byte{
+		"empty":          func(b []byte) []byte { return nil },
+		"lane width 7":   func(b []byte) []byte { b[0] = 7; return b },
+		"truncated":      func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing byte":  func(b []byte) []byte { return append(b, 0) },
+		"runs only":      func(b []byte) []byte { return b[:ids-1] },
+		"first run at 1": func(b []byte) []byte { put32(b, 1, 1); return b },
+		"IDs descending": func(b []byte) []byte {
+			a, z := le32(b, ids+4*j), le32(b, ids+4*(j+1))
+			put32(b, ids+4*j, z)
+			put32(b, ids+4*(j+1), a)
+			return b
+		},
+		"ID 0":             func(b []byte) []byte { put32(b, ids+4*j, 0); return b },
+		"ID past n":        func(b []byte) []byte { put32(b, ids+4*(j+1), n+1); return b },
+		"repeated value":   func(b []byte) []byte { b[vals+j+1] = b[vals+j]; return b },
+		"first value is 0": func(b []byte) []byte { b[vals+j] = 0; return b },
+	}
+	for name, f := range damage {
+		b := f(append([]byte(nil), rows...))
+		if _, err := dataflow.RestoreResult(c.g, c.spec, c.cold.PersistMeta(), b); err == nil {
+			t.Errorf("%s: restored without an error", name)
+		}
+	}
+	if _, err := dataflow.RestoreResult(c.g, c.spec, c.cold.PersistMeta(), rows); err != nil {
+		t.Fatalf("undamaged rows: %v", err)
+	}
+}
+
+// longRun returns the first point of the first run of rows holding two or
+// more points, or -1.
+func longRun(rows []byte, m int) int {
+	for k := 0; k < 2*m; k++ {
+		if lo := le32(rows, 1+4*k); le32(rows, 1+4*(k+1))-lo >= 2 {
+			return lo
+		}
+	}
+	return -1
+}
+
+func le32(b []byte, off int) int { return int(binary.LittleEndian.Uint32(b[off:])) }
+
+func put32(b []byte, off, v int) { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }

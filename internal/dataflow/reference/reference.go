@@ -30,8 +30,9 @@ type Result struct {
 	Spec    *dataflow.Spec
 	Classes []*dataflow.Class
 	// In and Out are the fixed point tuples per node ID (1-based); InitIn and
-	// InitOut snapshot the initialization pass (nil when none ran); Trace
-	// holds per-pass snapshots under CollectTrace.
+	// InitOut snapshot the initialization pass and Trace every iteration
+	// pass, both under CollectTrace only (InitIn is nil when no init pass
+	// ran), as the solver records them.
 	In, Out         []lattice.Tuple
 	InitIn, InitOut []lattice.Tuple
 	Trace           []dataflow.TraceEntry
@@ -69,8 +70,8 @@ func SolveAll(g *ir.Graph, specs []*dataflow.Spec, opts *dataflow.Options) []*Re
 }
 
 // Solve computes the greatest fixed point of spec over g, honoring every
-// Options field but Scratch: CollectTrace, MaxPasses, Fuel, SkipInitPass,
-// MayTopStart, and Facts.
+// Options field: CollectTrace, MaxPasses, Fuel, SkipInitPass, MayTopStart,
+// and Facts.
 func Solve(g *ir.Graph, spec *dataflow.Spec, opts *dataflow.Options) *Result {
 	if opts == nil {
 		opts = &dataflow.Options{}
@@ -153,7 +154,9 @@ func Solve(g *ir.Graph, spec *dataflow.Spec, opts *dataflow.Options) *Result {
 			}
 			visited[nd.ID] = true
 		}
-		res.InitIn, res.InitOut = snapshot(res.In), snapshot(res.Out)
+		if opts.CollectTrace {
+			res.InitIn, res.InitOut = snapshot(res.In), snapshot(res.Out)
+		}
 	}
 
 	// --- Fixed point iteration ------------------------------------------
@@ -429,10 +432,10 @@ func (res *Result) TupleTable(pass int) string {
 }
 
 // Compare reports the first difference between a solver result and the
-// oracle's solution of the same problem: class grouping, the fixed point,
-// the initialization snapshot, every traced pass, the pass and work
-// counters, the fuel outcome, and pr over every (class, node). nil means
-// byte-identical.
+// oracle's solution of the same problem: class grouping, the fixed point
+// (as a table and cell by cell through InAt/OutAt), the initialization
+// snapshot, every traced pass, the pass and work counters, the fuel
+// outcome, and pr over every (class, node). nil means byte-identical.
 func Compare(got *dataflow.Result, want *Result) error {
 	if len(got.Classes) != len(want.Classes) {
 		return fmt.Errorf("classes = %d, want %d", len(got.Classes), len(want.Classes))
@@ -444,6 +447,16 @@ func Compare(got *dataflow.Result, want *Result) error {
 	}
 	if g, w := got.TupleTable(-1), want.TupleTable(-1); g != w {
 		return fmt.Errorf("fixed point differs:\nsolver:\n%s\nreference:\n%s", g, w)
+	}
+	for _, nd := range want.Graph.Nodes {
+		for ci, c := range got.Classes {
+			if g, w := got.InAt(nd, c), want.In[nd.ID][ci]; !g.Eq(w) {
+				return fmt.Errorf("IN(n%d, %s) = %s, want %s", nd.ID, c, g, w)
+			}
+			if g, w := got.OutAt(nd, c), want.Out[nd.ID][ci]; !g.Eq(w) {
+				return fmt.Errorf("OUT(n%d, %s) = %s, want %s", nd.ID, c, g, w)
+			}
+		}
 	}
 	if g, w := got.TupleTable(0), want.TupleTable(0); g != w {
 		return fmt.Errorf("init snapshot differs:\nsolver:\n%s\nreference:\n%s", g, w)

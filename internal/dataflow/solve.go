@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -75,19 +76,18 @@ type Result struct {
 	// ct is the class table behind Classes, ClassOf and ClassesOf.
 	ct *classTable
 	// prZero holds one bitset per class over node IDs with pr(class, node)
-	// = 0; Pr answers from it without touching the members.
+	// = 0, aliasing the graph's precedes row for a class whose members sit
+	// in one node; Pr answers from it without touching the members.
 	prZero [][]uint64
 
-	// pk is the lane layout of rows, which holds the lattice state packed:
-	// the fixed point's IN rows, then its OUT rows, then — when hasInit —
-	// the initialization pass's IN and OUT snapshots. Each set is one row of
-	// pk.Words words per node, node ID k at row k−1. For backward problems,
-	// following the paper's convention, IN describes a node's *exit*
-	// (information entering it in the reversed graph) and OUT its entry.
-	// InAt/OutAt/TupleTable/InitIn/InitOut decode on read.
-	pk      lattice.Packing
-	rows    []uint64
-	hasInit bool
+	// rows is the fixed point in change-point form (rows.go), immutable
+	// once the solve returns. For backward problems, following the paper's
+	// convention, IN describes a node's *exit* (information entering it in
+	// the reversed graph) and OUT its entry. InAt/OutAt/TupleTable read it.
+	rows changeRows
+	// init holds the initialization pass's snapshot when solving with
+	// CollectTrace (nil slices otherwise, and for solves that run none).
+	init TraceEntry
 	// Trace holds per-pass snapshots of (In, Out) when solving with
 	// CollectTrace (pass 1 first).
 	Trace []TraceEntry
@@ -138,6 +138,28 @@ type Metrics struct {
 	// FuelExhausted reports that the solve (or, after Add, any aggregated
 	// solve) ran out of fuel and degraded its tuples to "unknown".
 	FuelExhausted bool
+}
+
+// HeldBytes estimates the memory the result holds beyond its graph,
+// counted from lengths: the change-point rows, the class table and the pr
+// bitsets it does not alias from the graph. Results of one SolveAll that
+// share a class table each count it, so a sum over them errs high.
+func (res *Result) HeldBytes() int {
+	const ptr = int(unsafe.Sizeof(uintptr(0)))
+	n := int(unsafe.Sizeof(Result{})) + len(res.rows.b)
+	if ct := res.ct; ct != nil {
+		n += len(ct.classes)*(int(unsafe.Sizeof(Class{}))+2*ptr+8) + 4*len(ct.refClass)
+		for _, c := range ct.classes {
+			n += ptr * len(c.Members)
+		}
+	}
+	for i, row := range res.prZero {
+		n += 3 * ptr
+		if !oneNode(res.Classes[i]) {
+			n += 8 * len(row)
+		}
+	}
+	return n
 }
 
 // symUBOf returns the loop bound as a polynomial over invariant symbols
@@ -231,11 +253,6 @@ type Options struct {
 	// with an unknown loop bound, "could continue infinitely" (it hits
 	// MaxPasses instead).
 	MayTopStart bool
-	// Scratch supplies a caller-owned free list for the solve's transient
-	// buffers; drivers keep one per worker goroutine so repeated solves
-	// allocate no transients. Nil borrows one from a process-wide pool. A
-	// Scratch must not be used by two solves concurrently.
-	Scratch *Scratch
 	// Facts supplies loop-invariant range facts to the preserve derivation,
 	// letting symbolic kill-distance comparisons resolve (rangefacts). Nil
 	// means no symbolic comparison resolves. The oracle participates in the
@@ -257,8 +274,8 @@ func Solve(g *ir.Graph, spec *Spec, opts *Options) *Result {
 	if opts == nil {
 		opts = &Options{}
 	}
-	sc, done := scratchFor(opts)
-	defer done()
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
 	return newSolveCtx(g).solve(spec, opts, sc)
 }
 
@@ -274,8 +291,8 @@ func SolveAll(g *ir.Graph, specs []*Spec, opts *Options) []*Result {
 	out := make([]*Result, len(specs))
 	ctx := newSolveCtx(g)
 	ctx.shared = true
-	sc, done := scratchFor(opts)
-	defer done()
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
 	for i, spec := range specs {
 		out[i] = ctx.solve(spec, opts, sc)
 	}
@@ -398,58 +415,26 @@ func (res *Result) ClassOf(r *ir.Ref) *Class {
 	return nil
 }
 
-// set returns packed row set k of rows (0 = IN, 1 = OUT, 2 = init IN,
-// 3 = init OUT).
-func (res *Result) set(k int) []uint64 {
-	size := len(res.Graph.Nodes) * res.pk.Words
-	return res.rows[k*size : (k+1)*size]
-}
-
-// cell decodes the value of class ci at node id from row set k.
-func (res *Result) cell(k, id, ci int) lattice.Dist {
-	w := res.pk.Words
-	return res.pk.Decode(res.pk.Cell(res.set(k)[(id-1)*w:id*w], ci))
-}
-
-// decodeSet unpacks row set k into a fresh 1-based slab.
-func (res *Result) decodeSet(k int) []lattice.Tuple {
-	n, w := len(res.Graph.Nodes), res.pk.Words
-	flat := res.set(k)
-	rows := lattice.Slab(n, res.pk.M)
-	for id := 1; id <= n; id++ {
-		res.pk.DecodeRow(rows[id], flat[(id-1)*w:id*w])
-	}
-	return rows
-}
-
-// InitIn returns the IN snapshot of the initialization pass, or nil when
-// the solve ran none (may-problems, SkipInitPass). Each call decodes a
-// fresh copy; safe for concurrent readers.
-func (res *Result) InitIn() []lattice.Tuple {
-	if !res.hasInit {
-		return nil
-	}
-	return res.decodeSet(2)
-}
+// InitIn returns the IN snapshot of the initialization pass, or nil unless
+// the solve ran one under CollectTrace (may-problems and SkipInitPass run
+// none). The slab is shared; callers must treat it as read-only.
+func (res *Result) InitIn() []lattice.Tuple { return res.init.In }
 
 // InitOut returns the OUT snapshot of the initialization pass; see InitIn.
-func (res *Result) InitOut() []lattice.Tuple {
-	if !res.hasInit {
-		return nil
-	}
-	return res.decodeSet(3)
-}
+func (res *Result) InitOut() []lattice.Tuple { return res.init.Out }
 
 // --- Reporting --------------------------------------------------------------
 
 // TupleTable renders IN/OUT rows for every node, in the style of the paper's
-// Table 1. Pass -1 renders the fixed point; pass 0 the initialization pass;
-// pass k ≥ 1 the k-th iteration snapshot (requires CollectTrace).
+// Table 1. Pass -1 renders the fixed point; pass 0 the initialization pass
+// and pass k ≥ 1 the k-th iteration snapshot, both recorded only under
+// CollectTrace.
 func (res *Result) TupleTable(pass int) string {
 	var in, out []lattice.Tuple
 	switch {
 	case pass < 0:
-		in, out = res.decodeSet(0), res.decodeSet(1)
+		n := len(res.Graph.Nodes)
+		in, out = res.rows.decode(0, n), res.rows.decode(1, n)
 	case pass == 0:
 		in, out = res.InitIn(), res.InitOut()
 	default:
@@ -482,10 +467,10 @@ func (res *Result) TupleTable(pass int) string {
 }
 
 // InAt returns the fixed point IN value of class c at node nd.
-func (res *Result) InAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(0, nd.ID, c.Index) }
+func (res *Result) InAt(nd *ir.Node, c *Class) lattice.Dist { return res.rows.at(0, nd.ID, c.Index) }
 
 // OutAt returns the fixed point OUT value of class c at node nd.
-func (res *Result) OutAt(nd *ir.Node, c *Class) lattice.Dist { return res.cell(1, nd.ID, c.Index) }
+func (res *Result) OutAt(nd *ir.Node, c *Class) lattice.Dist { return res.rows.at(1, nd.ID, c.Index) }
 
 // ClassesOf returns the classes over the named array in class order (nil
 // when it has none), from the class table's per-array index: reuse and

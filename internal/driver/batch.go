@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/ast"
-	"repro/internal/dataflow"
 )
 
 // BatchResult is the outcome of one program of an AnalyzeBatch call.
@@ -14,10 +13,9 @@ type BatchResult struct {
 	Err      error
 }
 
-// AnalyzeBatch analyzes many programs through one shared worker pool, the
-// shared process-global memo cache, and one solver scratch free list per
-// worker, amortizing worker startup and transient allocations across the
-// whole batch. Parallelism fans out across programs — each program is
+// AnalyzeBatch analyzes many programs through one shared worker pool and
+// the shared process-global memo cache, amortizing worker startup across
+// the whole batch. Parallelism fans out across programs — each program is
 // analyzed with the serial schedule by its worker, so for a batch of many
 // small programs the pool stays busy without per-program goroutine churn;
 // callers with one huge program should use Analyze, which parallelizes
@@ -41,12 +39,12 @@ func AnalyzeBatch(progs []*ast.Program, opts *Options) []BatchResult {
 	per := *opts
 	per.Parallelism = 1 // program-level fan-out replaces wave-level
 	per.CacheCap = 0    // already applied once above
-	fanOut(len(progs), opts.Parallelism, dataflow.NewScratch(), func(i int, sc *dataflow.Scratch) {
+	fanOut(len(progs), opts.Parallelism, func(i int) {
 		if progs[i] == nil {
 			out[i].Err = errors.New("nil program")
 			return
 		}
-		out[i].Analysis, out[i].Err = analyze(progs[i], &per, sc)
+		out[i].Analysis, out[i].Err = Analyze(progs[i], &per)
 	})
 	return out
 }

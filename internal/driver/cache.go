@@ -6,9 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/ast"
-	"repro/internal/cachefile"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/poly"
@@ -135,26 +135,26 @@ func (sv *solved) reuseSize(prefix int) int {
 }
 
 // newSolvedEager wraps freshly-computed parts, deriving the per-spec
-// counters from the live results. Deliberately not PersistMeta: that would
-// materialize each result's deferred init snapshot on every fresh solve;
-// HasInit is only meaningful on the encode side, which re-derives it.
+// counters from the live results.
 func newSolvedEager(parts *solvedParts, specs []*dataflow.Spec) *solved {
 	sv := &solved{parts: parts, meta: make([]specMeta, 0, len(specs))}
 	for _, spec := range specs {
-		res := parts.results[spec.Name]
-		if res == nil {
-			continue
+		if res := parts.results[spec.Name]; res != nil {
+			sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: res.PersistMeta()})
 		}
-		m := res.Metrics()
-		sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: dataflow.ResultMeta{
-			Nodes: m.Nodes, Classes: m.Classes,
-			Passes: m.Passes, ChangedPasses: m.ChangedPasses,
-			NodeVisits: m.NodeVisits, FlowApps: m.FlowApps,
-			Elapsed: m.Elapsed, FuelBudget: res.FuelBudget,
-			FuelExhausted: m.FuelExhausted,
-		}})
 	}
 	return sv
+}
+
+// heldBytes estimates what the parts hold, counted from lengths: the flow
+// graph, each result's change-point rows, class table and pr bitsets, and
+// the reuse records.
+func (p *solvedParts) heldBytes() int64 {
+	n := p.graph.HeldBytes() + len(p.reuses)*int(unsafe.Sizeof(problems.Reuse{}))
+	for _, res := range p.results {
+		n += res.HeldBytes()
+	}
+	return int64(n)
 }
 
 // cacheEntry is the singleflight cell for one cache key: the first
@@ -174,6 +174,10 @@ type cacheEntry struct {
 	// pos digests the source positions of the loop whose solve filled the
 	// entry (written inside once, like diskHit).
 	pos uint64
+	// bytes is what the table has charged for the entry (under the
+	// table's mutex): its value's held bytes once published, plus the
+	// restored parts of a disk-loaded value once they are built.
+	bytes int64
 }
 
 // memoKey is the content address of one solve: a 128-bit structural
@@ -189,12 +193,15 @@ type memoKey struct {
 }
 
 // solveCache memoizes loop solves content-addressed by memoKey. One mutex
-// covers the entry map, the insertion order and the tallies; a solve runs
-// outside it, in its entry's sync.Once.
+// covers the entry map, the insertion order, the tallies and the byte
+// count; a solve runs outside it, in its entry's sync.Once.
 type solveCache struct {
 	mu      sync.Mutex
 	cap     int // <0 = unlimited
 	entries map[memoKey]*cacheEntry
+	// bytes is the sum of the resident entries' charges; budget bounds it
+	// (<= 0 = unbounded).
+	bytes, budget int64
 	// order records keys oldest-first so eviction can drop the oldest
 	// segment instead of the whole table.
 	order  []memoKey
@@ -209,12 +216,21 @@ type solveCache struct {
 // whole-map drop.
 const defaultCacheCap = 4096
 
+// memoBudget bounds the bytes the memo holds (see cacheEntry.bytes): when
+// a publish takes the table past it, the oldest half of the entries is
+// evicted, as for the entry cap, until it fits again. It is a constant
+// because no two callers need different values: a batch-cold bundle
+// charges about 4 MB and a typical entry about 12 kB, so the entry cap
+// binds first on typical loops and the budget only on very wide ones
+// (ARCHITECTURE.md, "The content-addressed memo cache").
+const memoBudget = 64 << 20
+
 // globalCache is the process-wide memo table shared by every Analyze call
 // that does not set Options.DisableCache.
 var globalCache = newSolveCache(defaultCacheCap)
 
 func newSolveCache(cap int) *solveCache {
-	return &solveCache{cap: cap, entries: map[memoKey]*cacheEntry{}}
+	return &solveCache{cap: cap, budget: memoBudget, entries: map[memoKey]*cacheEntry{}}
 }
 
 // setCap adjusts the cache bound: n>0 sets it, n<0 removes it. An
@@ -232,6 +248,13 @@ func (c *solveCache) stats() (entries, hits, misses int) {
 	return len(c.entries), c.hits, c.misses
 }
 
+// heldBytes reports the resident entries' charged bytes.
+func (c *solveCache) heldBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
 // reset drops every entry and zeroes the tallies.
 func (c *solveCache) reset() {
 	c.mu.Lock()
@@ -239,6 +262,25 @@ func (c *solveCache) reset() {
 	c.entries = map[memoKey]*cacheEntry{}
 	c.order = nil
 	c.hits, c.misses = 0, 0
+	c.bytes = 0
+}
+
+// charge adds n bytes to entry e of key, when e is still the table's entry
+// for key (an entry evicted while in flight is charged nothing), then
+// evicts the oldest half of the table until the bytes fit the budget. A
+// value is charged once when published, and a disk-loaded one again when
+// its deferred parts are built.
+func (c *solveCache) charge(key memoKey, e *cacheEntry, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[key] != e {
+		return
+	}
+	e.bytes += n
+	c.bytes += n
+	for c.budget > 0 && c.bytes > c.budget {
+		c.evictOldestLocked()
+	}
 }
 
 // cacheKey computes the content-addressed key for a loop + spec set by
@@ -343,14 +385,16 @@ func (c *solveCache) claim(key memoKey) (*cacheEntry, bool) {
 }
 
 // evictOldestLocked drops the oldest half of the table (at least one
-// entry). Callers hold c.mu. In-flight claimants of an evicted entry keep
-// their pointer and still publish into it; only future lookups re-solve.
+// entry) and credits their bytes. Callers hold c.mu. In-flight claimants of
+// an evicted entry keep their pointer and still publish into it; only
+// future lookups re-solve.
 func (c *solveCache) evictOldestLocked() {
 	drop := len(c.order) / 2
 	if drop == 0 {
 		drop = len(c.order)
 	}
 	for _, k := range c.order[:drop] {
+		c.bytes -= c.entries[k].bytes
 		delete(c.entries, k)
 	}
 	kept := make([]memoKey, len(c.order)-drop)
@@ -412,13 +456,12 @@ type solveOutcome struct {
 // With a persistent cache configured, a memory miss tries the disk before
 // solving, and a fresh solve is written back after the entry is published —
 // later claimants proceed on the in-memory value while the claiming worker
-// completes the store. sc is the calling worker's scratch free list; the
-// singleflight cell runs the solve on the claiming worker's goroutine, so
-// the scratch is never shared across solves in flight.
-func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dataflow.Scratch) (*solved, solveOutcome, error) {
+// completes the store. The claiming worker charges the published value's
+// held bytes to the memo.
+func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solved, solveOutcome, error) {
 	oracle := factsOracle(facts)
 	if !env.useCache {
-		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle, sc)
+		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle)
 		return sv, solveOutcome{}, err
 	}
 	sig := ""
@@ -429,19 +472,34 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 	e, hit := globalCache.claim(key)
 	claimed := false
 	pos := posDigest(loop)
+	var held int64
 	e.once.Do(func() {
 		claimed = true
 		e.pos = pos
 		if env.disk != nil {
 			if sv, n, ok := env.disk.load(key, loop, oracle, env); ok {
+				// The payload is what the value holds until a consumer
+				// reads its facts; the parts built then are charged when
+				// they are.
+				fill := sv.fill
+				sv.fill = func() *solvedParts {
+					parts := fill()
+					globalCache.charge(key, e, parts.heldBytes())
+					return parts
+				}
 				e.sv, e.diskHit, e.loadBytes = sv, true, n
+				held = n
 				return
 			}
 		}
-		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle, sc)
+		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle)
+		if e.err == nil {
+			held = e.sv.parts.heldBytes()
+		}
 	})
 	out := solveOutcome{key: key, hit: hit}
 	if claimed {
+		globalCache.charge(key, e, held)
 		out.diskHit, out.loadBytes = e.diskHit, e.loadBytes
 		if env.disk != nil && !e.diskHit && e.err == nil {
 			out.storeBytes = env.disk.store(key, env.specs, e.sv)
@@ -450,36 +508,32 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 	if e.err == nil && e.pos != pos {
 		// The entry's graph holds another loop's Exprs, and analyzers
 		// read source positions off them: answer with the entry's rows
-		// restored onto this loop's own graph.
+		// on this loop's own graph.
 		return e.sv.relocated(loop, env), out, nil
 	}
 	return e.sv, out, e.err
 }
 
-// relocated returns sv lazily restored onto loop's own graph: a twin of
-// the loop sv was solved for (same memo key) at other source positions.
-// The entry's rows are re-encoded and restored through the disk cache's
-// restoreParts path.
+// relocated returns sv lazily rebuilt on loop's own graph: a twin of the
+// loop sv was solved for (same memo key) at other source positions. The
+// twin's results share the entry's change-point rows; only the graph,
+// class tables and reuse records are its own.
 func (sv *solved) relocated(loop *ast.DoLoop, env *solveEnv) *solved {
 	specs, dims := env.specs, env.dims
 	return &solved{meta: sv.meta, twin: sv, fill: func() *solvedParts {
 		src := sv.materialize()
-		metas := make([]specMeta, len(specs))
-		blobs := make([][]byte, len(specs))
+		rows := make([][]byte, len(specs))
 		for i, spec := range specs {
 			res := src.results[spec.Name]
 			if res == nil {
 				return src
 			}
-			var w cachefile.Writer
-			res.EncodeRows(&w)
-			metas[i] = specMeta{name: spec.Name, meta: res.PersistMeta()}
-			blobs[i] = w.Bytes()
+			rows[i] = res.Rows()
 		}
-		parts, err := restoreParts(loop, specs, dims, metas, blobs)
+		parts, err := restoreParts(loop, specs, dims, sv.meta, rows)
 		if err != nil {
 			// Unreachable: the twin's identical content rebuilds the
-			// shapes the rows were encoded from. Keep the entry's facts.
+			// shapes the rows were solved on. Keep the entry's facts.
 			return src
 		}
 		return parts
@@ -564,8 +618,8 @@ func factsOracle(f *rangefacts.Facts) dataflow.RangeOracle {
 	return f
 }
 
-func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solved, error) {
-	parts, err := solvePartsFresh(loop, specs, dims, fuel, oracle, sc)
+func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) (*solved, error) {
+	parts, err := solvePartsFresh(loop, specs, dims, fuel, oracle)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +629,7 @@ func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]
 // solvePartsFresh runs one loop's full solve: graph construction, every
 // spec's fixed point, reuse extraction. Shared by the fresh-solve path and
 // the lazy loader's damaged-payload fallback.
-func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle, sc *dataflow.Scratch) (*solvedParts, error) {
+func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) (*solvedParts, error) {
 	g, err := ir.Build(loop, &ir.Options{Dims: dims})
 	if err != nil {
 		return nil, err
@@ -584,7 +638,7 @@ func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][
 	// One fused SolveAll per loop: every spec shares the graph's class
 	// discovery, node orderings, and precedes bitsets through one solve
 	// context instead of re-deriving them per problem instance.
-	for i, res := range dataflow.SolveAll(g, specs, &dataflow.Options{Scratch: sc, Fuel: fuel, Facts: oracle}) {
+	for i, res := range dataflow.SolveAll(g, specs, &dataflow.Options{Fuel: fuel, Facts: oracle}) {
 		spec := specs[i]
 		parts.results[spec.Name] = res
 		if spec.Name == "must-reaching-defs" {
@@ -611,6 +665,13 @@ func SetCacheCap(n int) {
 // hit/miss tallies (process-wide, across Analyze calls).
 func CacheStats() (entries, hits, misses int) {
 	return globalCache.stats()
+}
+
+// CacheBytes reports the bytes the global solve cache holds, as charged
+// against its fixed budget: each resident solve's change-point rows, reuse
+// records or stored reuse lines, and graph and class tables.
+func CacheBytes() int64 {
+	return globalCache.heldBytes()
 }
 
 // ResetCache drops every memoized solve and zeroes the tallies. Tests and

@@ -28,10 +28,11 @@ import (
 // set — so any change to what a payload means abandons old files wholesale
 // instead of risking a misparse.
 //
-// Stored are the solver's packed fixed points, init snapshots, and counters
-// (see dataflow.EncodeRows/ResultMeta), and the loop's reuse lines as
-// ProgramAnalysis.Report prints them; the flow graph, class tables, pr
-// bitsets, and reuse records are deterministic functions of the loop AST.
+// Stored are the solver's fixed points in their change-point form and the
+// solve counters (see dataflow.Result.Rows/ResultMeta), and the loop's
+// reuse lines as ProgramAnalysis.Report prints them; the flow graph, class
+// tables, pr bitsets, and reuse records are deterministic functions of the
+// loop AST.
 // A load eagerly decodes just the checksummed container, the per-spec
 // counters, and the reuse lines — enough for whole-program metrics and the
 // report — and defers the graph rebuild and row restore until a consumer
@@ -158,8 +159,9 @@ func ResetDiskCacheStats() {
 // solved value. The eager half is cheap — container checksum, per-spec
 // counters, row-blob framing, reuse lines — which is all whole-program
 // analysis and its report need; the graph rebuild, class-table derivation,
-// row decode, and reuse extraction are deferred into the value's fill hook
-// and run at most once, the first time a consumer reads the loop's facts.
+// row validation, and reuse extraction are deferred into the value's fill
+// hook and run at most once, the first time a consumer reads the loop's
+// facts.
 // The loop and env must be the ones the key was computed from. Any eager
 // failure returns ok=false and the caller solves cold; a deferred failure
 // (impossible without a content-address collision — the blobs are
@@ -202,7 +204,7 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 			// address. Count it and solve fresh — the disk cache never
 			// fails an analysis.
 			diskStats.errors.Add(1)
-			parts, err = solvePartsFresh(loop, specs, dims, fuel, oracle, dataflow.NewScratch())
+			parts, err = solvePartsFresh(loop, specs, dims, fuel, oracle)
 			if err != nil {
 				// Unreachable without a fingerprint collision: the loop's
 				// canonical content built a graph in the process that
@@ -222,8 +224,8 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 
 // diskEntry is one decoded payload. Blobs and lines alias the payload.
 type diskEntry struct {
-	// metas and blobs hold each spec's counters and packed rows, in spec
-	// order.
+	// metas and blobs hold each spec's counters and change-point rows, in
+	// spec order.
 	metas []specMeta
 	blobs [][]byte
 	// lines are the loop's reuse lines, each ending in '\n'.
@@ -297,7 +299,6 @@ func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int6
 	start := time.Now()
 	parts := sv.materialize()
 	var w cachefile.Writer
-	var rw cachefile.Writer
 	w.Uint(uint64(len(specs)))
 	for _, spec := range specs {
 		res := parts.results[spec.Name]
@@ -306,9 +307,7 @@ func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int6
 		}
 		w.String(spec.Name)
 		res.PersistMeta().Encode(&w)
-		rw = cachefile.Writer{}
-		res.EncodeRows(&rw)
-		w.Blob(rw.Bytes())
+		w.Blob(res.Rows())
 	}
 	// A string is framed like a blob, which is how decodeEntry reads it.
 	w.String(reuseLines(parts.reuses))

@@ -229,6 +229,41 @@ func TestDiskCacheDeterministicWarmStarts(t *testing.T) {
 	}
 }
 
+// TestDiskEntriesDeterministic stores one program's solves into two fresh
+// cache directories, solving cold each time: the entry files must carry
+// the same names and the same bytes, since a stored solve records no wall
+// time.
+func TestDiskEntriesDeterministic(t *testing.T) {
+	prog := diskTestProgram(9005)
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		ResetCache()
+		if _, err := Analyze(prog, &Options{CacheDir: dirs[i], Specs: problems.StandardSpecs(), Parallelism: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ResetCache()
+	files := entryFiles(t, dirs[0])
+	if len(files) == 0 || len(files) != len(entryFiles(t, dirs[1])) {
+		t.Fatalf("stored %d and %d entries", len(files), len(entryFiles(t, dirs[1])))
+	}
+	for _, f := range files {
+		rel, err := filepath.Rel(dirs[0], f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(f)
+		b, errB := os.ReadFile(filepath.Join(dirs[1], rel))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", rel, errA, errB)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s: the two stores differ (%d and %d bytes)", rel, len(a), len(b))
+		}
+	}
+}
+
 // TestDiskCacheRootRemovedWhileRunning checks the persistent cache heals
 // when its root is deleted under a running process (an operator clearing
 // the cache): the next analysis re-creates the schema directory and stores
@@ -314,8 +349,9 @@ func TestDiskCacheEngineAndFuelSeparation(t *testing.T) {
 
 // TestDiskCacheReferenceEngineRoundTrip checks a persisted solve restores
 // byte-identically: after a warm start from disk, every problem's rendered
-// fixed point and init snapshot equal the cold solve's and the reference
-// oracle's, and the whole-program report is unchanged.
+// fixed point equals the cold solve's and the reference oracle's (an
+// untraced solve keeps no init snapshot on any side), and the
+// whole-program report is unchanged.
 func TestDiskCacheReferenceEngineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	prog := parser.MustParse(`
@@ -390,15 +426,15 @@ func TestDiskFormatPinsReuseLines(t *testing.T) {
 	}
 }
 
-// storedPayloads analyzes every examples/*.loop with an empty cache
-// directory and returns the payloads of the entries stored under specs'
-// schema, in file-name order.
-func storedPayloads(tb testing.TB, specs []*dataflow.Spec) [][]byte {
+// storedPayloads analyzes srcs with an empty cache directory and returns
+// the payloads of the entries stored under specs' schema, in file-name
+// order.
+func storedPayloads(tb testing.TB, specs []*dataflow.Spec, srcs []Source) [][]byte {
 	tb.Helper()
 	root := tb.TempDir()
 	ResetCache()
 	defer ResetCache()
-	for _, s := range ValidExamples(tb) {
+	for _, s := range srcs {
 		if _, err := Analyze(mustLoad(tb, s.Name, s.Src), &Options{Specs: specs, NestVectors: true, CacheDir: root, Parallelism: 1}); err != nil {
 			tb.Fatalf("%s: %v", s.Name, err)
 		}
@@ -429,7 +465,8 @@ func storedPayloads(tb testing.TB, specs []*dataflow.Spec) [][]byte {
 
 // FuzzDiskEntry feeds the entry decoder arbitrary payloads, seeded with the
 // entries analyzing examples/ stores under the default specs and under
-// StandardSpecs. The decoder must not panic and must accept every seed.
+// StandardSpecs, then with the entries of the batch-cold bundle's wide
+// loops. The decoder must not panic and must accept every seed.
 // What it accepts it must have consumed whole — one byte more or less is
 // rejected — and its reuse lines must be walkable: a report renders one
 // line per '\n', each carrying the stored text after its prefix.
@@ -440,12 +477,20 @@ func FuzzDiskEntry(f *testing.F) {
 		payload string
 	}
 	seeds := map[seed]bool{}
-	for i, specs := range specSets {
-		for _, payload := range storedPayloads(f, specs) {
+	add := func(i int, srcs []Source) {
+		for _, payload := range storedPayloads(f, specSets[i], srcs) {
 			f.Add(uint8(i), payload)
 			seeds[seed{i, string(payload)}] = true
 		}
 	}
+	for i := range specSets {
+		add(i, ValidExamples(f))
+	}
+	var wide []Source
+	for i, sh := range batchColdShapes[:3] {
+		wide = append(wide, Source{Name: fmt.Sprintf("wide%d.loop", i), Src: sh.source(int64(i))})
+	}
+	add(0, wide)
 	f.Fuzz(func(t *testing.T, set uint8, payload []byte) {
 		i := int(set) % len(specSets)
 		specs := specSets[i]

@@ -171,13 +171,6 @@ type entry struct {
 
 // Analyze runs the protocol over a checked, normalized program.
 func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
-	return analyze(prog, opts, nil)
-}
-
-// analyze is Analyze with an optional caller-owned scratch free list used
-// by the serial schedule; AnalyzeBatch passes one per batch worker so
-// solver transients are reused across programs.
-func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAnalysis, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -220,17 +213,14 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 	results := make([]*LoopAnalysis, len(entries))
 	loopMetrics := make([]LoopMetrics, len(entries))
 	errs := make([]error, len(entries))
-	if sc == nil {
-		sc = dataflow.NewScratch()
-	}
 	for lo := 0; lo < len(entries); {
 		hi := lo + 1
 		for hi < len(entries) && entries[hi].depth == entries[lo].depth {
 			hi++
 		}
 		wave := entries[lo:hi]
-		fanOut(len(wave), workers, sc, func(k int, sc *dataflow.Scratch) {
-			results[lo+k], loopMetrics[lo+k], errs[lo+k] = analyzeOne(wave[k], env, sc)
+		fanOut(len(wave), workers, func(k int) {
+			results[lo+k], loopMetrics[lo+k], errs[lo+k] = analyzeOne(wave[k], env)
 		})
 		lo = hi
 	}
@@ -284,17 +274,14 @@ func analyze(prog *ast.Program, opts *Options, sc *dataflow.Scratch) (*ProgramAn
 // completion order. fn must not mutate shared state without its own
 // synchronization.
 func (pa *ProgramAnalysis) ForEachLoop(parallelism int, fn func(i int, la *LoopAnalysis)) {
-	fanOut(len(pa.Loops), parallelism, nil, func(i int, _ *dataflow.Scratch) { fn(i, pa.Loops[i]) })
+	fanOut(len(pa.Loops), parallelism, func(i int) { fn(i, pa.Loops[i]) })
 }
 
-// fanOut calls fn(i, sc) once for every i in [0, n) on at most workers
+// fanOut calls fn(i) once for every i in [0, n) on at most workers
 // goroutines (workers <= 0 means GOMAXPROCS), which take indices off one
 // channel, and returns when every call has. With one worker, or one index,
-// the calls run in order on the calling goroutine with sc = scratch.
-// Otherwise each goroutine hands its calls one dataflow.Scratch of its own,
-// so the solves of one worker reuse one free list — or nil, when scratch is
-// nil.
-func fanOut(n, workers int, scratch *dataflow.Scratch, fn func(i int, sc *dataflow.Scratch)) {
+// the calls run in order on the calling goroutine.
+func fanOut(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -303,7 +290,7 @@ func fanOut(n, workers int, scratch *dataflow.Scratch, fn func(i int, sc *datafl
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i, scratch)
+			fn(i)
 		}
 		return
 	}
@@ -313,12 +300,8 @@ func fanOut(n, workers int, scratch *dataflow.Scratch, fn func(i int, sc *datafl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *dataflow.Scratch
-			if scratch != nil {
-				sc = dataflow.NewScratch()
-			}
 			for i := range work {
-				fn(i, sc)
+				fn(i)
 			}
 		}()
 	}
@@ -374,7 +357,7 @@ func declaredDims(info *sema.Info) map[string][]poly.Poly {
 // analyzeOne runs one loop's own analysis plus its §3.6 re-analyses. It is
 // called from worker goroutines: everything it touches is either private to
 // the entry or behind the cache's synchronization.
-func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, LoopMetrics, error) {
+func analyzeOne(e entry, env *solveEnv) (*LoopAnalysis, LoopMetrics, error) {
 	t0 := time.Now()
 	lm := LoopMetrics{Var: e.loop.Var, Depth: e.depth}
 	countLookup := func(oc solveOutcome) {
@@ -395,7 +378,7 @@ func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, Lo
 	// Derive the loop's fact environment first: it participates in the
 	// solve (preserve constants) and therefore in the memo fingerprint.
 	facts := rangefacts.Derive(env.prog, env.info, e.loop, env.assume, env.fuel)
-	sv, oc, err := solveLoop(e.loop, facts, env, sc)
+	sv, oc, err := solveLoop(e.loop, facts, env)
 	if err != nil {
 		return nil, lm, fmt.Errorf("loop %s: %w", e.loop.Var, err)
 	}
@@ -423,7 +406,7 @@ func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, Lo
 			}
 			// §3.6 synthetic loops are not part of the program AST, so no
 			// guard context can be located for them; they solve fact-free.
-			svw, ocw, err := solveLoop(synthetic, nil, wrtEnv, sc)
+			svw, ocw, err := solveLoop(synthetic, nil, wrtEnv)
 			if err != nil {
 				continue
 			}
@@ -433,14 +416,6 @@ func analyzeOne(e entry, env *solveEnv, sc *dataflow.Scratch) (*LoopAnalysis, Lo
 				lm.Solver.Add(sm.meta.Metrics())
 			}
 			la.wrt[enc.Var] = svw
-			if !env.useCache {
-				// Only the reuse records survive this solve; with the
-				// memo cache off nothing else references the results, so
-				// their packed rows go back to the solver pool.
-				for _, r := range svw.materialize().results {
-					r.Release()
-				}
-			}
 		}
 	}
 	lm.Elapsed = time.Since(t0)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/poly"
@@ -633,6 +634,19 @@ func (g *Graph) Precedes(a, b *Node) bool {
 // BitWords returns the word length of the per-node bitset rows returned by
 // PrecedesRow and PrecededByRow (bit index = node ID).
 func (g *Graph) BitWords() int { return g.bitWords }
+
+// HeldBytes estimates the memory the graph holds, counted from its lengths:
+// node and reference records, edge and reference lists, and the
+// reachability, dominance and order tables. The AST it points into is not
+// counted.
+func (g *Graph) HeldBytes() int {
+	const ptr = int(unsafe.Sizeof(uintptr(0)))
+	n := len(g.Nodes)*(int(unsafe.Sizeof(Node{}))+ptr) + len(g.Refs)*(int(unsafe.Sizeof(Ref{}))+2*ptr)
+	for _, nd := range g.Nodes {
+		n += (len(nd.Succs) + len(nd.Preds)) * ptr
+	}
+	return n + 8*(len(g.reach)+len(g.reachT)+len(g.doms)) + ptr*len(g.rpo)
+}
 
 // PrecedesRow returns the bitset of node IDs that node id strictly precedes
 // along body edges. The returned slice aliases the graph's matrix: callers

@@ -240,8 +240,8 @@ func (dst Tuple) WriteTo(b *strings.Builder) {
 //
 // A slab is a dense rows×m matrix of lattice values held in ONE flat backing
 // array, with per-row Tuple views aliasing it. Decoded views of a solver's
-// packed rows (trace passes, init snapshots, rendered tables) are slabs, so
-// a whole decode costs two allocations instead of one tuple per node.
+// rows (trace passes, init snapshots, rendered tables) are slabs, so a
+// whole decode costs two allocations instead of one tuple per node.
 
 // Slab allocates an n-row, m-column matrix in one flat backing array and
 // returns 1-based row views: rows[0] is nil (node IDs are 1-based) and

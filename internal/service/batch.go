@@ -99,22 +99,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	opts := s.driverOptions(req.Vectors)
 	results := driver.AnalyzeBatch(progs, opts)
+	// Count every item's outcome before streaming, so a client that leaves
+	// mid-stream changes no counter.
+	for i, res := range results {
+		switch {
+		case items[i].Errors != nil:
+			s.counters.frontEndErrors.Add(1)
+		case res.Err != nil:
+			items[i].Errors = []string{fmt.Sprintf("%s: analyze: %s", items[i].Name, res.Err)}
+		}
+		if items[i].Errors != nil {
+			s.counters.batchProgramFails.Add(1)
+		}
+	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for i, res := range results {
-		switch {
-		case items[i].Errors != nil:
-			// front-end failure already recorded
-		case res.Err != nil:
-			items[i].Errors = []string{fmt.Sprintf("%s: analyze: %s", items[i].Name, res.Err)}
-		default:
+		if items[i].Errors == nil {
 			items[i].Report = res.Analysis.Report()
-		}
-		if items[i].Errors != nil {
-			s.counters.batchProgramFails.Add(1)
-			s.counters.frontEndErrors.Add(1)
 		}
 		if err := enc.Encode(items[i]); err != nil {
 			// The client went away; the analysis ran, so the request

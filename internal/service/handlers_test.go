@@ -191,11 +191,17 @@ func TestStatsBalanceOnEveryPath(t *testing.T) {
 		counted(tc.name, tc.outcome)
 	}
 
-	// A client that leaves mid-stream still had its batch analyzed.
+	// A client that leaves mid-stream still had its batch analyzed, and
+	// its second program, which fails the front end, is counted.
+	fails, frontEnd := stats(t, h).BatchProgramFails, stats(t, h).FrontEndErrors
 	req := httptest.NewRequest(http.MethodPost, "/v1/batch",
 		strings.NewReader(`{"programs":[{"name":"a","src":"do i = 1, 8\n  A[i] := 0\nenddo\n"},{"name":"b","src":"x"}]}`))
 	h.ServeHTTP(&goneWriter{header: http.Header{}}, req)
 	counted("batch client gone", "completed")
+	if st := stats(t, h); st.BatchProgramFails != fails+1 || st.FrontEndErrors != frontEnd+1 {
+		t.Errorf("batch client gone: batch_program_fails %d → %d and front_end_errors %d → %d, want +1 each",
+			fails, st.BatchProgramFails, frontEnd, st.FrontEndErrors)
+	}
 }
 
 // FuzzHandlers serves arbitrary requests (a route, a method, a raw query

@@ -491,7 +491,8 @@ type Stats struct {
 		BadRequest int64 `json:"bad_request"`
 	} `json:"rejected"`
 	// FrontEndErrors counts requests whose source failed to parse, check,
-	// or normalize (HTTP 422 on analyze/vet; per-program on batch).
+	// or normalize (HTTP 422 on analyze/vet; per-program on batch, counted
+	// once analysis returns, whether or not the client stays for it).
 	FrontEndErrors int64 `json:"front_end_errors"`
 	// FuelExhaustedSolves is the process-lifetime count of solves that ran
 	// out of fuel and degraded to claim-nothing facts (cache hits on a
@@ -500,7 +501,8 @@ type Stats struct {
 	// -fuel it measures how often the guardrail fires.
 	FuelExhaustedSolves int64 `json:"fuel_exhausted_solves"`
 	// BatchPrograms / BatchProgramFails count individual programs inside
-	// /v1/batch requests, and how many of those failed.
+	// /v1/batch requests, and how many of those failed (front end or
+	// analysis), counted before the response streams.
 	BatchPrograms     int64 `json:"batch_programs"`
 	BatchProgramFails int64 `json:"batch_program_fails"`
 
@@ -520,11 +522,13 @@ type Stats struct {
 
 	// Cache snapshots the process-global memo cache. Hits count coalesced
 	// work: a hit is a solve some earlier — possibly concurrent — request
-	// already paid for.
+	// already paid for. Bytes is what the resident solves hold, as charged
+	// against the memo's fixed byte budget.
 	Cache struct {
 		Entries int64 `json:"entries"`
 		Hits    int64 `json:"hits"`
 		Misses  int64 `json:"misses"`
+		Bytes   int64 `json:"bytes"`
 	} `json:"cache"`
 
 	// DiskCache snapshots the persistent cache counters (all zero unless
@@ -589,6 +593,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.Cache.Entries = int64(entries)
 	st.Cache.Hits = int64(hits)
 	st.Cache.Misses = int64(misses)
+	st.Cache.Bytes = driver.CacheBytes()
 	ds := driver.DiskCacheStats()
 	st.DiskCache.Dir = s.opts.CacheDir
 	st.DiskCache.Hits = ds.Hits

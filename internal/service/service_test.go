@@ -591,8 +591,8 @@ func TestStatsCounters(t *testing.T) {
 	if _, ok := raw["engine"]; ok {
 		t.Errorf("/v1/stats still reports an engine key: %v", raw["engine"])
 	}
-	if cache, _ := raw["cache"].(map[string]any); len(cache) != 3 {
-		t.Errorf("/v1/stats cache = %v, want entries, hits and misses only", raw["cache"])
+	if cache, _ := raw["cache"].(map[string]any); len(cache) != 4 {
+		t.Errorf("/v1/stats cache = %v, want entries, hits, misses and bytes only", raw["cache"])
 	}
 }
 

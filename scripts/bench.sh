@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Runs the solver/driver benchmark suite with -benchmem and records the
-# results as JSON at the repo root (benchmark name → ns/op, B/op,
-# allocs/op), extending the perf trajectory (BENCH_PR3.json →
-# BENCH_PR4.json → BENCH_PR8.json → BENCH_PR9.json) that future changes
-# are compared against.
+# Runs the solver/driver benchmark suite with -benchmem, three samples per
+# benchmark (-count 3), and records the results as JSON at the repo root
+# (benchmark name → median ns/op, B/op and allocs/op, plus the ns/op
+# range), extending the perf trajectory (BENCH_PR3.json → BENCH_PR4.json →
+# BENCH_PR8.json → BENCH_PR9.json) that future changes are compared
+# against. Every gate below compares medians: single samples of one
+# benchmark have read 29 and 56 ms back to back on a shared machine.
 #
 # After recording, the snapshot is diffed against the previous trajectory
 # point (cmd/benchjson -diff): per-benchmark deltas beyond 10% ns/op are
@@ -53,7 +55,7 @@ TMP="$(mktemp)"
 WORK="$(mktemp -d)"
 trap 'rm -f "$TMP"; rm -rf "$WORK"' EXIT
 
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" . | tee "$TMP"
+go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -count 3 . | tee "$TMP"
 go run ./cmd/benchjson -o "$OUT" < "$TMP"
 echo "wrote $OUT"
 
