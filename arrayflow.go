@@ -236,21 +236,21 @@ func AnalyzeProgram(prog *Program, specs []*Spec, nestVectors bool) (*ProgramAna
 }
 
 // AnalyzeProgramOpts is AnalyzeProgram with the full option set: spec list,
-// §6 vectors and their distance bound, worker-pool width (Parallelism: 0 =
-// GOMAXPROCS, 1 = serial), and DisableCache to bypass the memo cache —
-// required when passing hand-built Specs that reuse a canned problem name
-// with different Gen/Kill semantics, since the cache keys solves by spec
-// name and canonical loop text.
+// §6 vectors (their search is bounded at distance 8), worker-pool width
+// (Parallelism: 0 = GOMAXPROCS, 1 = serial), and DisableCache to bypass the
+// memo cache — required when passing hand-built Specs that reuse a canned
+// problem name with different Gen/Kill semantics, since the cache keys
+// solves by spec name and canonical loop text.
 func AnalyzeProgramOpts(prog *Program, opts *AnalyzeOptions) (*ProgramAnalysis, error) {
 	return driver.Analyze(prog, opts)
 }
 
 // AnalyzeProgramBatch analyzes many programs through one shared worker
-// pool, per-worker solver scratch, and the shared memo cache, amortizing
-// startup and allocation costs across the batch. Parallelism in opts fans
-// out across programs (each analyzed serially by its worker); results come
-// back in input order with per-program errors isolated per item, each
-// byte-identical to a standalone AnalyzeProgramOpts call.
+// pool, the solver's pooled dense rows, and the shared memo cache,
+// amortizing startup and allocation costs across the batch. Parallelism in
+// opts fans out across programs (each analyzed serially by its worker);
+// results come back in input order with per-program errors isolated per
+// item, each byte-identical to a standalone AnalyzeProgramOpts call.
 func AnalyzeProgramBatch(progs []*Program, opts *AnalyzeOptions) []BatchResult {
 	return driver.AnalyzeBatch(progs, opts)
 }
@@ -276,7 +276,8 @@ func AnalysisCacheStats() (entries, hits, misses int) { return driver.CacheStats
 
 // ResetAnalysisCache drops every memoized loop solve. Long-running hosts
 // that stream unbounded distinct programs can call it to release memory at
-// a known point; the cache also self-bounds by flushing when full.
+// a known point; the cache also bounds itself, evicting its oldest half
+// whenever the bytes its solves hold pass a fixed 64 MiB budget.
 func ResetAnalysisCache() { driver.ResetCache() }
 
 // Execution substrates.

@@ -26,7 +26,7 @@
 // table, and the shared memoizing solve cache, printing each program's
 // whole-program report in input order:
 //
-//	arrayflow batch [-workers n] [-nocache] [-cachecap n] [-vectors] [-metrics] path...
+//	arrayflow batch [-workers n] [-nocache] [-vectors] [-metrics] path...
 //
 // The diff mode fingerprints two versions of a program (or two Go package
 // trees with -lang go), reports which loops changed, and re-solves only
@@ -47,7 +47,7 @@
 // docs/OPERATIONS.md:
 //
 //	arrayflow serve [-addr host:port] [-workers n] [-max-queue n]
-//	                [-deadline d] [-cache-cap n] [-max-body n] [-nocache]
+//	                [-deadline d] [-max-body n] [-nocache]
 //	                [-cache-dir dir] [-drain-timeout d] [-fuel n]
 //
 // Every analyzing mode accepts -cache-dir: a persistent, content-addressed
@@ -254,7 +254,6 @@ func runBatch(args []string) {
 	fs := flag.NewFlagSet("arrayflow batch", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker goroutines across programs (0 = GOMAXPROCS, 1 = serial)")
 	nocache := fs.Bool("nocache", false, "disable the memoizing solve cache")
-	cachecap := fs.Int("cachecap", 0, "memo cache capacity in entries (0 = default 4096, negative = unlimited)")
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory shared across runs (empty = memory-only)")
 	vectors := fs.Bool("vectors", false, "run the §6 distance-vector extension on tight nests")
 	metrics := fs.Bool("metrics", false, "print batch totals and cache stats to stderr")
@@ -262,7 +261,7 @@ func runBatch(args []string) {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow batch [-workers n] [-nocache] [-cachecap n] [-cache-dir dir] [-vectors] [-metrics] [-fuel n] path...")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow batch [-workers n] [-nocache] [-cache-dir dir] [-vectors] [-metrics] [-fuel n] path...")
 		fmt.Fprintln(os.Stderr, "each path is a .loop file or a directory of .loop files")
 		fs.PrintDefaults()
 	}
@@ -294,7 +293,7 @@ func runBatch(args []string) {
 	startProfiles(*cpuprofile, *memprofile)
 	results := driver.AnalyzeBatch(progs, &driver.Options{
 		NestVectors: *vectors, Parallelism: *workers,
-		DisableCache: *nocache, CacheCap: *cachecap, CacheDir: *cacheDir,
+		DisableCache: *nocache, CacheDir: *cacheDir,
 		Fuel: *fuel})
 
 	exit := 0

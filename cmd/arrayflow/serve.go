@@ -28,14 +28,13 @@ func runServe(args []string) {
 	workers := fs.Int("workers", 0, "concurrent analysis requests (0 = GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 256, "requests allowed to wait for a worker before 429 (negative = no waiting)")
 	deadline := fs.Duration("deadline", 10*time.Second, "per-request deadline, queueing included")
-	cacheCap := fs.Int("cache-cap", 0, "memo cache capacity in entries (0 = keep default 4096, negative = unlimited)")
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes (larger bodies get 413)")
 	nocache := fs.Bool("nocache", false, "disable the memoizing solve cache")
 	cacheDir := fs.String("cache-dir", "", "persistent solve cache directory: a restarted daemon warm-starts from it at memo-hit speed (empty = memory-only)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	fuel := fs.Int64("fuel", 0, "per-solve fuel budget in flow-application units (0 = derived default; exhausted solves degrade to claim-nothing facts instead of blowing the deadline)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: arrayflow serve [-addr host:port] [-workers n] [-max-queue n] [-deadline d] [-cache-cap n] [-max-body n] [-nocache] [-cache-dir dir] [-drain-timeout d] [-fuel n]")
+		fmt.Fprintln(os.Stderr, "usage: arrayflow serve [-addr host:port] [-workers n] [-max-queue n] [-deadline d] [-max-body n] [-nocache] [-cache-dir dir] [-drain-timeout d] [-fuel n]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -49,7 +48,6 @@ func runServe(args []string) {
 		MaxQueue:     *maxQueue,
 		Deadline:     *deadline,
 		MaxBody:      *maxBody,
-		CacheCap:     *cacheCap,
 		DisableCache: *nocache,
 		CacheDir:     *cacheDir,
 		Fuel:         *fuel,

@@ -3,7 +3,8 @@
 // It reads the benchmark output on stdin (or a prior JSON snapshot named as
 // the sole positional argument) and writes JSON to stdout (or to the file
 // named by -o). scripts/bench.sh uses it to record the repo's perf
-// trajectory snapshots (BENCH_PR3.json, BENCH_PR4.json).
+// trajectory snapshots (BENCH_PR9.json, and BENCH_PR10.json for the
+// corpus sweep) and to gate them against BENCH_PR4.json.
 //
 // Output from `go test -count N` carries N samples per benchmark. Each row
 // records the median of the samples' ns/op, B/op and allocs/op, and the

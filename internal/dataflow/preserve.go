@@ -451,8 +451,6 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-var _ = floorDiv // kept for symmetry with ceilDiv; used by tests
-
 // PreserveAgainstRegion computes the preserve constant when the killer
 // touches a known constant address interval [lo, hi] — the §3.2 refinement
 // for summarized inner loops with constant bounds. The tracked class
@@ -558,5 +556,3 @@ func KillDistance(d, kill sema.AffineForm, backward bool) (int64, bool) {
 	}
 	return c, true
 }
-
-var _ = poly.Zero // poly is used by tests of this file's helpers

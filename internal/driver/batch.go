@@ -33,13 +33,9 @@ func AnalyzeBatch(progs []*ast.Program, opts *Options) []BatchResult {
 	if len(progs) == 0 {
 		return out
 	}
-	if opts.CacheCap != 0 {
-		globalCache.setCap(opts.CacheCap)
-	}
 	per := *opts
 	per.Parallelism = 1 // program-level fan-out replaces wave-level
-	per.CacheCap = 0    // already applied once above
-	fanOut(len(progs), opts.Parallelism, func(i int) {
+	FanOut(len(progs), opts.Parallelism, func(i int) {
 		if progs[i] == nil {
 			out[i].Err = errors.New("nil program")
 			return

@@ -30,54 +30,49 @@ func checkCharges(t *testing.T, label string, c *solveCache) {
 // resident entries' charges, so every eviction credited exactly what it
 // charged.
 func TestMemoBudgetNeverExceeded(t *testing.T) {
-	for _, cap := range []int{-1, 8} {
-		rng := rand.New(rand.NewSource(int64(cap)))
-		c := newSolveCache(cap)
-		c.budget = 1000
-		type claimed struct {
-			key memoKey
-			e   *cacheEntry
-		}
-		var pending, published []claimed
-		for step := 0; step < 20_000; step++ {
-			switch op := rng.Intn(10); {
-			case op < 4:
-				key := fpKey(rng.Intn(300))
-				if e, hit := c.claim(key); !hit {
-					pending = append(pending, claimed{key, e})
-				}
-			case op < 8 && len(pending) > 0:
-				i := rng.Intn(len(pending))
-				p := pending[i]
-				pending = append(pending[:i], pending[i+1:]...)
-				before, resident := c.bytes, c.entries[p.key] == p.e
-				n := int64(rng.Intn(400))
-				c.charge(p.key, p.e, n)
-				if !resident && c.bytes != before {
-					t.Fatalf("step %d: an entry evicted in flight was charged", step)
-				}
-				published = append(published, p)
-			case len(published) > 0:
-				p := published[rng.Intn(len(published))]
-				c.charge(p.key, p.e, int64(rng.Intn(200)))
-			}
-			checkCharges(t, "random", c)
-			if cap > 0 && len(c.entries) > cap {
-				t.Fatalf("step %d: %d entries over the cap of %d", step, len(c.entries), cap)
-			}
-		}
-		// A value larger than the whole budget evicts everything, itself
-		// included.
-		key := fpKey(1 << 20)
-		e, _ := c.claim(key)
-		c.charge(key, e, 5000)
-		checkCharges(t, "oversized", c)
-		if len(c.entries) != 0 {
-			t.Errorf("cap %d: %d entries survive a value over the budget", cap, len(c.entries))
-		}
-		c.reset()
-		checkCharges(t, "reset", c)
+	rng := rand.New(rand.NewSource(1))
+	c := newSolveCache()
+	c.budget = 1000
+	type claimed struct {
+		key memoKey
+		e   *cacheEntry
 	}
+	var pending, published []claimed
+	for step := 0; step < 20_000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			key := fpKey(rng.Intn(300))
+			if e, hit := c.claim(key); !hit {
+				pending = append(pending, claimed{key, e})
+			}
+		case op < 8 && len(pending) > 0:
+			i := rng.Intn(len(pending))
+			p := pending[i]
+			pending = append(pending[:i], pending[i+1:]...)
+			before, resident := c.bytes, c.entries[p.key] == p.e
+			n := int64(rng.Intn(400))
+			c.charge(p.key, p.e, n)
+			if !resident && c.bytes != before {
+				t.Fatalf("step %d: an entry evicted in flight was charged", step)
+			}
+			published = append(published, p)
+		case len(published) > 0:
+			p := published[rng.Intn(len(published))]
+			c.charge(p.key, p.e, int64(rng.Intn(200)))
+		}
+		checkCharges(t, "random", c)
+	}
+	// A value larger than the whole budget evicts everything, itself
+	// included.
+	key := fpKey(1 << 20)
+	e, _ := c.claim(key)
+	c.charge(key, e, 5000)
+	checkCharges(t, "oversized", c)
+	if len(c.entries) != 0 {
+		t.Errorf("%d entries survive a value over the budget", len(c.entries))
+	}
+	c.reset()
+	checkCharges(t, "reset", c)
 }
 
 // TestMemoBudgetHoldsOverBatchCold analyzes 60 distinct bundles of the

@@ -197,7 +197,6 @@ type memoKey struct {
 // count; a solve runs outside it, in its entry's sync.Once.
 type solveCache struct {
 	mu      sync.Mutex
-	cap     int // <0 = unlimited
 	entries map[memoKey]*cacheEntry
 	// bytes is the sum of the resident entries' charges; budget bounds it
 	// (<= 0 = unbounded).
@@ -209,36 +208,22 @@ type solveCache struct {
 	misses int
 }
 
-// defaultCacheCap bounds the process-global cache when Options.CacheCap is
-// zero. When the table is full the oldest half of the entries is evicted
-// (the entries are content-addressed, so a refill is only a re-solve, never
-// a correctness issue) — recently-used keys survive, unlike the old
-// whole-map drop.
-const defaultCacheCap = 4096
-
-// memoBudget bounds the bytes the memo holds (see cacheEntry.bytes): when
-// a publish takes the table past it, the oldest half of the entries is
-// evicted, as for the entry cap, until it fits again. It is a constant
-// because no two callers need different values: a batch-cold bundle
-// charges about 4 MB and a typical entry about 12 kB, so the entry cap
-// binds first on typical loops and the budget only on very wide ones
+// memoBudget is the memo's one bound (see cacheEntry.bytes): when a
+// publish takes the table past it, the oldest half of the entries is
+// evicted until it fits again (the entries are content-addressed, so a
+// refill is only a re-solve, never a wrong answer). Every published
+// value is charged its held bytes, so the budget bounds the entry count
+// too: a typical entry charges about 12 kB, a batch-cold bundle about
+// 4 MB. It is a constant because no two callers need different values
 // (ARCHITECTURE.md, "The content-addressed memo cache").
 const memoBudget = 64 << 20
 
 // globalCache is the process-wide memo table shared by every Analyze call
 // that does not set Options.DisableCache.
-var globalCache = newSolveCache(defaultCacheCap)
+var globalCache = newSolveCache()
 
-func newSolveCache(cap int) *solveCache {
-	return &solveCache{cap: cap, budget: memoBudget, entries: map[memoKey]*cacheEntry{}}
-}
-
-// setCap adjusts the cache bound: n>0 sets it, n<0 removes it. An
-// already-overfull table is trimmed on the next insert, not eagerly.
-func (c *solveCache) setCap(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
+func newSolveCache() *solveCache {
+	return &solveCache{budget: memoBudget, entries: map[memoKey]*cacheEntry{}}
 }
 
 // stats reports the resident entry count and the lifetime tallies.
@@ -366,16 +351,14 @@ func dimSignatures(loop *ast.DoLoop, dims map[string][]poly.Poly) []string {
 // claim returns the entry for key, creating it when absent. The second
 // result reports whether the entry already existed (a cache hit). Counting
 // happens under the same lock as the lookup, so the tallies stay exact
-// under concurrency.
+// under concurrency. A claim never evicts: an entry holds no bytes until
+// its value is charged.
 func (c *solveCache) claim(key memoKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		return e, true
-	}
-	if c.cap > 0 && len(c.entries) >= c.cap {
-		c.evictOldestLocked()
 	}
 	e := &cacheEntry{}
 	c.entries[key] = e
@@ -649,16 +632,6 @@ func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][
 	// shared, so later concurrent readers never mutate the graph.
 	g.Precompute()
 	return parts, nil
-}
-
-// SetCacheCap adjusts the process-global memo bound directly: n>0 sets the
-// cap, n<0 removes it, n==0 keeps the current bound. Equivalent to passing
-// Options.CacheCap on the next Analyze call; long-lived hosts (the HTTP
-// service) call it once at startup.
-func SetCacheCap(n int) {
-	if n != 0 {
-		globalCache.setCap(n)
-	}
 }
 
 // CacheStats reports the global solve cache's current size and lifetime

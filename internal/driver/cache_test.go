@@ -24,26 +24,31 @@ func fpKey(i int) memoKey {
 }
 
 // TestEvictionDropsOldestHalf exercises the segmented eviction directly:
-// filling a cap-4 table and inserting a fifth key must evict exactly the two
-// oldest entries, so re-claiming the two newest (plus the fresh insert) hits
-// while the two oldest miss. Claim order is serial here, so the hit/miss
-// tallies are fully deterministic.
+// filling a 400-byte table with four 100-byte entries and charging a fifth
+// must evict exactly the two oldest entries, so re-claiming the two newest
+// (plus the fresh insert) hits while the two oldest miss. Claim order is
+// serial here, so the hit/miss tallies are fully deterministic.
 func TestEvictionDropsOldestHalf(t *testing.T) {
-	c := newSolveCache(4)
-	for i := 0; i < 4; i++ {
-		if _, hit := c.claim(fpKey(i)); hit {
+	c := newSolveCache()
+	c.budget = 400
+	fill := func(i int) {
+		t.Helper()
+		e, hit := c.claim(fpKey(i))
+		if hit {
 			t.Fatalf("key %d: unexpected hit on first claim", i)
 		}
+		c.charge(fpKey(i), e, 100)
 	}
-	if len(c.entries) != 4 || len(c.order) != 4 {
-		t.Fatalf("table size %d/%d, want 4/4", len(c.entries), len(c.order))
+	for i := 0; i < 4; i++ {
+		fill(i)
 	}
-	// Fifth insert: keys 0 and 1 evicted, 2 and 3 survive.
-	if _, hit := c.claim(fpKey(4)); hit {
-		t.Fatal("key 4: unexpected hit")
+	if len(c.entries) != 4 || len(c.order) != 4 || c.bytes != 400 {
+		t.Fatalf("table size %d/%d holding %d bytes, want 4/4 holding 400", len(c.entries), len(c.order), c.bytes)
 	}
-	if len(c.entries) != 3 {
-		t.Fatalf("after eviction: %d entries, want 3", len(c.entries))
+	// Fifth charge: keys 0 and 1 evicted, 2 and 3 survive.
+	fill(4)
+	if len(c.entries) != 3 || c.bytes != 300 {
+		t.Fatalf("after eviction: %d entries holding %d bytes, want 3 holding 300", len(c.entries), c.bytes)
 	}
 	for _, i := range []int{2, 3, 4} {
 		if _, hit := c.claim(fpKey(i)); !hit {
@@ -60,35 +65,18 @@ func TestEvictionDropsOldestHalf(t *testing.T) {
 	}
 }
 
-// TestCacheCapBound fills the table far past its bound: the entry count
-// never exceeds the cap that was set, and reaches it exactly.
-func TestCacheCapBound(t *testing.T) {
-	for _, cap := range []int{8, 16, 64, 200} {
-		c := newSolveCache(cap)
-		most := 0
-		for i := 0; i < 4*cap; i++ {
-			c.claim(fpKey(i))
-			entries, _, _ := c.stats()
-			if entries > cap {
-				t.Fatalf("cap %d: table grew to %d entries at insert %d", cap, entries, i)
-			}
-			most = max(most, entries)
-		}
-		if most != cap {
-			t.Errorf("cap %d: table held at most %d entries, want exactly %d", cap, most, cap)
-		}
-	}
-}
-
-// TestCacheUnlimited removes the bound and checks nothing is evicted.
-func TestCacheUnlimited(t *testing.T) {
-	c := newSolveCache(-1)
+// TestClaimsAloneNeverEvict claims far more keys than a one-byte budget
+// could hold entries: an entry holds nothing until its value is charged,
+// so claims alone evict nothing.
+func TestClaimsAloneNeverEvict(t *testing.T) {
+	c := newSolveCache()
+	c.budget = 1
 	const n = 10_000
 	for i := 0; i < n; i++ {
 		c.claim(fpKey(i))
 	}
 	if entries, _, misses := c.stats(); entries != n || misses != n {
-		t.Fatalf("unbounded cache: %d entries / %d misses, want %d/%d", entries, misses, n, n)
+		t.Fatalf("%d entries / %d misses after %d claims, want %d/%d", entries, misses, n, n, n)
 	}
 }
 
@@ -98,7 +86,7 @@ func TestCacheUnlimited(t *testing.T) {
 // singleflight cell is created exactly once per key.
 func TestCacheDeterministicMissCount(t *testing.T) {
 	const keys, claimers = 64, 8
-	c := newSolveCache(-1)
+	c := newSolveCache()
 	var wg sync.WaitGroup
 	for g := 0; g < claimers; g++ {
 		wg.Add(1)
@@ -117,54 +105,105 @@ func TestCacheDeterministicMissCount(t *testing.T) {
 	}
 }
 
-// TestEvictionDeterministicHitMiss pins the hit/miss tallies across
-// evictions end to end: the same serial Analyze sequence against a small
-// CacheCap must produce identical tallies (and identical reports) on every
-// repetition.
+// TestEvictionDeterministicHitMiss pins the memo end to end while its
+// byte budget evicts. The global table's budget is cut to half of what
+// three programs charge, and they are analyzed again in reverse order, so
+// the second round hits the newest solves and re-solves the evicted
+// oldest. The same serial Analyze sequence must produce identical tallies
+// and reports on every repetition, and serial and 4-worker runs (the wave
+// fan-out, and AnalyzeBatch with concurrent claims of one key racing
+// eviction) must report exactly what the memo-free analysis does.
 func TestEvictionDeterministicHitMiss(t *testing.T) {
-	progs := make([]*ast.Program, 3)
-	for i := range progs {
-		progs[i] = synth.MultiLoopProgram(synth.MultiParams{
-			Seed: int64(40 + i), Loops: 10, StmtsPer: 5, DistinctBodies: 10})
+	var seq []*ast.Program
+	for i := 0; i < 3; i++ {
+		seq = append(seq, synth.MultiLoopProgram(synth.MultiParams{
+			Seed: int64(40 + i), Loops: 10, StmtsPer: 5, DistinctBodies: 10}))
 	}
-	type tally struct {
-		hits, misses int
-		report       string
+	seq = append(seq, seq[2], seq[1], seq[0])
+	// The 4-worker runs also take the example and synthetic corpus, whose
+	// nests route §3.6 re-analyses through the evicting memo.
+	all := append(append([]*ast.Program{}, seq...), corpusPrograms(t)...)
+	want := make([]string, len(all))
+	for i, p := range all {
+		pa, err := Analyze(p, &Options{DisableCache: true, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = pa.Report()
 	}
+	ResetCache()
+	for _, p := range seq[:3] {
+		if _, err := Analyze(p, &Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	globalCache.mu.Lock()
+	budget := globalCache.bytes / 2
+	globalCache.budget = budget
+	globalCache.mu.Unlock()
+	t.Cleanup(func() {
+		globalCache.mu.Lock()
+		globalCache.budget = memoBudget
+		globalCache.mu.Unlock()
+		ResetCache()
+	})
+
+	type tally struct{ hits, misses int }
 	run := func() []tally {
 		ResetCache()
-		out := make([]tally, 0, len(progs))
-		for _, p := range progs {
-			pa, err := Analyze(p, &Options{Parallelism: 1, CacheCap: 8})
+		out := make([]tally, 0, len(seq))
+		for i, p := range seq {
+			pa, err := Analyze(p, &Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, tally{pa.Metrics.CacheHits, pa.Metrics.CacheMisses, pa.Report()})
+			if got := pa.Report(); got != want[i] {
+				t.Fatalf("serial, program %d: report differs from the memo-free one:\n%s\nwant:\n%s", i, got, want[i])
+			}
+			out = append(out, tally{pa.Metrics.CacheHits, pa.Metrics.CacheMisses})
+			if held := CacheBytes(); held > budget {
+				t.Fatalf("serial, program %d: memo holds %d bytes over the %d-byte budget", i, held, budget)
+			}
 		}
 		return out
 	}
 	first := run()
+	if first[3].hits == 0 || first[5].misses == 0 {
+		t.Fatalf("second round tallies %v: want hits on the newest program and misses on the oldest", first[3:])
+	}
 	for rep := 0; rep < 3; rep++ {
 		again := run()
 		for i := range first {
 			if again[i] != first[i] {
-				t.Fatalf("rep %d prog %d: tallies/report diverged across evictions:\n got %d/%d\nwant %d/%d",
+				t.Fatalf("rep %d prog %d: tallies diverged across evictions: got %d/%d, want %d/%d",
 					rep, i, again[i].hits, again[i].misses, first[i].hits, first[i].misses)
 			}
 		}
 	}
-	if entries, _, _ := CacheStats(); entries > 8 {
-		t.Errorf("cache grew past CacheCap: %d entries", entries)
-	}
-	// Negative cap removes the bound.
+
 	ResetCache()
-	if _, err := Analyze(progs[0], &Options{Parallelism: 1, CacheCap: -1}); err != nil {
-		t.Fatal(err)
+	for i, p := range all {
+		pa, err := Analyze(p, &Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pa.Report(); got != want[i] {
+			t.Fatalf("4 workers, program %d: report differs from the memo-free one", i)
+		}
 	}
-	if entries, _, _ := CacheStats(); entries == 0 {
-		t.Error("unbounded cache retained nothing")
+	ResetCache()
+	batch := append(append([]*ast.Program{}, all...), all...)
+	for i, r := range AnalyzeBatch(batch, &Options{Parallelism: 4}) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if got := r.Analysis.Report(); got != want[i%len(all)] {
+			t.Fatalf("4-worker batch, program %d: report differs from the memo-free one", i)
+		}
 	}
-	globalCache.setCap(defaultCacheCap)
+	if held := CacheBytes(); held > budget {
+		t.Errorf("4-worker batch: memo holds %d bytes over the %d-byte budget", held, budget)
+	}
 }
 
 // loopsOf collects every DoLoop of a checked program, nested included.

@@ -129,12 +129,6 @@ type Options struct {
 	// Name does not uniquely identify their semantics; also useful for
 	// benchmarking the raw solver.
 	DisableCache bool
-	// CacheCap bounds the process-global memo cache. 0 keeps the current
-	// bound (default 4096 entries); a positive value sets it; a negative
-	// value removes the bound. When the table fills, the oldest half of
-	// the entries is evicted. The bound is process-global state: the most
-	// recent Analyze call to set it wins.
-	CacheCap int
 	// Fuel bounds each per-loop solve's flow-function applications
 	// (dataflow.Options.Fuel). Zero derives the solver's never-binding
 	// default. A bound solve that runs out degrades its tuples to the
@@ -182,9 +176,6 @@ func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.CacheCap != 0 {
-		globalCache.setCap(opts.CacheCap)
-	}
 	start := time.Now()
 
 	info, err := sema.Check(prog)
@@ -219,7 +210,7 @@ func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
 			hi++
 		}
 		wave := entries[lo:hi]
-		fanOut(len(wave), workers, func(k int) {
+		FanOut(len(wave), workers, func(k int) {
 			results[lo+k], loopMetrics[lo+k], errs[lo+k] = analyzeOne(wave[k], env)
 		})
 		lo = hi
@@ -274,14 +265,14 @@ func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
 // completion order. fn must not mutate shared state without its own
 // synchronization.
 func (pa *ProgramAnalysis) ForEachLoop(parallelism int, fn func(i int, la *LoopAnalysis)) {
-	fanOut(len(pa.Loops), parallelism, func(i int) { fn(i, pa.Loops[i]) })
+	FanOut(len(pa.Loops), parallelism, func(i int) { fn(i, pa.Loops[i]) })
 }
 
-// fanOut calls fn(i) once for every i in [0, n) on at most workers
+// FanOut calls fn(i) once for every i in [0, n) on at most workers
 // goroutines (workers <= 0 means GOMAXPROCS), which take indices off one
 // channel, and returns when every call has. With one worker, or one index,
 // the calls run in order on the calling goroutine.
-func fanOut(n, workers int, fn func(i int)) {
+func FanOut(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

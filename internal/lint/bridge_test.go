@@ -230,11 +230,28 @@ func renameArrays(stmts []ast.Stmt, rename func(string) string) {
 	})
 }
 
+// renameScalars renames every scalar of stmts through rename, in place:
+// each identifier, the symbolic bound N included, and each induction
+// variable.
+func renameScalars(stmts []ast.Stmt, rename func(string) string) {
+	ast.Inspect(stmts, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			x.Name = rename(x.Name)
+		case *ast.DoLoop:
+			x.Var = rename(x.Var)
+		}
+		return true
+	})
+}
+
 // TestRaceVerdictsMetamorphic checks that reordering independent top-level
-// loops, or consistently renaming arrays, leaves the multiset of race
-// verdicts and bridge outcomes unchanged. Every loop's checks share the
-// program's interpreter runs, so this guards against state leaking from
-// one loop's check into another's.
+// loops, or consistently renaming arrays or scalars, leaves the multiset
+// of race verdicts and bridge outcomes unchanged. Every loop's checks
+// share the program's interpreter runs, so this guards against state
+// leaking from one loop's check into another's. The scalar rename
+// reverses the names' sorted order, which is the order the bridge binds
+// free scalars in.
 func TestRaceVerdictsMetamorphic(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		var loops [][]ast.Stmt
@@ -274,6 +291,26 @@ func TestRaceVerdictsMetamorphic(t *testing.T) {
 		}
 		if got := raceVerdictMultiset(t, render([]int{0, 1, 2, 3, 4})); !slices.Equal(got, want) {
 			t.Errorf("seed %d, arrays renamed: verdicts %v, want %v", seed, got, want)
+		}
+		var names []string
+		for k := range loops {
+			renameScalars(loops[k], func(n string) string {
+				if !slices.Contains(names, n) {
+					names = append(names, n)
+				}
+				return n
+			})
+		}
+		slices.Sort(names)
+		renamed := map[string]string{}
+		for k, n := range names {
+			renamed[n] = fmt.Sprintf("v%02d", len(names)-k)
+		}
+		for k := range loops {
+			renameScalars(loops[k], func(n string) string { return renamed[n] })
+		}
+		if got := raceVerdictMultiset(t, render([]int{0, 1, 2, 3, 4})); !slices.Equal(got, want) {
+			t.Errorf("seed %d, scalars renamed %v: verdicts %v, want %v", seed, renamed, got, want)
 		}
 	}
 }

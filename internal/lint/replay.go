@@ -23,13 +23,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/ast"
+	"repro/internal/driver"
 	"repro/internal/interp"
 )
 
@@ -154,27 +153,10 @@ func (b *bridge) run(jobs []*bridgeJob, parallelism int) {
 	}
 
 	b.runs += len(shuffles)
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(shuffles))
-	next := make(chan shuffle)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range next {
-				s.job.err = b.shuffledRun(s.job, s.init, s.natural)
-			}
-		}()
-	}
-	for _, s := range shuffles {
-		next <- s
-	}
-	close(next)
-	wg.Wait()
+	driver.FanOut(len(shuffles), parallelism, func(i int) {
+		s := shuffles[i]
+		s.job.err = b.shuffledRun(s.job, s.init, s.natural)
+	})
 }
 
 // naturalRun executes the program once in natural order from init,

@@ -74,10 +74,6 @@ type Options struct {
 	// MaxBody caps the request body in bytes (0 = 1 MiB). Larger bodies
 	// are refused with 413 before parsing.
 	MaxBody int64
-	// CacheCap forwards to driver.Options.CacheCap on the first request
-	// that uses the cache: positive sets the process-global memo bound,
-	// negative removes it, 0 keeps the default.
-	CacheCap int
 	// DisableCache bypasses the memo cache entirely.
 	DisableCache bool
 	// CacheDir points the driver at a persistent solve cache directory
@@ -129,15 +125,13 @@ type Server struct {
 }
 
 // New returns a Server with opts resolved to their documented defaults
-// (nil = all defaults). A non-zero CacheCap is applied to the
-// process-global memo cache immediately.
+// (nil = all defaults).
 func New(opts *Options) *Server {
 	o := Options{}
 	if opts != nil {
 		o = *opts
 	}
 	o = o.withDefaults()
-	driver.SetCacheCap(o.CacheCap)
 	return &Server{opts: o, gate: newGate(o.Workers, o.MaxQueue), start: time.Now()}
 }
 
@@ -278,7 +272,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (string, bool)
 
 // driverOptions builds the per-request driver options: serial within the
 // request (concurrency comes from the request fan-out), shared cache per
-// server configuration. The cache cap was applied once by New.
+// server configuration.
 func (s *Server) driverOptions(vectors bool) *driver.Options {
 	return &driver.Options{
 		NestVectors:  vectors,

@@ -77,7 +77,6 @@ func newTestServer(t *testing.T, opts *Options) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		driver.SetCacheCap(-1)
 		driver.ResetCache()
 	})
 	return srv, ts
@@ -188,7 +187,6 @@ func TestHTTPDeterminism(t *testing.T) {
 		{"w1-cache", Options{Workers: 1}},
 		{"w4-cache", Options{Workers: 4}},
 		{"w4-nocache", Options{Workers: 4, DisableCache: true}},
-		{"w4-cap8", Options{Workers: 4, CacheCap: 8}},
 	}
 	const runs = 50
 
