@@ -276,8 +276,9 @@ func AnalysisCacheStats() (entries, hits, misses int) { return driver.CacheStats
 
 // ResetAnalysisCache drops every memoized loop solve. Long-running hosts
 // that stream unbounded distinct programs can call it to release memory at
-// a known point; the cache also bounds itself, evicting its oldest half
-// whenever the bytes its solves hold pass a fixed 64 MiB budget.
+// a known point; the cache also bounds itself, evicting its oldest entries
+// whenever the bytes its solves hold pass a fixed 64 MiB budget, until they
+// fit again.
 func ResetAnalysisCache() { driver.ResetCache() }
 
 // Execution substrates.

@@ -670,15 +670,20 @@ func BenchmarkVet(b *testing.B) {
 	// 24 loops drawn from 4 distinct bodies: the memoized run serves most
 	// solves from the cache, isolating the analyzers' own cost; the
 	// uncached run measures the full solve-plus-analyze pipeline. The
-	// driver metrics embedded in the result expose the split.
+	// driver metrics embedded in the result expose the split. The
+	// constant-nests run is a memoized vet of two 100×100 constant-trip
+	// nests, where the race analyzer's interpreter runs and final-state
+	// comparisons do most of the work.
 	prog := synth.MultiLoopProgram(synth.MultiParams{Seed: 41, Loops: 24, StmtsPer: 32, DistinctBodies: 4})
 	src := ast.ProgramString(prog)
-	run := func(b *testing.B, disableCache bool) {
+	const nests = "do j = 1, 100\n  do i = 1, 100\n    A[i, j] := A[i, j] + B[i, j]\n  enddo\nenddo\n" +
+		"do j = 1, 100\n  do i = 1, 100\n    C[i, j] := C[i, j] * 2\n  enddo\nenddo\n"
+	run := func(b *testing.B, src string, disableCache bool) {
 		var hits, misses, analysisNS int64
 		for i := 0; i < b.N; i++ {
 			res := arrayflow.Vet("bench.loop", src, &arrayflow.LintOptions{DisableCache: disableCache})
 			if res.Analysis == nil {
-				b.Fatalf("front end rejected the synthetic program: %v", res.Findings)
+				b.Fatalf("front end rejected the benchmark program: %v", res.Findings)
 			}
 			m := res.Analysis.Metrics
 			hits += int64(m.CacheHits)
@@ -689,15 +694,17 @@ func BenchmarkVet(b *testing.B) {
 		b.ReportMetric(float64(misses)/float64(b.N), "cachemisses/op")
 		b.ReportMetric(float64(analysisNS)/float64(b.N)/1e6, "analysis-ms/op")
 	}
-	b.Run("uncached", func(b *testing.B) { run(b, true) })
-	b.Run("memoized", func(b *testing.B) {
+	memoized := func(b *testing.B, src string) {
 		driver.ResetCache()
 		if res := arrayflow.Vet("bench.loop", src, nil); res.Analysis == nil {
 			b.Fatal("warm-up vet failed")
 		}
 		b.ResetTimer()
-		run(b, false)
-	})
+		run(b, src, false)
+	}
+	b.Run("uncached", func(b *testing.B) { run(b, src, true) })
+	b.Run("memoized", func(b *testing.B) { memoized(b, src) })
+	b.Run("constant-nests", func(b *testing.B) { memoized(b, nests) })
 }
 
 // BenchmarkRender times the three vet writers alone over the findings of

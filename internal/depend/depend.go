@@ -5,7 +5,6 @@ package depend
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -133,37 +132,6 @@ func (dg *Graph) UnrolledCriticalPath(u int) int64 {
 		}
 	}
 	return longest
-}
-
-// Carried returns the loop-carried edges (distance ≥ 1) in a deterministic
-// order: by distance, then source and sink reference positions, then kind.
-// The certifying race analyzer consumes this as its candidate list.
-func (dg *Graph) Carried() []Edge {
-	var out []Edge
-	for _, e := range dg.Edges {
-		if e.Distance >= 1 {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return carriedLess(out[i], out[j]) })
-	return out
-}
-
-// carriedLess orders carried edges: smallest distance first, then source
-// position, sink position, and kind.
-func carriedLess(a, b Edge) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	ap, bp := a.FromRef.Expr.Pos(), b.FromRef.Expr.Pos()
-	if ap != bp {
-		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
-	}
-	ap, bp = a.ToRef.Expr.Pos(), b.ToRef.Expr.Pos()
-	if ap != bp {
-		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
-	}
-	return a.Kind < b.Kind
 }
 
 // HasCarriedDistance reports whether any dependence with the exact distance

@@ -28,7 +28,9 @@ func checkCharges(t *testing.T, label string, c *solveCache) {
 // parts) and charges to entries evicted while in flight: after every
 // publish the bytes fit the budget, and they always equal the sum of the
 // resident entries' charges, so every eviction credited exactly what it
-// charged.
+// charged. Eviction also stops as soon as the bytes fit: after a charge
+// that evicted, the table holds more than the budget less the largest
+// charge it evicted.
 func TestMemoBudgetNeverExceeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := newSolveCache()
@@ -36,6 +38,32 @@ func TestMemoBudgetNeverExceeded(t *testing.T) {
 	type claimed struct {
 		key memoKey
 		e   *cacheEntry
+	}
+	// chargeChecked charges n bytes to p and checks the eviction stopped
+	// at the budget.
+	evictions := 0
+	chargeChecked := func(step int, p claimed, n int64) {
+		held := map[memoKey]int64{}
+		for k, e := range c.entries {
+			held[k] = e.bytes
+		}
+		if c.entries[p.key] == p.e {
+			held[p.key] += n
+		}
+		c.charge(p.key, p.e, n)
+		var largest int64 = -1
+		for k, b := range held {
+			if c.entries[k] == nil {
+				largest = max(largest, b)
+			}
+		}
+		if largest >= 0 {
+			evictions++
+			if c.bytes <= c.budget-largest {
+				t.Fatalf("step %d: eviction went on to %d bytes, though its largest evicted charge was %d of the %d-byte budget",
+					step, c.bytes, largest, c.budget)
+			}
+		}
 	}
 	var pending, published []claimed
 	for step := 0; step < 20_000; step++ {
@@ -50,17 +78,18 @@ func TestMemoBudgetNeverExceeded(t *testing.T) {
 			p := pending[i]
 			pending = append(pending[:i], pending[i+1:]...)
 			before, resident := c.bytes, c.entries[p.key] == p.e
-			n := int64(rng.Intn(400))
-			c.charge(p.key, p.e, n)
+			chargeChecked(step, p, int64(rng.Intn(400)))
 			if !resident && c.bytes != before {
 				t.Fatalf("step %d: an entry evicted in flight was charged", step)
 			}
 			published = append(published, p)
 		case len(published) > 0:
-			p := published[rng.Intn(len(published))]
-			c.charge(p.key, p.e, int64(rng.Intn(200)))
+			chargeChecked(step, published[rng.Intn(len(published))], int64(rng.Intn(200)))
 		}
 		checkCharges(t, "random", c)
+	}
+	if evictions < 100 {
+		t.Fatalf("only %d charges evicted; the walk needs more", evictions)
 	}
 	// A value larger than the whole budget evicts everything, itself
 	// included.

@@ -201,16 +201,17 @@ type solveCache struct {
 	// bytes is the sum of the resident entries' charges; budget bounds it
 	// (<= 0 = unbounded).
 	bytes, budget int64
-	// order records keys oldest-first so eviction can drop the oldest
-	// segment instead of the whole table.
+	// order[head:] records the resident keys oldest-first, so eviction
+	// drops the oldest entries one at a time.
 	order  []memoKey
+	head   int
 	hits   int
 	misses int
 }
 
 // memoBudget is the memo's one bound (see cacheEntry.bytes): when a
-// publish takes the table past it, the oldest half of the entries is
-// evicted until it fits again (the entries are content-addressed, so a
+// publish takes the table past it, the oldest entries are evicted, one at
+// a time, until it fits again (the entries are content-addressed, so a
 // refill is only a re-solve, never a wrong answer). Every published
 // value is charged its held bytes, so the budget bounds the entry count
 // too: a typical entry charges about 12 kB, a batch-cold bundle about
@@ -245,16 +246,16 @@ func (c *solveCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[memoKey]*cacheEntry{}
-	c.order = nil
+	c.order, c.head = nil, 0
 	c.hits, c.misses = 0, 0
 	c.bytes = 0
 }
 
 // charge adds n bytes to entry e of key, when e is still the table's entry
 // for key (an entry evicted while in flight is charged nothing), then
-// evicts the oldest half of the table until the bytes fit the budget. A
-// value is charged once when published, and a disk-loaded one again when
-// its deferred parts are built.
+// evicts the oldest entries until the bytes fit the budget. A value is
+// charged once when published, and a disk-loaded one again when its
+// deferred parts are built.
 func (c *solveCache) charge(key memoKey, e *cacheEntry, n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,22 +368,20 @@ func (c *solveCache) claim(key memoKey) (*cacheEntry, bool) {
 	return e, false
 }
 
-// evictOldestLocked drops the oldest half of the table (at least one
-// entry) and credits their bytes. Callers hold c.mu. In-flight claimants of
-// an evicted entry keep their pointer and still publish into it; only
-// future lookups re-solve.
+// evictOldestLocked drops the oldest entry and credits its bytes, in
+// amortized constant time: the order slice is compacted once its evicted
+// prefix outgrows the resident rest. Callers hold c.mu. In-flight
+// claimants of an evicted entry keep their pointer and still publish into
+// it; only future lookups re-solve.
 func (c *solveCache) evictOldestLocked() {
-	drop := len(c.order) / 2
-	if drop == 0 {
-		drop = len(c.order)
+	k := c.order[c.head]
+	c.bytes -= c.entries[k].bytes
+	delete(c.entries, k)
+	c.head++
+	if c.head > len(c.order)-c.head {
+		c.order = append(c.order[:0], c.order[c.head:]...)
+		c.head = 0
 	}
-	for _, k := range c.order[:drop] {
-		c.bytes -= c.entries[k].bytes
-		delete(c.entries, k)
-	}
-	kept := make([]memoKey, len(c.order)-drop)
-	copy(kept, c.order[drop:])
-	c.order = kept
 }
 
 // solveEnv bundles the per-Analyze solve configuration threaded from

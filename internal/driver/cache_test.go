@@ -23,45 +23,54 @@ func fpKey(i int) memoKey {
 	return memoKey{fp: ast.FP128{Hi: uint64(i), Lo: ^uint64(i)}}
 }
 
-// TestEvictionDropsOldestHalf exercises the segmented eviction directly:
-// filling a 400-byte table with four 100-byte entries and charging a fifth
-// must evict exactly the two oldest entries, so re-claiming the two newest
-// (plus the fresh insert) hits while the two oldest miss. Claim order is
-// serial here, so the hit/miss tallies are fully deterministic.
-func TestEvictionDropsOldestHalf(t *testing.T) {
+// TestEvictionDropsOldestUntilFit exercises the eviction directly: filling
+// a 400-byte table with four 100-byte entries and charging a fifth must
+// evict the oldest entry alone, so re-claiming the four newest hits while
+// the oldest misses. Claim order is serial here, so the hit/miss tallies
+// are fully deterministic.
+func TestEvictionDropsOldestUntilFit(t *testing.T) {
 	c := newSolveCache()
 	c.budget = 400
-	fill := func(i int) {
+	fill := func(i int, n int64) {
 		t.Helper()
 		e, hit := c.claim(fpKey(i))
 		if hit {
 			t.Fatalf("key %d: unexpected hit on first claim", i)
 		}
-		c.charge(fpKey(i), e, 100)
+		c.charge(fpKey(i), e, n)
 	}
 	for i := 0; i < 4; i++ {
-		fill(i)
+		fill(i, 100)
 	}
-	if len(c.entries) != 4 || len(c.order) != 4 || c.bytes != 400 {
-		t.Fatalf("table size %d/%d holding %d bytes, want 4/4 holding 400", len(c.entries), len(c.order), c.bytes)
+	if len(c.entries) != 4 || c.bytes != 400 {
+		t.Fatalf("table size %d holding %d bytes, want 4 holding 400", len(c.entries), c.bytes)
 	}
-	// Fifth charge: keys 0 and 1 evicted, 2 and 3 survive.
-	fill(4)
-	if len(c.entries) != 3 || c.bytes != 300 {
-		t.Fatalf("after eviction: %d entries holding %d bytes, want 3 holding 300", len(c.entries), c.bytes)
+	// Fifth charge: key 0 evicted, 1 through 4 survive at the full budget.
+	fill(4, 100)
+	if len(c.entries) != 4 || c.bytes != 400 {
+		t.Fatalf("after eviction: %d entries holding %d bytes, want 4 holding 400", len(c.entries), c.bytes)
 	}
-	for _, i := range []int{2, 3, 4} {
+	for _, i := range []int{1, 2, 3, 4} {
 		if _, hit := c.claim(fpKey(i)); !hit {
 			t.Errorf("key %d should have survived eviction", i)
 		}
 	}
-	for _, i := range []int{0, 1} {
-		if _, hit := c.claim(fpKey(i)); hit {
-			t.Errorf("key %d should have been evicted", i)
-		}
+	if _, hit := c.claim(fpKey(0)); hit {
+		t.Errorf("key 0 should have been evicted")
 	}
-	if c.hits != 3 || c.misses != 7 {
-		t.Errorf("tallies hits=%d misses=%d, want 3/7", c.hits, c.misses)
+	if c.hits != 4 || c.misses != 6 {
+		t.Errorf("tallies hits=%d misses=%d, want 4/6", c.hits, c.misses)
+	}
+	// A 250-byte charge evicts the oldest three (1, 2, 3): two would leave
+	// 450 bytes.
+	fill(5, 250)
+	if len(c.entries) != 3 || c.bytes != 350 {
+		t.Fatalf("after a 250-byte charge: %d entries holding %d bytes, want 3 holding 350", len(c.entries), c.bytes)
+	}
+	for _, i := range []int{4, 0, 5} {
+		if c.entries[fpKey(i)] == nil {
+			t.Errorf("key %d should be resident", i)
+		}
 	}
 }
 

@@ -35,3 +35,12 @@ func SharedBridge(prog *ast.Program, checks []BridgeCheck, parallelism int) ([]e
 	}
 	return out, b.runs
 }
+
+// MaxBlockingDist bounds the carried-edge count's distances.
+const MaxBlockingDist = maxBlockingDist
+
+// CarriedEdges is the race analyzer's count of a loop's carried
+// dependence edges.
+func CarriedEdges(la *driver.LoopAnalysis) int {
+	return carriedEdges(la.Graph(), la.Result("delta-reaching-refs"))
+}

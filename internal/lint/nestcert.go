@@ -139,11 +139,11 @@ func collectNestInfo(loop *ast.DoLoop) *nestInfo {
 }
 
 // certifyNest resolves every conflicting reference pair that involves a
-// summarized inner loop. Pairs of plain body references are resolvePair's
-// job; this covers (inner, inner) and (outer, inner) pairs, which the
-// analyzer previously wrote off with a blanket "nested loop is summarized"
-// blocker.
-func certifyNest(c *Context, g *ir.Graph, texts loopTexts) (evs []PairEvidence, racy []*Witness, blockers []Blocker) {
+// summarized inner loop, offering each collision to racy. Pairs of plain
+// body references are resolvePair's job; this covers (inner, inner) and
+// (outer, inner) pairs, which the analyzer previously wrote off with a
+// blanket "nested loop is summarized" blocker.
+func certifyNest(c *Context, g *ir.Graph, texts loopTexts, racy *leastCollision) (evs []PairEvidence, blockers []Blocker) {
 	ni := collectNestInfo(g.Loop)
 	blockers = append(blockers, ni.blockers...)
 	facts := c.Facts()
@@ -182,7 +182,7 @@ func certifyNest(c *Context, g *ir.Graph, texts loopTexts) (evs []PairEvidence, 
 					FromText: texts.of(r1), ToText: texts.of(r2), reason: o.reason,
 				})
 			case pairConflict:
-				racy = append(racy, o.witness)
+				racy.offer(o.conflict)
 			case pairUnknown:
 				b := o.blocker
 				if !b.Pos.IsValid() {
@@ -192,7 +192,7 @@ func certifyNest(c *Context, g *ir.Graph, texts loopTexts) (evs []PairEvidence, 
 			}
 		}
 	}
-	return evs, racy, blockers
+	return evs, blockers
 }
 
 // resolveNestPair decides one pair with at least one summarized-loop
@@ -322,8 +322,8 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		}))
 	}
 	for _, sd := range candidates {
-		if w, ok := buildNestWitness(r1, r2, sd, a, d, g, ni, texts); ok {
-			return pairOutcome{kind: pairConflict, witness: w}
+		if o, ok := solveNestCollision(r1, r2, sd, a, d, ni); ok {
+			return o
 		}
 	}
 	first := candidates[0]
@@ -362,8 +362,8 @@ func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Pol
 	if d.IsZero() {
 		// Identical footprint every outer iteration; any element collides at
 		// distance 1.
-		if w, ok := buildNestWitness(r1, r2, 1, 0, d, g, ni, texts); ok {
-			return pairOutcome{kind: pairConflict, witness: w}
+		if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni); ok {
+			return o
 		}
 		return unknown(Blocker{
 			Slug: "nest-witness",
@@ -376,8 +376,10 @@ func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Pol
 			},
 		})
 	}
-	if w, ok := solveNestZero(r1, r2, d, g, ni, texts); ok {
-		return pairOutcome{kind: pairConflict, witness: w}
+	// Any inner values making D = 0 collide in every two outer iterations,
+	// so the witness uses distance 1.
+	if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni); ok {
+		return o
 	}
 	return unknown(Blocker{
 		Slug: "nest-symbolic-range",
@@ -408,8 +410,8 @@ func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, 
 			return "collision distance " + itoa(abs64(delta)) + " exceeds the trip count"
 		}))
 	}
-	if w, ok := buildNestWitness(r1, r2, delta, a, poly.Const(c0), g, ni, texts); ok {
-		return pairOutcome{kind: pairConflict, witness: w}
+	if o, ok := solveNestCollision(r1, r2, delta, a, poly.Const(c0), ni); ok {
+		return o
 	}
 	return unknown(Blocker{
 		Slug:   "nest-witness",
@@ -420,35 +422,23 @@ func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, 
 	})
 }
 
-// solveNestZero searches for inner values making D = 0 with a = 0 — the
-// footprints of any two outer iterations then share that element, so the
-// witness uses distance 1.
-func solveNestZero(r1, r2 *ir.Ref, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
-	return solveNestCollision(r1, r2, 1, 0, d, g, ni, texts)
-}
-
-// buildNestWitness constructs a replayable witness for the signed
-// iteration distance sd (sd = i2 − i1; positive means r1 executes first).
-func buildNestWitness(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
-	return solveNestCollision(r1, r2, sd, a, d, g, ni, texts)
-}
-
 // solveNestCollision enumerates feasible inner-iteration tuples solving
-// a·sd = D and, on success, packages the collision as a witness with
+// a·sd = D for the signed iteration distance sd (sd = i2 − i1; positive
+// means r1 executes first) and, on success, returns the collision at
 // concrete outer iterations 1 and 1+|sd|. Requirements for replayability:
 // both references execute unconditionally, every enclosing inner loop has
 // a constant normalized bound, and D mentions only inner induction
 // variables (primed or not).
-func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, ni *nestInfo, texts loopTexts) (*Witness, bool) {
+func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, ni *nestInfo) (pairOutcome, bool) {
 	ctx1, ok1 := ni.refs[r1.Expr]
 	ctx2, ok2 := ni.refs[r2.Expr]
 	if !ok1 || !ok2 || ctx1.conditional || ctx2.conditional {
-		return nil, false
+		return pairOutcome{}, false
 	}
 	for _, chain := range [][]string{ctx1.chain, ctx2.chain} {
 		for _, v := range chain {
 			if hi, ok := ni.constHi[v]; !ok || hi < 1 {
-				return nil, false
+				return pairOutcome{}, false
 			}
 		}
 	}
@@ -457,7 +447,7 @@ func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, n
 	for i, v := range vars {
 		hi, ok := ni.constHi[nestBase(v)]
 		if !ok {
-			return nil, false // non-inner symbol or symbolic inner bound
+			return pairOutcome{}, false // non-inner symbol or symbolic inner bound
 		}
 		his[i] = hi
 	}
@@ -470,11 +460,17 @@ func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, n
 			env[v] = idx[i] + 1
 		}
 		if d.Eval(env) == target {
-			return packageNestWitness(r1, r2, sd, env, g, texts), true
+			// env binds r1's inner variables by source name and r2's by
+			// primed name.
+			c := collision{early: r1, late: r2, iterEarly: 1, iterLate: 1 + sd, env: env}
+			if sd < 0 {
+				c = collision{early: r2, late: r1, iterEarly: 1, iterLate: 1 - sd, env: env, earlyPrimed: true}
+			}
+			return pairOutcome{kind: pairConflict, conflict: c}, true
 		}
 		tried++
 		if tried >= nestWitnessAssignments {
-			return nil, false
+			return pairOutcome{}, false
 		}
 		// Odometer increment, deterministic enumeration order.
 		i := 0
@@ -486,40 +482,9 @@ func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, g *ir.Graph, n
 			idx[i] = 0
 		}
 		if i == len(idx) {
-			return nil, false // odometer wrapped (or constant D missed the target)
+			return pairOutcome{}, false // odometer wrapped (or constant D missed the target)
 		}
 	}
-}
-
-// packageNestWitness builds the Witness for a solved collision: env binds
-// r1's inner variables by source name and r2's by primed name.
-func packageNestWitness(r1, r2 *ir.Ref, sd int64, env map[string]int64, g *ir.Graph, texts loopTexts) *Witness {
-	early, late := r1, r2
-	dist := sd
-	earlyEnv, lateEnv := splitNestEnv(env)
-	if sd < 0 {
-		early, late, dist = r2, r1, -sd
-		earlyEnv, lateEnv = lateEnv, earlyEnv
-	}
-	w := &Witness{
-		IV:        g.IV,
-		IterEarly: 1,
-		IterLate:  1 + dist,
-		Distance:  dist,
-		Kind:      dependenceKind(early, late),
-		Array:     early.Array,
-		FromText:  texts.of(early),
-		ToText:    texts.of(late),
-		FromStore: early.Kind == ir.Def,
-		ToStore:   late.Kind == ir.Def,
-		FromPos:   early.Expr.Pos(),
-		ToPos:     late.Expr.Pos(),
-	}
-	earlyEnv[g.IV] = w.IterEarly
-	if cell, ok := nestCell(early.Expr, earlyEnv); ok {
-		w.Cell, w.HasCell = cell, true
-	}
-	return w
 }
 
 // splitNestEnv separates a solved assignment into the unprimed (r1) and

@@ -1,15 +1,17 @@
 package lint
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/depend"
+	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/poly"
+	"repro/internal/problems"
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
 	"repro/internal/token"
@@ -88,10 +90,6 @@ type Witness struct {
 	// computable (HasCell); symbolic programs leave it to the replay.
 	Cell    []int64
 	HasCell bool
-
-	// from is the early reference of a pairwise witness, whose cell is
-	// evaluated only once the witness is chosen for the verdict.
-	from *ast.ArrayRef
 }
 
 // CellString renders the colliding element, e.g. "A[3]" or "A[2, 7]".
@@ -209,16 +207,76 @@ type Verdict struct {
 	// reference pair, stating why no carried collision exists.
 	Evidence []PairEvidence
 	// CarriedDeps counts the loop-carried edges of the dependence graph
-	// (internal/depend) within maxBlockingDist, for cross-checking.
+	// (internal/depend) within maxBlockingDist, for cross-checking. Racy
+	// and parallel verdicts, the two that report it, fill it in.
 	CarriedDeps int
 }
 
 // pairOutcome is the result of resolving one reference pair.
 type pairOutcome struct {
-	kind    pairKind
-	witness *Witness // kind == pairConflict
-	reason  lazyText // evidence (pairNone/pairIndependent)
-	blocker Blocker  // why-certificate (pairUnknown)
+	kind     pairKind
+	conflict collision // kind == pairConflict
+	reason   lazyText  // evidence (pairNone/pairIndependent)
+	blocker  Blocker   // why-certificate (pairUnknown)
+}
+
+// collision is a conflicting pair before it becomes a witness: the early
+// reference executes at iteration iterEarly, the late one at iterLate, and
+// both touch one element. A loop can have many; only the least under
+// collisionLess is built into the verdict's Witness.
+type collision struct {
+	early, late         *ir.Ref
+	iterEarly, iterLate int64
+	// env binds the inner induction variables of a summarized-loop pair
+	// (the late side's primed, see nestPrime), and earlyPrimed tells which
+	// side is early; nil for a pair of plain body references, whose cell
+	// is evaluated at iterEarly alone.
+	env         map[string]int64
+	earlyPrimed bool
+}
+
+func (c *collision) distance() int64 { return c.iterLate - c.iterEarly }
+
+// witness builds the Witness of the collision in the loop over iv.
+func (c *collision) witness(iv string, texts loopTexts) *Witness {
+	early, late := c.early, c.late
+	w := &Witness{
+		IV:        iv,
+		IterEarly: c.iterEarly,
+		IterLate:  c.iterLate,
+		Distance:  c.distance(),
+		Kind:      dependenceKind(early, late),
+		Array:     early.Array,
+		FromText:  texts.of(early),
+		ToText:    texts.of(late),
+		FromStore: early.Kind == ir.Def,
+		ToStore:   late.Kind == ir.Def,
+		FromPos:   early.Expr.Pos(),
+		ToPos:     late.Expr.Pos(),
+	}
+	if c.env == nil {
+		w.Cell, w.HasCell = evalCell(early.Expr, iv, c.iterEarly)
+		return w
+	}
+	earlyEnv, lateEnv := splitNestEnv(c.env)
+	if c.earlyPrimed {
+		earlyEnv = lateEnv
+	}
+	earlyEnv[iv] = c.iterEarly
+	w.Cell, w.HasCell = nestCell(early.Expr, earlyEnv)
+	return w
+}
+
+// leastCollision keeps the least of the collisions offered to it.
+type leastCollision struct {
+	best collision
+	any  bool
+}
+
+func (l *leastCollision) offer(c collision) {
+	if !l.any || collisionLess(&c, &l.best) {
+		l.best, l.any = c, true
+	}
 }
 
 // evidence and unknown build the non-conflict outcomes.
@@ -507,20 +565,6 @@ func CertifyLoop(c *Context) *Verdict {
 		return v
 	}
 
-	// The dependence graph's carried edges, for cross-checking the verdict
-	// against the paper's §4.3 machinery. Edges whose distance cannot fit in
-	// the trip count are dropped: the dependence graph has no trip-count
-	// feasibility pruning, and the certifier correctly classifies a loop as
-	// parallel when every candidate collision lies beyond the last iteration.
-	if res := c.result("delta-reaching-refs"); res != nil {
-		for _, e := range depend.Build(g, res, maxBlockingDist).Carried() {
-			if g.HasUB && e.Distance+1 > g.UBConst {
-				continue
-			}
-			v.CarriedDeps++
-		}
-	}
-
 	// Structural blockers.
 	texts := newLoopTexts(g)
 	blockers := structuralBlockers(c, texts)
@@ -539,7 +583,7 @@ func CertifyLoop(c *Context) *Verdict {
 
 	// Pairwise exact resolution over the loop's own affine references.
 	exit := exitNode(g)
-	var racy []*Witness
+	var racy leastCollision
 	var refs []*ir.Ref
 	for _, r := range g.Refs {
 		if !r.FromInner && r.Affine {
@@ -559,9 +603,9 @@ func CertifyLoop(c *Context) *Verdict {
 				})
 			case pairConflict:
 				if exit != nil && g.Dominates(r1.Node, exit) && g.Dominates(r2.Node, exit) {
-					racy = append(racy, o.witness)
+					racy.offer(o.conflict)
 				} else {
-					t1, t2, dist := texts.of(r1), texts.of(r2), o.witness.Distance
+					t1, t2, dist := texts.of(r1), texts.of(r2), o.conflict.distance()
 					blockers = append(blockers, Blocker{
 						Pos:  r1.Expr.Pos(),
 						Slug: "guarded-conflict",
@@ -587,19 +631,14 @@ func CertifyLoop(c *Context) *Verdict {
 
 	// Pairs involving a summarized inner loop, which the pairwise solver
 	// above skips (their subscripts range over inner induction variables).
-	nestEv, nestRacy, nestBlockers := certifyNest(c, g, texts)
+	nestEv, nestBlockers := certifyNest(c, g, texts, &racy)
 	v.Evidence = append(v.Evidence, nestEv...)
-	racy = append(racy, nestRacy...)
 	blockers = append(blockers, nestBlockers...)
 
 	switch {
-	case len(racy) > 0:
-		sort.Slice(racy, func(i, j int) bool { return witnessLess(racy[i], racy[j]) })
+	case racy.any:
 		v.Class = VerdictRacy
-		v.Witness = racy[0]
-		if w := v.Witness; w.from != nil {
-			w.Cell, w.HasCell = evalCell(w.from, w.IV, w.IterEarly)
-		}
+		v.Witness = racy.best.witness(g.IV, texts)
 	case len(blockers) > 0:
 		// Order by position, then reason, and collapse duplicates (distinct
 		// pairs often fail on the same construct at the same position),
@@ -632,7 +671,48 @@ func CertifyLoop(c *Context) *Verdict {
 			return a.Reason() < b.Reason()
 		})
 	}
+	if v.Class != VerdictUnknown {
+		// The dependence graph's carried edges, for cross-checking the
+		// verdict against the paper's §4.3 machinery.
+		if res := c.result("delta-reaching-refs"); res != nil {
+			v.CarriedDeps = carriedEdges(g, res)
+		}
+	}
 	return v
+}
+
+// carriedEdges counts the loop-carried edges internal/depend's graph of g
+// holds within maxBlockingDist, without building the graph: the distinct
+// (source node, sink node, distance, kind) tuples at distance ≥ 1 among
+// the δ-reaching-references dependences. Edges whose distance cannot fit
+// in the trip count are dropped: the dependence graph has no trip-count
+// feasibility pruning, and the certifier correctly classifies a loop as
+// parallel when every candidate collision lies beyond the last iteration.
+func carriedEdges(g *ir.Graph, res *dataflow.Result) int {
+	type edge struct {
+		from, to int
+		distance int64
+		kind     string
+	}
+	var edges []edge
+	for _, d := range problems.FindDependences(res, maxBlockingDist) {
+		if d.Distance < 1 || (g.HasUB && d.Distance+1 > g.UBConst) {
+			continue
+		}
+		edges = append(edges, edge{d.From.Node.ID, d.To.Node.ID, d.Distance, d.Kind})
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		switch {
+		case a.from != b.from:
+			return a.from - b.from
+		case a.to != b.to:
+			return a.to - b.to
+		case a.distance != b.distance:
+			return int(a.distance - b.distance)
+		}
+		return strings.Compare(a.kind, b.kind)
+	})
+	return len(slices.Compact(edges))
 }
 
 // structuralBlockers collects the constructs that keep a loop out of the
@@ -703,19 +783,19 @@ func exitNode(g *ir.Graph) *ir.Node {
 	return nil
 }
 
-// witnessLess orders witnesses deterministically: smallest distance first,
-// then earliest source positions.
-func witnessLess(a, b *Witness) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
+// collisionLess orders collisions as their witnesses are ordered:
+// smallest distance first, then earliest source positions, then kind.
+func collisionLess(a, b *collision) bool {
+	if da, db := a.distance(), b.distance(); da != db {
+		return da < db
 	}
-	if a.FromPos != b.FromPos {
-		return a.FromPos.Line < b.FromPos.Line || (a.FromPos.Line == b.FromPos.Line && a.FromPos.Col < b.FromPos.Col)
+	if ap, bp := a.early.Expr.Pos(), b.early.Expr.Pos(); ap != bp {
+		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
 	}
-	if a.ToPos != b.ToPos {
-		return a.ToPos.Line < b.ToPos.Line || (a.ToPos.Line == b.ToPos.Line && a.ToPos.Col < b.ToPos.Col)
+	if ap, bp := a.late.Expr.Pos(), b.late.Expr.Pos(); ap != bp {
+		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
 	}
-	return a.Kind < b.Kind
+	return dependenceKind(a.early, a.late) < dependenceKind(b.early, b.late)
 }
 
 // symbolicTrip is a symbolic loop bound as resolvePair consults it: the
@@ -736,7 +816,7 @@ type symbolicTrip struct {
 // a constant offset. Every statically undecidable pair yields a blocker
 // carrying the exact comparison that failed.
 func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts.Facts, trip symbolicTrip) pairOutcome {
-	hasUB, ub, iv := g.HasUB, g.UBConst, g.IV
+	hasUB, ub := g.HasUB, g.UBConst
 	// tripAtMost reports whether the trip count provably fits within k
 	// iterations — from the constant bound, or from the facts when the
 	// bound is a symbolic expression with a known upper bound.
@@ -767,7 +847,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 		if delta < 0 {
 			early, late, delta = r2, r1, -delta
 		}
-		return conflict(early, late, 1, 1+delta, iv, texts)
+		return conflict(early, late, 1, 1+delta)
 	}
 	// symbolic names the pair for the blockers below.
 	pair := func() string { return texts.of(r1) + " and " + texts.of(r2) }
@@ -782,7 +862,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 		if tripAtMost(1) {
 			return evidence(pairNone, fixedText("single-iteration loop"))
 		}
-		return conflict(r1, r2, 1, 2, iv, texts)
+		return conflict(r1, r2, 1, 2)
 	case ok1 && ok2 && a1 == a2:
 		diff := b1 - b2
 		if diff%a1 != 0 {
@@ -792,7 +872,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 		}
 		return constDelta(diff / a1)
 	case ok1 && ok2: // different constant strides
-		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, iv, texts)
+		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, texts)
 	case r1.Form.A.Equal(r2.Form.A) && r1.Form.A.IsZero():
 		// Both subscripts are invariant in iv (common for the innermost loop
 		// of a nest, where the subscript ranges over the outer variables):
@@ -803,7 +883,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 			if tripAtMost(1) {
 				return evidence(pairNone, fixedText("single-iteration loop"))
 			}
-			return conflict(r1, r2, 1, 2, iv, texts)
+			return conflict(r1, r2, 1, 2)
 		}
 		if facts.ProveNonZero(diff) {
 			return evidence(pairNone, deferText(func() string {
@@ -908,7 +988,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 
 // resolveDifferentStrides searches for the smallest iteration distance at
 // which a1·i + b1 and a2·j + b2 coincide with i ≠ j, both in range.
-func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, iv string, texts loopTexts) pairOutcome {
+func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, texts loopTexts) pairOutcome {
 	da := a1 - a2
 	bound := int64(differentStrideScan)
 	if hasUB {
@@ -920,7 +1000,7 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 			i2 := num / da
 			i1 := i2 - d
 			if i1 >= 1 && (!hasUB || i2 <= ub) {
-				return conflict(r1, r2, i1, i2, iv, texts)
+				return conflict(r1, r2, i1, i2)
 			}
 		}
 		// Direction B: r2 runs d iterations before r1 (i1 − i2 = d).
@@ -928,7 +1008,7 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 			i1 := num / da
 			i2 := i1 - d
 			if i2 >= 1 && (!hasUB || i1 <= ub) {
-				return conflict(r2, r1, i2, i1, iv, texts)
+				return conflict(r2, r1, i2, i1)
 			}
 		}
 	}
@@ -960,26 +1040,10 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 	})
 }
 
-// conflict builds the pairConflict outcome with a fully-populated witness:
-// early executes at iteration iterEarly, late at iterLate, touching the
-// same element.
-func conflict(early, late *ir.Ref, iterEarly, iterLate int64, iv string, texts loopTexts) pairOutcome {
-	w := &Witness{
-		IV:        iv,
-		IterEarly: iterEarly,
-		IterLate:  iterLate,
-		Distance:  iterLate - iterEarly,
-		Kind:      dependenceKind(early, late),
-		Array:     early.Array,
-		FromText:  texts.of(early),
-		ToText:    texts.of(late),
-		FromStore: early.Kind == ir.Def,
-		ToStore:   late.Kind == ir.Def,
-		FromPos:   early.Expr.Pos(),
-		ToPos:     late.Expr.Pos(),
-		from:      early.Expr,
-	}
-	return pairOutcome{kind: pairConflict, witness: w}
+// conflict builds the pairConflict outcome: early executes at iteration
+// iterEarly, late at iterLate, touching the same element.
+func conflict(early, late *ir.Ref, iterEarly, iterLate int64) pairOutcome {
+	return pairOutcome{kind: pairConflict, conflict: collision{early: early, late: late, iterEarly: iterEarly, iterLate: iterLate}}
 }
 
 func dependenceKind(early, late *ir.Ref) string {

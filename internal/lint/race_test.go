@@ -363,3 +363,32 @@ func TestBridgeBindsScalarsAssignedLater(t *testing.T) {
 		t.Fatalf("exit %d, want 0: %v", res.ExitCode(), res.Findings)
 	}
 }
+
+// TestNestWitnessEarlyReadsItsOwnInnerValues pins the witness of a nest
+// whose collision runs from the pair's second reference to its first: the
+// load of A[4·i + j + 9] at i = 1, j' = 1 reads A[14], which the store
+// to A[4·i + j] writes at i = 3, j = 2. The colliding cell is the early
+// reference's, evaluated at the early side's own inner values.
+func TestNestWitnessEarlyReadsItsOwnInnerValues(t *testing.T) {
+	pa := analyzeSource(t, "do i = 1, 10\n  do j = 1, 4\n    A[4*i + j] := A[4*i + j + 9] + 1\n  enddo\nenddo\n")
+	var outer *driver.LoopAnalysis
+	for _, la := range pa.Loops {
+		if la.Loop.Var == "i" {
+			outer = la
+		}
+	}
+	v := lint.CertifyLoop(&lint.Context{Program: pa.Prog, Info: pa.Info, Loop: outer})
+	if v.Class != lint.VerdictRacy {
+		t.Fatalf("verdict %v, want racy", v.Class)
+	}
+	w := v.Witness
+	got := fmt.Sprintf("%s %s at %d, %s %s at %d, distance %d, cell %s",
+		w.Kind, w.FromText, w.IterEarly, map[bool]string{true: "store", false: "load"}[w.ToStore], w.ToText, w.IterLate, w.Distance, w.CellString())
+	want := "anti A[4 * i + j + 9] at 1, store A[4 * i + j] at 3, distance 2, cell A[14]"
+	if got != want || w.FromStore {
+		t.Fatalf("witness %q, want %q", got, want)
+	}
+	if err := lint.ReplayWitness(pa.Prog, outer.Loop, w); err != nil {
+		t.Fatalf("witness did not replay: %v", err)
+	}
+}

@@ -75,7 +75,9 @@ type bridgeJob struct {
 
 // bridge runs the dynamic checks of one program.
 type bridge struct {
-	prog *ast.Program
+	// code is the program compiled once; every run of the bridge executes
+	// it, shuffled runs concurrently.
+	code *interp.Compiled
 	// free are the program's free scalars, sorted; realizeTrip binds them.
 	free []string
 	// seed gives every array the program names its initial cell values.
@@ -97,7 +99,7 @@ type tripProbe struct {
 
 func newBridge(prog *ast.Program) *bridge {
 	return &bridge{
-		prog:   prog,
+		code:   interp.Compile(prog),
 		free:   freeScalars(prog),
 		seed:   programSeed(prog),
 		probes: map[string]*tripProbe{},
@@ -161,9 +163,10 @@ func (b *bridge) run(jobs []*bridgeJob, parallelism int) {
 
 // naturalRun executes the program once in natural order from init,
 // replaying every witness of the group on its own tracker, and returns
-// the final state and how the run ended.
+// the final state and how the run ended. An access reaches only the
+// trackers of the loops running at the time.
 func (b *bridge) naturalRun(init *interp.State, group []*bridgeJob) (*interp.State, error) {
-	var trackers []*tracker
+	var trackers, active []*tracker
 	byLoop := map[*ast.DoLoop][]*tracker{}
 	for _, j := range group {
 		if j.witness != nil {
@@ -176,6 +179,9 @@ func (b *bridge) naturalRun(init *interp.State, group []*bridgeJob) (*interp.Sta
 	if len(trackers) > 0 {
 		opts.LoopIter = func(l *ast.DoLoop, i int64) {
 			for _, t := range byLoop[l] {
+				if !t.active {
+					active = append(active, t)
+				}
 				t.iter(i)
 			}
 		}
@@ -183,15 +189,16 @@ func (b *bridge) naturalRun(init *interp.State, group []*bridgeJob) (*interp.Sta
 			for _, t := range byLoop[l] {
 				t.active = false
 			}
+			active = slices.DeleteFunc(active, func(t *tracker) bool { return !t.active })
 		}
 		opts.TraceRef = func(ref *ast.ArrayRef, isStore bool, idx []int64) {
-			for _, t := range trackers {
+			for _, t := range active {
 				t.access(b, ref, isStore, idx)
 			}
 		}
 	}
 	b.runs++
-	final, _, err := interp.Run(b.prog, init, opts)
+	final, _, err := b.code.Run(init, opts)
 	for _, t := range trackers {
 		t.job.err = t.verdict(err)
 	}
@@ -202,7 +209,7 @@ func (b *bridge) naturalRun(init *interp.State, group []*bridgeJob) (*interp.Sta
 // shuffled schedule and compares the final arrays with the natural run's.
 func (b *bridge) shuffledRun(j *bridgeJob, init, natural *interp.State) error {
 	rng := rand.New(rand.NewSource(j.shuffleSeed))
-	shuffled, _, err := interp.Run(b.prog, init, &interp.Options{
+	shuffled, _, err := b.code.Run(init, &interp.Options{
 		MaxSteps: dynamicMaxSteps,
 		LoopOrder: func(l *ast.DoLoop, iters []int64) []int64 {
 			if l != j.loop {
@@ -349,7 +356,7 @@ func (b *bridge) probe(env map[string]int64) *tripProbe {
 	}
 	p := &tripProbe{trips: map[*ast.DoLoop]int64{}}
 	b.runs++
-	_, _, p.err = interp.Run(b.prog, st, &interp.Options{
+	_, _, p.err = b.code.Run(st, &interp.Options{
 		MaxSteps: dynamicMaxSteps,
 		LoopIter: func(l *ast.DoLoop, i int64) {
 			if i > p.trips[l] {

@@ -32,7 +32,7 @@
 #
 # BENCH_TIME sets the go test -benchtime value (default 1s; CI lowers it).
 # Nothing else is configurable: the benchmark set (the solver suite plus
-# both BenchmarkVet variants and the three BenchmarkRender writers, the
+# the three BenchmarkVet variants and the three BenchmarkRender writers, the
 # last two recorded ungated), the advisory baseline, every hard gate and
 # the sweep (snapshot BENCH_PR10.json, floor 78%) always run.
 set -euo pipefail
