@@ -15,8 +15,8 @@ import (
 // word-packed rows in its scratch, and when it finishes it keeps, per set
 // (IN, OUT) and per class, only the node IDs where the value changes and
 // the value from there on. A cell is read by binary search over its run.
-// The same bytes are what the memo holds, what a relocated twin shares and
-// what the disk cache writes (PersistVersion result-v4).
+// The same bytes are what the memo holds, for every loop of the same
+// content, and what the disk cache writes (PersistVersion result-v4).
 //
 // Layout, little-endian:
 //

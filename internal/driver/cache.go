@@ -15,7 +15,6 @@ import (
 	"repro/internal/problems"
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
-	"repro/internal/token"
 )
 
 // solved is one fully-analyzed loop. The per-spec solver counters are
@@ -31,9 +30,11 @@ import (
 // Once a cache entry is published its solved value is never mutated again
 // beyond the one-shot materialization — the graph is Precompute()d before
 // parts is published and the solver never writes into a finished Result —
-// so identical loop bodies can share one solved value across goroutines
-// and across Analyze calls. materialize's sync.Once provides the
-// happens-before edge for lazy values.
+// so every loop of the same content shares one solved value, across
+// goroutines, Analyze calls and source positions: the graph's reference
+// Exprs belong to the loop that filled the entry, and each loop reads its
+// own positions through LoopAnalysis.RefExpr. materialize's sync.Once
+// provides the happens-before edge for lazy values.
 type solved struct {
 	// meta holds one entry per spec, in the solve's spec order.
 	meta []specMeta
@@ -43,9 +44,6 @@ type solved struct {
 	// blobs pin anyway.
 	stored bool
 	lines  []byte
-	// twin is the memo entry a relocated value is restored from. Reuse
-	// lines carry no source positions, so they are the twin's.
-	twin *solved
 
 	once sync.Once
 	// fill is set on lazily-loaded values; it must not fail (the disk
@@ -93,13 +91,8 @@ func (sv *solved) nodes() int {
 // must-reaching-definitions solve: lead, iv, ": ", the reuse as
 // Reuse.WriteTo renders it, and '\n'. A value solved in memory renders
 // from its reuse records and keeps no text; a value loaded from disk
-// copies the lines its entry stored, and a relocated twin those of its
-// source entry, so neither restores anything.
+// copies the lines its entry stored, so it restores nothing.
 func (sv *solved) writeReuses(b *strings.Builder, lead, iv string) {
-	if sv.twin != nil {
-		sv.twin.writeReuses(b, lead, iv)
-		return
-	}
 	if sv.stored {
 		// The decoder admits only lines that end in '\n', so every step
 		// finds one.
@@ -125,9 +118,6 @@ func (sv *solved) writeReuses(b *strings.Builder, lead, iv string) {
 // reuseSize estimates the bytes writeReuses writes when each line opens
 // with prefix bytes, without restoring a deferred value.
 func (sv *solved) reuseSize(prefix int) int {
-	if sv.twin != nil {
-		return sv.twin.reuseSize(prefix)
-	}
 	if sv.stored {
 		return len(sv.lines) + prefix*bytes.Count(sv.lines, []byte{'\n'})
 	}
@@ -171,9 +161,6 @@ type cacheEntry struct {
 	// the Once's happens-before edge covers later claimants too).
 	diskHit   bool
 	loadBytes int64
-	// pos digests the source positions of the loop whose solve filled the
-	// entry (written inside once, like diskHit).
-	pos uint64
 	// bytes is what the table has charged for the entry (under the
 	// table's mutex): its value's held bytes once published, plus the
 	// restored parts of a disk-loaded value once they are built.
@@ -439,7 +426,8 @@ type solveOutcome struct {
 // solving, and a fresh solve is written back after the entry is published —
 // later claimants proceed on the in-memory value while the claiming worker
 // completes the store. The claiming worker charges the published value's
-// held bytes to the memo.
+// held bytes to the memo. Every hit returns the entry's own value, at
+// whatever source positions the loop sits.
 func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solved, solveOutcome, error) {
 	oracle := factsOracle(facts)
 	if !env.useCache {
@@ -453,11 +441,9 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solve
 	key := cacheKey(loop, env.specs, env.dims, env.fuel, sig)
 	e, hit := globalCache.claim(key)
 	claimed := false
-	pos := posDigest(loop)
 	var held int64
 	e.once.Do(func() {
 		claimed = true
-		e.pos = pos
 		if env.disk != nil {
 			if sv, n, ok := env.disk.load(key, loop, oracle, env); ok {
 				// The payload is what the value holds until a consumer
@@ -487,106 +473,7 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solve
 			out.storeBytes = env.disk.store(key, env.specs, e.sv)
 		}
 	}
-	if e.err == nil && e.pos != pos {
-		// The entry's graph holds another loop's Exprs, and analyzers
-		// read source positions off them: answer with the entry's rows
-		// on this loop's own graph.
-		return e.sv.relocated(loop, env), out, nil
-	}
 	return e.sv, out, e.err
-}
-
-// relocated returns sv lazily rebuilt on loop's own graph: a twin of the
-// loop sv was solved for (same memo key) at other source positions. The
-// twin's results share the entry's change-point rows; only the graph,
-// class tables and reuse records are its own.
-func (sv *solved) relocated(loop *ast.DoLoop, env *solveEnv) *solved {
-	specs, dims := env.specs, env.dims
-	return &solved{meta: sv.meta, twin: sv, fill: func() *solvedParts {
-		src := sv.materialize()
-		rows := make([][]byte, len(specs))
-		for i, spec := range specs {
-			res := src.results[spec.Name]
-			if res == nil {
-				return src
-			}
-			rows[i] = res.Rows()
-		}
-		parts, err := restoreParts(loop, specs, dims, sv.meta, rows)
-		if err != nil {
-			// Unreachable: the twin's identical content rebuilds the
-			// shapes the rows were solved on. Keep the entry's facts.
-			return src
-		}
-		return parts
-	}}
-}
-
-// posDigest folds the source position of every node of loop into one
-// value. Memo hits compare it to tell a loop's own entry from a twin's.
-func posDigest(loop *ast.DoLoop) uint64 {
-	h := posHash(14695981039346656037)
-	h.stmt(loop)
-	return uint64(h)
-}
-
-// posHash is an FNV-style fold over positions, walked without closures:
-// every memo lookup pays for it.
-type posHash uint64
-
-func (h *posHash) pos(p token.Pos) {
-	*h = (*h ^ posHash(p.Line)<<32 ^ posHash(uint32(p.Col))) * 1099511628211
-}
-
-func (h *posHash) stmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case *ast.DoLoop:
-		h.pos(st.DoPos)
-		h.expr(st.Lo)
-		h.expr(st.Hi)
-		h.expr(st.Step)
-		for _, b := range st.Body {
-			h.stmt(b)
-		}
-	case *ast.If:
-		h.pos(st.IfPos)
-		h.expr(st.Cond)
-		for _, b := range st.Then {
-			h.stmt(b)
-		}
-		for _, b := range st.Else {
-			h.stmt(b)
-		}
-	case *ast.Assign:
-		h.expr(st.LHS)
-		h.expr(st.RHS)
-	case *ast.Dim:
-		h.pos(st.DimPos)
-		h.pos(st.NamePos)
-		for _, e := range st.Sizes {
-			h.expr(e)
-		}
-	}
-}
-
-func (h *posHash) expr(e ast.Expr) {
-	switch ex := e.(type) {
-	case *ast.Ident:
-		h.pos(ex.NamePos)
-	case *ast.IntLit:
-		h.pos(ex.LitPos)
-	case *ast.ArrayRef:
-		h.pos(ex.NamePos)
-		for _, sub := range ex.Subs {
-			h.expr(sub)
-		}
-	case *ast.Binary:
-		h.expr(ex.L)
-		h.expr(ex.R)
-	case *ast.Unary:
-		h.pos(ex.OpPos)
-		h.expr(ex.X)
-	}
 }
 
 // factsOracle adapts a fact environment to the solver's oracle interface.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/rangefacts"
 	"repro/internal/sema"
 	"repro/internal/synth"
-	"repro/internal/token"
 )
 
 // fpKey builds a distinct memo key for testing eviction mechanics.
@@ -348,10 +347,9 @@ func TestFingerprintPartitionMatchesCanonical(t *testing.T) {
 }
 
 // TestMemoHitsKeepTheirOwnPositions pins the memo's position contract:
-// a hit from the loop that filled the entry, at the same source positions,
-// shares the entry's value, while a twin at other positions gets the
-// entry's facts on its own graph, whose references sit at its own
-// positions.
+// every hit shares the entry's value, graph included, whatever the
+// loop's source positions, and each loop reads its references' positions
+// from its own source through RefExpr.
 func TestMemoHitsKeepTheirOwnPositions(t *testing.T) {
 	loop := "do i = 1, 10\n  A[i] := A[i-1] + 1\n  B[i] := A[i]\nenddo\n"
 	analyze := func() *ProgramAnalysis {
@@ -370,21 +368,26 @@ func TestMemoHitsKeepTheirOwnPositions(t *testing.T) {
 	if first.Metrics.CacheMisses != 1 || again.Metrics.CacheHits != 2 {
 		t.Fatalf("misses %d then hits %d, want 1 and 2", first.Metrics.CacheMisses, again.Metrics.CacheHits)
 	}
-	if first.Loops[0].Graph() != again.Loops[0].Graph() {
-		t.Error("a hit at the filling loop's positions did not share the entry's graph")
-	}
+	entry := first.Loops[0].Graph()
 	for _, pa := range []*ProgramAnalysis{first, again} {
 		for _, la := range pa.Loops {
-			own := map[token.Pos]bool{}
+			if la.Graph() != entry {
+				t.Errorf("loop at %s: a memo hit did not share the entry's graph", la.Loop.Pos())
+			}
+			own := map[*ast.ArrayRef]bool{}
 			ast.Inspect(la.Loop.Body, func(n ast.Node) bool {
 				if ref, ok := n.(*ast.ArrayRef); ok {
-					own[ref.Pos()] = true
+					own[ref] = true
 				}
 				return true
 			})
 			for _, r := range la.Graph().Refs {
-				if !own[r.Expr.Pos()] {
-					t.Fatalf("loop at %s: reference %s at %s belongs to another loop", la.Loop.Pos(), ast.ExprString(r.Expr), r.Expr.Pos())
+				expr := la.RefExpr(r)
+				if !own[expr] {
+					t.Fatalf("loop at %s: RefExpr(%s) at %s belongs to another loop", la.Loop.Pos(), r, expr.Pos())
+				}
+				if got, want := ast.ExprString(expr), ast.ExprString(r.Expr); got != want {
+					t.Fatalf("loop at %s: RefExpr(%s) is %s", la.Loop.Pos(), r, got)
 				}
 			}
 			if got, want := la.Reuses(), first.Loops[0].Reuses(); len(got) != len(want) {

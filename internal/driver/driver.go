@@ -57,6 +57,11 @@ type LoopAnalysis struct {
 	// key is the memo key of the own solve (zero with the cache disabled);
 	// DiffPrograms matches two versions' loops by it.
 	key memoKey
+	// refs are Loop's own references in graph-ref-ID order (ir.RefExprs),
+	// walked on the first RefExpr call: only consumers that report
+	// positions pay for the walk.
+	refsOnce sync.Once
+	refs     []*ast.ArrayRef
 }
 
 // Facts returns the loop's range-fact environment: loop bounds, dominating
@@ -64,8 +69,19 @@ type LoopAnalysis struct {
 // intervals. Nil only for hand-built LoopAnalysis values.
 func (la *LoopAnalysis) Facts() *rangefacts.Facts { return la.facts }
 
-// Graph returns the loop's flow graph.
+// Graph returns the loop's flow graph. The solve is memoized by content,
+// so every loop of the same content shares one graph, built from
+// whichever of them filled the memo entry: read it for content (texts,
+// subscripts, forms), and positions through RefExpr.
 func (la *LoopAnalysis) Graph() *ir.Graph { return la.own.materialize().graph }
+
+// RefExpr returns r, a reference of the loop's graph or of one of its §3.6
+// re-analyses (which walk the same body), as it occurs in the loop's own
+// source.
+func (la *LoopAnalysis) RefExpr(r *ir.Ref) *ast.ArrayRef {
+	la.refsOnce.Do(func() { la.refs = ir.RefExprs(la.Loop) })
+	return la.refs[r.ID-1]
+}
 
 // Results maps spec name → fixed point for the analyses requested.
 func (la *LoopAnalysis) Results() map[string]*dataflow.Result {

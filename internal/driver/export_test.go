@@ -48,3 +48,18 @@ func Restored(la *LoopAnalysis) (own bool, wrt map[string]bool) {
 	}
 	return la.own.parts != nil, wrt
 }
+
+// SameSolves reports whether two loops hold the same solved values: their
+// own solve and the §3.6 re-analysis for every enclosing induction
+// variable.
+func SameSolves(a, b *LoopAnalysis) bool {
+	if a.own != b.own || len(a.wrt) != len(b.wrt) {
+		return false
+	}
+	for iv, sv := range a.wrt {
+		if b.wrt[iv] != sv {
+			return false
+		}
+	}
+	return true
+}

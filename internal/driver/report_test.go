@@ -24,12 +24,12 @@ func mustLoad(tb testing.TB, name, src string) *ast.Program {
 
 // TestReportSameBytesEveryPath holds Report to the memo-free report on
 // every path a loop's solve can take: a cold run that stores its solves, a
-// memo-warm rerun, a shifted copy answered from that memo (relocated
-// twins), a disk-warm run, a shifted copy answered from the disk-loaded
-// memo and from disk itself, and a run over a damaged cache. It covers
-// every examples/*.loop and 8 generated programs with nests (§3.6
-// re-analyses) and repeated bodies (twins within a program), under the
-// default specs and StandardSpecs, vectors on and off, and fuel 1.
+// memo-warm rerun, a shifted copy answered from that memo (sharing its
+// entries' values), a disk-warm run, a shifted copy answered from the
+// disk-loaded memo and from disk itself, and a run over a damaged cache.
+// It covers every examples/*.loop and 8 generated programs with nests
+// (§3.6 re-analyses) and repeated bodies (twins within a program), under
+// the default specs and StandardSpecs, vectors on and off, and fuel 1.
 func TestReportSameBytesEveryPath(t *testing.T) {
 	srcs := ValidExamples(t)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -53,7 +53,8 @@ func TestReportSameBytesEveryPath(t *testing.T) {
 
 // checkReportPaths runs src and a copy shifted by three lines through every
 // cache path under opts (CacheDir is set here) and compares each Report
-// with the memo-free one.
+// with the memo-free one. The memo ignores positions, so the memo-warm
+// shifted copy must share the memo-warm run's values.
 func checkReportPaths(t *testing.T, label, src string, opts *Options) {
 	t.Helper()
 	prog := mustLoad(t, label, src)
@@ -77,8 +78,8 @@ func checkReportPaths(t *testing.T, label, src string, opts *Options) {
 		if got := pa.Report(); got != want {
 			t.Errorf("%s %s: report differs from the memo-free one:\n%s--- want ---\n%s", label, path, got, want)
 		}
-		// Relocated twins and disk loads hold no graph or rows until
-		// something reads the loop's facts, and Report does not.
+		// Disk loads hold no graph or rows until something reads the
+		// loop's facts, and Report does not.
 		for _, la := range pa.Loops {
 			restored, wrt := Restored(la)
 			for _, r := range wrt {
@@ -92,8 +93,12 @@ func checkReportPaths(t *testing.T, label, src string, opts *Options) {
 	}
 	ResetCache()
 	run("cold", prog, false)
-	run("memo-warm", prog, false)
-	run("memo-warm twin", shifted, true)
+	warm := run("memo-warm", prog, false)
+	for k, la := range run("memo-warm twin", shifted, false).Loops {
+		if !SameSolves(la, warm.Loops[k]) {
+			t.Errorf("%s memo-warm twin: loop %s does not share the memo entry's value", label, la.Loop.Var)
+		}
+	}
 	ResetCache()
 	if pa := run("disk-warm", prog, true); pa.Metrics.DiskHits == 0 || pa.Metrics.DiskHits != pa.Metrics.CacheMisses {
 		t.Errorf("%s disk-warm: %d of %d memo misses served from disk", label, pa.Metrics.DiskHits, pa.Metrics.CacheMisses)

@@ -23,7 +23,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/poly"
 	"repro/internal/sema"
-	"repro/internal/token"
 )
 
 // NodeKind classifies graph nodes.
@@ -122,11 +121,6 @@ func (r *Ref) String() string {
 type Node struct {
 	ID   int // 1-based; the exit node is always the highest ID
 	Kind NodeKind
-
-	// SrcPos is the source position of the statement (or condition) the
-	// node stands for; the exit node carries its loop's position. Zero for
-	// synthesized nodes.
-	SrcPos token.Pos
 
 	// Assign is set for KindStmt nodes.
 	Assign *ast.Assign
@@ -258,7 +252,6 @@ func Build(loop *ast.DoLoop, opts *Options) (*Graph, error) {
 
 	// Exit node.
 	exit := b.newNode(KindExit)
-	exit.SrcPos = loop.Pos()
 	g.Exit = exit
 	if len(g.Nodes) == 1 {
 		// Empty body: the exit node is also the entry.
@@ -276,6 +269,54 @@ func Build(loop *ast.DoLoop, opts *Options) (*Graph, error) {
 
 	g.computeReach()
 	return g, b.err
+}
+
+// RefExprs returns the subscripted references of loop's body in the order
+// Build numbers them: Build(loop).Refs[k].Expr is RefExprs(loop)[k]. Each
+// assignment contributes its RHS references, then its LHS definition; an
+// IF its condition's references, then its branches; a nested loop its
+// body, bounds excluded. A graph depends on its loop's content alone, so
+// loops of the same content can share one, and each reads its own source
+// positions through this table.
+func RefExprs(loop *ast.DoLoop) []*ast.ArrayRef {
+	var w refWalk
+	w.block(loop.Body)
+	return w.out
+}
+
+// refWalk collects references without closures, once per analyzed loop.
+type refWalk struct{ out []*ast.ArrayRef }
+
+func (w *refWalk) block(stmts []ast.Stmt) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *ast.Assign:
+			w.expr(st.RHS)
+			if lhs, ok := st.LHS.(*ast.ArrayRef); ok {
+				w.out = append(w.out, lhs)
+			}
+		case *ast.If:
+			w.expr(st.Cond)
+			w.block(st.Then)
+			w.block(st.Else)
+		case *ast.DoLoop:
+			w.block(st.Body)
+		}
+	}
+}
+
+// expr records the outermost references of e: subscripts of a subscripted
+// reference are not references of the loop.
+func (w *refWalk) expr(e ast.Expr) {
+	switch ex := e.(type) {
+	case *ast.ArrayRef:
+		w.out = append(w.out, ex)
+	case *ast.Binary:
+		w.expr(ex.L)
+		w.expr(ex.R)
+	case *ast.Unary:
+		w.expr(ex.X)
+	}
 }
 
 type builder struct {
@@ -323,14 +364,12 @@ func (b *builder) buildBlock(stmts []ast.Stmt) (heads, tails []*Node) {
 		case *ast.Assign:
 			n := b.newNode(KindStmt)
 			n.Assign = st
-			n.SrcPos = st.Pos()
 			b.collectAssignRefs(n, st)
 			link(n)
 
 		case *ast.DoLoop:
 			n := b.newNode(KindSummary)
 			n.Loop = st
-			n.SrcPos = st.Pos()
 			b.g.InnerIVs[st.Var] = true
 			b.collectSummaryRefs(n, st)
 			link(n)
@@ -346,7 +385,6 @@ func (b *builder) buildBlock(stmts []ast.Stmt) (heads, tails []*Node) {
 				site = frontier[0]
 			} else {
 				site = b.newNode(KindCond)
-				site.SrcPos = st.Pos()
 				link(site)
 			}
 			site.Cond = st.Cond

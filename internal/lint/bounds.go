@@ -30,11 +30,14 @@ func runBounds(c *Context) []diag.Finding {
 			// Inner-loop references are checked by the inner loop's own run.
 			continue
 		}
+		// The loop's own expression, whose subscripts sit at its own
+		// positions; the shared graph's has the same content.
+		expr := c.Loop.RefExpr(ref)
 		sizes, declared := c.Info.Bounds[ref.Array]
-		if !declared || len(sizes) != len(ref.Expr.Subs) {
+		if !declared || len(sizes) != len(expr.Subs) {
 			continue
 		}
-		for k, sub := range ref.Expr.Subs {
+		for k, sub := range expr.Subs {
 			f, err := sema.AffineOf(sub, g.IV)
 			if err != nil {
 				continue
@@ -48,10 +51,10 @@ func runBounds(c *Context) []diag.Finding {
 			// constant bounds).
 			lo, hi, loKnown, hiKnown := subscriptRange(a, b, g.HasUB, g.UBConst)
 			if loKnown && lo < 1 {
-				out = append(out, c.boundsFinding(ref.Expr, sub, k, sizes[k], lo, a, b, g.HasUB, g.UBConst, true))
+				out = append(out, c.boundsFinding(expr, sub, k, sizes[k], lo, a, b, g.HasUB, g.UBConst, true))
 			}
 			if hiKnown && hi > sizes[k] {
-				out = append(out, c.boundsFinding(ref.Expr, sub, k, sizes[k], hi, a, b, g.HasUB, g.UBConst, false))
+				out = append(out, c.boundsFinding(expr, sub, k, sizes[k], hi, a, b, g.HasUB, g.UBConst, false))
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/diag"
-	"repro/internal/ir"
 	"repro/internal/problems"
 )
 
@@ -34,9 +33,10 @@ func runDeadStore(c *Context) []diag.Finding {
 			when = iterations(rs.Distance) + " later"
 		}
 		store, by := ast.ExprString(rs.Store.Expr), rs.By.String()
+		pos := c.Loop.RefExpr(rs.Store).Pos()
 		f := diag.Finding{
 			Analyzer: "deadstore",
-			Pos:      rs.Store.Expr.Pos(),
+			Pos:      pos,
 			Severity: diag.Warning,
 			Message:  "store to " + store + " is dead: " + by + " overwrites the element " + when + " with no intervening read",
 			Detail: map[string]string{
@@ -47,11 +47,11 @@ func runDeadStore(c *Context) []diag.Finding {
 		}
 		if len(rs.By.Members) > 0 {
 			f.Related = append(f.Related, diag.Related{
-				Pos:     rs.By.Members[0].Expr.Pos(),
+				Pos:     c.Loop.RefExpr(rs.By.Members[0]).Pos(),
 				Message: "overwritten by this store (" + by + ")",
 			})
 		}
-		if fix, ok := deadStoreFix(c.vet().lines, rs.Store, store); ok {
+		if fix, ok := deadStoreFix(c.vet().lines, pos.Line, rs.Store.Array, store); ok {
 			f.SuggestedFixes = append(f.SuggestedFixes, fix)
 		}
 		out = append(out, f)
@@ -63,17 +63,16 @@ func runDeadStore(c *Context) []diag.Finding {
 // only offered when the line provably holds exactly one assignment to the
 // store's array (the mini-language puts one statement per line), so the
 // deletion removes the dead statement and nothing else.
-func deadStoreFix(lines *diag.LineIndex, store *ir.Ref, storeText string) (diag.SuggestedFix, bool) {
+func deadStoreFix(lines *diag.LineIndex, line int, array, storeText string) (diag.SuggestedFix, bool) {
 	if lines == nil {
 		return diag.SuggestedFix{}, false
 	}
-	line := store.Expr.Pos().Line
 	text, ok := lines.Line(line)
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}
 	trimmed := strings.TrimSpace(text)
-	rest, ok := strings.CutPrefix(trimmed, store.Array)
+	rest, ok := strings.CutPrefix(trimmed, array)
 	if !ok || !strings.Contains(rest, ":=") {
 		return diag.SuggestedFix{}, false
 	}

@@ -16,6 +16,11 @@
 // candidate distances with a gcd congruence, and either proves the pair
 // collision-free, constructs a concrete replayable witness, or emits a
 // why-certificate blocker naming the comparison it could not resolve.
+//
+// The graph may have been built from another loop of the same content (the
+// driver memoizes solves by content), so it supplies forms and texts only:
+// the nest's AST context and every reported position come from the
+// analyzed loop's own source.
 package lint
 
 import (
@@ -58,9 +63,9 @@ type nestRefCtx struct {
 }
 
 // nestInfo is the AST-side picture of the loop nest, built by walking the
-// graph's own loop AST (g.Loop — the memo cache may hand a loop the graph
-// of a structurally identical twin, so ref Exprs must be resolved against
-// the AST they actually point into).
+// analyzed loop's own AST: its refs are keyed by the loop's own
+// expressions (loopRefs.expr), and the inner-bound-ref blockers name
+// array reads that are not graph references at all.
 type nestInfo struct {
 	refs  map[*ast.ArrayRef]nestRefCtx
 	inner map[string]bool
@@ -143,20 +148,20 @@ func collectNestInfo(loop *ast.DoLoop) *nestInfo {
 // body references are resolvePair's job; this covers (inner, inner) and
 // (outer, inner) pairs, which the analyzer previously wrote off with a
 // blanket "nested loop is summarized" blocker.
-func certifyNest(c *Context, g *ir.Graph, texts loopTexts, racy *leastCollision) (evs []PairEvidence, blockers []Blocker) {
-	ni := collectNestInfo(g.Loop)
+func certifyNest(c *Context, g *ir.Graph, refs *loopRefs, racy *leastCollision) (evs []PairEvidence, blockers []Blocker) {
+	ni := collectNestInfo(c.Loop.Loop)
 	blockers = append(blockers, ni.blockers...)
 	facts := c.Facts()
 
-	var refs []*ir.Ref
+	var pairable []*ir.Ref
 	for _, r := range g.Refs {
 		switch {
 		case r.FromInner && r.InnerAffine:
-			refs = append(refs, r)
+			pairable = append(pairable, r)
 		case r.FromInner:
-			t := texts.of(r)
+			t := refs.text(r)
 			blockers = append(blockers, Blocker{
-				Pos:    r.Expr.Pos(),
+				Pos:    refs.pos(r),
 				Slug:   "nonaffine-nest-subscript",
 				reason: fixedText("subscript of " + t + " inside a nested loop is not affine in " + g.IV + " and its inner induction variables"),
 				cert: func() (string, string) {
@@ -164,29 +169,29 @@ func certifyNest(c *Context, g *ir.Graph, texts loopTexts, racy *leastCollision)
 				},
 			})
 		case r.Affine:
-			refs = append(refs, r)
+			pairable = append(pairable, r)
 		}
 	}
-	for i, r1 := range refs {
-		for _, r2 := range refs[i:] {
+	for i, r1 := range pairable {
+		for _, r2 := range pairable[i:] {
 			if r1.Array != r2.Array || (r1.Kind != ir.Def && r2.Kind != ir.Def) {
 				continue
 			}
 			if !r1.FromInner && !r2.FromInner {
 				continue // plain pair: the exact pairwise solver owns it
 			}
-			o := resolveNestPair(r1, r2, g, ni, facts, texts)
+			o := resolveNestPair(r1, r2, g, ni, facts, refs)
 			switch o.kind {
 			case pairNone, pairIndependent:
 				evs = append(evs, PairEvidence{
-					FromText: texts.of(r1), ToText: texts.of(r2), reason: o.reason,
+					FromText: refs.text(r1), ToText: refs.text(r2), reason: o.reason,
 				})
 			case pairConflict:
 				racy.offer(o.conflict)
 			case pairUnknown:
 				b := o.blocker
 				if !b.Pos.IsValid() {
-					b.Pos = r1.Expr.Pos()
+					b.Pos = refs.pos(r1)
 				}
 				blockers = append(blockers, b)
 			}
@@ -197,7 +202,7 @@ func certifyNest(c *Context, g *ir.Graph, texts loopTexts, racy *leastCollision)
 
 // resolveNestPair decides one pair with at least one summarized-loop
 // reference: collision-free, a concrete witness, or a certified unknown.
-func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefacts.Facts, texts loopTexts) pairOutcome {
+func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefacts.Facts, refs *loopRefs) pairOutcome {
 	a1, okA1 := r1.Form.A.IsConst()
 	a2, okA2 := r2.Form.A.IsConst()
 	if !okA1 || !okA2 {
@@ -208,7 +213,7 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		return unknown(Blocker{
 			Slug: "nest-symbolic-stride",
 			reason: deferText(func() string {
-				return "stride of " + texts.of(r1) + " or " + texts.of(r2) + " over " + g.IV + " is symbolic (" + sym.String() + ")"
+				return "stride of " + refs.text(r1) + " or " + refs.text(r2) + " over " + g.IV + " is symbolic (" + sym.String() + ")"
 			}),
 			cert: func() (string, string) {
 				s := sym.String()
@@ -220,7 +225,7 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		return unknown(Blocker{
 			Slug: "nest-stride-mismatch",
 			reason: deferText(func() string {
-				return texts.of(r1) + " and " + texts.of(r2) + " advance with different strides (" + itoa(a1) + " and " + itoa(a2) + ") through a summarized loop"
+				return refs.text(r1) + " and " + refs.text(r2) + " advance with different strides (" + itoa(a1) + " and " + itoa(a2) + ") through a summarized loop"
 			}),
 			cert: func() (string, string) {
 				return itoa(a1) + "·i1 + " + r1.Form.B.String() + " = " + itoa(a2) + "·i2 + " + r2.Form.B.String(),
@@ -241,13 +246,13 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		b2, ok = b2.Substitute(s, poly.Sym(primedName(s)))
 		if !ok {
 			return unknown(Blocker{
-				Pos:  r2.Expr.Pos(),
+				Pos:  refs.pos(r2),
 				Slug: "nest-nonlinear-subscript",
 				reason: deferText(func() string {
-					return "subscript of " + texts.of(r2) + " is nonlinear in the inner induction variable " + s
+					return "subscript of " + refs.text(r2) + " is nonlinear in the inner induction variable " + s
 				}),
 				cert: func() (string, string) {
-					return "footprint of " + texts.of(r2) + " across iterations of " + g.IV, "a subscript linear in " + s
+					return "footprint of " + refs.text(r2) + " across iterations of " + g.IV, "a subscript linear in " + s
 				},
 			})
 		}
@@ -266,7 +271,7 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 	}
 
 	if a == 0 {
-		return resolveNestZeroStride(r1, r2, g, ni, d, rng, g0, c0, texts)
+		return resolveNestZeroStride(r1, r2, g, ni, d, rng, g0, c0, refs)
 	}
 
 	if !rng.Bounded() {
@@ -280,12 +285,12 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		}
 		if g0 == 0 {
 			// D is constant: the collision distance is exactly c0/a.
-			return resolveNestConstDistance(r1, r2, g, ni, a, c0, maxAbs, texts)
+			return resolveNestConstDistance(r1, r2, g, ni, a, c0, maxAbs, refs)
 		}
 		return unknown(Blocker{
 			Slug: "nest-symbolic-range",
 			reason: deferText(func() string {
-				return "footprint distance of " + texts.of(r1) + " and " + texts.of(r2) + " is " + d.String() + ", unbounded under the known facts"
+				return "footprint distance of " + refs.text(r1) + " and " + refs.text(r2) + " is " + d.String() + ", unbounded under the known facts"
 			}),
 			cert: func() (string, string) {
 				return itoa(a) + "·δ = " + d.String() + " with δ ≠ 0", "bounds for " + strings.Join(unboundedSymbols(d, facts), ", ")
@@ -322,14 +327,14 @@ func resolveNestPair(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, facts *rangefact
 		}))
 	}
 	for _, sd := range candidates {
-		if o, ok := solveNestCollision(r1, r2, sd, a, d, ni); ok {
+		if o, ok := solveNestCollision(r1, r2, sd, a, d, ni, refs); ok {
 			return o
 		}
 	}
 	first := candidates[0]
 	return unknown(Blocker{
 		Slug:   "nest-witness",
-		reason: deferText(func() string { return nestWitnessReason(texts.of(r1), texts.of(r2), itoa(abs64(first))) }),
+		reason: deferText(func() string { return nestWitnessReason(refs.text(r1), refs.text(r2), itoa(abs64(first))) }),
 		cert: func() (string, string) {
 			return itoa(a) + "·δ = " + d.String() + " at δ = " + itoa(first), nestWitnessMissing
 		},
@@ -348,7 +353,7 @@ const nestWitnessMissing = "constant inner loop bounds and unguarded references 
 // resolveNestZeroStride handles a = 0: the outer iteration number drops
 // out, so the pair collides across iterations exactly when D = B1 − B2′
 // can reach zero.
-func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Poly, rng rangefacts.Interval, g0, c0 int64, texts loopTexts) pairOutcome {
+func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Poly, rng rangefacts.Interval, g0, c0 int64, refs *loopRefs) pairOutcome {
 	if (rng.HasLo && rng.Lo >= 1) || (rng.HasHi && rng.Hi <= -1) {
 		return evidence(pairNone, deferText(func() string {
 			return "footprints never meet: " + d.String() + " ∈ " + rng.String() + " excludes 0"
@@ -362,29 +367,29 @@ func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Pol
 	if d.IsZero() {
 		// Identical footprint every outer iteration; any element collides at
 		// distance 1.
-		if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni); ok {
+		if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni, refs); ok {
 			return o
 		}
 		return unknown(Blocker{
 			Slug: "nest-witness",
 			reason: deferText(func() string {
-				return texts.of(r1) + " and " + texts.of(r2) + " touch the same elements in every iteration of " + g.IV +
+				return refs.text(r1) + " and " + refs.text(r2) + " touch the same elements in every iteration of " + g.IV +
 					", but no replayable witness is constructible (guarded references or symbolic inner bounds)"
 			}),
 			cert: func() (string, string) {
-				return texts.of(r1) + " − " + texts.of(r2) + " = 0", nestWitnessMissing
+				return refs.text(r1) + " − " + refs.text(r2) + " = 0", nestWitnessMissing
 			},
 		})
 	}
 	// Any inner values making D = 0 collide in every two outer iterations,
 	// so the witness uses distance 1.
-	if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni); ok {
+	if o, ok := solveNestCollision(r1, r2, 1, 0, d, ni, refs); ok {
 		return o
 	}
 	return unknown(Blocker{
 		Slug: "nest-symbolic-range",
 		reason: deferText(func() string {
-			return "whether the footprints of " + texts.of(r1) + " and " + texts.of(r2) + " overlap depends on " + d.String()
+			return "whether the footprints of " + refs.text(r1) + " and " + refs.text(r2) + " overlap depends on " + d.String()
 		}),
 		cert: func() (string, string) {
 			s := d.String()
@@ -395,7 +400,7 @@ func resolveNestZeroStride(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, d poly.Pol
 
 // resolveNestConstDistance handles a constant D with a nonzero stride: the
 // unique candidate distance is c0/a.
-func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, maxAbs int64, texts loopTexts) pairOutcome {
+func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, maxAbs int64, refs *loopRefs) pairOutcome {
 	if c0%a != 0 {
 		return evidence(pairNone, deferText(func() string {
 			return "offset " + itoa(c0) + " is not divisible by stride " + itoa(a)
@@ -410,12 +415,12 @@ func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, 
 			return "collision distance " + itoa(abs64(delta)) + " exceeds the trip count"
 		}))
 	}
-	if o, ok := solveNestCollision(r1, r2, delta, a, poly.Const(c0), ni); ok {
+	if o, ok := solveNestCollision(r1, r2, delta, a, poly.Const(c0), ni, refs); ok {
 		return o
 	}
 	return unknown(Blocker{
 		Slug:   "nest-witness",
-		reason: deferText(func() string { return nestWitnessReason(texts.of(r1), texts.of(r2), itoa(abs64(delta))) }),
+		reason: deferText(func() string { return nestWitnessReason(refs.text(r1), refs.text(r2), itoa(abs64(delta))) }),
 		cert: func() (string, string) {
 			return itoa(a) + "·δ = " + itoa(c0) + " at δ = " + itoa(delta), nestWitnessMissing
 		},
@@ -429,9 +434,9 @@ func resolveNestConstDistance(r1, r2 *ir.Ref, g *ir.Graph, ni *nestInfo, a, c0, 
 // both references execute unconditionally, every enclosing inner loop has
 // a constant normalized bound, and D mentions only inner induction
 // variables (primed or not).
-func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, ni *nestInfo) (pairOutcome, bool) {
-	ctx1, ok1 := ni.refs[r1.Expr]
-	ctx2, ok2 := ni.refs[r2.Expr]
+func solveNestCollision(r1, r2 *ir.Ref, sd, a int64, d poly.Poly, ni *nestInfo, refs *loopRefs) (pairOutcome, bool) {
+	ctx1, ok1 := ni.refs[refs.expr(r1)]
+	ctx2, ok2 := ni.refs[refs.expr(r2)]
 	if !ok1 || !ok2 || ctx1.conditional || ctx2.conditional {
 		return pairOutcome{}, false
 	}

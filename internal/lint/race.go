@@ -9,6 +9,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/dataflow"
 	"repro/internal/diag"
+	"repro/internal/driver"
 	"repro/internal/ir"
 	"repro/internal/poly"
 	"repro/internal/problems"
@@ -238,7 +239,7 @@ type collision struct {
 func (c *collision) distance() int64 { return c.iterLate - c.iterEarly }
 
 // witness builds the Witness of the collision in the loop over iv.
-func (c *collision) witness(iv string, texts loopTexts) *Witness {
+func (c *collision) witness(iv string, refs *loopRefs) *Witness {
 	early, late := c.early, c.late
 	w := &Witness{
 		IV:        iv,
@@ -247,12 +248,12 @@ func (c *collision) witness(iv string, texts loopTexts) *Witness {
 		Distance:  c.distance(),
 		Kind:      dependenceKind(early, late),
 		Array:     early.Array,
-		FromText:  texts.of(early),
-		ToText:    texts.of(late),
+		FromText:  refs.text(early),
+		ToText:    refs.text(late),
 		FromStore: early.Kind == ir.Def,
 		ToStore:   late.Kind == ir.Def,
-		FromPos:   early.Expr.Pos(),
-		ToPos:     late.Expr.Pos(),
+		FromPos:   refs.pos(early),
+		ToPos:     refs.pos(late),
 	}
 	if c.env == nil {
 		w.Cell, w.HasCell = evalCell(early.Expr, iv, c.iterEarly)
@@ -267,14 +268,16 @@ func (c *collision) witness(iv string, texts loopTexts) *Witness {
 	return w
 }
 
-// leastCollision keeps the least of the collisions offered to it.
+// leastCollision keeps the least of the collisions offered to it, ordered
+// by the positions refs reads.
 type leastCollision struct {
+	refs *loopRefs
 	best collision
 	any  bool
 }
 
 func (l *leastCollision) offer(c collision) {
-	if !l.any || collisionLess(&c, &l.best) {
+	if !l.any || collisionLess(&c, &l.best, l.refs) {
 		l.best, l.any = c, true
 	}
 }
@@ -286,22 +289,36 @@ func evidence(kind pairKind, reason lazyText) pairOutcome {
 
 func unknown(b Blocker) pairOutcome { return pairOutcome{kind: pairUnknown, blocker: b} }
 
-// loopTexts renders each reference of one loop's graph at most once:
-// evidence, blockers and witnesses name the same references pair after
-// pair.
-type loopTexts []string // by ir.Ref.ID
+// loopRefs names the references of one loop's graph. Evidence, blockers
+// and witnesses name the same references pair after pair, so each text is
+// rendered at most once, from the graph. Positions come from the loop's
+// own source: the graph may have been built from another loop of the same
+// content.
+type loopRefs struct {
+	la    *driver.LoopAnalysis
+	texts []string // by ir.Ref.ID
+}
 
-func newLoopTexts(g *ir.Graph) loopTexts { return make(loopTexts, len(g.Refs)+1) }
+func newLoopRefs(la *driver.LoopAnalysis, g *ir.Graph) *loopRefs {
+	return &loopRefs{la: la, texts: make([]string, len(g.Refs)+1)}
+}
 
-func (t loopTexts) of(r *ir.Ref) string {
-	if r.ID <= 0 || r.ID >= len(t) {
+// text renders r.
+func (t *loopRefs) text(r *ir.Ref) string {
+	if r.ID <= 0 || r.ID >= len(t.texts) {
 		return ast.ExprString(r.Expr)
 	}
-	if t[r.ID] == "" {
-		t[r.ID] = ast.ExprString(r.Expr)
+	if t.texts[r.ID] == "" {
+		t.texts[r.ID] = ast.ExprString(r.Expr)
 	}
-	return t[r.ID]
+	return t.texts[r.ID]
 }
+
+// expr returns r as it occurs in the loop's own source.
+func (t *loopRefs) expr(r *ir.Ref) *ast.ArrayRef { return t.la.RefExpr(r) }
+
+// pos returns r's position in the loop's own source.
+func (t *loopRefs) pos(r *ir.Ref) token.Pos { return t.la.RefExpr(r).Pos() }
 
 type pairKind int
 
@@ -566,8 +583,8 @@ func CertifyLoop(c *Context) *Verdict {
 	}
 
 	// Structural blockers.
-	texts := newLoopTexts(g)
-	blockers := structuralBlockers(c, texts)
+	refs := newLoopRefs(c.Loop, g)
+	blockers := structuralBlockers(c, refs)
 
 	// The loop's range facts and, when the bound is symbolic, its bound
 	// polynomial and the facts' upper bound on it — all feed the
@@ -583,31 +600,31 @@ func CertifyLoop(c *Context) *Verdict {
 
 	// Pairwise exact resolution over the loop's own affine references.
 	exit := exitNode(g)
-	var racy leastCollision
-	var refs []*ir.Ref
+	racy := leastCollision{refs: refs}
+	var affine []*ir.Ref
 	for _, r := range g.Refs {
 		if !r.FromInner && r.Affine {
-			refs = append(refs, r)
+			affine = append(affine, r)
 		}
 	}
-	for i, r1 := range refs {
-		for _, r2 := range refs[i:] {
+	for i, r1 := range affine {
+		for _, r2 := range affine[i:] {
 			if r1.Array != r2.Array || (r1.Kind != ir.Def && r2.Kind != ir.Def) {
 				continue
 			}
-			o := resolvePair(r1, r2, g, texts, facts, trip)
+			o := resolvePair(r1, r2, g, refs, facts, trip)
 			switch o.kind {
 			case pairNone, pairIndependent:
 				v.Evidence = append(v.Evidence, PairEvidence{
-					FromText: texts.of(r1), ToText: texts.of(r2), reason: o.reason,
+					FromText: refs.text(r1), ToText: refs.text(r2), reason: o.reason,
 				})
 			case pairConflict:
 				if exit != nil && g.Dominates(r1.Node, exit) && g.Dominates(r2.Node, exit) {
 					racy.offer(o.conflict)
 				} else {
-					t1, t2, dist := texts.of(r1), texts.of(r2), o.conflict.distance()
+					t1, t2, dist := refs.text(r1), refs.text(r2), o.conflict.distance()
 					blockers = append(blockers, Blocker{
-						Pos:  r1.Expr.Pos(),
+						Pos:  refs.pos(r1),
 						Slug: "guarded-conflict",
 						reason: deferText(func() string {
 							return "potential race between " + t1 + " and " + t2 + " at distance " + itoa(dist) +
@@ -622,7 +639,7 @@ func CertifyLoop(c *Context) *Verdict {
 			case pairUnknown:
 				b := o.blocker
 				if !b.Pos.IsValid() {
-					b.Pos = r1.Expr.Pos()
+					b.Pos = refs.pos(r1)
 				}
 				blockers = append(blockers, b)
 			}
@@ -631,14 +648,14 @@ func CertifyLoop(c *Context) *Verdict {
 
 	// Pairs involving a summarized inner loop, which the pairwise solver
 	// above skips (their subscripts range over inner induction variables).
-	nestEv, nestBlockers := certifyNest(c, g, texts, &racy)
+	nestEv, nestBlockers := certifyNest(c, g, refs, &racy)
 	v.Evidence = append(v.Evidence, nestEv...)
 	blockers = append(blockers, nestBlockers...)
 
 	switch {
 	case racy.any:
 		v.Class = VerdictRacy
-		v.Witness = racy.best.witness(g.IV, texts)
+		v.Witness = racy.best.witness(g.IV, refs)
 	case len(blockers) > 0:
 		// Order by position, then reason, and collapse duplicates (distinct
 		// pairs often fail on the same construct at the same position),
@@ -720,15 +737,15 @@ func carriedEdges(g *ir.Graph, res *dataflow.Result) int {
 // inner loops are NOT blockers by themselves any more — certifyNest
 // resolves their reference pairs exactly and reports its own certificates
 // when it cannot.
-func structuralBlockers(c *Context, texts loopTexts) []Blocker {
+func structuralBlockers(c *Context, refs *loopRefs) []Blocker {
 	var out []Blocker
 	g := c.Loop.Graph()
 	iv := g.IV
 	for _, r := range g.Refs {
 		if !r.FromInner && !r.Affine {
-			t := texts.of(r)
+			t := refs.text(r)
 			out = append(out, Blocker{
-				Pos:    r.Expr.Pos(),
+				Pos:    refs.pos(r),
 				Slug:   "nonaffine-subscript",
 				reason: fixedText("subscript of " + t + " is not affine in " + iv),
 				cert: func() (string, string) {
@@ -784,15 +801,16 @@ func exitNode(g *ir.Graph) *ir.Node {
 }
 
 // collisionLess orders collisions as their witnesses are ordered:
-// smallest distance first, then earliest source positions, then kind.
-func collisionLess(a, b *collision) bool {
+// smallest distance first, then earliest source positions (as refs reads
+// them), then kind.
+func collisionLess(a, b *collision, refs *loopRefs) bool {
 	if da, db := a.distance(), b.distance(); da != db {
 		return da < db
 	}
-	if ap, bp := a.early.Expr.Pos(), b.early.Expr.Pos(); ap != bp {
+	if ap, bp := refs.pos(a.early), refs.pos(b.early); ap != bp {
 		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
 	}
-	if ap, bp := a.late.Expr.Pos(), b.late.Expr.Pos(); ap != bp {
+	if ap, bp := refs.pos(a.late), refs.pos(b.late); ap != bp {
 		return ap.Line < bp.Line || (ap.Line == bp.Line && ap.Col < bp.Col)
 	}
 	return dependenceKind(a.early, a.late) < dependenceKind(b.early, b.late)
@@ -815,7 +833,7 @@ type symbolicTrip struct {
 // symbolic element difference proved nonzero, a stride proved larger than
 // a constant offset. Every statically undecidable pair yields a blocker
 // carrying the exact comparison that failed.
-func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts.Facts, trip symbolicTrip) pairOutcome {
+func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, refs *loopRefs, facts *rangefacts.Facts, trip symbolicTrip) pairOutcome {
 	hasUB, ub := g.HasUB, g.UBConst
 	// tripAtMost reports whether the trip count provably fits within k
 	// iterations — from the constant bound, or from the facts when the
@@ -850,7 +868,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 		return conflict(early, late, 1, 1+delta)
 	}
 	// symbolic names the pair for the blockers below.
-	pair := func() string { return texts.of(r1) + " and " + texts.of(r2) }
+	pair := func() string { return refs.text(r1) + " and " + refs.text(r2) }
 
 	a1, b1, ok1 := r1.Form.ConstCoeffs()
 	a2, b2, ok2 := r2.Form.ConstCoeffs()
@@ -872,7 +890,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 		}
 		return constDelta(diff / a1)
 	case ok1 && ok2: // different constant strides
-		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, texts)
+		return resolveDifferentStrides(r1, r2, a1, b1, a2, b2, hasUB, ub, refs)
 	case r1.Form.A.Equal(r2.Form.A) && r1.Form.A.IsZero():
 		// Both subscripts are invariant in iv (common for the innermost loop
 		// of a nest, where the subscript ranges over the outer variables):
@@ -988,7 +1006,7 @@ func resolvePair(r1, r2 *ir.Ref, g *ir.Graph, texts loopTexts, facts *rangefacts
 
 // resolveDifferentStrides searches for the smallest iteration distance at
 // which a1·i + b1 and a2·j + b2 coincide with i ≠ j, both in range.
-func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, texts loopTexts) pairOutcome {
+func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, ub int64, refs *loopRefs) pairOutcome {
 	da := a1 - a2
 	bound := int64(differentStrideScan)
 	if hasUB {
@@ -1031,7 +1049,7 @@ func resolveDifferentStrides(r1, r2 *ir.Ref, a1, b1, a2, b2 int64, hasUB bool, u
 	return unknown(Blocker{
 		Slug: "symbolic-bound-scan",
 		reason: deferText(func() string {
-			return "no collision of " + texts.of(r1) + " and " + texts.of(r2) + " within " + scan + " iterations, but the loop bound is symbolic"
+			return "no collision of " + refs.text(r1) + " and " + refs.text(r2) + " within " + scan + " iterations, but the loop bound is symbolic"
 		}),
 		cert: func() (string, string) {
 			return itoa(a1) + "·i + " + itoa(b1) + " = " + itoa(a2) + "·i' + " + itoa(b2) + " for some i' − i > " + scan + "?",

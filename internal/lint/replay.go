@@ -14,9 +14,9 @@
 //
 // Executed references are matched to witness references by rendered source
 // text, not pointer identity: the driver's memo shares a loop's graph with
-// every later parse of the same loop at the same positions, so the ref
-// Exprs a witness was built from may belong to another AST, while the
-// rendered text of a normalized reference is identical across them.
+// every loop of the same content, wherever it sits, so the ref Exprs a
+// witness was built from may belong to another AST, while the rendered
+// text of a normalized reference is identical across them.
 package lint
 
 import (

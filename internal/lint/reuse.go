@@ -35,7 +35,7 @@ func runReuse(c *Context) []diag.Finding {
 		source := r.From.String()
 		f := diag.Finding{
 			Analyzer: "reuse",
-			Pos:      r.At.Expr.Pos(),
+			Pos:      c.Loop.RefExpr(r.At).Pos(),
 			Severity: diag.Info,
 			Message:  "load of " + ast.ExprString(r.At.Expr) + " reuses the value of " + source + " from " + when,
 			Detail: map[string]string{
@@ -46,7 +46,7 @@ func runReuse(c *Context) []diag.Finding {
 		}
 		if len(r.From.Members) > 0 {
 			f.Related = append(f.Related, diag.Related{
-				Pos:     r.From.Members[0].Expr.Pos(),
+				Pos:     c.Loop.RefExpr(r.From.Members[0]).Pos(),
 				Message: "value available from here (" + source + ")",
 			})
 		}

@@ -39,9 +39,10 @@ func runUninit(c *Context) []diag.Finding {
 		// fuel blocker for the loop.
 		return nil
 	}
-	// Earliest guaranteed producer per use.
+	// Earliest guaranteed producer per use, from the reuses the driver
+	// derived from this solve.
 	guaranteed := map[*ir.Ref]problems.Reuse{}
-	for _, r := range problems.FindReuses(res) {
+	for _, r := range c.Loop.Reuses() {
 		if prev, ok := guaranteed[r.At]; !ok || r.Distance < prev.Distance {
 			guaranteed[r.At] = r
 		}
@@ -56,7 +57,7 @@ func runUninit(c *Context) []diag.Finding {
 		}
 		if r, ok := guaranteed[u]; ok {
 			if r.Distance >= 1 {
-				f := uninitGapFinding(u, r)
+				f := uninitGapFinding(c, u, r)
 				if fix, ok := uninitFix(c, u, strconv.FormatInt(r.Distance, 10)); ok {
 					f.SuggestedFixes = append(f.SuggestedFixes, fix)
 				}
@@ -64,7 +65,7 @@ func runUninit(c *Context) []diag.Finding {
 			}
 			continue // distance 0: written earlier in the same iteration on every path
 		}
-		if f, ok := uninitMayFinding(u, res); ok {
+		if f, ok := uninitMayFinding(c, u, res); ok {
 			if fix, ok := uninitFix(c, u, ast.ExprString(c.Loop.Loop.Hi)); ok {
 				f.SuggestedFixes = append(f.SuggestedFixes, fix)
 			}
@@ -77,11 +78,11 @@ func runUninit(c *Context) []diag.Finding {
 // uninitGapFinding reports the boundary gap of a use whose earliest
 // guaranteed producer lags r.Distance iterations: that many leading
 // iterations read elements nothing in the loop has written yet.
-func uninitGapFinding(u *ir.Ref, r problems.Reuse) diag.Finding {
+func uninitGapFinding(c *Context, u *ir.Ref, r problems.Reuse) diag.Finding {
 	gap, producer := iterations(r.Distance), r.From.String()
 	f := diag.Finding{
 		Analyzer: "uninit",
-		Pos:      u.Expr.Pos(),
+		Pos:      c.Loop.RefExpr(u).Pos(),
 		Severity: diag.Warning,
 		Message: ast.ExprString(u.Expr) + " reads a possibly uninitialized element during the first " + gap +
 			": the earliest guaranteed store (" + producer + ") lags " + gap,
@@ -93,7 +94,7 @@ func uninitGapFinding(u *ir.Ref, r problems.Reuse) diag.Finding {
 	}
 	if len(r.From.Members) > 0 {
 		f.Related = append(f.Related, diag.Related{
-			Pos:     r.From.Members[0].Expr.Pos(),
+			Pos:     c.Loop.RefExpr(r.From.Members[0]).Pos(),
 			Message: "earliest guaranteed store (" + producer + ")",
 		})
 	}
@@ -105,7 +106,7 @@ func uninitGapFinding(u *ir.Ref, r problems.Reuse) diag.Finding {
 // read may still see uninitialized data — the store is conditional, or
 // follows the read. With no computable candidate the analyzer stays
 // silent (the array is a loop input or subscripts are symbolic).
-func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
+func uninitMayFinding(c *Context, u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 	var best *dataflow.Class
 	bestDist := int64(-1)
 	for _, cl := range res.ClassesOf(u.Array) {
@@ -123,7 +124,7 @@ func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 	candidate := best.String()
 	f := diag.Finding{
 		Analyzer: "uninit",
-		Pos:      u.Expr.Pos(),
+		Pos:      c.Loop.RefExpr(u).Pos(),
 		Severity: diag.Warning,
 		Message: ast.ExprString(u.Expr) + " may read an uninitialized element: the matching store " + candidate +
 			" is not guaranteed to precede the read on every path",
@@ -135,7 +136,7 @@ func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 	}
 	if len(best.Members) > 0 {
 		f.Related = append(f.Related, diag.Related{
-			Pos:     best.Members[0].Expr.Pos(),
+			Pos:     c.Loop.RefExpr(best.Members[0]).Pos(),
 			Message: "candidate store (" + candidate + ")",
 		})
 	}

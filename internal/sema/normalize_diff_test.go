@@ -159,23 +159,6 @@ func normalizeSources(tb testing.TB) []string {
 	return append(out, normalizeSeeds...)
 }
 
-// FuzzNormalize compares Normalize with the oracle on parsed input: equal
-// trees or equal error texts, the input unchanged, and nothing shared
-// between input and output. Nests that reuse an induction variable are
-// skipped. Run with `go test -run '^$' -fuzz '^FuzzNormalize$'
-// ./internal/sema`; the seeds run as a normal test.
-func FuzzNormalize(f *testing.F) {
-	for _, s := range normalizeSources(f) {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 1<<14 {
-			return
-		}
-		checkSource(t, "fuzz input", src)
-	})
-}
-
 // TestNormalizeMatchesOracleOnRandomNests sweeps seeded random nests
 // through Normalize and the oracle.
 func TestNormalizeMatchesOracleOnRandomNests(t *testing.T) {
