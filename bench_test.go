@@ -457,7 +457,9 @@ func BenchmarkDriverMemoization(b *testing.B) {
 // from source bytes to a checked AST. The shared-interner variant models
 // the batch pipeline, where one intern table serves many programs. The
 // normalize variant times the last front-end stage alone: sema.Normalize
-// of the parsed, checked program.
+// of the parsed, checked program. The wide variant runs all three stages
+// on batch-cold's growing-class shape, a 768-statement loop whose every
+// statement stores its own array.
 func BenchmarkFrontEnd(b *testing.B) {
 	src := []byte(ast.ProgramString(driverBenchProgram()))
 	prog, err := parser.ParseBytes(src, nil)
@@ -498,6 +500,51 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		}
 	})
+	wide := []byte(ast.ProgramString(synth.WideLoop(768, 0)))
+	b.Run("wide", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p, err := parser.ParseBytes(wide, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sema.Check(p); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sema.Normalize(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestFrontEndAllocBudget holds parsing and normalization to allocating
+// per chunk, not per node (see ast.Alloc): on BenchmarkFrontEnd's program
+// each makes at most a fifth of the allocations it made when every node
+// was its own heap object. Allocation counts are deterministic, so the
+// budget holds on any machine.
+func TestFrontEndAllocBudget(t *testing.T) {
+	const perNodeParse, perNodeNormalize = 24026, 27085
+	src := []byte(ast.ProgramString(driverBenchProgram()))
+	prog, err := parser.ParseBytes(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := testing.AllocsPerRun(5, func() {
+		if _, err := parser.ParseBytes(src, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	norm := testing.AllocsPerRun(5, func() {
+		if _, err := sema.Normalize(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if parse > perNodeParse/5 {
+		t.Errorf("parsing made %.0f allocations, budget %d", parse, perNodeParse/5)
+	}
+	if norm > perNodeNormalize/5 {
+		t.Errorf("normalizing made %.0f allocations, budget %d", norm, perNodeNormalize/5)
+	}
 }
 
 // --- Batch: many programs through one worker pool ------------------------------

@@ -216,30 +216,9 @@ func inspectExpr(e Expr, f func(Node) bool) {
 	}
 }
 
-// CloneExpr returns a deep copy of an expression.
-func CloneExpr(e Expr) Expr {
-	switch ex := e.(type) {
-	case nil:
-		return nil
-	case *Ident:
-		c := *ex
-		return &c
-	case *IntLit:
-		c := *ex
-		return &c
-	case *ArrayRef:
-		c := &ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: make([]Expr, len(ex.Subs))}
-		for i, s := range ex.Subs {
-			c.Subs[i] = CloneExpr(s)
-		}
-		return c
-	case *Binary:
-		return &Binary{Op: ex.Op, L: CloneExpr(ex.L), R: CloneExpr(ex.R)}
-	case *Unary:
-		return &Unary{OpPos: ex.OpPos, Op: ex.Op, X: CloneExpr(ex.X)}
-	}
-	panic("ast: unknown expression type in CloneExpr")
-}
+// CloneExpr returns a deep copy of an expression, each node allocated on
+// its own.
+func CloneExpr(e Expr) Expr { return (*Alloc)(nil).CloneExpr(e) }
 
 // CloneStmt returns a deep copy of a statement.
 func CloneStmt(s Stmt) Stmt {

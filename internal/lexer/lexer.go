@@ -60,6 +60,10 @@ func NewBytes(src []byte, in *token.Interner) *Lexer {
 // Interner returns the identifier intern table the lexer populates.
 func (l *Lexer) Interner() *token.Interner { return l.in }
 
+// Progress returns how many bytes of its buffer the lexer has scanned, and
+// the buffer's length.
+func (l *Lexer) Progress() (done, total int) { return l.off, len(l.src) }
+
 // Errors returns the lexical errors encountered so far.
 func (l *Lexer) Errors() []*Error { return l.errs }
 

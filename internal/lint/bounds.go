@@ -117,7 +117,7 @@ func (c *Context) boundsFinding(ref *ast.ArrayRef, sub ast.Expr, dim int, size, 
 	if d := c.Info.Dims[ref.Name]; d != nil {
 		f.Related = append(f.Related, diag.Related{Pos: d.Pos(), Message: "bounds declared here"})
 		if !below {
-			if fix, ok := growDimFix(c.vet().lines, d, dim, value); ok {
+			if fix, ok := growDimFix(c.vet().lines, c.vet().dimsOf(d), dim, value); ok {
 				f.SuggestedFixes = append(f.SuggestedFixes, fix)
 			}
 		}
@@ -125,30 +125,37 @@ func (c *Context) boundsFinding(ref *ast.ArrayRef, sub ast.Expr, dim int, size, 
 	return f
 }
 
-// growDimFix suggests widening the dim declaration's size literal to cover
-// the subscript's proven maximum. Only literal sizes are editable, and the
-// source text is verified before the edit is offered. Underflow (below 1)
-// has no declaration-side fix — arrays are 1-based.
-func growDimFix(lines *diag.LineIndex, d *ast.Dim, dim int, value int64) (diag.SuggestedFix, bool) {
-	if lines == nil || dim >= len(d.Sizes) {
+// growDimFix suggests widening the array's declared size to cover the
+// subscript's proven maximum, in every dim declaration of the array
+// (decls): sema accepts a redeclaration only when its sizes agree, so
+// growing one alone would break the program. Only literal sizes are
+// editable, and the source text of each is verified before the fix is
+// offered. Underflow (below 1) has no declaration-side fix — arrays are
+// 1-based.
+func growDimFix(lines *diag.LineIndex, decls []*ast.Dim, dim int, value int64) (diag.SuggestedFix, bool) {
+	if lines == nil {
 		return diag.SuggestedFix{}, false
 	}
-	lit, ok := d.Sizes[dim].(*ast.IntLit)
-	if !ok {
-		return diag.SuggestedFix{}, false
-	}
-	old := itoa(lit.Value)
-	pos := lit.Pos()
-	text, ok := lines.Line(pos.Line)
-	if !ok || pos.Col < 1 || pos.Col-1+len(old) > len(text) || text[pos.Col-1:pos.Col-1+len(old)] != old {
-		return diag.SuggestedFix{}, false
-	}
-	return diag.SuggestedFix{
-		Message: "grow dimension " + strconv.Itoa(dim+1) + " of " + d.Name + " to " + itoa(value),
-		Edits: []diag.TextEdit{{
+	fix := diag.SuggestedFix{Message: "grow dimension " + strconv.Itoa(dim+1) + " of " + decls[0].Name + " to " + itoa(value)}
+	for _, d := range decls {
+		if dim >= len(d.Sizes) {
+			return diag.SuggestedFix{}, false
+		}
+		lit, ok := d.Sizes[dim].(*ast.IntLit)
+		if !ok {
+			return diag.SuggestedFix{}, false
+		}
+		old := itoa(lit.Value)
+		pos := lit.Pos()
+		text, ok := lines.Line(pos.Line)
+		if !ok || pos.Col < 1 || pos.Col-1+len(old) > len(text) || text[pos.Col-1:pos.Col-1+len(old)] != old {
+			return diag.SuggestedFix{}, false
+		}
+		fix.Edits = append(fix.Edits, diag.TextEdit{
 			Pos:     pos,
 			End:     token.Pos{Line: pos.Line, Col: pos.Col + len(old)},
 			NewText: itoa(value),
-		}},
-	}, true
+		})
+	}
+	return fix, true
 }

@@ -73,13 +73,16 @@ type Context struct {
 
 // vetShared is what the loops of one RunOn share: the source's line
 // index (nil when the source is unknown) and, computed on first use, the
-// fresh induction-variable name of uninit's fixes.
+// fresh induction-variable name of uninit's fixes and the dim
+// declarations of each array.
 type vetShared struct {
 	lines *diag.LineIndex
 
-	prog   *ast.Program
-	ivOnce sync.Once
-	iv     string
+	prog     *ast.Program
+	ivOnce   sync.Once
+	iv       string
+	dimsOnce sync.Once
+	dims     map[string][]*ast.Dim
 }
 
 func newVetShared(prog *ast.Program, src string) *vetShared {
@@ -95,6 +98,27 @@ func newVetShared(prog *ast.Program, src string) *vetShared {
 func (sh *vetShared) freshIV() string {
 	sh.ivOnce.Do(func() { sh.iv = freshName(sh.prog, "ii") })
 	return sh.iv
+}
+
+// dimsOf returns every dim declaration of d's array in source order (d
+// alone when the program is unknown or does not hold it).
+func (sh *vetShared) dimsOf(d *ast.Dim) []*ast.Dim {
+	sh.dimsOnce.Do(func() {
+		sh.dims = map[string][]*ast.Dim{}
+		if sh.prog == nil {
+			return
+		}
+		ast.Inspect(sh.prog.Body, func(n ast.Node) bool {
+			if x, ok := n.(*ast.Dim); ok {
+				sh.dims[x.Name] = append(sh.dims[x.Name], x)
+			}
+			return true
+		})
+	})
+	if ds := sh.dims[d.Name]; len(ds) > 0 {
+		return ds
+	}
+	return []*ast.Dim{d}
 }
 
 // vet returns what the context shares with the other loops of its run; a

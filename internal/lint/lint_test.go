@@ -151,6 +151,35 @@ func TestFixesEliminateFindings(t *testing.T) {
 	}
 }
 
+// TestGrowDimFixGrowsEveryDeclaration: sema accepts a redeclared array
+// when the sizes agree, so the bounds fix grows every dim of the array in
+// one fix, a nested one included; growing the first alone would leave a
+// mismatched redeclaration the front end rejects.
+func TestGrowDimFixGrowsEveryDeclaration(t *testing.T) {
+	src := "dim B[100]\ndo i = 1, 100\n  A[i] := B[i+1]\nenddo\nif n > 0 then\n  dim B(100)\nendif\n"
+	want := "dim B[101]\ndo i = 1, 100\n  A[i] := B[i+1]\nenddo\nif n > 0 then\n  dim B(101)\nendif\n"
+	var fixes []diag.SuggestedFix
+	for _, f := range lint.Vet("twice.loop", src, nil).Findings {
+		if f.Analyzer == "bounds" {
+			fixes = append(fixes, f.SuggestedFixes...)
+		}
+	}
+	if len(fixes) != 1 || len(fixes[0].Edits) != 2 {
+		t.Fatalf("want one bounds fix with an edit per declaration, got %+v", fixes)
+	}
+	out, err := lint.Fix("twice.loop", src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Src != want || out.Applied != 1 {
+		t.Fatalf("fixed source (%d applied):\n%s\nwant:\n%s", out.Applied, out.Src, want)
+	}
+	again, err := lint.Fix("twice.loop", out.Src, nil)
+	if err != nil || again.Applied != 0 {
+		t.Fatalf("second pass: %d applied, error %v", again.Applied, err)
+	}
+}
+
 func compareGolden(t *testing.T, golden string, got []byte) {
 	t.Helper()
 	if *update {

@@ -9,11 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/ast/asttest"
 )
 
 // FuzzParse is a native fuzz target: the parser must never panic, every
-// reported error must carry a valid source position, and whatever parses
-// must print/reparse stably. The seed corpus mixes hand-picked pathological
+// reported error must carry a valid source position, every list of the
+// tree it returns, partial or not, must have cap == len, and whatever
+// parses must print/reparse stably. The seed corpus mixes hand-picked pathological
 // inputs with the example programs under examples/. Run with
 // `go test -fuzz=FuzzParse ./internal/parser` for continuous fuzzing; the
 // seed corpus runs as a normal test.
@@ -33,6 +35,9 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		prog, err := Parse(src)
+		if lerr := asttest.ExactLists(prog.Body); lerr != nil {
+			t.Fatalf("parse of %q: %v", src, lerr)
+		}
 		if err != nil {
 			var list ErrorList
 			if !errors.As(err, &list) || len(list) == 0 {

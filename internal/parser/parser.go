@@ -61,13 +61,15 @@ func (l ErrorList) Error() string {
 
 // parser pulls tokens from the lexer one at a time: it holds only the
 // current token, plus a count of the tokens consumed so far, which
-// parseBlock uses to detect a statement that made no progress.
+// parseBlock uses to detect a statement that made no progress. Its nodes
+// and lists come from one allocator per parse.
 type parser struct {
 	lx     *lexer.Lexer
 	tok    token.Token // current token
 	used   int         // tokens consumed
 	errs   ErrorList   // syntax errors; lexical errors are the lexer's
 	nextDo int         // next DoLoop label
+	a      ast.Alloc
 }
 
 // Parse parses source text into a Program. On syntax errors it returns the
@@ -86,6 +88,7 @@ func ParseBytes(src []byte, in *token.Interner) (*ast.Program, error) {
 
 func parseLexer(lx *lexer.Lexer) (*ast.Program, error) {
 	p := &parser{lx: lx, tok: lx.Next(), nextDo: 1}
+	p.a.Extrapolate(lx.Progress)
 	prog := &ast.Program{Syms: lx.Interner()}
 	p.skipSeparators()
 	prog.Body = p.parseBlock()
@@ -177,17 +180,17 @@ func (p *parser) syncStmt() {
 // parseBlock parses statements until one of the closers (ENDDO/ENDIF/ELSE) or
 // EOF is seen. The closer itself is not consumed.
 func (p *parser) parseBlock() []ast.Stmt {
-	var out []ast.Stmt
+	mark := p.a.StmtMark()
 	for {
 		p.skipSeparators()
 		k := p.cur().Kind
 		if k == token.EOF || k == token.ENDDO || k == token.ENDIF || k == token.ELSE {
-			return out
+			return p.a.PopStmts(mark)
 		}
 		before := p.used
 		s := p.parseStmt()
 		if s != nil {
-			out = append(out, s)
+			p.a.PushStmt(s)
 		}
 		if p.used == before {
 			// No progress: drop the offending token to guarantee termination.
@@ -229,7 +232,7 @@ func (p *parser) parseDo() ast.Stmt {
 	if p.accept(token.COMMA) {
 		step = p.parseExpr()
 	}
-	loop := &ast.DoLoop{DoPos: doTok.Pos, Var: name.Text, VarSym: name.Sym, Lo: lo, Hi: hi, Step: step, Label: p.nextDo}
+	loop := p.a.DoLoop(ast.DoLoop{DoPos: doTok.Pos, Var: name.Text, VarSym: name.Sym, Lo: lo, Hi: hi, Step: step, Label: p.nextDo})
 	p.nextDo++
 	if !p.at(token.EOF) {
 		p.expect(token.NEWLINE)
@@ -248,15 +251,16 @@ func (p *parser) parseIf() ast.Stmt {
 	// no endif; the body is exactly one simple statement.
 	if !p.at(token.NEWLINE) && !p.at(token.EOF) {
 		body := p.parseStmt()
-		st := &ast.If{IfPos: ifTok.Pos, Cond: cond}
+		st := p.a.If(ast.If{IfPos: ifTok.Pos, Cond: cond})
 		if body != nil {
-			st.Then = []ast.Stmt{body}
+			st.Then = p.a.Stmts(1)
+			st.Then[0] = body
 		}
 		return st
 	}
 
 	p.skipSeparators()
-	st := &ast.If{IfPos: ifTok.Pos, Cond: cond}
+	st := p.a.If(ast.If{IfPos: ifTok.Pos, Cond: cond})
 	st.Then = p.parseBlock()
 	if p.accept(token.ELSE) {
 		p.skipSeparators()
@@ -272,7 +276,7 @@ func (p *parser) parseIf() ast.Stmt {
 func (p *parser) parseDim() ast.Stmt {
 	dimTok := p.expect(token.DIM)
 	name := p.expect(token.IDENT)
-	d := &ast.Dim{DimPos: dimTok.Pos, Name: name.Text, Sym: name.Sym, NamePos: name.Pos}
+	d := p.a.Dim(ast.Dim{DimPos: dimTok.Pos, Name: name.Text, Sym: name.Sym, NamePos: name.Pos})
 	closeKind := token.RBRACKET
 	switch {
 	case p.accept(token.LBRACKET):
@@ -283,11 +287,7 @@ func (p *parser) parseDim() ast.Stmt {
 		p.syncStmt()
 		return d
 	}
-	d.Sizes = append(d.Sizes, p.parseExpr())
-	for p.accept(token.COMMA) {
-		d.Sizes = append(d.Sizes, p.parseExpr())
-	}
-	p.expect(closeKind)
+	d.Sizes = p.parseExprList(closeKind)
 	return d
 }
 
@@ -301,7 +301,7 @@ func (p *parser) parseAssign() ast.Stmt {
 	}
 	p.expect(token.ASSIGN)
 	rhs := p.parseExpr()
-	return &ast.Assign{LHS: lhs, RHS: rhs}
+	return p.a.Assign(ast.Assign{LHS: lhs, RHS: rhs})
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ func (p *parser) parseOr() ast.Expr {
 	e := p.parseAnd()
 	for p.at(token.OR) {
 		p.next()
-		e = &ast.Binary{Op: token.OR, L: e, R: p.parseAnd()}
+		e = p.a.Binary(ast.Binary{Op: token.OR, L: e, R: p.parseAnd()})
 	}
 	return e
 }
@@ -322,7 +322,7 @@ func (p *parser) parseAnd() ast.Expr {
 	e := p.parseRel()
 	for p.at(token.AND) {
 		p.next()
-		e = &ast.Binary{Op: token.AND, L: e, R: p.parseRel()}
+		e = p.a.Binary(ast.Binary{Op: token.AND, L: e, R: p.parseRel()})
 	}
 	return e
 }
@@ -332,12 +332,12 @@ func (p *parser) parseRel() ast.Expr {
 	if p.cur().Kind.IsRelational() {
 		op := p.tok.Kind
 		p.next()
-		return &ast.Binary{Op: op, L: e, R: p.parseAdd()}
+		return p.a.Binary(ast.Binary{Op: op, L: e, R: p.parseAdd()})
 	}
 	// In expression position a bare '=' means equality (Fortran habit).
 	if p.at(token.ASSIGN) && p.cur().Text == "=" {
 		p.next()
-		return &ast.Binary{Op: token.EQ, L: e, R: p.parseAdd()}
+		return p.a.Binary(ast.Binary{Op: token.EQ, L: e, R: p.parseAdd()})
 	}
 	return e
 }
@@ -347,7 +347,7 @@ func (p *parser) parseAdd() ast.Expr {
 	for p.cur().Kind.IsAdditive() {
 		op := p.tok.Kind
 		p.next()
-		e = &ast.Binary{Op: op, L: e, R: p.parseMul()}
+		e = p.a.Binary(ast.Binary{Op: op, L: e, R: p.parseMul()})
 	}
 	return e
 }
@@ -357,7 +357,7 @@ func (p *parser) parseMul() ast.Expr {
 	for p.cur().Kind.IsMultiplicative() {
 		op := p.tok.Kind
 		p.next()
-		e = &ast.Binary{Op: op, L: e, R: p.parseUnary()}
+		e = p.a.Binary(ast.Binary{Op: op, L: e, R: p.parseUnary()})
 	}
 	return e
 }
@@ -366,7 +366,7 @@ func (p *parser) parseUnary() ast.Expr {
 	if p.at(token.MINUS) || p.at(token.NOT) {
 		t := p.tok
 		p.next()
-		return &ast.Unary{OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
+		return p.a.Unary(ast.Unary{OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()})
 	}
 	return p.parsePrimary()
 }
@@ -375,7 +375,7 @@ func (p *parser) parsePrimary() ast.Expr {
 	switch t := p.cur(); t.Kind {
 	case token.INT:
 		p.next()
-		return &ast.IntLit{LitPos: t.Pos, Value: t.Val}
+		return p.a.IntLit(ast.IntLit{LitPos: t.Pos, Value: t.Val})
 
 	case token.IDENT:
 		p.next()
@@ -386,15 +386,11 @@ func (p *parser) parsePrimary() ast.Expr {
 			if open == token.LPAREN {
 				closeKind = token.RPAREN
 			}
-			ref := &ast.ArrayRef{NamePos: t.Pos, Name: t.Text, Sym: t.Sym}
-			ref.Subs = append(ref.Subs, p.parseExpr())
-			for p.accept(token.COMMA) {
-				ref.Subs = append(ref.Subs, p.parseExpr())
-			}
-			p.expect(closeKind)
+			ref := p.a.ArrayRef(ast.ArrayRef{NamePos: t.Pos, Name: t.Text, Sym: t.Sym})
+			ref.Subs = p.parseExprList(closeKind)
 			return ref
 		}
-		return &ast.Ident{NamePos: t.Pos, Name: t.Text, Sym: t.Sym}
+		return p.a.Ident(ast.Ident{NamePos: t.Pos, Name: t.Text, Sym: t.Sym})
 
 	case token.LPAREN:
 		p.next()
@@ -405,6 +401,18 @@ func (p *parser) parsePrimary() ast.Expr {
 	default:
 		p.errorf("expected expression, found %s", t)
 		p.next()
-		return &ast.IntLit{LitPos: t.Pos, Value: 0}
+		return p.a.IntLit(ast.IntLit{LitPos: t.Pos, Value: 0})
 	}
+}
+
+// parseExprList parses "expr { , expr }" and the closing token: the
+// subscripts of an array reference or the sizes of a dim.
+func (p *parser) parseExprList(closeKind token.Kind) []ast.Expr {
+	mark := p.a.ExprMark()
+	p.a.PushExpr(p.parseExpr())
+	for p.accept(token.COMMA) {
+		p.a.PushExpr(p.parseExpr())
+	}
+	p.expect(closeKind)
+	return p.a.PopExprs(mark)
 }

@@ -278,7 +278,6 @@ func (f *Facts) Sign(p poly.Poly) (int, bool) {
 // are then skipped); fuel ≤ 0 uses a never-binding default.
 func Derive(prog *ast.Program, info *sema.Info, loop *ast.DoLoop, assume []Fact, fuel int64) *Facts {
 	var facts []Fact
-	add := func(fs ...Fact) { facts = append(facts, fs...) }
 
 	// Enclosing context: loops and guard conditions on the path from the
 	// program root to the loop. Guard conditions hold whenever the body
@@ -286,31 +285,36 @@ func Derive(prog *ast.Program, info *sema.Info, loop *ast.DoLoop, assume []Fact,
 	if prog != nil {
 		path, guards := enclosing(prog.Body, loop)
 		for _, dl := range path {
-			add(loopBoundFacts(dl)...)
+			facts = loopBoundFacts(facts, dl)
 		}
 		for _, g := range guards {
-			add(condFacts(g.cond, g.truth)...)
+			facts = append(facts, condFacts(g.cond, g.truth)...)
 		}
 	}
 	// The loop itself and its inner loops. Their IV facts are conditional
 	// on iterations existing, which is exactly how consumers quantify
-	// (footprints and kill distances range over actual instances).
+	// (footprints and kill distances range over actual instances). The
+	// same walk of the body finds the symbolic dimensions of referenced
+	// arrays: every dim size is ≥ 1 (sema rejects nonpositive declared
+	// sizes; undeclared multi-subscript arrays linearize over
+	// sema.DefaultDims symbols). solve orders the facts, so the walk's
+	// interleaving of the two kinds does not show.
 	if loop != nil {
-		add(loopBoundFacts(loop)...)
+		facts = loopBoundFacts(facts, loop)
+		var dimsDone map[string]bool
 		ast.Inspect(loop.Body, func(n ast.Node) bool {
-			if dl, ok := n.(*ast.DoLoop); ok {
-				add(loopBoundFacts(dl)...)
+			switch x := n.(type) {
+			case *ast.DoLoop:
+				facts = loopBoundFacts(facts, x)
+			case *ast.ArrayRef:
+				if info != nil {
+					facts = dimFacts(facts, &dimsDone, x, info)
+				}
 			}
 			return true
 		})
-		// Symbolic dimensions of referenced arrays: every dim size is ≥ 1
-		// (sema rejects nonpositive declared sizes; undeclared
-		// multi-subscript arrays linearize over sema.DefaultDims symbols).
-		if info != nil {
-			add(dimFacts(loop, info)...)
-		}
 	}
-	add(assume...)
+	facts = append(facts, assume...)
 
 	return solve(facts, fuel)
 }
@@ -361,19 +365,18 @@ func enclosing(body []ast.Stmt, target *ast.DoLoop) (path []*ast.DoLoop, guards 
 	return path, guards
 }
 
-// loopBoundFacts derives 1 ≤ v ≤ UB for a normalized loop; non-normalized
-// lower bounds still yield lo ≤ v ≤ hi when the bounds convert to
-// polynomials.
-func loopBoundFacts(dl *ast.DoLoop) []Fact {
+// loopBoundFacts appends 1 ≤ v ≤ UB for a normalized loop to facts;
+// non-normalized lower bounds still yield lo ≤ v ≤ hi when the bounds
+// convert to polynomials.
+func loopBoundFacts(facts []Fact, dl *ast.DoLoop) []Fact {
 	v := poly.Sym(dl.Var)
-	var out []Fact
 	if lo, err := sema.ExprToPoly(dl.Lo); err == nil {
-		out = append(out, NonNeg(v.Sub(lo), "loop bound"))
+		facts = append(facts, NonNeg(v.Sub(lo), "loop bound"))
 	}
 	if hi, err := sema.ExprToPoly(dl.Hi); err == nil {
-		out = append(out, NonNeg(hi.Sub(v), "loop bound"))
+		facts = append(facts, NonNeg(hi.Sub(v), "loop bound"))
 	}
-	return out
+	return facts
 }
 
 // ParseAssumption parses a mini-language condition ("k >= 64",
@@ -500,26 +503,24 @@ func negateRel(op token.Kind) token.Kind {
 	}
 }
 
-// dimFacts emits dim(A,k) ≥ 1 for the sema.DefaultDims symbols of
-// multi-subscript arrays the loop references without a declared dim.
-func dimFacts(loop *ast.DoLoop, info *sema.Info) []Fact {
-	seen := map[string]bool{}
-	var out []Fact
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		ref, ok := n.(*ast.ArrayRef)
-		if !ok || len(ref.Subs) < 2 || seen[ref.Name] {
-			return true
-		}
-		seen[ref.Name] = true
-		if _, declared := info.Dims[ref.Name]; declared {
-			return true
-		}
-		for k := 0; k < len(ref.Subs); k++ {
-			out = append(out, Positive(poly.Sym(fmt.Sprintf("%s#%d", ref.Name, k)), "dim"))
-		}
-		return true
-	})
-	return out
+// dimFacts appends dim(A,k) ≥ 1 for the sema.DefaultDims symbols of ref's
+// array when ref has several subscripts and the array no declared dim,
+// once per array: done records the arrays seen, and is made on first use.
+func dimFacts(facts []Fact, done *map[string]bool, ref *ast.ArrayRef, info *sema.Info) []Fact {
+	if len(ref.Subs) < 2 || (*done)[ref.Name] {
+		return facts
+	}
+	if *done == nil {
+		*done = map[string]bool{}
+	}
+	(*done)[ref.Name] = true
+	if _, declared := info.Dims[ref.Name]; declared {
+		return facts
+	}
+	for k := 0; k < len(ref.Subs); k++ {
+		facts = append(facts, Positive(poly.Sym(fmt.Sprintf("%s#%d", ref.Name, k)), "dim"))
+	}
+	return facts
 }
 
 // --- fixpoint ------------------------------------------------------------

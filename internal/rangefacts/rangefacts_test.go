@@ -237,6 +237,35 @@ endif
 	}
 }
 
+// TestDeriveWalksTheBodyOnce: one walk of the body yields the bound facts
+// of every inner loop, however deep, and one dim fact per subscript of
+// each multi-subscript array without a declared dim, once per array
+// whatever its number of references; declared and one-subscript arrays
+// yield none. The signature is the canonical order, whatever order the
+// walk met the facts in.
+func TestDeriveWalksTheBodyOnce(t *testing.T) {
+	prog, info, loop := mustLoop(t, `
+dim D[10, 10]
+do i = 1, n
+  B[i, 1] := C[i]
+  do j = 1, m
+    if i > 2 then
+      do k = 1, 4
+        A[i, j] := D[i, j] + B[j, k]
+      enddo
+    endif
+    A[j, i] := B[i, j]
+  enddo
+enddo
+`)
+	want := "-i + n >= 0 (loop bound);-j + m >= 0 (loop bound);-k + 4 >= 0 (loop bound);" +
+		"A#0 >= 1 (dim);A#1 >= 1 (dim);B#0 >= 1 (dim);B#1 >= 1 (dim);" +
+		"i - 1 >= 0 (loop bound);j - 1 >= 0 (loop bound);k - 1 >= 0 (loop bound)"
+	if got := Derive(prog, info, loop, nil, 0).Signature(); got != want {
+		t.Errorf("Signature =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestParseAssumption: the vet -assume / service assume syntax — linear
 // conjunctions convert, equality splits two-sided, and shapes condFacts
 // would silently drop are rejected loudly instead.

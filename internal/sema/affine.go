@@ -56,11 +56,32 @@ func (e *ErrNotAffine) Error() string {
 // ExprToPoly converts an arithmetic expression to a polynomial, treating
 // every identifier as a symbol. It fails on relational/boolean operators,
 // on '%' and on inexact division.
-func ExprToPoly(e ast.Expr) (poly.Poly, error) { return polyIn(e, nil) }
+func ExprToPoly(e ast.Expr) (poly.Poly, error) { return polyIn(e, nil, nil) }
+
+// symPolys holds one single-symbol polynomial per name, created on first
+// use.
+type symPolys map[string]poly.Poly
+
+// get returns name's single-symbol polynomial, from s when s is non-nil.
+func (s *symPolys) get(name string) poly.Poly {
+	if s == nil {
+		return poly.Sym(name)
+	}
+	p, ok := (*s)[name]
+	if !ok {
+		if *s == nil {
+			*s = symPolys{}
+		}
+		p = poly.Sym(name)
+		(*s)[name] = p
+	}
+	return p
+}
 
 // polyIn is ExprToPoly with each identifier that env binds standing for
-// its binding's polynomial (see Normalize).
-func polyIn(e ast.Expr, env []binding) (poly.Poly, error) {
+// its binding's polynomial (see Normalize), and every other one for its
+// polynomial from syms.
+func polyIn(e ast.Expr, env []binding, syms *symPolys) (poly.Poly, error) {
 	switch ex := e.(type) {
 	case *ast.IntLit:
 		return poly.Const(ex.Value), nil
@@ -68,22 +89,22 @@ func polyIn(e ast.Expr, env []binding) (poly.Poly, error) {
 		if b := lookup(env, ex.Name); b != nil {
 			return b.p, b.err
 		}
-		return poly.Sym(ex.Name), nil
+		return syms.get(ex.Name), nil
 	case *ast.Unary:
 		if ex.Op != token.MINUS {
 			return poly.Zero, fmt.Errorf("%s: operator %s not allowed in subscript", ex.Pos(), ex.Op)
 		}
-		p, err := polyIn(ex.X, env)
+		p, err := polyIn(ex.X, env, syms)
 		if err != nil {
 			return poly.Zero, err
 		}
 		return p.Neg(), nil
 	case *ast.Binary:
-		l, err := polyIn(ex.L, env)
+		l, err := polyIn(ex.L, env, syms)
 		if err != nil {
 			return poly.Zero, err
 		}
-		r, err := polyIn(ex.R, env)
+		r, err := polyIn(ex.R, env, syms)
 		if err != nil {
 			return poly.Zero, err
 		}

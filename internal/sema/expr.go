@@ -16,51 +16,55 @@ import (
 // symbols of the form "X#k" produced by DefaultDims are not convertible —
 // callers that generate runtime code must use concrete dimension sizes
 // instead; PolyToExpr reports them via ok=false.
-func PolyToExpr(p poly.Poly) (ast.Expr, bool) {
+func PolyToExpr(p poly.Poly) (ast.Expr, bool) { return polyToExpr(nil, p) }
+
+// polyToExpr is PolyToExpr with the nodes taken from a (each allocated on
+// its own when a is nil).
+func polyToExpr(a *ast.Alloc, p poly.Poly) (ast.Expr, bool) {
 	var expr ast.Expr
 	for i := 0; i < p.NumTerms(); i++ {
 		c, key := p.Term(i)
 		if strings.IndexByte(key, '#') >= 0 {
 			return nil, false
 		}
-		expr = appendTerm(expr, c, termExpr(abs64(c), key))
+		expr = appendTerm(a, expr, c, termExpr(a, abs64(c), key))
 	}
 	k := p.ConstPart()
 	switch {
 	case expr == nil:
-		return &ast.IntLit{Value: k}, true
+		return a.IntLit(ast.IntLit{Value: k}), true
 	case k != 0:
-		expr = appendTerm(expr, k, &ast.IntLit{Value: abs64(k)})
+		expr = appendTerm(a, expr, k, a.IntLit(ast.IntLit{Value: abs64(k)}))
 	}
 	return expr, true
 }
 
 // appendTerm adds the term c·… whose magnitude is mag to the sum expr
 // (nil for the first term).
-func appendTerm(expr ast.Expr, c int64, mag ast.Expr) ast.Expr {
+func appendTerm(a *ast.Alloc, expr ast.Expr, c int64, mag ast.Expr) ast.Expr {
 	switch {
 	case expr == nil && c < 0:
-		return &ast.Unary{Op: token.MINUS, X: mag}
+		return a.Unary(ast.Unary{Op: token.MINUS, X: mag})
 	case expr == nil:
 		return mag
 	case c < 0:
-		return &ast.Binary{Op: token.MINUS, L: expr, R: mag}
+		return a.Binary(ast.Binary{Op: token.MINUS, L: expr, R: mag})
 	}
-	return &ast.Binary{Op: token.PLUS, L: expr, R: mag}
+	return a.Binary(ast.Binary{Op: token.PLUS, L: expr, R: mag})
 }
 
 // termExpr renders c·s1·s2·… for the monomial key of a non-constant term.
-func termExpr(c int64, key string) ast.Expr {
+func termExpr(a *ast.Alloc, c int64, key string) ast.Expr {
 	f, key := poly.NextFactor(key)
-	var prod ast.Expr = &ast.Ident{Name: f}
+	var prod ast.Expr = a.Ident(ast.Ident{Name: f})
 	for key != "" {
 		f, key = poly.NextFactor(key)
-		prod = &ast.Binary{Op: token.STAR, L: prod, R: &ast.Ident{Name: f}}
+		prod = a.Binary(ast.Binary{Op: token.STAR, L: prod, R: a.Ident(ast.Ident{Name: f})})
 	}
 	if c == 1 {
 		return prod
 	}
-	return &ast.Binary{Op: token.STAR, L: &ast.IntLit{Value: c}, R: prod}
+	return a.Binary(ast.Binary{Op: token.STAR, L: a.IntLit(ast.IntLit{Value: c}), R: prod})
 }
 
 func abs64(v int64) int64 {
@@ -106,6 +110,7 @@ func SortedSymbols(p poly.Poly) []string {
 // in the same walk.
 func CanonicalizeSubscripts(prog *ast.Program) *ast.Program {
 	var w rewriter
+	w.a.Expect(prog.Body)
 	body, _ := w.block(prog.Body) // only loop normalization can fail
 	return &ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}
 }

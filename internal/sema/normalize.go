@@ -24,9 +24,11 @@ import (
 // "1 + (i-1)*3 + 2" reads "3 * i".
 //
 // The copy is built in one walk that carries the replacements of the
-// enclosing loops' variables, and shares no node with prog. The intern
-// table and lint directives carry over: normalization rewrites statements,
-// not identities or comments.
+// enclosing loops' variables, and shares no node and no list with prog.
+// Its nodes come from chunks sized by a census of prog (see ast.Alloc),
+// and every list has cap == len. The intern table and lint directives
+// carry over: normalization rewrites statements, not identities or
+// comments.
 //
 // A name in a loop's lower bound means what it means at the loop header,
 // even when an inner loop reuses an enclosing induction variable's name (a
@@ -36,6 +38,7 @@ import (
 // j. Normalize refuses such a loop with a positioned error, as Check does.
 func Normalize(prog *ast.Program) (*ast.Program, error) {
 	w := rewriter{normalize: true}
+	w.a.Expect(prog.Body)
 	body, err := w.block(prog.Body)
 	if err != nil {
 		return nil, err
@@ -56,10 +59,14 @@ type binding struct {
 
 // rewriter copies statements, replacing bound loop variables and writing
 // every polynomial subscript in canonical form. With normalize set it also
-// normalizes each loop and binds its variable for the body.
+// normalizes each loop and binds its variable for the body. The copy's
+// nodes come from a; syms holds one single-symbol polynomial per name the
+// subscripts read, shared by every read (polynomials are immutable).
 type rewriter struct {
 	normalize bool
 	env       []binding // innermost last
+	a         ast.Alloc
+	syms      symPolys
 }
 
 // lookup returns the binding that replaces name, or nil when name is
@@ -82,7 +89,7 @@ func (w *rewriter) block(list []ast.Stmt) ([]ast.Stmt, error) {
 	if list == nil && !w.normalize {
 		return nil, nil
 	}
-	out := make([]ast.Stmt, len(list))
+	out := w.a.Stmts(len(list))
 	for i, s := range list {
 		st, err := w.stmt(s)
 		if err != nil {
@@ -101,14 +108,14 @@ func (w *rewriter) stmt(s ast.Stmt) (ast.Stmt, error) {
 		if w.normalize {
 			return w.loop(st)
 		}
-		c := &ast.DoLoop{
+		c := w.a.DoLoop(ast.DoLoop{
 			DoPos: st.DoPos, Var: st.Var, VarSym: st.VarSym, Label: st.Label,
 			Lo: w.expr(st.Lo), Hi: w.expr(st.Hi), Step: w.expr(st.Step),
-		}
+		})
 		c.Body, _ = w.block(st.Body)
 		return c, nil
 	case *ast.If:
-		c := &ast.If{IfPos: st.IfPos, Cond: w.expr(st.Cond)}
+		c := w.a.If(ast.If{IfPos: st.IfPos, Cond: w.expr(st.Cond)})
 		var err error
 		if c.Then, err = w.block(st.Then); err != nil {
 			return nil, err
@@ -120,10 +127,10 @@ func (w *rewriter) stmt(s ast.Stmt) (ast.Stmt, error) {
 		}
 		return c, nil
 	case *ast.Assign:
-		return &ast.Assign{LHS: w.expr(st.LHS), RHS: w.expr(st.RHS)}, nil
+		return w.a.Assign(ast.Assign{LHS: w.expr(st.LHS), RHS: w.expr(st.RHS)}), nil
 	case *ast.Dim:
 		// A declaration's sizes are canonicalized but never substituted.
-		c := &ast.Dim{DimPos: st.DimPos, Name: st.Name, Sym: st.Sym, NamePos: st.NamePos, Sizes: make([]ast.Expr, len(st.Sizes))}
+		c := w.a.Dim(ast.Dim{DimPos: st.DimPos, Name: st.Name, Sym: st.Sym, NamePos: st.NamePos, Sizes: w.a.Exprs(len(st.Sizes))})
 		for i, sz := range st.Sizes {
 			c.Sizes[i] = w.canonical(sz)
 		}
@@ -147,7 +154,7 @@ func (w *rewriter) loop(st *ast.DoLoop) (*ast.DoLoop, error) {
 	if err := selfReadError(st); err != nil {
 		return nil, err
 	}
-	out := &ast.DoLoop{DoPos: st.DoPos, Var: st.Var, Label: st.Label}
+	out := w.a.DoLoop(ast.DoLoop{DoPos: st.DoPos, Var: st.Var, Label: st.Label})
 	mark := len(w.env)
 	if v, ok := constValue(st.Lo); ok && v == 1 && step == 1 {
 		out.Lo, out.Hi = w.expr(st.Lo), w.expr(st.Hi)
@@ -157,7 +164,7 @@ func (w *rewriter) loop(st *ast.DoLoop) (*ast.DoLoop, error) {
 	} else {
 		// UB = (hi − lo + step)/step, folded from the loop's own bounds
 		// before the enclosing replacements apply.
-		out.Lo = lit(1)
+		out.Lo = w.a.IntLit(ast.IntLit{Value: 1})
 		out.Hi = w.expr(simplify(div(add(sub(st.Hi, st.Lo), lit(step)), lit(step))))
 		w.bind(st.Var, st.Lo, step)
 	}
@@ -201,7 +208,7 @@ func (w *rewriter) bind(name string, lo ast.Expr, step int64) {
 		repl = add(w.subst(lo), repl)
 	}
 	b := binding{name: name, repl: repl, canon: w.canonical(repl)}
-	b.p, b.err = ExprToPoly(repl)
+	b.p, b.err = polyIn(repl, nil, &w.syms)
 	w.env = append(w.env, b)
 }
 
@@ -224,18 +231,16 @@ func (w *rewriter) expr(e ast.Expr) ast.Expr {
 		return nil
 	case *ast.Ident:
 		if b := lookup(w.env, ex.Name); b != nil {
-			return ast.CloneExpr(b.canon)
+			return w.a.CloneExpr(b.canon)
 		}
-		c := *ex
-		return &c
+		return w.a.Ident(*ex)
 	case *ast.IntLit:
-		c := *ex
-		return &c
+		return w.a.IntLit(*ex)
 	case *ast.ArrayRef:
-		c := &ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: make([]ast.Expr, len(ex.Subs))}
+		c := w.a.ArrayRef(ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: w.a.Exprs(len(ex.Subs))})
 		for k, s := range ex.Subs {
-			if p, err := polyIn(s, w.env); err == nil {
-				if canon, ok := PolyToExpr(p); ok {
+			if p, err := polyIn(s, w.env, &w.syms); err == nil {
+				if canon, ok := polyToExpr(&w.a, p); ok {
 					c.Subs[k] = canon
 					continue
 				}
@@ -244,9 +249,9 @@ func (w *rewriter) expr(e ast.Expr) ast.Expr {
 		}
 		return c
 	case *ast.Binary:
-		return &ast.Binary{Op: ex.Op, L: w.expr(ex.L), R: w.expr(ex.R)}
+		return w.a.Binary(ast.Binary{Op: ex.Op, L: w.expr(ex.L), R: w.expr(ex.R)})
 	case *ast.Unary:
-		return &ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.expr(ex.X)}
+		return w.a.Unary(ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.expr(ex.X)})
 	}
 	panic("sema: unknown expression type in rewrite")
 }
@@ -256,20 +261,20 @@ func (w *rewriter) subst(e ast.Expr) ast.Expr {
 	switch ex := e.(type) {
 	case *ast.Ident:
 		if b := lookup(w.env, ex.Name); b != nil {
-			return ast.CloneExpr(b.repl)
+			return w.a.CloneExpr(b.repl)
 		}
 	case *ast.ArrayRef:
-		c := &ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: make([]ast.Expr, len(ex.Subs))}
+		c := w.a.ArrayRef(ast.ArrayRef{NamePos: ex.NamePos, Name: ex.Name, Sym: ex.Sym, Subs: w.a.Exprs(len(ex.Subs))})
 		for k, s := range ex.Subs {
 			c.Subs[k] = w.subst(s)
 		}
 		return c
 	case *ast.Binary:
-		return &ast.Binary{Op: ex.Op, L: w.subst(ex.L), R: w.subst(ex.R)}
+		return w.a.Binary(ast.Binary{Op: ex.Op, L: w.subst(ex.L), R: w.subst(ex.R)})
 	case *ast.Unary:
-		return &ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.subst(ex.X)}
+		return w.a.Unary(ast.Unary{OpPos: ex.OpPos, Op: ex.Op, X: w.subst(ex.X)})
 	}
-	return ast.CloneExpr(e)
+	return w.a.CloneExpr(e)
 }
 
 // constValue evaluates a constant integer expression.

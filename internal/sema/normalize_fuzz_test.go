@@ -1,12 +1,15 @@
 package sema_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/ast/asttest"
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/sema"
+	"repro/internal/synth"
 )
 
 // FuzzNormalize compares Normalize with the oracle on parsed input: equal
@@ -14,7 +17,7 @@ import (
 // between input and output. Nests that reuse an induction variable are
 // skipped. On every input that parses, and on its normalized form when
 // Normalize accepts it, ir.RefExprs must list each loop's references in
-// ir.Build's ID order. Run with `go test -run '^$' -fuzz '^FuzzNormalize$'
+// ir.Build's ID order, and every list must have cap == len. Run with `go test -run '^$' -fuzz '^FuzzNormalize$'
 // ./internal/sema`; the seeds run as a normal test.
 func FuzzNormalize(f *testing.F) {
 	for _, s := range sema.NormalizeSources(f) {
@@ -30,10 +33,46 @@ func FuzzNormalize(f *testing.F) {
 			return
 		}
 		checkRefExprs(t, prog)
+		checkExactLists(t, "parsed", prog)
 		if norm, err := sema.Normalize(prog); err == nil {
 			checkRefExprs(t, norm)
+			checkExactLists(t, "normalized", norm)
 		}
 	})
+}
+
+// TestListsHaveExactCapacity requires cap == len of every list the front
+// end builds (see ast.Alloc), on every seed and example program and on
+// the synthetic programs of internal/synth: as parsed, as normalized, and
+// with its subscripts canonicalized.
+func TestListsHaveExactCapacity(t *testing.T) {
+	progs := map[string]*ast.Program{
+		"synth.Loop":             synth.Loop(synth.Params{Stmts: 40, Arrays: 4, MaxDist: 5, CondProb: 0.3, Seed: 3}),
+		"synth.RecurrenceLoop":   synth.RecurrenceLoop(3, 0),
+		"synth.KilledRecurrence": synth.KilledRecurrenceLoop(2, 100),
+		"synth.ChainLoop":        synth.ChainLoop(6, 2, 0),
+		"synth.MultiLoopProgram": synth.MultiLoopProgram(synth.MultiParams{Seed: 13, Loops: 8, StmtsPer: 12, NestEvery: 3}),
+		"synth.WideLoop":         synth.WideLoop(300, 0),
+	}
+	for k, src := range sema.NormalizeSources(t) {
+		if prog, err := parser.Parse(src); err == nil {
+			progs[fmt.Sprintf("source %d", k)] = prog
+		}
+	}
+	for name, prog := range progs {
+		checkExactLists(t, name+", parsed", prog)
+		checkExactLists(t, name+", canonicalized", sema.CanonicalizeSubscripts(prog))
+		if norm, err := sema.Normalize(prog); err == nil {
+			checkExactLists(t, name+", normalized", norm)
+		}
+	}
+}
+
+func checkExactLists(t *testing.T, what string, prog *ast.Program) {
+	t.Helper()
+	if err := asttest.ExactLists(prog.Body); err != nil {
+		t.Fatalf("%s: %v\n%s", what, err, ast.ProgramString(prog))
+	}
 }
 
 // checkRefExprs requires RefExprs(loop)[k] to be Build(loop).Refs[k].Expr

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Runs the solver/driver benchmark suite with -benchmem, three samples per
-# benchmark (-count 3), and records the results as JSON at the repo root
+# benchmark (-count 3), and records the results as JSON in the output file
 # (benchmark name → median ns/op, B/op and allocs/op, plus the ns/op
-# range), extending the perf trajectory (BENCH_PR3.json → BENCH_PR4.json →
-# BENCH_PR8.json → BENCH_PR9.json) that future changes are compared
-# against. Every gate below compares medians: single samples of one
+# range). A change that extends the checked-in perf trajectory
+# (BENCH_PR3.json → BENCH_PR4.json → BENCH_PR8.json → BENCH_PR9.json)
+# names its new snapshot as the output. Every gate below compares medians: single samples of one
 # benchmark have read 29 and 56 ms back to back on a shared machine.
 #
 # After recording, the snapshot is diffed against the previous trajectory
@@ -28,7 +28,7 @@
 # disk-warm restarts end to end, and internal/service's tests hold it
 # correct under load, across a dropped memo and through a drain.
 #
-# Usage: scripts/bench.sh [output.json]    (default BENCH_PR9.json)
+# Usage: scripts/bench.sh output.json
 #
 # BENCH_TIME sets the go test -benchtime value (default 1s; CI lowers it).
 # Nothing else is configurable: the benchmark set (the solver suite plus
@@ -39,7 +39,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR9.json}"
+if [ $# -ne 1 ]; then
+  echo "usage: scripts/bench.sh output.json" >&2
+  exit 2
+fi
+OUT="$1"
 TIME="${BENCH_TIME:-1s}"
 PATTERN="BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet|BenchmarkRender"
 BASELINE="BENCH_PR4.json"
