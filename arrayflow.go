@@ -246,7 +246,7 @@ func AnalyzeProgramOpts(prog *Program, opts *AnalyzeOptions) (*ProgramAnalysis, 
 }
 
 // AnalyzeProgramBatch analyzes many programs through one shared worker
-// pool, the solver's pooled dense rows, and the shared memo cache,
+// pool, the solver's pooled scratch, and the shared memo cache,
 // amortizing startup and allocation costs across the batch. Parallelism in
 // opts fans out across programs (each analyzed serially by its worker);
 // results come back in input order with per-program errors isolated per

@@ -1,5 +1,5 @@
-// Engine equivalence over the example corpus: the word-packed solver must
-// be observationally indistinguishable from the executable specification
+// Engine equivalence over the example corpus: the solver must be
+// observationally indistinguishable from the executable specification
 // (internal/dataflow/reference) on every checked-in program, for every one
 // of the paper's four problems — tuple tables, every traced pass, and the
 // solver metrics.

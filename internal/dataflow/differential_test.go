@@ -1,12 +1,17 @@
-// Differential suites: the word-packed solver against the executable
-// specification in internal/dataflow/reference, over a corpus of
-// hand-written and synthetic loops, every standard problem, and the option
-// axes (trace, ablations, fuel budgets, lane widths).
+// Differential suites: the solver (whose tests keep its historical
+// "packed" label) against the executable specification in
+// internal/dataflow/reference, over a corpus of hand-written and synthetic
+// loops, every standard problem, and the option axes (trace, ablations,
+// fuel budgets, stored value widths).
 package dataflow_test
 
 import (
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -33,80 +38,20 @@ func buildGraph(t testing.TB, src string) *ir.Graph {
 // differentialSources is the fuzz corpus: hand-written programs covering
 // summary nodes, regions, conditionals, known loop bounds (small enough
 // that the exit clamp saturates distances), a negative stride, and
-// distances that need 16- and 64-bit lanes, plus synthetic loops across a
+// distances stored at 16 and 64 bits, plus synthetic loops across a
 // seed/shape sweep.
 func differentialSources() map[string]string {
-	srcs := map[string]string{
-		"fig1": experiments.Fig1Source,
-		"nested-summary": `
-do i = 1, N
-  A[i+1] := A[i] + 1
-  do j = 1, 10
-    B[j] := A[i] + B[j-1]
-  enddo
-  C[i] := B[5] + A[i+1]
-enddo
-`,
-		"bounded": `
-do i = 1, 8
-  A[i+3] := A[i] + 1
-  B[i] := A[i+2]
-enddo
-`,
-		"branchy": `
-do i = 1, N
-  if c1 > 0 then
-    A[i+1] := B[i]
-  else
-    A[i+2] := B[i-1]
-  endif
-  B[i] := A[i]
-enddo
-`,
-		"multidim": `
-do i = 1, N
-  X[i+1, i] := X[i, i] + 1
-  Y[i] := X[i+1, i-1]
-enddo
-`,
-		"same-node-seq": `
-do i = 1, N
-  A[i] := A[i-1] + A[i]
-enddo
-`,
-		"exit-clamp": `
-do i = 1, 3
-  A[i-1] := A[i] + 1
-  B[i] := A[i+1]
-enddo
-`,
-		"negative-stride": `
-do i = 20, 2, -1
-  A[i-1] := A[i] + 1
-enddo
-`,
-		"lane16": `
-do i = 1, N
-  A[i] := A[i+300] + 1
-  B[i+2] := A[i+1]
-enddo
-`,
-		"lane16-bounded": `
-do i = 1, 1000
-  A[i] := A[i+300] + 1
-enddo
-`,
-		"lane64": `
-do i = 1, N
-  A[i] := A[i+5000000000] + 1
-  B[i] := A[i-2] + B[i-1]
-enddo
-`,
-		"lane64-store-ahead": `
-do i = 1, N
-  A[i+5000000000] := A[i] + 1
-enddo
-`,
+	srcs := map[string]string{"fig1": experiments.Fig1Source}
+	paths, err := filepath.Glob(filepath.Join("testdata", "differential", "*.loop"))
+	if err != nil || len(paths) == 0 {
+		panic(fmt.Sprintf("no differential corpus in testdata: %v", err))
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			panic(err)
+		}
+		srcs[strings.TrimSuffix(filepath.Base(p), ".loop")] = string(src)
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		p := synth.Params{
@@ -169,28 +114,30 @@ func TestPackedReferenceDifferential(t *testing.T) {
 	}
 }
 
-// TestLaneWidthsCovered pins that the corpus drives the solver through
-// every lane width — 8, 16 and 64 bits — so the differential suites above
-// compare each packing against the oracle.
+// TestLaneWidthsCovered pins that the corpus stores fixed points at every
+// value width (the name keeps the former lane widths' label) — 8, 16 and
+// 64 bits — so the differential suites above compare each width against
+// the oracle and FuzzRestoreResult's seeds, drawn from this corpus,
+// decode each.
 func TestLaneWidthsCovered(t *testing.T) {
-	want := map[string]uint{"fig1": lattice.Lane8, "lane16": lattice.Lane16, "lane16-bounded": lattice.Lane16, "lane64": lattice.Lane64}
-	seen := map[uint]bool{}
+	want := map[string]byte{"fig1": 8, "lane16": 16, "lane16-bounded": 16, "lane64": 64}
+	seen := map[byte]bool{}
 	srcs := differentialSources()
 	for _, name := range sortedNames(srcs) {
 		g := buildGraph(t, srcs[name])
-		widest := uint(0)
+		widest := byte(0)
 		for _, spec := range problems.StandardSpecs() {
-			lane := dataflow.LaneWidth(dataflow.Solve(g, spec, nil))
-			seen[lane] = true
-			widest = max(widest, lane)
+			width := dataflow.Solve(g, spec, nil).Rows()[0]
+			seen[width] = true
+			widest = max(widest, width)
 		}
 		if w, ok := want[name]; ok && widest != w {
-			t.Errorf("%s: widest lane = %d, want %d", name, widest, w)
+			t.Errorf("%s: widest stored width = %d, want %d", name, widest, w)
 		}
 	}
-	for _, lane := range []uint{lattice.Lane8, lattice.Lane16, lattice.Lane64} {
-		if !seen[lane] {
-			t.Errorf("no corpus solve packed its rows at %d-bit lanes", lane)
+	for _, width := range []byte{8, 16, 64} {
+		if !seen[width] {
+			t.Errorf("no corpus solve stored its fixed point at %d-bit values", width)
 		}
 	}
 }
@@ -215,7 +162,7 @@ func TestClampsMatchOracle(t *testing.T) {
 		g := buildGraph(t, srcs[name])
 		for _, spec := range problems.StandardSpecs() {
 			label := name + "/" + spec.Name
-			clamps, _ := dataflow.CompiledClamps(g, spec, nil)
+			clamps := dataflow.CompiledClamps(g, spec, nil)
 			ref := reference.Solve(g, spec, nil)
 			type slot struct{ node, class int }
 			bySlot := map[slot]dataflow.Clamp{}
@@ -339,6 +286,41 @@ func TestFuelExhaustionDeterministicAndSound(t *testing.T) {
 						label, again.NodeVisits, res.NodeVisits, again.FlowApps, res.FlowApps)
 				}
 			}
+		}
+	}
+}
+
+// TestNestedBranchDifferential holds the solver to the oracle on 1,000
+// random if/else nests (synth.IfNest): the solver walks each class only
+// over the joins and branch arms whose inputs can disagree for it, and
+// these nests put clamps inside arms, arms inside arms, else arms that
+// open with an if, summary nodes and declaration-only arms in every
+// arrangement. Each loop runs under every standard spec and option axis,
+// a random small fuel budget included.
+func TestNestedBranchDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seed := int64(1); seed <= 1000; seed++ {
+		g, err := ir.Build(synth.IfNest(seed).Body[0].(*ast.DoLoop), nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fuel := 1 + rng.Int63n(int64(3*len(g.Nodes)*max(1, len(g.Refs))))
+		variants := []dataflow.Options{
+			{},
+			{CollectTrace: true},
+			{SkipInitPass: true},
+			{MayTopStart: true, MaxPasses: 6},
+			{Fuel: fuel, CollectTrace: true},
+		}
+		for _, spec := range problems.StandardSpecs() {
+			for i := range variants {
+				opts := &variants[i]
+				label := fmt.Sprintf("seed %d/%s/%+v", seed, spec.Name, *opts)
+				checkResultsIdentical(t, label, dataflow.Solve(g, spec, opts), reference.Solve(g, spec, opts))
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d:\n%s", seed, ast.ProgramString(synth.IfNest(seed)))
 		}
 	}
 }

@@ -14,28 +14,25 @@ type Clamp struct {
 }
 
 // CompiledClamps compiles spec on g exactly as Solve does and returns every
-// non-identity clamp together with the lane width the solve packs its rows
-// at. Slots absent from the list are the identity clamp (⊥, ⊤).
-func CompiledClamps(g *ir.Graph, spec *Spec, opts *Options) ([]Clamp, uint) {
+// non-identity clamp. Slots absent from the list are the identity clamp
+// (⊥, ⊤).
+func CompiledClamps(g *ir.Graph, spec *Spec, opts *Options) []Clamp {
 	if opts == nil {
 		opts = &Options{}
 	}
 	sc := &Scratch{}
-	st := newSolveCtx(g).prepare(spec, opts, sc)
+	newSolveCtx(g).prepare(spec, opts, sc)
 	out := make([]Clamp, len(sc.clamps))
 	for i, c := range sc.clamps {
-		out[i] = Clamp{Node: int(c.node), Class: int(c.class), Gen: c.gen, Lo: c.lo, Hi: c.hi}
+		out[i] = Clamp{Node: int(c.node), Class: int(c.class), Gen: c.gen, Lo: lattice.FromCode(c.lo), Hi: lattice.FromCode(c.hi)}
 	}
-	return out, st.pk.Lane
+	return out
 }
-
-// LaneWidth reports the lane width res's rows are packed at.
-func LaneWidth(res *Result) uint { return res.rows.pk.Lane }
 
 // PreserveMemoCells compiles spec on g exactly as Solve does and returns
 // the number of cells the compile's preserve memo laid out.
 func PreserveMemoCells(g *ir.Graph, spec *Spec) int {
 	sc := &Scratch{}
 	newSolveCtx(g).prepare(spec, &Options{}, sc)
-	return len(sc.dists)
+	return len(sc.memo)
 }

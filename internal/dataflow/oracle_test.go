@@ -120,7 +120,8 @@ func TestInvariantLocationsProvedDistinct(t *testing.T) {
 
 // TestSymTopIsChainTop: the symbolic top is the chain lattice's ⊤ — the
 // provenance-documenting constructor must not mint a new element, or the
-// packed solver's two-bit encoding would no longer cover the lattice.
+// solver's codes (None 0, finite d+1, All all ones) would no longer cover
+// the lattice.
 func TestSymTopIsChainTop(t *testing.T) {
 	if !lattice.SymTop().Eq(lattice.All()) {
 		t.Fatal("SymTop() must equal All()")

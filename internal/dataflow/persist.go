@@ -25,10 +25,12 @@ import (
 // PersistVersion is the payload layout generation; it feeds the schema hash
 // (see driver's disk cache), so bumping it abandons old files wholesale
 // rather than risking a misparse. v2 moved the counters ahead of the rows
-// and framed the rows as a skippable blob per spec; v3 stored the rows
-// packed, as the lane width and one raw little-endian word blob; v4 stores
-// the change-point form and no longer writes the init snapshot, its flag,
-// or the solve's wall time (a stored solve reads back as taking none).
+// and framed the rows as a skippable blob per spec; v3 stored the dense
+// rows as one raw little-endian word blob; v4 stores the change-point form
+// (rows.go: value width, run starts, node IDs and values) and no longer
+// writes the init snapshot, its flag, or the solve's wall time (a stored
+// solve reads back as taking none). Which width a solve stores at is the
+// writer's choice; every width decodes to the same values.
 const PersistVersion = "result-v4"
 
 // ResultMeta is the eagerly-decoded slice of a persisted Result: the solve

@@ -27,9 +27,9 @@ type restoreCase struct {
 }
 
 // restoreCases solves every loop of every parseable example, of the
-// differential corpus (whose lane loops pack at 16 and 64 bits) and of
-// three wide loops (whose rows barely change from node to node), under
-// the standard specs, and encodes each result.
+// differential corpus (whose lane16 and lane64 loops store their values at
+// 16 and 64 bits) and of three wide loops (whose rows barely change from
+// node to node), under the standard specs, and encodes each result.
 func restoreCases(tb testing.TB) []restoreCase {
 	tb.Helper()
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "*.loop"))
@@ -140,7 +140,7 @@ func FuzzRestoreResult(f *testing.F) {
 // payload must be refused with an error, since a reader trusts the run
 // bounds, the ID order and range, and the change-point canon.
 func TestRestoreRejectsMalformedRows(t *testing.T) {
-	// An 8-bit-lane solve with a run of two or more points; j is that
+	// A solve stored at 8 bits with a run of two or more points; j is that
 	// run's first point.
 	var c restoreCase
 	j := -1
@@ -154,7 +154,7 @@ func TestRestoreRejectsMalformedRows(t *testing.T) {
 		}
 	}
 	if j < 0 {
-		t.Fatal("no corpus solve has a run of two change points at 8-bit lanes")
+		t.Fatal("no corpus solve has a run of two change points at 8-bit values")
 	}
 	rows := c.cold.Rows()
 	n, m := len(c.g.Nodes), len(c.cold.Classes)
@@ -162,7 +162,7 @@ func TestRestoreRejectsMalformedRows(t *testing.T) {
 	vals := ids + 4*le32(rows, 1+4*2*m)
 	damage := map[string]func(b []byte) []byte{
 		"empty":          func(b []byte) []byte { return nil },
-		"lane width 7":   func(b []byte) []byte { b[0] = 7; return b },
+		"value width 7":  func(b []byte) []byte { b[0] = 7; return b },
 		"truncated":      func(b []byte) []byte { return b[:len(b)-1] },
 		"trailing byte":  func(b []byte) []byte { return append(b, 0) },
 		"runs only":      func(b []byte) []byte { return b[:ids-1] },

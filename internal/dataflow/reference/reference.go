@@ -1,6 +1,6 @@
 // Package reference is the executable specification of the array data flow
 // framework (paper §3), kept as the differential oracle for
-// internal/dataflow's word-packed solver. It is deliberately naive: one
+// internal/dataflow's solver. It is deliberately naive: one
 // freshly allocated tuple per node and per flow application, classes
 // grouped by a linear scan, per-node flow functions compiled through member
 // sets into generate/preserve op sequences and applied one step at a time,

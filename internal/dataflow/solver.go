@@ -1,34 +1,41 @@
-// The solver: the paper's three-pass framework over word-packed lattice
-// rows, so the constant factor is bounded by lattice arithmetic rather than
-// allocator traffic.
+// The solver: the paper's framework run one class at a time, over that
+// class's own events only.
 //
-//   - IN/OUT state lives in word-packed rows (lattice.Packing): one uint64
-//     holds 8, 4 or 1 class cells (8-, 16- or 64-bit lanes), so meets, flow
-//     applications, and the changed-check run whole words at a time with
-//     SWAR min/max kernels. The rows are solve-time scratch: a finished
-//     solve keeps its fixed point as per-class change points (rows.go).
 //   - The paper has two flow functions, generate max(x, 0) and preserve
 //     min(x, p), and classes never interact, so every (node, class) flow
 //     function collapses to one clamp x ↦ min(max(x, lo), hi). The compiler
 //     folds each (node, class) straight to its (lo, hi, gen) triple in a
-//     sparse per-solve list, which then fills two packed bound rows (LO/HI)
-//     per node — one ApplyBounds sweep per word applies a node's whole flow
-//     across all classes. Membership tests go through a dense ref-ID →
+//     sparse per-solve list. Membership tests go through a dense ref-ID →
 //     class-index array, never a map[*ir.Ref].
+//   - A class's value can change only at its own clamps, at the exit node's
+//     increment, at position 0 (which reads the back edge) and at joins
+//     whose inputs disagree. ir.Build numbers nodes so that every body edge
+//     rises in ID, so ID order (reversed for backward problems) is a
+//     topological order of the body and its passes are the paper's passes.
+//     Each class is walked over just those points; every other node passes
+//     the value of the point before it on unchanged.
+//   - Values are the lattice's codes (lattice.Code), on which meets and
+//     clamps are integer min and max. Each class's walk appends its change
+//     points straight into the stored form.
 //   - pr(class, node) is a per-class bitset built by straight-line word ORs
 //     over the graph's packed precedes rows, one pass over the references.
 //
-// Every solve carries a fuel budget (Options.Fuel): iteration passes debit
-// one unit per flow application, and exhaustion terminates the solve by
-// degrading every tuple to the claim-nothing value for the problem's
-// polarity (must → ⊥ "no instance", may → ⊤ "all instances"), so downstream
-// consumers can only lose precision, never soundness. The default budget is
-// derived from MaxPasses·nodes·classes and can never bind; an explicit
-// budget bounds worst-case solve latency.
+// The counters are those of a pass over every node and class. Classes are
+// independent, so the changed passes are the most any class needs, the
+// passes one more (at most MaxPasses), and each pass visits every node and
+// applies m flow functions there. Every solve carries a fuel budget
+// (Options.Fuel) of flow applications. When those passes would need more,
+// the solve is exhausted after as many node visits as the budget covers,
+// and every tuple degrades to the claim-nothing value of the problem's
+// polarity (must → ⊥ "no instance", may → ⊤ "all instances"), so
+// downstream consumers can only lose precision, never soundness. The
+// default budget is derived from MaxPasses·nodes·classes and can never
+// bind.
 //
 // A solveCtx is shareable across problem instances on the same graph:
-// SolveAll reuses class discovery (per generate-predicate signature), node
-// orderings, and the pr bitsets across the four standard problems.
+// SolveAll reuses class discovery (per generate-predicate signature), the
+// join table of each direction, and the pr bitsets across the four standard
+// problems.
 package dataflow
 
 import (
@@ -42,10 +49,11 @@ import (
 // solveCtx carries everything derivable from the graph alone, shared by all
 // specs solved through one SolveAll call.
 type solveCtx struct {
-	g   *ir.Graph
-	n   int
-	fwd []*ir.Node // reverse postorder of the body DAG
-	bwd []*ir.Node // reverse of fwd, built on first backward spec
+	g *ir.Graph
+	n int
+	// next holds the join table of each direction (forward, backward),
+	// built on first use.
+	next [2][]int32
 
 	// shared marks a context that solves several specs (SolveAll): only
 	// then do the memo tables below get built. A single-spec context skips
@@ -66,22 +74,7 @@ type prKey struct {
 }
 
 func newSolveCtx(g *ir.Graph) *solveCtx {
-	return &solveCtx{g: g, n: len(g.Nodes), fwd: g.RPO()}
-}
-
-// order returns the iteration order for the direction, building the
-// backward order on first use.
-func (ctx *solveCtx) order(backward bool) []*ir.Node {
-	if !backward {
-		return ctx.fwd
-	}
-	if ctx.bwd == nil {
-		ctx.bwd = make([]*ir.Node, len(ctx.fwd))
-		for i, nd := range ctx.fwd {
-			ctx.bwd[len(ctx.fwd)-1-i] = nd
-		}
-	}
-	return ctx.bwd
+	return &solveCtx{g: g, n: len(g.Nodes)}
 }
 
 // tableFor returns the class table for the spec's generate predicate. In a
@@ -190,54 +183,81 @@ func bitSet(row []uint64, i int) {
 	row[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// dir is the walk order of one direction. Position k is node ID k+1
+// forward and n−k backward, and a node's inputs are its predecessors
+// forward and its successors backward. Position 0 reads the back edge;
+// every other input lies at a lower position.
+type dir struct {
+	g    *ir.Graph
+	n    int
+	back bool
+}
+
+// at returns the position of node ID id.
+func (d dir) at(id int) int {
+	if d.back {
+		return d.n - id
+	}
+	return id - 1
+}
+
+// inputs returns the inputs of the node at position k.
+func (d dir) inputs(k int) []*ir.Node {
+	if d.back {
+		return d.g.Nodes[d.n-1-k].Succs
+	}
+	return d.g.Nodes[k].Preds
+}
+
+// nextFor returns the direction's join table, built once per context.
+// next[q] is the first position after q with an input before q — a branch
+// arm or join whose inputs can carry different values of a class whose
+// last point is at q — or n when there is none. Such a class keeps
+// next[q] as a point and skips every position before it: their inputs all
+// lie at or after q, where the class's value holds.
+//
+// The table is filled from the last position down. The positions after q
+// with an input before q form a stack whose top is the first, and each
+// element's next entry is the element below it, so a position whose
+// inputs no longer reach back is popped by following its entry.
+func (ctx *solveCtx) nextFor(backward bool) []int32 {
+	b := 0
+	if backward {
+		b = 1
+	}
+	if ctx.next[b] == nil {
+		d := dir{ctx.g, ctx.n, backward}
+		next := make([]int32, ctx.n)
+		for q := ctx.n - 1; q >= 0; q-- {
+			k := q + 1
+			for k < ctx.n && !d.reachesBefore(k, q) {
+				k = int(next[k])
+			}
+			next[q] = int32(k)
+		}
+		ctx.next[b] = next
+	}
+	return ctx.next[b]
+}
+
+// reachesBefore reports whether position k has an input before position q.
+func (d dir) reachesBefore(k, q int) bool {
+	for _, nd := range d.inputs(k) {
+		if d.at(nd.ID) < q {
+			return true
+		}
+	}
+	return false
+}
+
 // clamp is one compiled (node, class) flow function in its collapsed form
-// f(x) = min(max(x, lo), hi), with lo ≤ hi; gen marks a function that
-// generates (it feeds the initialization pass's overestimate). Slots
-// absent from the compiled list are the identity clamp lo = ⊥, hi = ⊤.
+// f(x) = min(max(x, lo), hi) over codes, with lo ≤ hi; gen marks a function
+// that generates (it feeds the initialization pass's overestimate). Slots
+// absent from the compiled list are the identity clamp lo = 0, hi = CodeAll.
 type clamp struct {
 	node, class int32
 	gen         bool
-	lo, hi      lattice.Dist
-}
-
-// solver is the per-spec iteration state; its pass methods are allocation-
-// free once prepared.
-type solver struct {
-	res   *Result
-	g     *ir.Graph
-	order []*ir.Node
-	entry *ir.Node
-	sc    *Scratch
-	m     int
-	may   bool
-	back  bool
-
-	fuel      int64
-	exhausted bool
-
-	pk        lattice.Packing
-	words     int
-	inW       []uint64 // packed IN rows
-	outW      []uint64 // packed OUT rows
-	loW       []uint64 // per-node batch lower bounds
-	hiW       []uint64 // per-node batch upper bounds
-	genW      []uint64 // per-node generate lanes (All in generating cells)
-	scrW      []uint64 // one-row scratch
-	ubE       uint64   // encoded exit clamp threshold
-	exitClamp bool
-}
-
-// preds returns the meet inputs of nd for the solve direction.
-func (st *solver) preds(nd *ir.Node) []*ir.Node {
-	if st.back {
-		return nd.Succs
-	}
-	return nd.Preds
-}
-
-// rowW returns node id's packed row of a flat row set.
-func (st *solver) rowW(flat []uint64, id int) []uint64 {
-	return flat[(id-1)*st.words : id*st.words]
+	lo, hi      uint64
 }
 
 // resolveFuel returns the solve's fuel budget: the explicit option when set,
@@ -254,282 +274,326 @@ func resolveFuel(opts *Options, n, m int) int64 {
 	return int64(opts.passLimit())*int64(n)*int64(m) + 64
 }
 
-// laneFor picks the narrowest lane width that holds every finite distance
-// the solve can produce: meets and clamps mint no new finite values, so
-// they are bounded by the largest finite clamp bound plus one exit
-// increment per pass (with slack). The comparison subtracts from the lane
-// capacity instead of adding to the bound, so it cannot overflow; a 64-bit
-// lane holds every int64 distance.
-func laneFor(clamps []clamp, maxPasses int) uint {
-	var maxFin int64
-	for i := range clamps {
-		for _, d := range [2]lattice.Dist{clamps[i].lo, clamps[i].hi} {
-			if v, ok := d.Finite(); ok && v > maxFin {
-				maxFin = v
-			}
-		}
-	}
-	for _, lane := range [...]uint{lattice.Lane8, lattice.Lane16} {
-		if maxFin <= lattice.MaxFiniteForLane(lane)-int64(maxPasses)-2 {
-			return lane
-		}
-	}
-	return lattice.Lane64
-}
-
-// prepare builds the per-spec iteration state: class table, compiled
-// clamps, the IN/OUT rows at the chosen lane width, the LO/HI/GEN bound
-// rows, and the fuel budget. Every row lives in the scratch. After prepare,
-// initStage and iteratePass allocate nothing.
-func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) *solver {
+// prepare builds the solve's result shell and its walker: the class table,
+// the pr bitsets, the compiled clamps grouped by class, the join table and
+// the fuel budget. Everything the walker holds lives in the scratch or the
+// context.
+func (ctx *solveCtx) prepare(spec *Spec, opts *Options, sc *Scratch) (*Result, *walker) {
 	res := &Result{Graph: ctx.g, Spec: spec}
 	ct := ctx.tableFor(spec, sc)
 	res.adoptClasses(ct)
 	m := len(ct.classes)
-	n := ctx.n
 	res.prZero = ctx.prZeroFor(ct, spec.Backward)
 	clamps := ctx.compile(spec, ct, res.prZero, opts.Facts, sc)
+	res.FuelBudget = resolveFuel(opts, ctx.n, m)
 
-	st := &solver{
-		res:   res,
-		g:     ctx.g,
-		order: ctx.order(spec.Backward),
-		entry: ctx.g.Entry,
-		sc:    sc,
-		m:     m,
-		may:   spec.May,
-		back:  spec.Backward,
-		fuel:  resolveFuel(opts, n, m),
+	w := &sc.w
+	w.dir = dir{ctx.g, ctx.n, spec.Backward}
+	w.next, w.may, w.ub = ctx.nextFor(spec.Backward), spec.May, 0
+	if g := ctx.g; g.HasUB && g.UBConst > 0 {
+		w.ub = uint64(g.UBConst)
 	}
-	res.FuelBudget = st.fuel
-	if spec.Backward {
-		st.entry = ctx.g.Exit
-	}
-
-	st.pk = lattice.NewPacking(m, laneFor(clamps, opts.passLimit()))
-	st.words = st.pk.Words
-	size := n * st.words
-	st.inW = grow(&sc.words[0], size)
-	st.outW = grow(&sc.words[1], size)
-	st.loW = grow(&sc.words[2], size)
-	st.hiW = grow(&sc.words[3], size)
-	st.genW = grow(&sc.words[4], size)
-	st.scrW = grow(&sc.words[5], st.words)
-	// Default bounds are the identity clamp lo = ⊥, hi = ⊤; only compiled
-	// slots deviate, so the sparse pass below touches O(refs) cells, not
-	// O(n·m). hi's tail lanes may hold ⊤ safely: ApplyBounds computes
-	// min(max(0, 0), hi) = 0 on tails regardless.
-	clear(st.loW)
-	for i := range st.hiW {
-		st.hiW[i] = ^uint64(0)
-	}
-	clear(st.genW)
-	pk := &st.pk
+	// A counting sort groups the clamps by class; compile emits them in
+	// node-ID order, which each class's group keeps.
+	first := grow(&sc.first, m+2)
+	clear(first)
 	for i := range clamps {
-		c := &clamps[i]
-		id, ci := int(c.node), int(c.class)
-		pk.SetCell(st.rowW(st.loW, id), ci, pk.Encode(c.lo))
-		pk.SetCell(st.rowW(st.hiW, id), ci, pk.Encode(c.hi))
-		if c.gen {
-			pk.SetCell(st.rowW(st.genW, id), ci, pk.All)
-		}
+		first[clamps[i].class+2]++
 	}
-	if st.g.HasUB && st.g.UBConst > 0 && uint64(st.g.UBConst) < pk.All {
-		// Encoded e = d+1, so the clamp condition d ≥ ub−1 becomes e ≥ ub.
-		// Thresholds at or beyond the lane's All can never fire (finite
-		// lanes stay below them).
-		st.exitClamp = true
-		st.ubE = uint64(st.g.UBConst)
+	for c := 2; c < len(first); c++ {
+		first[c] += first[c-1]
 	}
-	return st
+	w.clamps = grow(&sc.byClass, len(clamps))
+	for _, c := range clamps {
+		w.clamps[first[c.class+1]] = c
+		first[c.class+1]++
+	}
+	w.first = first
+	return res, w
 }
 
 // solve runs one problem instance and stores its fixed point as change
 // points.
 func (ctx *solveCtx) solve(spec *Spec, opts *Options, sc *Scratch) *Result {
 	start := time.Now()
-	st := ctx.prepare(spec, opts, sc)
-	res := st.res
-
-	st.initStage(opts)
-	for pass := 1; pass <= opts.passLimit(); pass++ {
-		changed := st.iteratePass()
-		if st.exhausted {
-			break
-		}
-		res.Passes = pass
-		if changed {
-			res.ChangedPasses++
-		}
-		if opts.CollectTrace {
-			res.Trace = append(res.Trace, st.snapshot())
-		}
-		if !changed {
-			break
-		}
+	res, w := ctx.prepare(spec, opts, sc)
+	n, m := ctx.n, len(res.Classes)
+	// A budget of V node visits completes ⌊V/n⌋ passes, so no class needs
+	// walking beyond one pass more: a solve that needs it is exhausted.
+	limit := opts.passLimit()
+	if m > 0 {
+		limit = int(min(int64(limit), res.FuelBudget/int64(m)/int64(n)+1))
 	}
-	if st.exhausted {
-		st.degrade()
+	b := &sc.rows
+	b.reset()
+	changed := 0
+	for ci := 0; ci < m; ci++ {
+		changed = max(changed, w.walk(ci, opts, limit))
+		w.emit(b)
 	}
-	res.rows = encodeRows(&st.pk, ctx.n, st.inW, st.outW, sc)
+	res.ChangedPasses = changed
+	res.Passes = min(changed+1, limit)
+	visits := res.Passes * n
+	if m > 0 && res.FuelBudget/int64(m) < int64(visits) {
+		visits = int(res.FuelBudget / int64(m))
+		res.Passes, res.ChangedPasses = visits/n, visits/n
+		res.FuelExhausted = true
+		fuelExhaustedTotal.Add(1)
+		b.degrade(m, spec.May)
+	}
+	res.NodeVisits = visits
+	if !spec.May && !opts.SkipInitPass {
+		res.NodeVisits += n
+	}
+	res.FlowApps = visits * m
+	res.rows = b.rows()
+	if opts.CollectTrace {
+		w.trace(res, opts)
+	}
 	res.Elapsed = time.Since(start)
 	return res
 }
 
-// snapshot decodes the current IN and OUT rows into fresh 1-based slabs.
-func (st *solver) snapshot() TraceEntry {
-	n, w := len(st.g.Nodes), st.words
-	e := TraceEntry{In: lattice.Slab(n, st.m), Out: lattice.Slab(n, st.m)}
-	for id := 1; id <= n; id++ {
-		st.pk.DecodeRow(e.In[id], st.inW[(id-1)*w:id*w])
-		st.pk.DecodeRow(e.Out[id], st.outW[(id-1)*w:id*w])
-	}
-	return e
+// point is one position a class is walked over, with its compiled clamp
+// (the identity lo = 0, hi = CodeAll where it has none) and its IN and OUT
+// codes.
+type point struct {
+	pos int32
+	// from < 0: the input is the OUT of the point before (for position 0,
+	// of the last point: the back edge). Otherwise it is the meet of the
+	// OUTs of the points ins[from:to].
+	from, to int32
+	gen      bool
+	lo, hi   uint64
+	in, out  uint64
 }
 
-// initStage runs the paper's initialization (§3.2 for must, §3.3 for may).
-func (st *solver) initStage(opts *Options) {
-	pk := &st.pk
-	n := len(st.g.Nodes)
+// walker walks one solve's classes one at a time. It lives in the scratch,
+// so its point lists are reused from solve to solve and a walk allocates
+// nothing once they have grown.
+type walker struct {
+	dir
+	next []int32 // the direction's join table (nextFor)
+	may  bool
+	// ub is the exit clamp's threshold code: a finite code that reaches it
+	// (a distance of at least the constant bound minus one) saturates to
+	// All (lattice.IncCode); 0 when the bound is unknown.
+	ub uint64
+	// clamps are the compiled clamps grouped by class; class ci's are
+	// clamps[first[ci]:first[ci+1]], in node-ID order.
+	clamps []clamp
+	first  []int32
+	// pts are the current class's points in walk order, ins the kept
+	// joins' inputs as point indices, and xi the exit node's point.
+	pts []point
+	ins []int32
+	xi  int
+}
+
+// walk gives class ci its initial values and runs up to limit passes over
+// its points, returning how many of them changed an OUT.
+func (w *walker) walk(ci int, opts *Options, limit int) int {
+	w.start(ci, opts)
+	for pass := 0; pass < limit; pass++ {
+		if !w.pass() {
+			return pass
+		}
+	}
+	return limit
+}
+
+// start lays out class ci's points and gives them their initial values:
+// the paper's initialization pass for must-problems (§3.2), All — or None
+// under MayTopStart — for may-problems (§3.3), and All under SkipInitPass.
+func (w *walker) start(ci int, opts *Options) {
+	w.points(ci)
+	var e uint64
 	switch {
-	case st.may:
-		e := pk.Encode(lattice.All())
-		if opts.MayTopStart {
-			e = pk.Encode(lattice.None())
-		}
-		for id := 1; id <= n; id++ {
-			pk.Fill(st.rowW(st.inW, id), e)
-			pk.Fill(st.rowW(st.outW, id), e)
-		}
-	case opts.SkipInitPass:
-		for id := 1; id <= n; id++ {
-			pk.Fill(st.rowW(st.inW, id), pk.All)
-			pk.Fill(st.rowW(st.outW, id), pk.All)
-		}
+	case w.may && opts.MayTopStart:
+	case w.may || opts.SkipInitPass:
+		e = lattice.CodeAll
 	default:
-		st.initPass()
-		if opts.CollectTrace {
-			st.res.init = st.snapshot()
-		}
+		w.initPass()
+		return
+	}
+	for j := range w.pts {
+		w.pts[j].in, w.pts[j].out = e, e
 	}
 }
 
-// initPass runs the initialization pass for must-problems: meet over
-// already-visited predecessors (back-edge inputs excluded), then the
-// generate overestimate — one OR with the node's gen row (All is the
-// all-ones lane).
-func (st *solver) initPass() {
-	res := st.res
-	pk := &st.pk
-	visited := grow(&st.sc.visited, len(st.g.Nodes)+1)
-	clear(visited)
-	for _, nd := range st.order {
-		res.NodeVisits++
-		in := st.rowW(st.inW, nd.ID)
-		if nd == st.entry {
-			clear(in)
-		} else {
-			pk.Fill(in, pk.All)
-			any := false
-			for _, p := range st.preds(nd) {
-				if !visited[p.ID] {
-					continue // back-edge predecessor: excluded from init
-				}
-				pk.MinInto(in, st.rowW(st.outW, p.ID))
-				any = true
-			}
-			if !any {
-				clear(in)
-			}
+// points lays out class ci's walk: position 0, the positions of the
+// class's clamps and of the exit node, and the branch arms and joins whose
+// inputs can carry different values.
+func (w *walker) points(ci int) {
+	w.pts, w.ins = append(w.pts[:0], point{from: -1, hi: lattice.CodeAll}), w.ins[:0]
+	cl := w.clamps[w.first[ci]:w.first[ci+1]]
+	for i := range cl {
+		c := &cl[i]
+		if w.back {
+			c = &cl[len(cl)-1-i]
 		}
-		out := st.rowW(st.outW, nd.ID)
-		gen := st.rowW(st.genW, nd.ID)
-		for w := range out {
-			out[w] = in[w] | gen[w]
+		if k := w.at(int(c.node)); k > 0 {
+			w.upTo(k)
 		}
-		visited[nd.ID] = true
+		p := &w.pts[len(w.pts)-1]
+		p.gen, p.lo, p.hi = c.gen, c.lo, c.hi
 	}
+	w.xi = 0
+	if !w.back && w.n > 1 {
+		w.upTo(w.n - 1)
+		w.xi = len(w.pts) - 1
+	}
+	w.upTo(w.n)
 }
 
-// iteratePass runs one fixed-point pass over every node, reporting whether
-// any OUT row changed. It allocates nothing. Meets are SWAR min/max sweeps
-// over predecessor OUT rows, and a node's whole flow function across all
-// classes is two packed rows applied per word (min(max(in, lo), hi)); the
-// exit node applies the increment-and-clamp kernel instead. Every node
-// visit debits m units of fuel first; when the budget cannot cover the
-// visit the pass stops and marks the solve exhausted.
-func (st *solver) iteratePass() bool {
-	res := st.res
-	pk := &st.pk
-	mFuel := int64(st.m)
-	changed := false
-	for _, nd := range st.order {
-		if st.fuel < mFuel {
-			st.exhausted = true
+// upTo adds the points of the joins before position k that the class
+// keeps and then, unless k is n, the point at k. A kept join's inputs
+// resolve to the points that hold their OUTs; any other point's input is
+// the point before it.
+func (w *walker) upTo(k int) {
+	for {
+		j := int(w.next[w.pts[len(w.pts)-1].pos])
+		if j > k || j == w.n {
 			break
 		}
-		res.NodeVisits++
-		in := st.rowW(st.inW, nd.ID)
-		ps := st.preds(nd)
-		switch {
-		case len(ps) == 1:
-			// Meet over one input is that input, whichever the polarity.
-			copy(in, st.rowW(st.outW, ps[0].ID))
-		case len(ps) > 1:
-			if st.may {
-				clear(in)
-				for _, p := range ps {
-					pk.MaxInto(in, st.rowW(st.outW, p.ID))
-				}
-			} else {
-				pk.Fill(in, pk.All)
-				for _, p := range ps {
-					pk.MinInto(in, st.rowW(st.outW, p.ID))
-				}
-			}
+		p := point{pos: int32(j), from: int32(len(w.ins)), hi: lattice.CodeAll}
+		for _, nd := range w.inputs(j) {
+			w.ins = append(w.ins, w.find(w.at(nd.ID)))
 		}
-		res.FlowApps += st.m
-		st.fuel -= mFuel
-		scr := st.scrW
-		if nd.Kind == ir.KindExit {
-			copy(scr, in)
-			pk.IncClamp(scr, st.ubE, st.exitClamp)
+		p.to = int32(len(w.ins))
+		if w.pts = append(w.pts, p); j == k {
+			return
+		}
+	}
+	if k < w.n {
+		w.pts = append(w.pts, point{pos: int32(k), from: -1, hi: lattice.CodeAll})
+	}
+}
+
+// find returns the last point at or before position q, whose OUT is q's.
+func (w *walker) find(q int) int32 {
+	lo, hi := 0, len(w.pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(w.pts[mid].pos) <= q {
+			lo = mid + 1
 		} else {
-			pk.ApplyBounds(scr, in, st.rowW(st.loW, nd.ID), st.rowW(st.hiW, nd.ID))
+			hi = mid
 		}
-		out := st.rowW(st.outW, nd.ID)
-		eq := true
-		for w := range scr {
-			if scr[w] != out[w] {
-				eq = false
-				break
-			}
+	}
+	return int32(lo - 1)
+}
+
+// meet returns the meet of p's inputs' OUTs.
+func (w *walker) meet(p *point) uint64 {
+	ins := w.ins[p.from:p.to]
+	x := w.pts[ins[0]].out
+	for _, i := range ins[1:] {
+		if w.may {
+			x = max(x, w.pts[i].out)
+		} else {
+			x = min(x, w.pts[i].out)
 		}
-		if !eq {
-			changed = true
-			copy(out, scr)
+	}
+	return x
+}
+
+// initPass runs the initialization pass of must-problems: position 0
+// starts at None, every other point meets its inputs (in ID order all of
+// them precede it; the back edge is position 0's alone), and a generating
+// point overestimates to All.
+func (w *walker) initPass() {
+	var x uint64
+	for j := range w.pts {
+		p := &w.pts[j]
+		if p.from >= 0 {
+			x = w.meet(p)
+		}
+		p.in = x
+		if p.gen {
+			x = lattice.CodeAll
+		}
+		p.out = x
+	}
+}
+
+// pass runs one iteration pass over the class's points and reports whether
+// any OUT changed. Position 0 reads the back edge: the last point's OUT
+// from the pass before. The exit node applies the loop increment, every
+// other point its clamp.
+func (w *walker) pass() bool {
+	pts := w.pts
+	x := pts[len(pts)-1].out
+	changed := false
+	for j := range pts {
+		p := &pts[j]
+		if p.from >= 0 {
+			x = w.meet(p)
+		}
+		p.in = x
+		if j == w.xi {
+			x = lattice.IncCode(x, w.ub)
+		} else {
+			x = min(max(x, p.lo), p.hi)
+		}
+		if x != p.out {
+			p.out, changed = x, true
 		}
 	}
 	return changed
 }
 
-// degrade overwrites a fuel-exhausted solve's fixed point with the
-// claim-nothing value of the problem's polarity: ⊥ for must-problems (no
-// instance is asserted in range, so Covers is false everywhere) and ⊤ for
-// may-problems (every instance may be live) — conservative in both
-// directions. It marks the exhaustion on the result and the process
-// counter.
-func (st *solver) degrade() {
-	e := uint64(0)
-	if st.may {
-		e = st.pk.All
+// emit appends the class's change points to b in node-ID order. A point
+// holds its IN and OUT at its own node, and the positions after it up to
+// the next point hold its OUT in both sets: the IDs after the point
+// forward, the IDs before it backward.
+func (w *walker) emit(b *rowBuilder) {
+	for i := range w.pts {
+		j := i
+		if w.back {
+			j = len(w.pts) - 1 - i
+		}
+		p, span := &w.pts[j], w.n-int(w.pts[j].pos)
+		if j+1 < len(w.pts) {
+			span = int(w.pts[j+1].pos - p.pos)
+		}
+		id := int(p.pos) + 1
+		if w.back {
+			id = w.n - int(p.pos)
+			if span > 1 {
+				b.put(id-span+1, p.out, p.out)
+			}
+		}
+		b.put(id, p.in, p.out)
+		if !w.back && span > 1 {
+			b.put(id+1, p.out, p.out)
+		}
 	}
-	for id := 1; id <= len(st.g.Nodes); id++ {
-		st.pk.Fill(st.rowW(st.inW, id), e)
-		st.pk.Fill(st.rowW(st.outW, id), e)
+	b.end()
+}
+
+// trace records the initialization pass (when one ran) and each of the
+// solve's passes as snapshots, walking every class again over them.
+func (w *walker) trace(res *Result, opts *Options) {
+	ranInit := !w.may && !opts.SkipInitPass
+	var init rowBuilder
+	passes := make([]rowBuilder, res.Passes)
+	for ci := range res.Classes {
+		w.start(ci, opts)
+		if ranInit {
+			w.emit(&init)
+		}
+		for p := range passes {
+			w.pass()
+			w.emit(&passes[p])
+		}
 	}
-	st.res.FuelExhausted = true
-	fuelExhaustedTotal.Add(1)
+	if ranInit {
+		res.init = init.entry(w.n)
+	}
+	for p := range passes {
+		res.Trace = append(res.Trace, passes[p].entry(w.n))
+	}
 }
 
 // compile folds every (node, class) flow function to its clamp and returns
@@ -598,7 +662,7 @@ type compiler struct {
 	nodePr   int64
 	want     int32
 	genSeen  bool
-	lo, hi   lattice.Dist
+	lo, hi   uint64
 	g        *ir.Graph
 	spec     *Spec
 	ct       *classTable
@@ -619,7 +683,7 @@ type compiler struct {
 	fid          []int32 // ref ID → form ID within its array, -1 when unused
 	base         []int
 	slot, stride int
-	memo         []lattice.Dist
+	memo         []uint64 // preserve distances as codes
 	memoDone     []uint64
 }
 
@@ -683,8 +747,8 @@ func (e *compiler) buildForms(sc *Scratch) {
 		k := len(cs)
 		cells += (k + int(nExtra[a])) * 2 * k
 	}
-	e.memo = grow(&sc.dists, cells)
-	e.memoDone = grow(&sc.words[6], (cells+63)/64)
+	e.memo = grow(&sc.memo, cells)
+	e.memoDone = grow(&sc.memoDone, (cells+63)/64)
 	clear(e.memoDone)
 }
 
@@ -692,12 +756,12 @@ func (e *compiler) buildForms(sc *Scratch) {
 // against the affine killer r, whose form ID within the class's array is
 // f, at the given pr. Killers sharing a form ID have Equal forms, so
 // whichever reaches a cell first computes it for all.
-func (e *compiler) preserve(r *ir.Ref, f int, pr int64) lattice.Dist {
+func (e *compiler) preserve(r *ir.Ref, f int, pr int64) uint64 {
 	idx := e.slot + (f*2+int(pr))*e.stride
 	if !bitGet(e.memoDone, idx) {
 		kctx := e.kctxBase
 		kctx.Pr = pr
-		e.memo[idx] = PreserveConst(e.c.Form, r.Form, true, kctx)
+		e.memo[idx] = lattice.Code(PreserveConst(e.c.Form, r.Form, true, kctx))
 		bitSet(e.memoDone, idx)
 	}
 	return e.memo[idx]
@@ -716,7 +780,7 @@ func (e *compiler) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) {
 	e.stride = len(e.ct.arrays[a])
 	e.slot = e.base[a] + int(e.ct.classPos[c.Index])
 	e.genSeen = false
-	e.lo, e.hi = lattice.None(), lattice.All()
+	e.lo, e.hi = 0, lattice.CodeAll
 	e.nodePr = 1
 	if bitGet(prZeroC, nd.ID) {
 		e.nodePr = 0
@@ -740,7 +804,7 @@ func (e *compiler) compileSlot(nd *ir.Node, c *Class, prZeroC []uint64) {
 	}
 	// A slot that never generated keeps lo = ⊥, so it is the identity
 	// exactly when no cap lowered hi.
-	if e.genSeen || !e.hi.IsAll() {
+	if e.genSeen || e.hi != lattice.CodeAll {
 		e.out = append(e.out, clamp{node: int32(nd.ID), class: e.want, gen: e.genSeen, lo: e.lo, hi: e.hi})
 	}
 }
@@ -764,14 +828,14 @@ func (e *compiler) walk(nd *ir.Node, phase int, reverse bool) {
 }
 
 // fold composes one reference's effect onto the slot's clamp. Over the
-// chain lattice a generate (max with 0) raises both bounds to at least 0
-// (max distributes over min on a chain), and a preserve cap (min with p)
-// lowers hi and renormalizes lo ≤ hi; an identity cap (p = ⊤) changes
-// neither.
+// chain lattice a generate (max with 0, code 1) raises both bounds to at
+// least 0 (max distributes over min on a chain), and a preserve cap (min
+// with p) lowers hi and renormalizes lo ≤ hi; an identity cap (p = ⊤)
+// changes neither.
 func (e *compiler) fold(r *ir.Ref, isMember bool) {
 	if isMember {
-		e.lo = lattice.Max(e.lo, lattice.D(0))
-		e.hi = lattice.Max(e.hi, lattice.D(0))
+		e.lo = max(e.lo, 1)
+		e.hi = max(e.hi, 1)
 		e.genSeen = true
 		return
 	}
@@ -784,18 +848,20 @@ func (e *compiler) fold(r *ir.Ref, isMember bool) {
 		// the kill: the distance-0 instance is in range.
 		pr = 0
 	}
-	var p lattice.Dist
+	var p uint64
 	if f := e.fid[r.ID]; f >= 0 {
 		p = e.preserve(r, int(f), pr)
 	} else {
 		kctx := e.kctxBase
 		kctx.Pr = pr
+		var d lattice.Dist
 		if r.FromInner && r.HasRegion {
-			p = PreserveAgainstRegion(e.c.Form, r.RegionLo, r.RegionHi, kctx)
+			d = PreserveAgainstRegion(e.c.Form, r.RegionLo, r.RegionHi, kctx)
 		} else {
-			p = PreserveConst(e.c.Form, r.Form, r.Affine && !r.FromInner, kctx)
+			d = PreserveConst(e.c.Form, r.Form, r.Affine && !r.FromInner, kctx)
 		}
+		p = lattice.Code(d)
 	}
-	e.hi = lattice.Min(e.hi, p)
-	e.lo = lattice.Min(e.lo, e.hi)
+	e.hi = min(e.hi, p)
+	e.lo = min(e.lo, e.hi)
 }

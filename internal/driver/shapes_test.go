@@ -128,8 +128,8 @@ func (s shape) program(tb testing.TB, seed int64) *ast.Program {
 
 // denseRowBytes is what res's fixed point held as dense word-packed rows
 // before change points: IN and OUT, plus the initialization pass's two
-// snapshots for a must-problem, n rows of ⌈m/lanes⌉ words each. The lane
-// width is the stored form's first byte.
+// snapshots for a must-problem, n rows of ⌈m/lanes⌉ words each, with
+// lanes as wide as the stored form's values (its first byte).
 func denseRowBytes(res *dataflow.Result) int {
 	sets := 4
 	if res.Spec.May {

@@ -390,28 +390,27 @@ func (b *builder) buildBlock(stmts []ast.Stmt) (heads, tails []*Node) {
 			site.Cond = st.Cond
 			b.collectExprRefs(site, st.Cond)
 
-			thenHeads, thenTails := b.buildBlock(st.Then)
-			for _, h := range thenHeads {
-				b.edge(site, h)
-			}
-			next := thenTails
-			if len(st.Then) == 0 {
-				next = append(next, site)
-			}
-			if st.Else != nil && len(st.Else) > 0 {
-				elseHeads, elseTails := b.buildBlock(st.Else)
-				for _, h := range elseHeads {
-					b.edge(site, h)
-				}
-				next = append(next, elseTails...)
-			} else {
-				// No else: control can bypass the then-branch.
-				next = append(next, site)
-			}
+			next := b.arm(site, st.Then)
+			next = append(next, b.arm(site, st.Else)...)
 			frontier = dedupNodes(next)
 		}
 	}
 	return heads, frontier
+}
+
+// arm lays out one branch of the if at site and returns its tails. A
+// branch that lays out no node — absent, empty, or declarations only —
+// returns the site itself: control falls through it, so the statement
+// after the if keeps that path.
+func (b *builder) arm(site *Node, stmts []ast.Stmt) []*Node {
+	heads, tails := b.buildBlock(stmts)
+	if len(heads) == 0 {
+		return []*Node{site}
+	}
+	for _, h := range heads {
+		b.edge(site, h)
+	}
+	return tails
 }
 
 func dedupNodes(ns []*Node) []*Node {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -229,6 +230,32 @@ enddo
 	}
 	if g.Nodes[1].Kind != KindCond {
 		t.Errorf("inner if should be its own cond node (outer then-branch starts a block)\n%s", g.Dump())
+	}
+}
+
+// TestDeclarationArmFallsThrough: a branch of only declarations lays out
+// no node, so control falls through it from the if's site to the
+// statement after the if, as it does through an absent else. A graph
+// without that edge claims the other branch's stores on every path.
+func TestDeclarationArmFallsThrough(t *testing.T) {
+	for _, arms := range [][2]string{{"dim X[3]", "A[i] := 1"}, {"A[i] := 1", "dim X[3]"}} {
+		g := buildLoop(t, fmt.Sprintf(`
+do i = 1, N
+  if x > 0 then
+    %s
+  else
+    %s
+  endif
+  B[i] := A[i]
+enddo
+`, arms[0], arms[1]))
+		// Nodes: 1 cond, 2 A[i], 3 B[i], 4 exit.
+		n := g.Nodes
+		for _, e := range [][2]int{{1, 2}, {1, 3}, {2, 3}, {3, 4}} {
+			if !hasEdge(n[e[0]-1], n[e[1]-1]) {
+				t.Errorf("missing edge n%d→n%d\n%s", e[0], e[1], g.Dump())
+			}
+		}
 	}
 }
 

@@ -125,8 +125,8 @@ func (x Dist) Clamp(ub int64) Dist {
 // expression the same collapse is justified by a range-fact proof
 // (rangefacts: distance ≥ UB) instead of integer comparison. The element
 // is represented as ⊤ — "all instances" is exactly what a ≥-trip-count
-// distance denotes, so the chain order, meets, and the packed SWAR
-// encoding are unchanged — but callers that resolve a comparison through
+// distance denotes, so the chain order, meets, and the solver's integer
+// codes are unchanged — but callers that resolve a comparison through
 // range facts construct it through SymTop so the provenance is explicit;
 // a comparison that does NOT resolve must fall back to the polarity's
 // conservative value, never to SymTop.
@@ -234,6 +234,51 @@ func (dst Tuple) WriteTo(b *strings.Builder) {
 		d.writeTo(b)
 	}
 	b.WriteByte(')')
+}
+
+// --- Codes ------------------------------------------------------------------
+//
+// A code is a value as an unsigned integer in the chain's order: None is
+// 0, a finite distance d is d+1 and All is CodeAll, all ones. Min and Max
+// are integer min and max on codes, and a clamp the same expression.
+
+// CodeAll is the code of All.
+const CodeAll = ^uint64(0)
+
+// Code returns x's code.
+func Code(x Dist) uint64 {
+	switch x.kind {
+	case 1:
+		return uint64(x.val) + 1
+	case 2:
+		return CodeAll
+	}
+	return 0
+}
+
+// FromCode returns the value code c stands for.
+func FromCode(c uint64) Dist {
+	switch c {
+	case 0:
+		return None()
+	case CodeAll:
+		return All()
+	}
+	return D(int64(c - 1))
+}
+
+// IncCode is the exit node's flow on codes, Inc followed by Clamp(ub): a
+// finite code goes up by one and saturates to CodeAll once it reaches ub,
+// the code of distance ub−1. ub = 0 leaves the bound unknown.
+func IncCode(c, ub uint64) uint64 {
+	if c == 0 || c == CodeAll {
+		return c
+	}
+	c++
+	if ub != 0 && c >= ub {
+		return CodeAll
+	}
+	return c
 }
 
 // --- Slabs ------------------------------------------------------------------

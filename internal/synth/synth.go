@@ -218,3 +218,68 @@ func WideLoop(n int, ub int64) *ast.Program {
 	b.WriteString("enddo\n")
 	return parser.MustParse(b.String())
 }
+
+// IfNest generates a random loop of if/else nests up to three deep: the
+// control flow whose joins and branch arms a solver must meet correctly.
+// Else arms often open with an if, some ifs have no else, inner loops
+// become summary nodes, and the outer and inner trip counts are constant
+// or symbolic. An arm is sometimes only a declaration, which lays out no
+// node, so control falls through it to the statement after its if.
+func IfNest(seed int64) *ast.Program {
+	rng := rand.New(rand.NewSource(seed))
+	n := nester{rng: rng, p: Params{Arrays: 1 + rng.Intn(3), MaxDist: 1 + rng.Int63n(4)}}
+	fmt.Fprintf(&n.b, "do i = 1, %s\n", n.trip())
+	n.block(1, 2+rng.Intn(5), false)
+	n.b.WriteString("enddo\n")
+	return parser.MustParse(n.b.String())
+}
+
+// nester writes one IfNest program.
+type nester struct {
+	rng *rand.Rand
+	p   Params
+	b   strings.Builder
+}
+
+// trip returns a trip count: symbolic or a small constant.
+func (n *nester) trip() string {
+	if n.rng.Intn(2) == 0 {
+		return "N"
+	}
+	return fmt.Sprint(2 + n.rng.Intn(12))
+}
+
+// block writes k statements at nesting depth d (1 is the loop body); with
+// openIf the first one is an if when the depth allows another level.
+func (n *nester) block(d, k int, openIf bool) {
+	ind := strings.Repeat("  ", d)
+	for s := 0; s < k; s++ {
+		r := n.rng.Intn(12)
+		switch {
+		case d <= 3 && (r < 4 || openIf && s == 0):
+			fmt.Fprintf(&n.b, "%sif c%d > 0 then\n", ind, n.rng.Intn(4))
+			n.arm(d+1, false)
+			if n.rng.Intn(3) > 0 {
+				fmt.Fprintf(&n.b, "%selse\n", ind)
+				n.arm(d+1, n.rng.Intn(2) == 0)
+			}
+			fmt.Fprintf(&n.b, "%sendif\n", ind)
+		case r < 6:
+			def, use := arrayName(n.rng.Intn(n.p.Arrays)), arrayName(n.rng.Intn(n.p.Arrays))
+			fmt.Fprintf(&n.b, "%sdo j = 1, %s\n%s  %s[j+%d] := %s[i-%d] + j\n%senddo\n",
+				ind, n.trip(), ind, def, n.rng.Intn(3), use, n.rng.Int63n(n.p.MaxDist+1), ind)
+		default:
+			fmt.Fprintf(&n.b, "%s%s\n", ind, genAssign(n.rng, n.p))
+		}
+	}
+}
+
+// arm writes one branch of an if at depth d: usually statements, once in
+// a while just a declaration.
+func (n *nester) arm(d int, openIf bool) {
+	if n.rng.Intn(16) == 0 {
+		fmt.Fprintf(&n.b, "%sdim D%d[8]\n", strings.Repeat("  ", d), n.rng.Intn(4))
+		return
+	}
+	n.block(d, 1+n.rng.Intn(3), openIf)
+}
