@@ -21,10 +21,7 @@ enddo
 		t.Fatal(err)
 	}
 	loop := prog.Body[0].(*arrayflow.Loop)
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 	res := arrayflow.Analyze(g, arrayflow.MustReachingDefs())
 	reuses := arrayflow.Reuses(res)
 	if len(reuses) != 1 || reuses[0].Distance != 2 {
@@ -39,10 +36,7 @@ do i = 1, 100
 enddo
 `)
 	loop := prog.Body[0].(*arrayflow.Loop)
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 	alloc := arrayflow.AllocateRegisters(g, 8)
 	hooks, err := alloc.GenOptions()
 	if err != nil {
@@ -168,10 +162,7 @@ do i = 1, 50
 enddo
 `)
 	loop := prog.Body[0].(*arrayflow.Loop)
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 	bl := arrayflow.BaselineMustReachingDefs(g, 16)
 	if !bl.Converged {
 		t.Fatal("baseline did not converge")
@@ -194,10 +185,7 @@ do i = 1, 100
 enddo
 `)
 	loop := prog.Body[0].(*arrayflow.Loop)
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 	res := arrayflow.Analyze(g, arrayflow.ReachingRefs())
 	deps := arrayflow.Dependences(res, 10)
 	if len(deps) == 0 {

@@ -16,7 +16,7 @@
 //	  A[i+2] := A[i] + X
 //	enddo
 //	`)
-//	g, _ := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
+//	g := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
 //	res := arrayflow.Analyze(g, arrayflow.MustReachingDefs())
 //	for _, r := range arrayflow.Reuses(res) {
 //	    fmt.Println(r) // use A[i]@n1 reuses A[i + 2] @ distance 2
@@ -138,7 +138,7 @@ func RemoveDerivedIVs(prog *Program, idx int) (*Program, []sema.RemovedIV, error
 
 // BuildGraph constructs the loop flow graph for one loop; nested loops
 // become summary nodes (paper §3.2).
-func BuildGraph(loop *Loop) (*Graph, error) { return ir.Build(loop, nil) }
+func BuildGraph(loop *Loop) *Graph { return ir.Build(loop, nil) }
 
 // The four problem instances of the paper.
 

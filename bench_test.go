@@ -34,10 +34,7 @@ func mustGraph(b *testing.B, src string) *ir.Graph {
 	b.Helper()
 	prog := arrayflow.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 
@@ -120,10 +117,7 @@ func BenchmarkFig3ReuseDetection(b *testing.B) {
 func mustGraphQuiet(src string) *ir.Graph {
 	prog := arrayflow.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		panic(err)
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 
@@ -257,10 +251,7 @@ func BenchmarkConvergencePasses(b *testing.B) {
 		b.Run(fmt.Sprintf("stmts=%d", n), func(b *testing.B) {
 			prog := synth.Loop(synth.Params{Seed: int64(n), Stmts: n, Arrays: 4, MaxDist: 5, CondProb: 0.3})
 			loop := prog.Body[0].(*ast.DoLoop)
-			g, err := ir.Build(loop, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			g := ir.Build(loop, nil)
 			res := dataflow.Solve(g, problems.MustReachingDefs(), nil)
 			if res.ChangedPasses > 2 {
 				b.Fatalf("changed passes = %d > 2", res.ChangedPasses)
@@ -281,10 +272,7 @@ func BenchmarkVsRauBaseline(b *testing.B) {
 	for _, d := range []int64{4, 16, 64} {
 		prog := synth.KilledRecurrenceLoop(d, 0)
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		b.Run(fmt.Sprintf("framework/d=%d", d), func(b *testing.B) {
 			res := dataflow.Solve(g, problems.MustReachingDefs(), nil)
 			b.ReportMetric(float64(res.ChangedPasses), "passes")
@@ -316,10 +304,7 @@ func BenchmarkScalingLinear(b *testing.B) {
 	for _, n := range []int{32, 128, 512, 2048} {
 		prog := synth.Loop(synth.Params{Seed: 1, Stmts: n, Arrays: 4, MaxDist: 5, CondProb: 0.2})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		benchSolvers(b, fmt.Sprintf("bounded-classes/stmts=%d", n), g, problems.MustReachingDefs())
 	}
 	// Classes growing with N (every statement its own array): the dense
@@ -329,10 +314,7 @@ func BenchmarkScalingLinear(b *testing.B) {
 	for _, n := range []int{32, 128, 512, 2048} {
 		prog := synth.WideLoop(n, 0)
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		benchSolvers(b, fmt.Sprintf("growing-classes/stmts=%d", n), g, problems.MustReachingDefs())
 	}
 }
@@ -822,10 +804,7 @@ func BenchmarkAblationInitPass(b *testing.B) {
 func BenchmarkAblationHardwareShifts(b *testing.B) {
 	prog := arrayflow.MustParse(experiments.Fig5Source)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	alloc := arrayflow.AllocateRegisters(g, 16)
 	hooks, err := alloc.GenOptions()
 	if err != nil {

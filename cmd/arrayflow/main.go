@@ -185,10 +185,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		fatal(fmt.Errorf("graph: %w", err))
-	}
+	g := ir.Build(loop, nil)
 
 	var spec *dataflow.Spec
 	switch *analysis {

@@ -93,10 +93,7 @@ func main() {
 
 func runPipeline(prog *ast.Program, idx, k int) {
 	loop := prog.Body[idx].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	alloc := regalloc.Allocate(g, &regalloc.Options{K: k})
 	fmt.Println("\n" + alloc.Report())
 	hooks, err := alloc.GenOptions()

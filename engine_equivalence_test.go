@@ -57,10 +57,7 @@ func TestEngineEquivalenceExamples(t *testing.T) {
 			return true
 		})
 		for li, loop := range loops {
-			g, err := ir.Build(loop, nil)
-			if err != nil {
-				t.Fatalf("%s loop %d: %v", name, li, err)
-			}
+			g := ir.Build(loop, nil)
 			specs := problems.StandardSpecs()
 			opts := &dataflow.Options{CollectTrace: true}
 			packed := dataflow.SolveAll(g, specs, opts)

@@ -16,7 +16,7 @@ do i = 1, 1000
   A[i+2] := A[i] + X
 enddo
 `)
-	g, _ := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
+	g := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
 	res := arrayflow.Analyze(g, arrayflow.MustReachingDefs())
 	for _, r := range arrayflow.Reuses(res) {
 		fmt.Println(r)
@@ -89,10 +89,7 @@ do i = 1, 1000
   A[i+2] := A[i] + X
 enddo
 `)
-	g, err := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
-	if err != nil {
-		panic(err)
-	}
+	g := arrayflow.BuildGraph(prog.Body[0].(*arrayflow.Loop))
 	alloc := arrayflow.AllocateRegisters(g, 16)
 	fmt.Print(alloc.Report())
 	// Output:

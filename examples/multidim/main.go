@@ -36,10 +36,7 @@ func main() {
 	// Single-loop analysis with respect to the inner induction variable:
 	// j and the array strides act as symbolic constants.
 	fmt.Println("== single-loop analysis (inner loop, iv = i) ==")
-	g, err := arrayflow.BuildGraph(inner)
-	if err != nil {
-		log.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(inner)
 	res := arrayflow.Analyze(g, arrayflow.MustReachingDefs())
 	for _, r := range arrayflow.Reuses(res) {
 		fmt.Println("  " + r.String())

@@ -32,10 +32,7 @@ func main() {
 	if !ok {
 		log.Fatal("expected a loop")
 	}
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		log.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 
 	fmt.Println("Loop flow graph (paper Figure 3):")
 	fmt.Println(g.Dump())

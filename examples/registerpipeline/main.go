@@ -27,10 +27,7 @@ enddo
 func main() {
 	prog := arrayflow.MustParse(src)
 	loop := prog.Body[0].(*arrayflow.Loop)
-	g, err := arrayflow.BuildGraph(loop)
-	if err != nil {
-		log.Fatal(err)
-	}
+	g := arrayflow.BuildGraph(loop)
 
 	alloc := arrayflow.AllocateRegisters(g, 16)
 	fmt.Println(alloc.Report())

@@ -45,10 +45,7 @@ enddo
 		prog := arrayflow.MustParse(c.src)
 
 		loop := prog.Body[0].(*arrayflow.Loop)
-		g, err := arrayflow.BuildGraph(loop)
-		if err != nil {
-			log.Fatal(err)
-		}
+		g := arrayflow.BuildGraph(loop)
 		dg := arrayflow.BuildDependenceGraph(g, 8)
 		fmt.Print(dg.String())
 		fmt.Printf("critical path l = %d; l_unroll(2) = %d; l_unroll(4) = %d\n",

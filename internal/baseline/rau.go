@@ -129,10 +129,12 @@ func MustReachingDefs(g *ir.Graph, opts *Options) *Result {
 		out[i] = FactSet{}
 	}
 
-	order := g.RPO()
+	// Node IDs are a topological order of the body with the exit last
+	// (ir.Build), so each pass reads its predecessors' sets from the same
+	// pass, and the entry reads the exit's from the pass before.
 	for pass := 1; pass <= maxPasses; pass++ {
 		changed := false
-		for _, nd := range order {
+		for _, nd := range g.Nodes {
 			var acc FactSet
 			first := true
 			for _, p := range nd.Preds {

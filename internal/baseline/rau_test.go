@@ -13,10 +13,7 @@ import (
 func buildLoop(t *testing.T, prog *ast.Program) *ir.Graph {
 	t.Helper()
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 

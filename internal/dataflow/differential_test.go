@@ -28,10 +28,7 @@ import (
 func buildGraph(t testing.TB, src string) *ir.Graph {
 	t.Helper()
 	prog := parser.MustParse(src)
-	g, err := ir.Build(prog.Body[0].(*ast.DoLoop), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(prog.Body[0].(*ast.DoLoop), nil)
 	return g
 }
 
@@ -300,10 +297,7 @@ func TestFuelExhaustionDeterministicAndSound(t *testing.T) {
 func TestNestedBranchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for seed := int64(1); seed <= 1000; seed++ {
-		g, err := ir.Build(synth.IfNest(seed).Body[0].(*ast.DoLoop), nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		g := ir.Build(synth.IfNest(seed).Body[0].(*ast.DoLoop), nil)
 		fuel := 1 + rng.Int63n(int64(3*len(g.Nodes)*max(1, len(g.Refs))))
 		variants := []dataflow.Options{
 			{},

@@ -30,10 +30,7 @@ func selfUseLoop(n int) *ast.Program {
 
 func firstLoopGraph(t *testing.T, prog *ast.Program) *ir.Graph {
 	t.Helper()
-	g, err := ir.Build(prog.Body[0].(*ast.DoLoop), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(prog.Body[0].(*ast.DoLoop), nil)
 	return g
 }
 

@@ -63,10 +63,7 @@ func restoreCases(tb testing.TB) []restoreCase {
 			if !ok {
 				return true
 			}
-			g, err := ir.Build(loop, nil)
-			if err != nil {
-				return true
-			}
+			g := ir.Build(loop, nil)
 			for _, spec := range problems.StandardSpecs() {
 				res := dataflow.Solve(g, spec, nil)
 				var w cachefile.Writer

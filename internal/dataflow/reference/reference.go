@@ -94,7 +94,7 @@ func Solve(g *ir.Graph, spec *dataflow.Spec, opts *dataflow.Options) *Result {
 		}
 	}
 
-	order := g.RPO()
+	order := reversePostorder(g)
 	entry := g.Entry
 	preds := func(nd *ir.Node) []*ir.Node { return nd.Preds }
 	if spec.Backward {
@@ -485,6 +485,34 @@ func Compare(got *dataflow.Result, want *Result) error {
 		}
 	}
 	return nil
+}
+
+// reversePostorder returns g's nodes in reverse postorder of a depth-first
+// search from the entry over body edges (the exit's one successor, the back
+// edge's target, is not followed), so the exit comes last. The oracle
+// derives a topological order of its own rather than walking the node
+// numbering the solver walks.
+func reversePostorder(g *ir.Graph) []*ir.Node {
+	seen := make([]bool, len(g.Nodes)+1)
+	post := make([]*ir.Node, 0, len(g.Nodes))
+	var dfs func(n *ir.Node)
+	dfs = func(n *ir.Node) {
+		seen[n.ID] = true
+		if n != g.Exit {
+			for _, s := range n.Succs {
+				if !seen[s.ID] {
+					dfs(s)
+				}
+			}
+		}
+		post = append(post, n)
+	}
+	dfs(g.Entry)
+	order := make([]*ir.Node, len(post))
+	for i, n := range post {
+		order[len(post)-1-i] = n
+	}
+	return order
 }
 
 func makeTuples(n, m int) []lattice.Tuple {

@@ -28,16 +28,16 @@ import (
 // a loop's facts.
 //
 // Once a cache entry is published its solved value is never mutated again
-// beyond the one-shot materialization — the graph is Precompute()d before
-// parts is published and the solver never writes into a finished Result —
-// so every loop of the same content shares one solved value, across
-// goroutines, Analyze calls and source positions: the graph's reference
-// Exprs belong to the loop that filled the entry, and each loop reads its
-// own positions through LoopAnalysis.RefExpr. materialize's sync.Once
-// provides the happens-before edge for lazy values.
+// beyond the one-shot materialization — ir.Build returns a finished graph
+// and the solver never writes into a finished Result — so every loop of
+// the same content shares one solved value, across goroutines, Analyze
+// calls and source positions: the graph's reference Exprs belong to the
+// loop that filled the entry, and each loop reads its own positions
+// through LoopAnalysis.RefExpr. materialize's sync.Once provides the
+// happens-before edge for lazy values.
 type solved struct {
-	// meta holds one entry per spec, in the solve's spec order.
-	meta []specMeta
+	// meta holds each spec's counters, in the solve's spec order.
+	meta []dataflow.ResultMeta
 	// stored marks a value loaded from disk, whose report lines are lines:
 	// the entry's reuse lines, each a Reuse.WriteTo rendering ending in
 	// '\n'. lines aliases the entry's payload, which the deferred row
@@ -51,12 +51,6 @@ type solved struct {
 	// parts was filled eagerly.
 	fill  func() *solvedParts
 	parts *solvedParts
-}
-
-// specMeta pairs a spec name with its persisted (or live) solver counters.
-type specMeta struct {
-	name string
-	meta dataflow.ResultMeta
 }
 
 // solvedParts are the graph-entangled artifacts of a solved loop.
@@ -82,7 +76,7 @@ func (sv *solved) materialize() *solvedParts {
 // counters; only a value that solved no problem restores its graph.
 func (sv *solved) nodes() int {
 	if len(sv.meta) > 0 {
-		return sv.meta[0].meta.Nodes
+		return sv.meta[0].Nodes
 	}
 	return len(sv.materialize().graph.Nodes)
 }
@@ -127,11 +121,9 @@ func (sv *solved) reuseSize(prefix int) int {
 // newSolvedEager wraps freshly-computed parts, deriving the per-spec
 // counters from the live results.
 func newSolvedEager(parts *solvedParts, specs []*dataflow.Spec) *solved {
-	sv := &solved{parts: parts, meta: make([]specMeta, 0, len(specs))}
-	for _, spec := range specs {
-		if res := parts.results[spec.Name]; res != nil {
-			sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: res.PersistMeta()})
-		}
+	sv := &solved{parts: parts, meta: make([]dataflow.ResultMeta, len(specs))}
+	for i, spec := range specs {
+		sv.meta[i] = parts.results[spec.Name].PersistMeta()
 	}
 	return sv
 }
@@ -155,7 +147,6 @@ func (p *solvedParts) heldBytes() int64 {
 type cacheEntry struct {
 	once sync.Once
 	sv   *solved
-	err  error
 	// diskHit and loadBytes record how the claiming goroutine filled the
 	// entry (written inside once, read by the claimer after once returns;
 	// the Once's happens-before edge covers later claimants too).
@@ -428,11 +419,10 @@ type solveOutcome struct {
 // completes the store. The claiming worker charges the published value's
 // held bytes to the memo. Every hit returns the entry's own value, at
 // whatever source positions the loop sits.
-func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solved, solveOutcome, error) {
+func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solved, solveOutcome) {
 	oracle := factsOracle(facts)
 	if !env.useCache {
-		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle)
-		return sv, solveOutcome{}, err
+		return solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle), solveOutcome{}
 	}
 	sig := ""
 	if oracle != nil {
@@ -460,20 +450,18 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv) (*solve
 				return
 			}
 		}
-		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle)
-		if e.err == nil {
-			held = e.sv.parts.heldBytes()
-		}
+		e.sv = solveLoopFresh(loop, env.specs, env.dims, env.fuel, oracle)
+		held = e.sv.parts.heldBytes()
 	})
 	out := solveOutcome{key: key, hit: hit}
 	if claimed {
 		globalCache.charge(key, e, held)
 		out.diskHit, out.loadBytes = e.diskHit, e.loadBytes
-		if env.disk != nil && !e.diskHit && e.err == nil {
+		if env.disk != nil && !e.diskHit {
 			out.storeBytes = env.disk.store(key, env.specs, e.sv)
 		}
 	}
-	return e.sv, out, e.err
+	return e.sv, out
 }
 
 // factsOracle adapts a fact environment to the solver's oracle interface.
@@ -487,22 +475,15 @@ func factsOracle(f *rangefacts.Facts) dataflow.RangeOracle {
 	return f
 }
 
-func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) (*solved, error) {
-	parts, err := solvePartsFresh(loop, specs, dims, fuel, oracle)
-	if err != nil {
-		return nil, err
-	}
-	return newSolvedEager(parts, specs), nil
+func solveLoopFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) *solved {
+	return newSolvedEager(solvePartsFresh(loop, specs, dims, fuel, oracle), specs)
 }
 
 // solvePartsFresh runs one loop's full solve: graph construction, every
 // spec's fixed point, reuse extraction. Shared by the fresh-solve path and
 // the lazy loader's damaged-payload fallback.
-func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) (*solvedParts, error) {
-	g, err := ir.Build(loop, &ir.Options{Dims: dims})
-	if err != nil {
-		return nil, err
-	}
+func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, fuel int64, oracle dataflow.RangeOracle) *solvedParts {
+	g := ir.Build(loop, &ir.Options{Dims: dims})
 	parts := &solvedParts{graph: g, results: make(map[string]*dataflow.Result, len(specs))}
 	// One fused SolveAll per loop: every spec shares the graph's class
 	// discovery, node orderings, and precedes bitsets through one solve
@@ -514,10 +495,7 @@ func solvePartsFresh(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][
 			parts.reuses = problems.FindReuses(res)
 		}
 	}
-	// Force the lazily-built dominator relation before the value can be
-	// shared, so later concurrent readers never mutate the graph.
-	g.Precompute()
-	return parts, nil
+	return parts
 }
 
 // CacheStats reports the global solve cache's current size and lifetime

@@ -204,15 +204,7 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 			// address. Count it and solve fresh — the disk cache never
 			// fails an analysis.
 			diskStats.errors.Add(1)
-			parts, err = solvePartsFresh(loop, specs, dims, fuel, oracle)
-			if err != nil {
-				// Unreachable without a fingerprint collision: the loop's
-				// canonical content built a graph in the process that
-				// stored the entry. Degrade to an empty analysis rather
-				// than poisoning the cache with a nil.
-				parts = &solvedParts{graph: &ir.Graph{Loop: loop},
-					results: map[string]*dataflow.Result{}}
-			}
+			parts = solvePartsFresh(loop, specs, dims, fuel, oracle)
 		}
 		// Materialization is part of the cost of serving from disk; fold it
 		// into the load-time counter so the stats stay honest.
@@ -226,7 +218,7 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 type diskEntry struct {
 	// metas and blobs hold each spec's counters and change-point rows, in
 	// spec order.
-	metas []specMeta
+	metas []dataflow.ResultMeta
 	blobs [][]byte
 	// lines are the loop's reuse lines, each ending in '\n'.
 	lines []byte
@@ -246,14 +238,13 @@ func decodeEntry(payload []byte, specs []*dataflow.Spec) (diskEntry, bool) {
 	if n := r.Uint(); n != uint64(len(specs)) {
 		return diskEntry{}, false
 	}
-	ent := diskEntry{metas: make([]specMeta, 0, len(specs)), blobs: make([][]byte, 0, len(specs))}
+	ent := diskEntry{metas: make([]dataflow.ResultMeta, 0, len(specs)), blobs: make([][]byte, 0, len(specs))}
 	for _, spec := range specs {
 		if name := r.String(); name != spec.Name {
 			return diskEntry{}, false
 		}
-		meta := dataflow.DecodeResultMeta(r)
+		ent.metas = append(ent.metas, dataflow.DecodeResultMeta(r))
 		ent.blobs = append(ent.blobs, r.Blob())
-		ent.metas = append(ent.metas, specMeta{name: spec.Name, meta: meta})
 	}
 	ent.lines = r.Blob()
 	if !r.Done() || (len(ent.lines) > 0 && ent.lines[len(ent.lines)-1] != '\n') {
@@ -267,14 +258,11 @@ func decodeEntry(payload []byte, specs []*dataflow.Spec) (diskEntry, bool) {
 // persisted rows, the reuse facts from the restored must-solution. The
 // cache key folds the fact signature, so the rows were computed under
 // exactly the oracle the loop derives now; nothing else needs it.
-func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, metas []specMeta, blobs [][]byte) (*solvedParts, error) {
-	g, err := ir.Build(loop, &ir.Options{Dims: dims})
-	if err != nil {
-		return nil, err
-	}
+func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]poly.Poly, metas []dataflow.ResultMeta, blobs [][]byte) (*solvedParts, error) {
+	g := ir.Build(loop, &ir.Options{Dims: dims})
 	parts := &solvedParts{graph: g, results: make(map[string]*dataflow.Result, len(specs))}
 	for i, spec := range specs {
-		res, err := dataflow.RestoreResult(g, spec, metas[i].meta, blobs[i])
+		res, err := dataflow.RestoreResult(g, spec, metas[i], blobs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -283,9 +271,6 @@ func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]po
 			parts.reuses = problems.FindReuses(res)
 		}
 	}
-	// Same publication contract as a fresh solve: force the lazy dominator
-	// relation before the value can be shared across goroutines.
-	g.Precompute()
 	return parts, nil
 }
 

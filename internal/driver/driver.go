@@ -219,7 +219,6 @@ func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
 	// regardless of completion order.
 	results := make([]*LoopAnalysis, len(entries))
 	loopMetrics := make([]LoopMetrics, len(entries))
-	errs := make([]error, len(entries))
 	for lo := 0; lo < len(entries); {
 		hi := lo + 1
 		for hi < len(entries) && entries[hi].depth == entries[lo].depth {
@@ -227,16 +226,9 @@ func Analyze(prog *ast.Program, opts *Options) (*ProgramAnalysis, error) {
 		}
 		wave := entries[lo:hi]
 		FanOut(len(wave), workers, func(k int) {
-			results[lo+k], loopMetrics[lo+k], errs[lo+k] = analyzeOne(wave[k], env)
+			results[lo+k], loopMetrics[lo+k] = analyzeOne(wave[k], env)
 		})
 		lo = hi
-	}
-	// First error in entry order — deterministic no matter which worker
-	// failed first on the wall clock.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	pa.Loops = results
 
@@ -364,7 +356,7 @@ func declaredDims(info *sema.Info) map[string][]poly.Poly {
 // analyzeOne runs one loop's own analysis plus its §3.6 re-analyses. It is
 // called from worker goroutines: everything it touches is either private to
 // the entry or behind the cache's synchronization.
-func analyzeOne(e entry, env *solveEnv) (*LoopAnalysis, LoopMetrics, error) {
+func analyzeOne(e entry, env *solveEnv) (*LoopAnalysis, LoopMetrics) {
 	t0 := time.Now()
 	lm := LoopMetrics{Var: e.loop.Var, Depth: e.depth}
 	countLookup := func(oc solveOutcome) {
@@ -385,13 +377,10 @@ func analyzeOne(e entry, env *solveEnv) (*LoopAnalysis, LoopMetrics, error) {
 	// Derive the loop's fact environment first: it participates in the
 	// solve (preserve constants) and therefore in the memo fingerprint.
 	facts := rangefacts.Derive(env.prog, env.info, e.loop, env.assume, env.fuel)
-	sv, oc, err := solveLoop(e.loop, facts, env)
-	if err != nil {
-		return nil, lm, fmt.Errorf("loop %s: %w", e.loop.Var, err)
-	}
+	sv, oc := solveLoop(e.loop, facts, env)
 	countLookup(oc)
-	for _, sm := range sv.meta {
-		lm.Solver.Add(sm.meta.Metrics())
+	for _, m := range sv.meta {
+		lm.Solver.Add(m.Metrics())
 	}
 	la := &LoopAnalysis{Loop: e.loop, Depth: e.depth, own: sv, wrt: map[string]*solved{}, facts: facts, key: oc.key}
 
@@ -413,20 +402,17 @@ func analyzeOne(e entry, env *solveEnv) (*LoopAnalysis, LoopMetrics, error) {
 			}
 			// §3.6 synthetic loops are not part of the program AST, so no
 			// guard context can be located for them; they solve fact-free.
-			svw, ocw, err := solveLoop(synthetic, nil, wrtEnv)
-			if err != nil {
-				continue
-			}
+			svw, ocw := solveLoop(synthetic, nil, wrtEnv)
 			countLookup(ocw)
 			lm.WRTSolves++
-			for _, sm := range svw.meta {
-				lm.Solver.Add(sm.meta.Metrics())
+			for _, m := range svw.meta {
+				lm.Solver.Add(m.Metrics())
 			}
 			la.wrt[enc.Var] = svw
 		}
 	}
 	lm.Elapsed = time.Since(t0)
-	return la, lm, nil
+	return la, lm
 }
 
 // containsLoop reports whether a statement list contains a nested loop.

@@ -83,10 +83,7 @@ enddo
 func mustGraph(src string) *ir.Graph {
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 
@@ -213,10 +210,7 @@ func Fig5() (*Fig5Result, error) {
 	// The graph must be built from the same AST the code generator walks:
 	// pipeline hooks are keyed by reference identity.
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		return nil, err
-	}
+	g := ir.Build(loop, nil)
 	alloc := regalloc.Allocate(g, &regalloc.Options{K: 16})
 	hooks, err := alloc.GenOptions()
 	if err != nil {
@@ -308,10 +302,7 @@ enddo
 	// Variant 1: §4.1 pipeline with shift moves.
 	prog1 := parser.MustParse(src)
 	loop1 := prog1.Body[0].(*ast.DoLoop)
-	g1, err := ir.Build(loop1, nil)
-	if err != nil {
-		return nil, err
-	}
+	g1 := ir.Build(loop1, nil)
 	alloc := regalloc.Allocate(g1, &regalloc.Options{K: 16})
 	hooks, err := alloc.GenOptions()
 	if err != nil {
@@ -504,10 +495,7 @@ func Convergence(sizes []int) []ConvergenceRow {
 	for _, n := range sizes {
 		prog := synth.Loop(synth.Params{Seed: int64(n), Stmts: n, Arrays: 4, MaxDist: 5, CondProb: 0.3})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			panic(err)
-		}
+		g := ir.Build(loop, nil)
 		must := dataflow.Solve(g, problems.MustReachingDefs(), nil)
 		may := dataflow.Solve(g, problems.ReachingRefs(), nil)
 		rows = append(rows, ConvergenceRow{
@@ -550,10 +538,7 @@ func VsBaseline(dists []int64) []BaselineRow {
 	for _, d := range dists {
 		prog := synth.KilledRecurrenceLoop(d, 0)
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			panic(err)
-		}
+		g := ir.Build(loop, nil)
 		fw := dataflow.Solve(g, problems.MustReachingDefs(), nil)
 		bl := baseline.MustReachingDefs(g, &baseline.Options{Limit: 2 * d})
 		short := baseline.MustReachingDefs(g, &baseline.Options{Limit: d - 1})
@@ -618,10 +603,7 @@ func Unrolling() []UnrollRow {
 			panic(err)
 		}
 		loop := c.prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			panic(err)
-		}
+		g := ir.Build(loop, nil)
 		dg := problemsDependence(g)
 		l := dg.CriticalPath()
 		rows = append(rows, UnrollRow{

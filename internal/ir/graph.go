@@ -16,7 +16,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -134,8 +134,8 @@ type Node struct {
 	Preds []*Node
 
 	// Refs are the subscripted references occurring in this node, in
-	// evaluation order (RHS uses, LHS subscript uses, LHS def, then
-	// condition uses).
+	// evaluation order (RHS uses, the LHS definition, then condition uses;
+	// a summary node's in its loop body's order): a run of the graph's Refs.
 	Refs []*Ref
 }
 
@@ -160,29 +160,9 @@ func (n *Node) Label() string {
 	return strings.Join(parts, "; ")
 }
 
-// Defs returns the definition references of the node.
-func (n *Node) Defs() []*Ref {
-	var out []*Ref
-	for _, r := range n.Refs {
-		if r.Kind == Def {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Uses returns the use references of the node.
-func (n *Node) Uses() []*Ref {
-	var out []*Ref
-	for _, r := range n.Refs {
-		if r.Kind == Use {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Graph is the loop flow graph of a single loop.
+// Graph is the loop flow graph of a single loop. Build sets every field,
+// and nothing writes a graph after it returns, so one graph can be shared
+// read-only across goroutines.
 type Graph struct {
 	// Loop is the analyzed DO loop.
 	Loop *ast.DoLoop
@@ -202,28 +182,16 @@ type Graph struct {
 	Exit  *Node
 	// Refs are all subscripted references in ID order.
 	Refs []*Ref
-	// InnerIVs is the set of induction variables of summarized inner loops.
-	InnerIVs map[string]bool
 
-	// reach and reachT are the body-edge reachability relation (excluding
-	// the exit→entry back edge) as packed bit matrices: bit j of row i in
-	// reach is set when node ID i strictly precedes node ID j; reachT is the
-	// transpose (bit i of row j). Rows are bitWords words long. The packed
-	// form lets the dataflow solver build per-class predecessor bitsets with
-	// word-wide ORs instead of per-member Precedes calls.
-	reach    []uint64
-	reachT   []uint64
-	bitWords int
-	// doms is the dominance relation over body edges as a packed bit
-	// matrix (computed lazily): bit a of row b is set when node ID a
-	// dominates node ID b. Rows are domWords words long and live in one
-	// backing array.
-	doms     []uint64
-	domWords int
-	// rpo caches the reverse postorder (built with the reachability
-	// matrices, whose DPs walk it; solvers request it once per problem
-	// instance).
-	rpo []*Node
+	// reach, reachT and dom are packed bit matrices over node IDs, rows
+	// bitWords words long, all over body edges (the exit → entry back edge
+	// excluded): bit j of reach row i is set when node i strictly precedes
+	// node j; reachT is its transpose (bit i of row j); bit a of dom row b
+	// is set when a dominates b, a = b included. The packed rows let the
+	// dataflow solver build per-class predecessor bitsets with word-wide
+	// ORs instead of per-member Precedes calls.
+	reach, reachT, dom []uint64
+	bitWords           int
 }
 
 // Options configures graph construction.
@@ -235,40 +203,29 @@ type Options struct {
 }
 
 // Build constructs the loop flow graph for loop. Nested loops become summary
-// nodes. The error reports structural problems only; non-affine subscripts
-// are recorded on the Ref (Affine=false), not rejected, because the
-// analyses treat them conservatively.
-func Build(loop *ast.DoLoop, opts *Options) (*Graph, error) {
+// nodes. Non-affine subscripts are recorded on the Ref (Affine=false), not
+// rejected, because the analyses treat them conservatively.
+func Build(loop *ast.DoLoop, opts *Options) *Graph {
 	if opts == nil {
 		opts = &Options{}
 	}
-	g := &Graph{Loop: loop, IV: loop.Var, UB: loop.Hi, InnerIVs: map[string]bool{}}
+	g := &Graph{Loop: loop, IV: loop.Var, UB: loop.Hi}
 	if v, ok := sema.ConstValue(loop.Hi); ok {
 		g.UBConst, g.HasUB = v, true
 	}
-	b := &builder{g: g, opts: opts}
-
-	heads, tails := b.buildBlock(loop.Body)
-
-	// Exit node.
-	exit := b.newNode(KindExit)
-	g.Exit = exit
-	if len(g.Nodes) == 1 {
-		// Empty body: the exit node is also the entry.
-		g.Entry = exit
-	} else {
-		g.Entry = g.Nodes[0]
-	}
-	_ = heads // heads[0], when present, is Nodes[0] by construction order
+	b := &builder{g: g, w: refWalk{build: true}, opts: opts}
+	_, tails := b.buildBlock(loop.Body)
+	// The exit node; with an empty body it is also the entry.
+	g.Exit = b.newNode(KindExit)
+	g.Entry = g.Nodes[0]
 	for _, t := range tails {
-		b.edge(t, exit)
+		b.edge(t, g.Exit)
 	}
-	// Back edge: exit → entry (when the body is non-empty; a self-loop on
-	// the exit node otherwise).
-	b.edge(exit, g.Entry)
-
-	g.computeReach()
-	return g, b.err
+	// Back edge: exit → entry (a self-loop on the exit when the body is
+	// empty).
+	b.edge(g.Exit, g.Entry)
+	g.relate()
+	return g
 }
 
 // RefExprs returns the subscripted references of loop's body in the order
@@ -284,25 +241,51 @@ func RefExprs(loop *ast.DoLoop) []*ast.ArrayRef {
 	return w.out
 }
 
-// refWalk collects references without closures, once per analyzed loop.
-type refWalk struct{ out []*ast.ArrayRef }
+// refWalk collects references without closures. RefExprs walks a whole
+// body with it; Build walks each node's statement with it as it lays the
+// node out, and so numbers the references in RefExprs' order.
+type refWalk struct {
+	out []*ast.ArrayRef
+	// build is set for Build's walk, which also records the indices in out
+	// of assignment targets (defs) and the loops walked, each before the
+	// loops it encloses (loops).
+	build bool
+	defs  []int
+	loops []*ast.DoLoop
+}
 
 func (w *refWalk) block(stmts []ast.Stmt) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *ast.Assign:
-			w.expr(st.RHS)
-			if lhs, ok := st.LHS.(*ast.ArrayRef); ok {
-				w.out = append(w.out, lhs)
-			}
+			w.assign(st)
 		case *ast.If:
 			w.expr(st.Cond)
 			w.block(st.Then)
 			w.block(st.Else)
 		case *ast.DoLoop:
-			w.block(st.Body)
+			w.loop(st)
 		}
 	}
+}
+
+// assign records st's RHS references, then its LHS definition.
+func (w *refWalk) assign(st *ast.Assign) {
+	w.expr(st.RHS)
+	if lhs, ok := st.LHS.(*ast.ArrayRef); ok {
+		if w.build {
+			w.defs = append(w.defs, len(w.out))
+		}
+		w.out = append(w.out, lhs)
+	}
+}
+
+// loop records the references of dl's body, bounds excluded.
+func (w *refWalk) loop(dl *ast.DoLoop) {
+	if w.build {
+		w.loops = append(w.loops, dl)
+	}
+	w.block(dl.Body)
 }
 
 // expr records the outermost references of e: subscripts of a subscripted
@@ -322,7 +305,9 @@ func (w *refWalk) expr(e ast.Expr) {
 type builder struct {
 	g    *Graph
 	opts *Options
-	err  error
+	// w walks each node's statement as the node is laid out; number then
+	// turns what it recorded into the node's references.
+	w refWalk
 	// dims memoizes sema.DefaultDims per array so multi-dimensional
 	// references don't rebuild the symbolic dimension polynomials per ref.
 	dims map[string][]poly.Poly
@@ -364,14 +349,15 @@ func (b *builder) buildBlock(stmts []ast.Stmt) (heads, tails []*Node) {
 		case *ast.Assign:
 			n := b.newNode(KindStmt)
 			n.Assign = st
-			b.collectAssignRefs(n, st)
+			b.w.assign(st)
+			b.number(n)
 			link(n)
 
 		case *ast.DoLoop:
 			n := b.newNode(KindSummary)
 			n.Loop = st
-			b.g.InnerIVs[st.Var] = true
-			b.collectSummaryRefs(n, st)
+			b.w.loop(st)
+			b.number(n)
 			link(n)
 
 		case *ast.Dim:
@@ -388,7 +374,8 @@ func (b *builder) buildBlock(stmts []ast.Stmt) (heads, tails []*Node) {
 				link(site)
 			}
 			site.Cond = st.Cond
-			b.collectExprRefs(site, st.Cond)
+			b.w.expr(st.Cond)
+			b.number(site)
 
 			next := b.arm(site, st.Then)
 			next = append(next, b.arm(site, st.Else)...)
@@ -425,102 +412,71 @@ func dedupNodes(ns []*Node) []*Node {
 	return out
 }
 
-// collectAssignRefs records the subscripted references of an assignment in
-// evaluation order: RHS uses first, then the LHS definition.
-func (b *builder) collectAssignRefs(n *Node, st *ast.Assign) {
-	b.collectExprRefs(n, st.RHS)
-	if lhs, ok := st.LHS.(*ast.ArrayRef); ok {
-		b.addRef(n, Def, lhs, false)
+// number turns what the walk recorded since the last call into references
+// of n, numbered on from the graph's last, and clears the walk. Assignment
+// targets are definitions and every other reference a use. The walk
+// records loops only for a summary node: the loops it stands for.
+func (b *builder) number(n *Node) {
+	w := &b.w
+	refs := make([]Ref, len(w.out))
+	n.Refs = slices.Grow(n.Refs, len(w.out))
+	def := 0
+	for i, expr := range w.out {
+		r := &refs[i]
+		*r = Ref{ID: len(b.g.Refs) + 1, Node: n, Kind: Use, Array: expr.Name, Expr: expr}
+		if def < len(w.defs) && w.defs[def] == i {
+			r.Kind = Def
+			def++
+		}
+		b.linearize(r)
+		if len(w.loops) > 0 {
+			summarize(r, w.loops)
+		}
+		n.Refs = append(n.Refs, r)
+		b.g.Refs = append(b.g.Refs, r)
 	}
+	w.out, w.defs, w.loops = w.out[:0], w.defs[:0], w.loops[:0]
 }
 
-// collectExprRefs records every array reference in e as a use of node n.
-func (b *builder) collectExprRefs(n *Node, e ast.Expr) {
-	ast.InspectExpr(e, func(nd ast.Node) bool {
-		if ref, ok := nd.(*ast.ArrayRef); ok {
-			b.addRef(n, Use, ref, false)
-			return false // subscripts of a subscripted ref are not refs of i
-		}
-		return true
-	})
-}
-
-// collectSummaryRefs records every array reference inside a nested loop on
-// its summary node. References whose subscripts involve the inner loop's
-// induction variables are marked FromInner, and get a constant touched
-// region when the inner bounds allow it.
-func (b *builder) collectSummaryRefs(n *Node, loop *ast.DoLoop) {
-	inner := map[string]bool{loop.Var: true}
-	// Constant iteration ranges of the inner loops: var → upper bound
-	// (normalized loops run from 1).
-	bounds := map[string]int64{}
-	noteLoop := func(dl *ast.DoLoop) {
-		inner[dl.Var] = true
-		lo, okLo := sema.ConstValue(dl.Lo)
-		hi, okHi := sema.ConstValue(dl.Hi)
-		if okLo && okHi && lo == 1 && dl.Step == nil {
-			bounds[dl.Var] = hi
-		}
-	}
-	noteLoop(loop)
-	ast.Inspect(loop.Body, func(nd ast.Node) bool {
-		if dl, ok := nd.(*ast.DoLoop); ok {
-			noteLoop(dl)
-		}
-		return true
-	})
-	var walk func(stmts []ast.Stmt)
-	walk = func(stmts []ast.Stmt) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *ast.Assign:
-				b.collectSummaryExpr(n, st.RHS, inner, bounds)
-				if lhs, ok := st.LHS.(*ast.ArrayRef); ok {
-					b.addSummaryRef(n, Def, lhs, inner, bounds)
-				}
-			case *ast.If:
-				b.collectSummaryExpr(n, st.Cond, inner, bounds)
-				walk(st.Then)
-				walk(st.Else)
-			case *ast.DoLoop:
-				walk(st.Body)
+// linearize sets r's affine form over the graph's induction variable when
+// its subscripts have one. B may mention inner induction variables;
+// summarize marks those references.
+func (b *builder) linearize(r *Ref) {
+	expr := r.Expr
+	d := b.opts.Dims[expr.Name]
+	if d == nil && len(expr.Subs) > 1 {
+		if memo, ok := b.dims[expr.Name]; ok && len(memo) == len(expr.Subs) {
+			d = memo
+		} else {
+			d = sema.DefaultDims(expr.Name, len(expr.Subs))
+			if b.dims == nil {
+				b.dims = make(map[string][]poly.Poly, 4)
 			}
+			b.dims[expr.Name] = d
 		}
 	}
-	walk(loop.Body)
-}
-
-func (b *builder) collectSummaryExpr(n *Node, e ast.Expr, inner map[string]bool, bounds map[string]int64) {
-	ast.InspectExpr(e, func(nd ast.Node) bool {
-		if ref, ok := nd.(*ast.ArrayRef); ok {
-			b.addSummaryRef(n, Use, ref, inner, bounds)
-			return false
-		}
-		return true
-	})
-}
-
-func (b *builder) addSummaryRef(n *Node, kind RefKind, expr *ast.ArrayRef, inner map[string]bool, bounds map[string]int64) {
-	r := b.addRef(n, kind, expr, false)
-	fromInner := false
-	for _, s := range refSymbols(expr) {
-		if inner[s] {
-			fromInner = true
-			break
-		}
+	if form, err := sema.LinearAffine(expr, b.g.IV, d); err == nil {
+		r.Form, r.Affine = form, true
 	}
-	if !fromInner {
+}
+
+// summarize marks r, a reference inside the loops of nest (a summarized
+// loop, then the loops it encloses in source order), FromInner when its
+// subscripts involve one of their induction variables, and gives it a
+// constant touched region when the inner bounds allow it.
+func summarize(r *Ref, nest []*ast.DoLoop) {
+	if !mentionsIV(r.Expr, nest) {
 		return
 	}
 	r.FromInner = true
 	r.InnerAffine = r.Affine
 	r.Affine = false
 	// Constant touched region (§3.2 refinement): 1-D subscript a·v + c
-	// over a single inner variable v ∈ [1, bounds[v]].
-	if len(expr.Subs) != 1 {
+	// over a single inner variable v ∈ [1, hi].
+	if len(r.Expr.Subs) != 1 {
 		return
 	}
-	p, err := sema.ExprToPoly(expr.Subs[0])
+	p, err := sema.ExprToPoly(r.Expr.Subs[0])
 	if err != nil {
 		return
 	}
@@ -529,8 +485,8 @@ func (b *builder) addSummaryRef(n *Node, kind RefKind, expr *ast.ArrayRef, inner
 		return
 	}
 	v := syms[0]
-	hiBound, ok := bounds[v]
-	if !ok || hiBound < 1 {
+	hi, ok := constTrip(nest, v)
+	if !ok || hi < 1 {
 		return
 	}
 	coeff, rest, ok := p.CoeffOf(v)
@@ -542,7 +498,7 @@ func (b *builder) addSummaryRef(n *Node, kind RefKind, expr *ast.ArrayRef, inner
 	if !okA || !okC {
 		return
 	}
-	first, last := a*1+c, a*hiBound+c
+	first, last := a*1+c, a*hi+c
 	if first > last {
 		first, last = last, first
 	}
@@ -550,107 +506,118 @@ func (b *builder) addSummaryRef(n *Node, kind RefKind, expr *ast.ArrayRef, inner
 	r.RegionLo, r.RegionHi = first, last
 }
 
-func refSymbols(ref *ast.ArrayRef) []string {
-	set := map[string]bool{}
+// mentionsIV reports whether a subscript of ref involves the induction
+// variable of a loop in nest: a symbol of its polynomial or, when it is
+// not a polynomial, any identifier it names.
+func mentionsIV(ref *ast.ArrayRef, nest []*ast.DoLoop) bool {
 	for _, sub := range ref.Subs {
 		if p, err := sema.ExprToPoly(sub); err == nil {
 			for _, s := range p.Symbols() {
-				set[s] = true
-			}
-		} else {
-			// Non-polynomial subscript: record every identifier mentioned.
-			ast.InspectExpr(sub, func(nd ast.Node) bool {
-				if id, ok := nd.(*ast.Ident); ok && id.Name != "_" {
-					set[id.Name] = true
+				if isIV(s, nest) {
+					return true
 				}
-				return true
-			})
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (b *builder) addRef(n *Node, kind RefKind, expr *ast.ArrayRef, fromInner bool) *Ref {
-	r := &Ref{
-		ID:        len(b.g.Refs) + 1,
-		Node:      n,
-		Kind:      kind,
-		Array:     expr.Name,
-		Expr:      expr,
-		FromInner: fromInner,
-	}
-	dims := b.opts.Dims[expr.Name]
-	if dims == nil && len(expr.Subs) > 1 {
-		if d, ok := b.dims[expr.Name]; ok && len(d) == len(expr.Subs) {
-			dims = d
-		} else {
-			dims = sema.DefaultDims(expr.Name, len(expr.Subs))
-			if b.dims == nil {
-				b.dims = make(map[string][]poly.Poly, 4)
 			}
-			b.dims[expr.Name] = dims
+		} else if namesIV(sub, nest) {
+			return true
 		}
 	}
-	form, err := sema.LinearAffine(expr, b.g.IV, dims)
-	if err == nil {
-		// The form must not mention the IV in its coefficients (guaranteed
-		// by LinearAffine) — but B may mention inner IVs; the caller marks
-		// those separately.
-		r.Form, r.Affine = form, true
-	}
-	n.Refs = append(n.Refs, r)
-	b.g.Refs = append(b.g.Refs, r)
-	return r
+	return false
 }
 
-// computeReach fills the body-edge reachability relation used by the pr
-// predicate. The exit→entry back edge is excluded, so the relation is a DAG
-// reachability: bit j of row i ⇔ node i strictly precedes node j on some
-// path. Both the forward matrix and its transpose are built, packed 64 node
-// IDs per word, by two word-parallel dynamic programs over the body DAG:
-//
-//   - reach(v) = ∪ over successors s of {s} ∪ reach(s), in reverse
-//     topological order, with the exit contributing nothing (its only
-//     successor is the back edge's target);
-//   - reachT(v) = ∪ over predecessors p ≠ exit of {p} ∪ reachT(p), in
-//     topological order.
-//
-// Every node is reachable from the entry in a structured body, so the
-// reverse postorder is a topological order of the body DAG: each row is
-// finished before any row that reads it. An edge costs one OR per row
-// word, O(e·n/64) word operations in all.
-func (g *Graph) computeReach() {
-	n := len(g.Nodes)
-	w := (n + 1 + 63) / 64
-	g.bitWords = w
-	g.reach = make([]uint64, (n+1)*w)
-	g.reachT = make([]uint64, (n+1)*w)
-	order := g.RPO()
-	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
-		if v == g.Exit {
+// namesIV reports whether e names the induction variable of a loop in
+// nest, inside subscripts too.
+func namesIV(e ast.Expr, nest []*ast.DoLoop) bool {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		return ex.Name != "_" && isIV(ex.Name, nest)
+	case *ast.ArrayRef:
+		for _, sub := range ex.Subs {
+			if namesIV(sub, nest) {
+				return true
+			}
+		}
+	case *ast.Binary:
+		return namesIV(ex.L, nest) || namesIV(ex.R, nest)
+	case *ast.Unary:
+		return namesIV(ex.X, nest)
+	}
+	return false
+}
+
+func isIV(name string, nest []*ast.DoLoop) bool {
+	for _, dl := range nest {
+		if dl.Var == name {
+			return true
+		}
+	}
+	return false
+}
+
+// constTrip returns the constant upper bound of the last loop of nest over
+// v that runs from 1 in unit steps to a constant (normalized loops run
+// from 1).
+func constTrip(nest []*ast.DoLoop, v string) (int64, bool) {
+	for k := len(nest) - 1; k >= 0; k-- {
+		dl := nest[k]
+		if dl.Var != v || dl.Step != nil {
 			continue
 		}
-		row := g.reach[v.ID*w : (v.ID+1)*w]
-		for _, s := range v.Succs {
-			orRow(row, g.reach[s.ID*w:(s.ID+1)*w])
-			row[s.ID>>6] |= 1 << (uint(s.ID) & 63)
+		lo, okLo := sema.ConstValue(dl.Lo)
+		hi, okHi := sema.ConstValue(dl.Hi)
+		if okLo && okHi && lo == 1 {
+			return hi, true
 		}
 	}
-	for _, v := range order {
-		row := g.reachT[v.ID*w : (v.ID+1)*w]
+	return 0, false
+}
+
+// relate fills the body-edge relations with one dynamic program each over
+// node IDs. The entry is 1, the exit last, every body edge rises in ID and
+// every node but the entry has a predecessor (TestEdgesRiseInID), so each
+// row reads only rows finished before it, and one pass builds it:
+//
+//   - reach(v) = ∪ over successors s of {s} ∪ reach(s), in decreasing ID,
+//     with the exit contributing nothing (its one successor is the back
+//     edge's target);
+//   - reachT(v) = ∪ over predecessors p ≠ exit of {p} ∪ reachT(p), in
+//     increasing ID;
+//   - dom(v) = {v} ∪ ∩ over predecessors p ≠ exit of dom(p), in increasing
+//     ID, so dom(entry) = {entry}.
+//
+// An edge costs one operation per row word, O(e·n/64) word operations in
+// all.
+func (g *Graph) relate() {
+	n := len(g.Nodes)
+	w := (n + 64) / 64 // room for bits 0..n
+	m := (n + 1) * w
+	rows := make([]uint64, 3*m)
+	g.bitWords = w
+	g.reach, g.reachT, g.dom = rows[:m:m], rows[m:2*m:2*m], rows[2*m:]
+	row := func(rel []uint64, id int) []uint64 { return rel[id*w : (id+1)*w] }
+	for id := n - 1; id >= 1; id-- { // the exit, n, reaches nothing
+		r := row(g.reach, id)
+		for _, s := range g.Nodes[id-1].Succs {
+			orRow(r, row(g.reach, s.ID))
+			setBit(r, s.ID)
+		}
+	}
+	for _, v := range g.Nodes {
+		r, d := row(g.reachT, v.ID), row(g.dom, v.ID)
+		first := true
 		for _, p := range v.Preds {
 			if p == g.Exit {
 				continue // the back edge
 			}
-			orRow(row, g.reachT[p.ID*w:(p.ID+1)*w])
-			row[p.ID>>6] |= 1 << (uint(p.ID) & 63)
+			orRow(r, row(g.reachT, p.ID))
+			setBit(r, p.ID)
+			if first {
+				copy(d, row(g.dom, p.ID))
+				first = false
+			} else {
+				andRow(d, row(g.dom, p.ID))
+			}
 		}
+		setBit(d, v.ID)
 	}
 }
 
@@ -660,6 +627,15 @@ func orRow(dst, src []uint64) {
 		dst[i] |= src[i]
 	}
 }
+
+// andRow ANDs src into dst word by word.
+func andRow(dst, src []uint64) {
+	for i := range dst {
+		dst[i] &= src[i]
+	}
+}
+
+func setBit(row []uint64, id int) { row[id>>6] |= 1 << (uint(id) & 63) }
 
 // Precedes reports whether node a strictly precedes node b along body edges
 // (the pr predicate's "occurs in a predecessor node": pr(d,n)=0 iff
@@ -674,7 +650,7 @@ func (g *Graph) BitWords() int { return g.bitWords }
 
 // HeldBytes estimates the memory the graph holds, counted from its lengths:
 // node and reference records, edge and reference lists, and the
-// reachability, dominance and order tables. The AST it points into is not
+// reachability and dominance tables. The AST it points into is not
 // counted.
 func (g *Graph) HeldBytes() int {
 	const ptr = int(unsafe.Sizeof(uintptr(0)))
@@ -682,7 +658,7 @@ func (g *Graph) HeldBytes() int {
 	for _, nd := range g.Nodes {
 		n += (len(nd.Succs) + len(nd.Preds)) * ptr
 	}
-	return n + 8*(len(g.reach)+len(g.reachT)+len(g.doms)) + ptr*len(g.rpo)
+	return n + 8*(len(g.reach)+len(g.reachT)+len(g.dom))
 }
 
 // PrecedesRow returns the bitset of node IDs that node id strictly precedes
@@ -704,94 +680,7 @@ func (g *Graph) PrecededByRow(id int) []uint64 {
 // generator on only one branch does not guarantee the current iteration's
 // instance.
 func (g *Graph) Dominates(a, b *Node) bool {
-	if g.doms == nil {
-		g.computeDominators()
-	}
-	if a == b {
-		return false
-	}
-	w := g.domWords
-	return g.doms[b.ID*w+a.ID>>6]&(1<<(uint(a.ID)&63)) != 0
-}
-
-// Precompute forces every lazily-built relation (currently the dominator
-// sets; body reachability and the reverse postorder are built with the
-// graph). A graph that has been precomputed is never mutated by queries
-// again, so it can be shared read-only across goroutines — the memoizing
-// driver publishes graphs to its cache only after calling this.
-func (g *Graph) Precompute() {
-	if g.doms == nil {
-		g.computeDominators()
-	}
-}
-
-// computeDominators runs the standard iterative dominator computation over
-// the acyclic body (back edge excluded), seeding Dom(entry) = {entry}.
-func (g *Graph) computeDominators() {
-	n := len(g.Nodes)
-	w := (n + 64) / 64 // room for bits 0..n
-	g.domWords = w
-	doms := make([]uint64, (n+1)*w)
-	g.doms = doms
-	row := func(id int) []uint64 { return doms[id*w : (id+1)*w] }
-	setBit := func(r []uint64, id int) { r[id>>6] |= 1 << (uint(id) & 63) }
-	full := make([]uint64, w)
-	for i := 1; i <= n; i++ {
-		setBit(full, i)
-	}
-	for _, nd := range g.Nodes {
-		if nd == g.Entry {
-			setBit(row(nd.ID), nd.ID)
-		} else {
-			copy(row(nd.ID), full)
-		}
-	}
-	scratch := make([]uint64, w)
-	order := g.RPO()
-	for changed := true; changed; {
-		changed = false
-		for _, nd := range order {
-			if nd == g.Entry {
-				continue
-			}
-			first := true
-			for _, p := range nd.Preds {
-				if p == g.Exit {
-					continue // back edge source never reaches body nodes forward
-				}
-				pr := row(p.ID)
-				if first {
-					copy(scratch, pr)
-					first = false
-				} else {
-					for i := range scratch {
-						scratch[i] &= pr[i]
-					}
-				}
-			}
-			if first {
-				// No body predecessors (only reachable via back edge):
-				// dominated by entry alone.
-				for i := range scratch {
-					scratch[i] = 0
-				}
-				setBit(scratch, g.Entry.ID)
-			}
-			setBit(scratch, nd.ID)
-			dst := row(nd.ID)
-			same := true
-			for i := range scratch {
-				if scratch[i] != dst[i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				copy(dst, scratch)
-				changed = true
-			}
-		}
-	}
+	return a != b && g.dom[b.ID*g.bitWords+(a.ID>>6)]&(1<<(uint(a.ID)&63)) != 0
 }
 
 // Pr is the paper's predecessor predicate: 0 when ref's node strictly
@@ -801,57 +690,6 @@ func (g *Graph) Pr(ref *Ref, n *Node) int64 {
 		return 0
 	}
 	return 1
-}
-
-// RPO returns the nodes in reverse postorder of the body DAG starting at the
-// entry, with the exit node last. Construction order already satisfies this
-// for structured programs, but RPO recomputes it from the edges to stay
-// correct under transformation.
-func (g *Graph) RPO() []*Node {
-	if g.rpo != nil {
-		return g.rpo
-	}
-	seen := make([]bool, len(g.Nodes)+1)
-	post := make([]*Node, 0, len(g.Nodes))
-	var dfs func(n *Node)
-	dfs = func(n *Node) {
-		seen[n.ID] = true
-		for _, s := range n.Succs {
-			if n == g.Exit {
-				continue
-			}
-			if !seen[s.ID] {
-				dfs(s)
-			}
-		}
-		post = append(post, n)
-	}
-	dfs(g.Entry)
-	// Unreachable nodes (should not happen) are appended at the end.
-	for _, n := range g.Nodes {
-		if !seen[n.ID] {
-			post = append([]*Node{n}, post...)
-		}
-	}
-	out := make([]*Node, len(post))
-	for i, n := range post {
-		out[len(post)-1-i] = n
-	}
-	// Cache: the order is a pure function of the (immutable) edge lists,
-	// and every solver pass requests it. Callers must not mutate it.
-	g.rpo = out
-	return out
-}
-
-// DefsOf returns all definition refs of the named array.
-func (g *Graph) DefsOf(array string) []*Ref {
-	var out []*Ref
-	for _, r := range g.Refs {
-		if r.Kind == Def && r.Array == array {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Dump renders the graph in a compact human-readable form.

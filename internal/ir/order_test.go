@@ -12,16 +12,11 @@ import (
 	"repro/internal/synth"
 )
 
-// TestEdgesRiseInID pins the numbering the dataflow solver walks in. Build
-// numbers the entry 1 and the exit last; every edge but the exit → entry
-// back edge goes from a lower node ID to a higher one; and every node but
-// the entry has a predecessor and every node but the exit a successor. So
-// ID order, reversed for backward problems, is a topological order of the
-// whole body that reaches every node, and a pass in ID order computes
-// what a pass in reverse postorder computes. The solver relies on this and
-// does not check it per solve. The property runs over the examples, the
-// dataflow differential corpus, synth sweeps and synth.IfNest's nests.
-func TestEdgesRiseInID(t *testing.T) {
+// corpusLoops returns every loop, inner loops included, of the corpus the
+// graph-shape properties run over: the examples, the dataflow differential
+// corpus, synth sweeps and 1,000 synth.IfNest nests.
+func corpusLoops(t *testing.T) []*ast.DoLoop {
+	t.Helper()
 	var progs []*ast.Program
 	for _, dir := range []string{filepath.Join("..", "..", "examples"), filepath.Join("..", "dataflow", "testdata", "differential")} {
 		paths, _ := filepath.Glob(filepath.Join(dir, "*.loop"))
@@ -47,26 +42,35 @@ func TestEdgesRiseInID(t *testing.T) {
 	for seed := int64(1); seed <= 1000; seed++ {
 		progs = append(progs, synth.IfNest(seed))
 	}
-	loops := 0
+	var loops []*ast.DoLoop
 	for _, prog := range progs {
 		ast.Inspect(prog.Body, func(n ast.Node) bool {
-			loop, ok := n.(*ast.DoLoop)
-			if !ok {
-				return true
-			}
-			loops++
-			g, err := ir.Build(loop, nil)
-			if err != nil {
-				return true
-			}
-			if err := risingOrder(g); err != nil {
-				t.Fatalf("%v\n%s", err, ast.StmtString(loop, 0))
+			if loop, ok := n.(*ast.DoLoop); ok {
+				loops = append(loops, loop)
 			}
 			return true
 		})
 	}
-	if loops < 1000 {
-		t.Fatalf("checked %d loops, want at least 1000", loops)
+	if len(loops) < 1000 {
+		t.Fatalf("corpus holds %d loops, want at least 1000", len(loops))
+	}
+	return loops
+}
+
+// TestEdgesRiseInID pins the numbering the dataflow solver walks in and
+// Build's one-pass relations rest on. Build numbers the entry 1 and the
+// exit last; every edge but the exit → entry back edge goes from a lower
+// node ID to a higher one; and every node but the entry has a predecessor
+// and every node but the exit a successor. So ID order, reversed for
+// backward problems, is a topological order of the whole body that
+// reaches every node, and a pass in ID order computes what a pass in
+// reverse postorder computes. The solver relies on this and does not
+// check it per solve.
+func TestEdgesRiseInID(t *testing.T) {
+	for _, loop := range corpusLoops(t) {
+		if err := risingOrder(ir.Build(loop, nil)); err != nil {
+			t.Fatalf("%v\n%s", err, ast.StmtString(loop, 0))
+		}
 	}
 }
 
@@ -90,4 +94,53 @@ func risingOrder(g *ir.Graph) error {
 		}
 	}
 	return nil
+}
+
+// TestDominatesMatchesRemoval holds Dominates to its definition on every
+// node pair of the corpus: a dominates b exactly when a ≠ b and b cannot
+// be reached from the entry over body edges once a is removed.
+func TestDominatesMatchesRemoval(t *testing.T) {
+	pairs := 0
+	for _, loop := range corpusLoops(t) {
+		g := ir.Build(loop, nil)
+		for _, a := range g.Nodes {
+			reached := reachedWithout(g, a)
+			for _, b := range g.Nodes {
+				if got, want := g.Dominates(a, b), a != b && !reached[b.ID]; got != want {
+					t.Fatalf("Dominates(n%d, n%d) = %v, want %v\n%s", a.ID, b.ID, got, want, g.Dump())
+				}
+				pairs++
+			}
+		}
+	}
+	if pairs < 100000 {
+		t.Fatalf("checked %d node pairs, want at least 100000", pairs)
+	}
+	t.Logf("%d node pairs", pairs)
+}
+
+// reachedWithout marks, by node ID, the nodes a DFS from g's entry reaches
+// over body edges when it may not enter removed; with the entry removed it
+// reaches nothing.
+func reachedWithout(g *ir.Graph, removed *ir.Node) []bool {
+	reached := make([]bool, len(g.Nodes)+1)
+	if removed == g.Entry {
+		return reached
+	}
+	reached[g.Entry.ID] = true
+	stack := []*ir.Node{g.Entry}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur == g.Exit {
+			continue // its one successor is the back edge's target
+		}
+		for _, s := range cur.Succs {
+			if s != removed && !reached[s.ID] {
+				reached[s.ID] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return reached
 }

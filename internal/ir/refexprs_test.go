@@ -25,10 +25,7 @@ func checkRefExprs(t *testing.T, name string, prog *ast.Program) int {
 		if !ok {
 			return true
 		}
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatalf("%s: loop %s at %s: %v", name, loop.Var, loop.Pos(), err)
-		}
+		g := ir.Build(loop, nil)
 		exprs := ir.RefExprs(loop)
 		if len(exprs) != len(g.Refs) {
 			t.Fatalf("%s: loop %s at %s: RefExprs lists %d references, Build %d", name, loop.Var, loop.Pos(), len(exprs), len(g.Refs))
@@ -45,7 +42,8 @@ func checkRefExprs(t *testing.T, name string, prog *ast.Program) int {
 	return n
 }
 
-// TestRefExprsMatchBuild compares the two walks on every example program
+// TestRefExprsMatchBuild compares RefExprs' walk of a whole body with the
+// numbering Build makes as it lays out node by node, on every example program
 // (parsed and normalized), on synthetic loops with conditionals and
 // programs with nests, on hand-written shapes the generators do not
 // produce, and on every loop the Go front end lowers from examples/go and

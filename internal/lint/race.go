@@ -599,7 +599,6 @@ func CertifyLoop(c *Context) *Verdict {
 	}
 
 	// Pairwise exact resolution over the loop's own affine references.
-	exit := exitNode(g)
 	racy := leastCollision{refs: refs}
 	var affine []*ir.Ref
 	for _, r := range g.Refs {
@@ -619,7 +618,7 @@ func CertifyLoop(c *Context) *Verdict {
 					FromText: refs.text(r1), ToText: refs.text(r2), reason: o.reason,
 				})
 			case pairConflict:
-				if exit != nil && g.Dominates(r1.Node, exit) && g.Dominates(r2.Node, exit) {
+				if g.Dominates(r1.Node, g.Exit) && g.Dominates(r2.Node, g.Exit) {
 					racy.offer(o.conflict)
 				} else {
 					t1, t2, dist := refs.text(r1), refs.text(r2), o.conflict.distance()
@@ -789,15 +788,6 @@ func dedupeBlockers(bs []Blocker) []Blocker {
 		out = append(out, bs[i])
 	}
 	return out
-}
-
-func exitNode(g *ir.Graph) *ir.Node {
-	for _, nd := range g.Nodes {
-		if nd.Kind == ir.KindExit {
-			return nd
-		}
-	}
-	return nil
 }
 
 // collisionLess orders collisions as their witnesses are ordered:

@@ -29,10 +29,7 @@ func EliminateLoads(prog *ast.Program, idx int) (*LoadElimResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("opt: statement %d is not a loop", idx)
 	}
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		return nil, err
-	}
+	g := ir.Build(loop, nil)
 	res := problems.Solve(g, problems.AvailableValues())
 	reuses := problems.FindReuses(res)
 	if len(reuses) == 0 {

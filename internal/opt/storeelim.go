@@ -34,10 +34,7 @@ func EliminateStores(prog *ast.Program, idx int) (*StoreElimResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("opt: statement %d is not a loop", idx)
 	}
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		return nil, err
-	}
+	g := ir.Build(loop, nil)
 	res := problems.Solve(g, problems.BusyStores())
 	cands := problems.FindRedundantStores(res)
 

@@ -58,10 +58,7 @@ func ControlledUnroll(prog *ast.Program, idx int, opts *UnrollOptions) (*UnrollR
 	if !ok {
 		return nil, fmt.Errorf("opt: statement %d is not a loop", idx)
 	}
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		return nil, err
-	}
+	g := ir.Build(loop, nil)
 	dg := depend.BuildFromLoop(g, int64(maxF))
 
 	l := dg.CriticalPath()
@@ -85,10 +82,11 @@ func ControlledUnroll(prog *ast.Program, idx int, opts *UnrollOptions) (*UnrollR
 		res.Prog = prog
 		return res, nil
 	}
-	res.Prog, err = Unroll(prog, idx, factor)
+	unrolled, err := Unroll(prog, idx, factor)
 	if err != nil {
 		return nil, err
 	}
+	res.Prog = unrolled
 	return res, nil
 }
 

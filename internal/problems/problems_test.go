@@ -22,10 +22,7 @@ func buildLoop(t *testing.T, src string) *ir.Graph {
 	t.Helper()
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 
@@ -366,10 +363,7 @@ enddo
 `)
 	outer := prog.Body[0].(*ast.DoLoop)
 	inner := outer.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(inner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(inner, nil)
 	res := Solve(g, MustReachingDefs())
 	rs := FindReuses(res)
 	var xReuse, yReuse bool

@@ -199,10 +199,7 @@ func TestMustReusesHoldInExecution(t *testing.T) {
 			CondProb: 0.35, UB: ub,
 		})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		res := Solve(g, MustReachingDefs())
 		reuses := FindReuses(res)
 		if len(reuses) == 0 {
@@ -264,10 +261,7 @@ func TestExecutionDependencesAreFound(t *testing.T) {
 			CondProb: 0.3, UB: ub,
 		})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		res := Solve(g, ReachingRefs())
 		deps := FindDependences(res, ub)
 		type key struct {
@@ -317,10 +311,7 @@ func TestExecutionDependencesAreFound(t *testing.T) {
 func TestReusesFig1Execution(t *testing.T) {
 	prog := parser.MustParse(fig1)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	res := Solve(g, MustReachingDefs())
 	reuses := FindReuses(res)
 

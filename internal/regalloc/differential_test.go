@@ -22,10 +22,7 @@ func TestDifferentialPipelining(t *testing.T) {
 			Seed: seed, Stmts: 6, Arrays: 3, MaxDist: 3, CondProb: 0.3, UB: 30,
 		})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		alloc := Allocate(g, &Options{K: 24})
 		if len(alloc.AllocatedPipelines()) == 0 {
 			continue
@@ -89,10 +86,7 @@ func TestDifferentialPipeliningPlusLocalOpt(t *testing.T) {
 			Seed: seed + 900, Stmts: 5, Arrays: 2, MaxDist: 3, CondProb: 0.25, UB: 25,
 		})
 		loop := prog.Body[0].(*ast.DoLoop)
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := ir.Build(loop, nil)
 		alloc := Allocate(g, &Options{K: 24})
 		hooks, err := alloc.GenOptions()
 		if err != nil {

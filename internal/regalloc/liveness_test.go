@@ -12,10 +12,7 @@ func graphOf(t *testing.T, src string) *ir.Graph {
 	t.Helper()
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	return g
 }
 

@@ -15,10 +15,7 @@ func buildLoop(t *testing.T, src string) (*ast.Program, *ir.Graph) {
 	t.Helper()
 	prog := parser.MustParse(src)
 	loop := prog.Body[0].(*ast.DoLoop)
-	g, err := ir.Build(loop, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ir.Build(loop, nil)
 	return prog, g
 }
 

@@ -84,10 +84,7 @@ func checkRefExprs(t *testing.T, prog *ast.Program) {
 		if !ok {
 			return true
 		}
-		g, err := ir.Build(loop, nil)
-		if err != nil {
-			t.Fatalf("loop %s at %s: %v", loop.Var, loop.Pos(), err)
-		}
+		g := ir.Build(loop, nil)
 		exprs := ir.RefExprs(loop)
 		if len(exprs) != len(g.Refs) {
 			t.Fatalf("loop %s at %s: RefExprs lists %d references, Build %d", loop.Var, loop.Pos(), len(exprs), len(g.Refs))

@@ -35,11 +35,16 @@
 #
 # Usage: scripts/bench.sh output.json
 #
+# The sweep's rows land next to the output, in output.sweep.json (the
+# output's name with its .json suffix, if any, replaced), so a run writes
+# only beside its own output and leaves every tracked file as it was;
+# BENCH_PR10.json is the sweep's checked-in trajectory point.
+#
 # BENCH_TIME sets the go test -benchtime value (default 1s; CI lowers it).
 # Nothing else is configurable: the benchmark set (the solver suite plus
 # the three BenchmarkVet variants and the three BenchmarkRender writers, the
 # last two recorded ungated), the advisory baseline, every hard gate and
-# the sweep (snapshot BENCH_PR10.json, floor 78%) always run.
+# the sweep (floor 78%) always run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,7 +64,7 @@ RATIOS=(
   BenchmarkScalingLinear/bounded-classes/stmts=2048/packed:BenchmarkScalingLinear/bounded-classes/stmts=512/packed:8
   BenchmarkScalingLinear/growing-classes/stmts=2048/packed:BenchmarkScalingLinear/growing-classes/stmts=512/packed:8
 )
-SWEEP_OUT="BENCH_PR10.json"
+SWEEP_OUT="${OUT%.json}.sweep.json"
 SWEEP_FLOOR=78
 
 TMP="$(mktemp)"
@@ -90,9 +95,10 @@ done
 go run ./cmd/benchjson "${RATIO_FLAGS[@]}" "$OUT" > /dev/null
 
 # ---- symbolic-bound sweep ---------------------------------------------------
-# Self-analysis precision, recorded as a trajectory point: cmd/corpus lowers
-# and certifies every loop of this repository, and the verdict counts land
-# in BENCH_PR10.json as CorpusVerdicts pseudo-rows. Two hard gates: the
+# Self-analysis precision: cmd/corpus lowers and certifies every loop of
+# this repository, and the verdict counts land in $SWEEP_OUT as
+# CorpusVerdicts pseudo-rows, in the form of the BENCH_PR10.json trajectory
+# point. Two hard gates: the
 # provably-classified fraction (parallel + racy over all verdict-bearing
 # units) must stay at or above its floor — the symbolic-bounds analysis is
 # what holds it there — and differential execution must report zero
